@@ -45,7 +45,7 @@ class Trajectory:
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("trajectory timestamps must be strictly increasing")
         self._points = pts
-        self._times = times
+        self._times = tuple(times)
         self._xy = np.array([[p.location.x, p.location.y] for p in pts], dtype=float).reshape(len(pts), 2)
 
     @classmethod
@@ -72,7 +72,7 @@ class Trajectory:
 
     @property
     def times(self) -> Sequence[float]:
-        return tuple(self._times)
+        return self._times
 
     @property
     def start_time(self) -> float:

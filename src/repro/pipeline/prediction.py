@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
 from repro.pipeline.config import AssignmentConfig
 from repro.pipeline.training import TrainedPredictor
 from repro.sc.acceptance import oracle_future_route
@@ -27,12 +26,14 @@ def rollout(model, recent_norm: np.ndarray, horizon_points: int, seq_out: int) -
 
     ``recent_norm`` is the ``(seq_in, 2)`` normalised input window;
     each model call emits ``seq_out`` points which are appended to the
-    window for the next call.
+    window for the next call.  Calls run the model's tape-free fused
+    forward (``model.predict``), which replays the tape's operation order
+    and so gives bit-identical points.
     """
     window = np.asarray(recent_norm, dtype=float).copy()
     out: list[np.ndarray] = []
     while sum(len(o) for o in out) < horizon_points:
-        pred = model(Tensor(window[None, :, :])).numpy()[0]
+        pred = model.predict(window)
         out.append(pred)
         window = np.concatenate([window, pred])[-len(recent_norm) :]
     return np.concatenate(out)[:horizon_points]
@@ -40,7 +41,17 @@ def rollout(model, recent_norm: np.ndarray, horizon_points: int, seq_out: int) -
 
 @dataclass
 class PredictiveSnapshotProvider:
-    """Snapshots from the trained per-worker mobility models."""
+    """Snapshots from the trained per-worker mobility models.
+
+    A worker's model input changes only when they share a new sample,
+    while batches usually fire more often, so the provider keeps each
+    worker's latest rollout keyed on the exact bytes of the normalised
+    input window and reuses it on a byte-equal window.  The key is the
+    model input itself: a new sample, or a routine replaced under the
+    same id, yields a different window and a fresh rollout.  Memoised
+    ``predicted_xy`` arrays are shared between snapshots and therefore
+    read-only.
+    """
 
     predictor: TrainedPredictor
     assignment: AssignmentConfig
@@ -48,6 +59,7 @@ class PredictiveSnapshotProvider:
 
     def __post_init__(self) -> None:
         self._models: dict[int, object] = {}
+        self._latest: dict[int, tuple[bytes, np.ndarray]] = {}
 
     def _model(self, worker_id: int):
         if worker_id not in self._models:
@@ -59,9 +71,16 @@ class PredictiveSnapshotProvider:
         seq_in = self.predictor.config.seq_in
         recent_xy, _ = _recent_shared_track(worker, t, seq_in)
         recent_norm = city.grid.normalize(recent_xy)
-        model = self._model(worker.worker_id)
-        pred_norm = rollout(model, recent_norm, self.assignment.horizon_points, self.predictor.config.seq_out)
-        pred_xy = city.grid.denormalize(pred_norm)
+        key = recent_norm.tobytes()
+        latest = self._latest.get(worker.worker_id)
+        if latest is not None and latest[0] == key:
+            pred_xy = latest[1]
+        else:
+            model = self._model(worker.worker_id)
+            pred_norm = rollout(model, recent_norm, self.assignment.horizon_points, self.predictor.config.seq_out)
+            pred_xy = city.grid.denormalize(pred_norm)
+            pred_xy.setflags(write=False)
+            self._latest[worker.worker_id] = (key, pred_xy)
         pred_times = t + self.sample_step * np.arange(1, len(pred_xy) + 1)
         return WorkerSnapshot(
             worker_id=worker.worker_id,
@@ -120,7 +139,7 @@ def _recent_shared_track(worker: Worker, t: float, seq_in: int) -> tuple[np.ndar
     Pads by repeating the earliest sample when the worker just came
     online, so the model always receives a full window.
     """
-    times = list(worker.routine.times)
+    times = worker.routine.times
     hi = bisect.bisect_right(times, t)
     lo = max(hi - seq_in, 0)
     xy = worker.routine.xy[lo:hi]

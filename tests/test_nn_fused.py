@@ -148,9 +148,10 @@ class TestSeq2SeqKernels:
                 analytic = grads[name].reshape(-1)[idx]
                 assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-7), name
 
-    def test_predict_matches_tape_forward(self):
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_predict_matches_tape_forward(self, cell):
         rng = np.random.default_rng(29)
-        model = make_mobility_model("gru", hidden_size=5, seq_out=3, rng=rng)
+        model = make_mobility_model(cell, hidden_size=5, seq_out=3, rng=rng)
         x = rng.normal(size=(4, 5, 2))
         tape_pred = model.forward(Tensor(x)).data
         fused_pred = fused.seq2seq_predict(model, dict(model.named_parameters()), x)
