@@ -3,8 +3,8 @@
 Times one assignment round — the work between "batch fires" and "plan
 ready" — two ways on the same batch state:
 
-* ``dense``  — ``BatchPlatform``'s path: PPI over every
-  (task, worker) pair;
+* ``dense``  — the paper loop's path (``ServeConfig()`` defaults): PPI
+  over every (task, worker) pair;
 * ``sparse`` — the serving path: uniform-grid candidate graph
   (:func:`repro.serve.spatial_index.build_candidates`) feeding
   candidate-aware PPI.

@@ -25,7 +25,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.adaptive import AdaptiveMRSnapshotProvider
 from repro.pipeline.prediction import PredictiveSnapshotProvider
-from repro.sc.platform import BatchPlatform
+from repro.serve import ServeConfig, ServeEngine
 
 
 def main() -> None:
@@ -44,26 +44,23 @@ def main() -> None:
         return ppi_assign(tasks, snapshots, t, ppi_cfg)
 
     t0, t1 = workload.horizon()
+    serve_config = ServeConfig(
+        batch_window=assignment.batch_window, assignment_window=assignment.assignment_window
+    )
 
     # Run 1: fixed offline MR.
     base = PredictiveSnapshotProvider(predictor, assignment)
-    fixed = BatchPlatform(
-        workload.workers, base, assignment.batch_window, assignment.assignment_window
-    ).run(workload.tasks, assign_fn, t0, t1)
+    fixed = ServeEngine(workload.workers, base, serve_config, assign_fn=assign_fn).run(
+        workload.tasks, t0, t1
+    )
 
     # Run 2: MR recalibrated from accept/reject feedback.
     adaptive_provider = AdaptiveMRSnapshotProvider(
         base=PredictiveSnapshotProvider(predictor, assignment)
     )
-    adaptive = BatchPlatform(
-        workload.workers, adaptive_provider, assignment.batch_window, assignment.assignment_window
-    ).run(
-        workload.tasks,
-        assign_fn,
-        t0,
-        t1,
-        outcome_listener=adaptive_provider.outcome_listener,
-    )
+    adaptive = ServeEngine(
+        workload.workers, adaptive_provider, serve_config, assign_fn=assign_fn
+    ).run(workload.tasks, t0, t1, outcome_listener=adaptive_provider.outcome_listener)
 
     print(f"{'variant':<12} {'completion':>10} {'rejection':>10} {'cost km':>8}")
     for name, result in (("fixed MR", fixed), ("adaptive MR", adaptive)):

@@ -24,7 +24,7 @@ from repro.pipeline import (
     train_predictor,
 )
 from repro.pipeline.prediction import PredictiveSnapshotProvider
-from repro.sc.platform import BatchPlatform
+from repro.serve import ServeConfig, ServeEngine
 
 
 def main() -> None:
@@ -48,14 +48,17 @@ def main() -> None:
             stage_counter[pair.stage] += 1
         return plan
 
-    platform = BatchPlatform(
+    engine = ServeEngine(
         workload.workers,
         provider,
-        batch_window=assignment.batch_window,
-        assignment_window=assignment.assignment_window,
+        ServeConfig(
+            batch_window=assignment.batch_window,
+            assignment_window=assignment.assignment_window,
+        ),
+        assign_fn=counting_ppi,
     )
     t0, t1 = workload.horizon()
-    result = platform.run(workload.tasks, counting_ppi, t0, t1)
+    result = engine.run(workload.tasks, t0, t1)
 
     print("batch log (every 15th batch):")
     print(f"{'t':>6} {'pending':>8} {'free':>5} {'assigned':>9} {'accepted':>9} {'rejected':>9}")

@@ -15,8 +15,7 @@ untouched and overrides exactly two hooks:
   batch's shard layout, feeding label-style per-shard
   ``dist.shard.events{shard=sid}`` counters and
   ``dist.shard.lag_s{shard=sid}`` histograms (simulation-time staleness
-  of the shard's last merged plan when the event lands); the dotted
-  ``dist.shard.{sid}.*`` forms are kept as deprecated compat aliases.
+  of the shard's last merged plan when the event lands).
 
 Boundary workers — snapshots whose halo spans more than one stripe —
 are counted per batch in :attr:`ShardedEngine.batch_stats`; they are the
@@ -372,15 +371,11 @@ class ShardedEngine(ServeEngine):
             obs.counter("dist.events.unrouted")
             return
         # Label-style names keep one metric family per base name at any
-        # shard count; the dotted forms are deprecated compat aliases
-        # (see docs/DISTRIBUTED.md) kept until downstream dashboards
-        # move over.
+        # shard count.
         obs.counter(labelled("dist.shard.events", shard=shard_id))
-        obs.counter(f"dist.shard.{shard_id}.events")
         if self._last_merge_t is not None:
             lag = max(event.time - self._last_merge_t, 0.0)
             obs.histogram(labelled("dist.shard.lag_s", shard=shard_id), lag)
-            obs.histogram(f"dist.shard.{shard_id}.lag_s", lag)
 
     # ------------------------------------------------------------------
     def _route(self, event) -> int | None:

@@ -59,13 +59,12 @@ class MatchingRateTracker:
 class AdaptiveMRSnapshotProvider:
     """Wraps a predictive provider, substituting recalibrated MRs.
 
-    Wire the same instance as both the platform's snapshot provider and
+    Wire the same instance as both the engine's snapshot provider and
     (via :meth:`outcome_listener`) its outcome listener::
 
         provider = AdaptiveMRSnapshotProvider(base_provider)
-        platform = BatchPlatform(workers, provider, ...)
-        platform.run(tasks, assign_fn, t0, t1,
-                     outcome_listener=provider.outcome_listener)
+        engine = ServeEngine(workers, provider, ServeConfig(), assign_fn=assign_fn)
+        engine.run(tasks, t0, t1, outcome_listener=provider.outcome_listener)
     """
 
     base: PredictiveSnapshotProvider

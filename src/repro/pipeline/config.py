@@ -118,7 +118,7 @@ class AssignmentConfig:
     paper's [3, 4]-unit valid times, 6 points cover every reachable
     deadline.  ``assignment_window`` is how long a requester waits for
     a match before cancelling (see
-    :class:`repro.sc.platform.BatchPlatform`).
+    :class:`repro.serve.engine.ServeConfig`).
     """
 
     batch_window: float = 2.0

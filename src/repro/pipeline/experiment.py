@@ -3,7 +3,8 @@
 ``evaluate_prediction`` reproduces the mobility-prediction metric rows
 (RMSE / MAE / MR / TT, in the paper's grid-cell units);
 ``run_assignment`` wires a snapshot provider and an assignment
-algorithm into the batch platform and returns the four assignment
+algorithm into the online loop (:class:`repro.serve.engine.ServeEngine`
+in its default, paper configuration) and returns the four assignment
 metrics.
 """
 
@@ -29,7 +30,7 @@ from repro.pipeline.prediction import (
 )
 from repro.pipeline.training import TrainedPredictor
 from repro.sc.entities import Worker
-from repro.sc.platform import BatchPlatform, SimulationResult
+from repro.serve.engine import ServeConfig, ServeEngine, ServeResult
 
 #: The algorithm families of Section IV-A.  ``predictive`` entries need a
 #: trained predictor; the loss variant (``task_oriented`` vs ``mse``) is
@@ -129,7 +130,7 @@ def run_assignment(
     predictor: TrainedPredictor | None = None,
     ggpso_config: GGPSOConfig | None = None,
     sample_step: float = 10.0,
-) -> SimulationResult:
+) -> ServeResult:
     """Simulate one algorithm over the workload's test day.
 
     ``predictor`` is required for the predictive algorithms ("ppi",
@@ -153,6 +154,7 @@ def run_assignment(
         provider = PredictiveSnapshotProvider(predictor, cfg, sample_step=sample_step)
         if algorithm in ("ppi", "ppi_loss"):
             ppi_cfg = PPIConfig(a=cfg.ppi_a_km, epsilon=cfg.ppi_epsilon)
+            # Looks ppi_assign up at call time, so tracers can patch it here.
             assign_fn = lambda tasks, snaps, t: ppi_assign(tasks, snaps, t, ppi_cfg)
         elif algorithm in ("km", "km_loss"):
             assign_fn = km_assign
@@ -160,11 +162,11 @@ def run_assignment(
             g_cfg = ggpso_config if ggpso_config is not None else GGPSOConfig()
             assign_fn = lambda tasks, snaps, t: ggpso_assign(tasks, snaps, t, g_cfg)
 
-    platform = BatchPlatform(
+    engine = ServeEngine(
         workload.workers,
         provider,
-        batch_window=cfg.batch_window,
-        assignment_window=cfg.assignment_window,
+        ServeConfig(batch_window=cfg.batch_window, assignment_window=cfg.assignment_window),
+        assign_fn=assign_fn,
     )
     t_start, t_end = workload.horizon()
     with obs.span(
@@ -173,7 +175,7 @@ def run_assignment(
         tasks=len(workload.tasks),
         workers=len(workload.workers),
     ) as run_span:
-        result = platform.run(workload.tasks, assign_fn, t_start, t_end)
+        result = engine.run(workload.tasks, t_start, t_end)
         run_span.set(
             completed=result.n_completed,
             rejections=result.n_rejections,

@@ -1,14 +1,15 @@
-"""Spatial crowdsourcing domain model and batch simulator.
+"""Spatial crowdsourcing domain model.
 
 Implements the system model of Section II: tasks arrive dynamically,
 the platform assigns in batch mode against *predicted* worker mobility,
 and workers accept or reject against their *actual* routines and detour
-budgets.
+budgets.  The online batch loop itself is
+:class:`repro.serve.engine.ServeEngine`.
 """
 
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.acceptance import AcceptanceDecision, evaluate_acceptance
-from repro.sc.platform import BatchPlatform, SimulationResult, BatchRecord, validate_plan
+from repro.sc.platform import SimulationResult, BatchRecord, validate_plan
 from repro.sc.metrics import AssignmentMetrics
 
 __all__ = [
@@ -17,7 +18,6 @@ __all__ = [
     "WorkerSnapshot",
     "AcceptanceDecision",
     "evaluate_acceptance",
-    "BatchPlatform",
     "SimulationResult",
     "BatchRecord",
     "validate_plan",

@@ -104,11 +104,6 @@ class Worker:
         idx = max(idx, 0)
         return self.routine[idx].location
 
-    def online_at(self, t: float) -> bool:
-        """Workers are online during their availability window (the
-        routine's time span unless a narrower window is declared)."""
-        return self.availability_start() <= t <= self.availability_end()
-
 
 @dataclass(slots=True)
 class WorkerSnapshot:

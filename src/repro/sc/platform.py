@@ -1,24 +1,21 @@
-"""The batch-based spatial crowdsourcing platform loop.
+"""The platform's contract with the online loop.
 
-Reproduces the online stage of Figure 1: every ``batch_window`` minutes
-the platform gathers pending tasks and available workers, builds worker
-snapshots through a pluggable provider (predictive, oracle, or
-current-location-only), runs an assignment algorithm, and lets workers
-accept or reject against their real routines.  Rejected and unassigned
-tasks carry over to later batches until they expire — the behaviour the
-paper leans on when explaining running-time growth under tight detour
-budgets.
+The online stage of Figure 1 runs in :class:`repro.serve.engine.ServeEngine`
+(its default :class:`~repro.serve.engine.ServeConfig` is the paper's
+2-minute batch loop).  This module holds what that loop consumes and
+produces: the snapshot-provider and assignment-function signatures, the
+plan validation applied to every batch, and the per-batch and per-run
+records.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro import obs
 from repro.assignment.plan import AssignmentPlan
-from repro.sc.acceptance import evaluate_acceptance
+# Re-exported so the benchmark's trace table can patch it by this path.
+from repro.sc.acceptance import evaluate_acceptance  # noqa: F401
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.metrics import AssignmentMetrics
 
@@ -106,164 +103,3 @@ class SimulationResult:
             detours_km=self.detours_km,
             running_seconds=self.algorithm_seconds + self.prediction_seconds,
         )
-
-
-class BatchPlatform:
-    """Drives batch-mode task assignment over a simulated horizon.
-
-    Parameters
-    ----------
-    workers:
-        The worker population with ground-truth routines.
-    snapshot_provider:
-        Builds the platform's view of a worker at a batch time;
-        predictive providers live in :mod:`repro.pipeline.prediction`.
-    batch_window:
-        Minutes between assignment rounds (the paper uses 2).
-    """
-
-    def __init__(
-        self,
-        workers: Sequence[Worker],
-        snapshot_provider: SnapshotProvider,
-        batch_window: float = 2.0,
-        assignment_window: float | None = 10.0,
-    ) -> None:
-        """``assignment_window`` caps how long after release a task may
-        still be matched (minutes); requesters cancel unmatched tasks
-        after it, mirroring ride-hailing order cancellation (the Didi
-        arrival process the paper builds on).  Service may still happen
-        any time up to the task deadline.  ``None`` disables the cap."""
-        if batch_window <= 0:
-            raise ValueError("batch window must be positive")
-        if assignment_window is not None and assignment_window <= 0:
-            raise ValueError("assignment window must be positive (or None)")
-        ids = [w.worker_id for w in workers]
-        if len(set(ids)) != len(ids):
-            raise ValueError("worker ids must be unique")
-        self.workers = list(workers)
-        self.snapshot_provider = snapshot_provider
-        self.batch_window = batch_window
-        self.assignment_window = assignment_window
-
-    def run(
-        self,
-        tasks: Sequence[SpatialTask],
-        assign_fn: AssignFn,
-        t_start: float,
-        t_end: float,
-        outcome_listener: Callable[[int, int, bool, float], None] | None = None,
-    ) -> SimulationResult:
-        """Simulate assignment of ``tasks`` over ``[t_start, t_end]``.
-
-        ``outcome_listener``, when given, receives
-        ``(task_id, worker_id, accepted, batch_time)`` for every
-        proposed assignment — the hook online components (e.g. adaptive
-        matching-rate tracking) use to learn from worker feedback.
-        """
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        task_ids = [t.task_id for t in tasks]
-        if len(set(task_ids)) != len(task_ids):
-            raise ValueError("task ids must be unique")
-
-        result = SimulationResult(
-            n_tasks=len(tasks), n_completed=0, n_assignments=0, n_rejections=0, n_expired=0
-        )
-        pending: dict[int, SpatialTask] = {}
-        remaining = sorted(tasks, key=lambda t: t.release_time)
-        next_task = 0
-        busy_until: dict[int, float] = {}
-        worker_by_id = {w.worker_id: w for w in self.workers}
-
-        t = t_start
-        while t <= t_end + 1e-9:
-            # Release newly arrived tasks.
-            while next_task < len(remaining) and remaining[next_task].release_time <= t:
-                task = remaining[next_task]
-                pending[task.task_id] = task
-                next_task += 1
-            # Expire stale tasks: past their deadline, or cancelled by the
-            # requester because no worker was matched within the window.
-            # The deadline check is strict: a task "becomes assignable in
-            # the first batch window at or after" its release and expires
-            # *at* its deadline, so a batch firing exactly at the deadline
-            # still gets one assignment attempt.
-            expired = [
-                tid
-                for tid, task in pending.items()
-                if task.deadline < t
-                or (
-                    self.assignment_window is not None
-                    and t > task.release_time + self.assignment_window
-                )
-            ]
-            for tid in expired:
-                del pending[tid]
-                result.n_expired += 1
-            if expired:
-                obs.counter("platform.expired", len(expired))
-
-            available = [
-                w
-                for w in self.workers
-                if w.online_at(t) and busy_until.get(w.worker_id, -1.0) <= t
-            ]
-            batch_tasks = list(pending.values())
-            if batch_tasks and available:
-                with obs.span(
-                    "platform.batch", t=t, pending=len(batch_tasks), available=len(available)
-                ) as batch_span:
-                    with obs.span("platform.predict", workers=len(available)):
-                        started = time.perf_counter()
-                        snapshots = [self.snapshot_provider(w, t) for w in available]
-                        result.prediction_seconds += time.perf_counter() - started
-                    with obs.span("platform.assign", tasks=len(batch_tasks)):
-                        started = time.perf_counter()
-                        plan = assign_fn(batch_tasks, snapshots, t)
-                        result.algorithm_seconds += time.perf_counter() - started
-                    validate_plan(plan, pending, worker_by_id)
-
-                    n_accepted = 0
-                    n_rejected = 0
-                    for pair in plan:
-                        worker = worker_by_id[pair.worker_id]
-                        task = pending[pair.task_id]
-                        decision = evaluate_acceptance(worker, task, t)
-                        result.n_assignments += 1
-                        if outcome_listener is not None:
-                            outcome_listener(task.task_id, worker.worker_id, decision.accepted, t)
-                        if decision.accepted:
-                            n_accepted += 1
-                            result.n_completed += 1
-                            result.completed_task_ids.add(task.task_id)
-                            result.detours_km.append(decision.detour_km)
-                            del pending[task.task_id]
-                            # The worker keeps following their routine until the
-                            # service detour actually happens; they are only
-                            # unavailable for the time spent off-route (detour
-                            # distance at their speed) plus the current batch.
-                            off_route = decision.detour_km / worker.speed_km_per_min
-                            busy_until[worker.worker_id] = t + self.batch_window + off_route
-                        else:
-                            n_rejected += 1
-                            result.n_rejections += 1
-                    obs.counter("platform.assignments", len(plan))
-                    obs.counter("acceptance.accepted", n_accepted)
-                    obs.counter("acceptance.rejections", n_rejected)
-                    batch_span.set(assigned=len(plan), accepted=n_accepted, rejected=n_rejected)
-                    result.batches.append(
-                        BatchRecord(
-                            batch_time=t,
-                            n_pending=len(batch_tasks),
-                            n_available=len(available),
-                            n_assigned=len(plan),
-                            n_accepted=n_accepted,
-                            n_rejected=n_rejected,
-                        )
-                    )
-            t += self.batch_window
-
-        # Tasks still pending at the horizon's end count as expired.
-        result.n_expired += len(pending)
-        return result

@@ -184,7 +184,7 @@ BUILTIN_SCENARIOS: dict[str, ScenarioSpec] = {
 
 
 BUILTIN_POLICIES: dict[str, PolicySpec] = {
-    # BatchPlatform semantics: every serving feature off.
+    # The paper's batch loop: every serving feature off.
     "batch-parity": PolicySpec.from_dict({}),
     # The serve-sim CLI defaults.
     "serve-default": PolicySpec.from_dict({}),

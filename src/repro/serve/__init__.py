@@ -1,11 +1,12 @@
 """repro.serve — event-driven streaming assignment engine.
 
-The serving-layer counterpart of :class:`repro.sc.platform.BatchPlatform`:
-a heap-based event loop over task arrivals, deadlines, cancellations,
-and worker check-in/check-out, with pluggable batch triggers, bounded
-pending queues with deadline-aware shedding, a uniform-grid candidate
-index feeding sparse PPI/KM, and a TTL prediction cache with check-in
-deviation invalidation.  See ``docs/SERVING.md``.
+The repository's one online loop: a heap-based event loop over task
+arrivals, deadlines, cancellations, and worker check-in/check-out.
+``ServeConfig()`` is the paper's fixed-window batch loop; pluggable
+batch triggers, bounded pending queues with deadline-aware shedding, a
+uniform-grid candidate index feeding sparse PPI/KM, and a TTL
+prediction cache with check-in deviation invalidation are opt-in.  See
+``docs/SERVING.md``.
 
 Online monitoring is opt-in through ``ServeConfig.monitor``
 (:class:`repro.obs.monitor.MonitorConfig`): periodic metric samples
@@ -14,11 +15,7 @@ tracking of predicted completion probabilities — see the streaming
 monitoring section of ``docs/OBSERVABILITY.md``.
 """
 
-from repro.serve.adapters import (
-    batch_platform_config,
-    result_signature,
-    run_like_batch_platform,
-)
+from repro.serve.adapters import result_signature
 from repro.serve.engine import CandidateAssignFn, ServeConfig, ServeEngine, ServeResult
 from repro.serve.events import (
     BatchTick,
@@ -77,7 +74,6 @@ __all__ = [
     "UniformGridIndex",
     "WorkerCheckIn",
     "WorkerCheckOut",
-    "batch_platform_config",
     "build_candidates",
     "candidate_stats",
     "cells_in_radius",
@@ -88,5 +84,4 @@ __all__ = [
     "make_task_stream",
     "make_worker_fleet",
     "result_signature",
-    "run_like_batch_platform",
 ]

@@ -1,74 +1,14 @@
-"""Running the streaming engine as a drop-in ``BatchPlatform``.
+"""The observable outcome of a run, for equivalence checks.
 
-``ServeEngine`` generalises the paper's batch loop; configured with a
-fixed window, an unbounded pending queue, no candidate index, and no
-prediction cache it replays the exact same sequence of batches.  These
-helpers pin that configuration down in one place so the parity tests
-(and anyone migrating an experiment onto the engine) don't have to
-re-derive which knobs matter.
-
-The equivalence holds batch-for-batch when the horizon is aligned to
-the batch window (``t_end - t_start`` a multiple of ``batch_window``):
-the platform's last tick is then the last instant it can release tasks,
-matching the engine's event-driven releases.  With a ragged horizon the
-engine still releases tasks arriving after the final tick (and expires
-them at the horizon) while the fixed-step loop never sees them — a
-deliberate fidelity improvement, but a count difference.
+Parity between two ways of running the same workload — serial vs
+sharded engines, dense vs indexed candidates, a recorded sweep cell vs
+its rerun — is stated as equality of
+:func:`result_signature`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from repro.sc.entities import SpatialTask, Worker
-from repro.sc.platform import AssignFn, SimulationResult, SnapshotProvider
-from repro.serve.engine import ServeConfig, ServeEngine, ServeResult
-
-
-def batch_platform_config(
-    batch_window: float = 2.0,
-    assignment_window: float | None = 10.0,
-) -> ServeConfig:
-    """The ``ServeConfig`` under which the engine *is* ``BatchPlatform``.
-
-    Fixed-window trigger, unbounded queue, dense assignment, and a
-    passthrough prediction cache — every serving feature off.
-    """
-    return ServeConfig(
-        batch_window=batch_window,
-        assignment_window=assignment_window,
-        trigger="fixed",
-        max_pending=None,
-        cache_ttl=0.0,
-        cache_deviation_km=None,
-        use_index=False,
-    )
-
-
-def run_like_batch_platform(
-    workers: Sequence[Worker],
-    snapshot_provider: SnapshotProvider,
-    tasks: Sequence[SpatialTask],
-    assign_fn: AssignFn,
-    t_start: float,
-    t_end: float,
-    batch_window: float = 2.0,
-    assignment_window: float | None = 10.0,
-    outcome_listener: Callable[[int, int, bool, float], None] | None = None,
-) -> ServeResult:
-    """One-call equivalent of ``BatchPlatform(...).run(...)``.
-
-    Same argument shape as the platform constructor plus ``run``, same
-    counts out (see the module docstring for the horizon-alignment
-    requirement).
-    """
-    engine = ServeEngine(
-        workers=workers,
-        snapshot_provider=snapshot_provider,
-        config=batch_platform_config(batch_window, assignment_window),
-        assign_fn=assign_fn,
-    )
-    return engine.run(tasks, t_start, t_end, outcome_listener=outcome_listener)
+from repro.sc.platform import SimulationResult
 
 
 def result_signature(result: SimulationResult) -> dict[str, object]:
@@ -76,8 +16,8 @@ def result_signature(result: SimulationResult) -> dict[str, object]:
 
     Everything deterministic about a simulation — aggregate counts,
     accepted detours, completed task ids, and the per-batch records —
-    excluding wall-clock timings, which legitimately differ between the
-    loop implementations.
+    excluding wall-clock timings, which legitimately differ between
+    runs.
     """
     return {
         "n_tasks": result.n_tasks,

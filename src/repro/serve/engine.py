@@ -1,13 +1,16 @@
-"""The event-driven streaming assignment engine.
+"""The event-driven online assignment engine.
 
-``ServeEngine`` drives the same online stage as
-:class:`repro.sc.platform.BatchPlatform` (Fig. 1, Algorithm 4's host
-loop) but as a priority-queue event loop instead of a fixed-step scan:
+``ServeEngine`` drives the online stage of Fig. 1 (Algorithm 4's host
+loop) as a priority-queue event loop.  Its default configuration is the
+paper's loop: a batch every ``batch_window`` minutes over every pending
+task and every available worker, each worker re-predicted each batch.
+Compared with a fixed-step scan of that loop:
 
 * **events**, not ticks — task arrivals, deadlines, requester
   cancellations, and worker check-in/check-out resolve at their own
   timestamps (:mod:`repro.serve.events`), so per-event work is O(1)
-  instead of an O(W + T) rescan per window;
+  instead of an O(W + T) rescan per window, and a task released after
+  the last batch still reaches a terminal state;
 * **pluggable batch triggers** — the paper's fixed window, or
   demand-adaptive firing under queue/deadline pressure
   (:mod:`repro.serve.triggers`);
@@ -23,9 +26,9 @@ loop) but as a priority-queue event loop instead of a fixed-step scan:
   check-in deviation invalidation (:mod:`repro.serve.prediction_cache`)
   instead of being re-predicted every batch.
 
-Configured as fixed-window / unbounded queue / no index / no cache, the
-engine reproduces ``BatchPlatform`` completion, rejection, and expiry
-counts exactly (see :mod:`repro.serve.adapters` and the parity tests).
+Every serving feature is off in the default ``ServeConfig()``; the
+parity tests pin that configuration against a fixed-step reference
+loop, batch for batch.
 """
 
 from __future__ import annotations
@@ -78,16 +81,19 @@ CandidateAssignFn = Callable[
 class ServeConfig:
     """Tunables of the streaming engine.
 
-    The defaults reproduce ``BatchPlatform`` semantics exactly; every
-    serving feature is opt-in.
+    The defaults are the paper's online loop — a fixed 2-minute window,
+    an unbounded pending queue, dense assignment, and a fresh prediction
+    per worker per batch; every serving feature is opt-in.
 
     Attributes
     ----------
     batch_window:
         Minutes between scheduled assignment rounds.
     assignment_window:
-        Requester cancellation window after release (``None`` disables),
-        as in :class:`repro.sc.platform.BatchPlatform`.
+        Minutes after release during which a task may still be matched;
+        the requester cancels an unmatched task after it (ride-hailing
+        order cancellation).  Service may still happen any time up to
+        the deadline.  ``None`` disables the cap.
     trigger:
         ``"fixed"``, ``"adaptive"`` (demand-adaptive early firing), or
         ``"forecast"`` (adaptive plus predicted-demand pressure;
@@ -100,11 +106,10 @@ class ServeConfig:
         least deadline slack.  ``None`` means unbounded.
     cache_ttl / cache_deviation_km:
         Prediction-cache freshness knobs; ``cache_ttl=0`` re-predicts
-        every batch like ``BatchPlatform``.
+        every available worker every batch.
     use_index:
         Build a sparse candidate graph per batch and use the
-        candidate-aware assignment path (requires ``candidate_assign_fn``
-        unless the engine falls back to dense).
+        candidate-aware assignment path (requires ``candidate_assign_fn``).
     index_cell_km / max_candidates:
         Grid-bucket size and optional per-task k-nearest cap of the
         candidate index.
@@ -251,7 +256,10 @@ def _warm_tier(pre: dict | None, post: dict | None) -> str | None:
 
 
 class ServeEngine:
-    """Event-driven streaming counterpart of ``BatchPlatform``.
+    """The online batch loop, event-driven.
+
+    The paper's pipeline runs as ``ServeEngine(workers, provider,
+    ServeConfig(), assign_fn=...)``; ``run`` then serves a task stream.
 
     Parameters
     ----------
@@ -262,14 +270,15 @@ class ServeEngine:
         Builds the platform's view of a worker; wrapped in a
         :class:`PredictionCache` according to ``config``.
     config:
-        Engine tunables; the default reproduces ``BatchPlatform``.
+        Engine tunables; the default is the paper's batch loop.
     assign_fn:
-        Dense assignment function (always required — it is also the
-        fallback when the index yields no candidates).
+        Dense assignment function, called with every pending task and
+        every available snapshot.  Always required; used for every
+        batch unless ``config.use_index`` is set.
     candidate_assign_fn:
         Sparse assignment entry point (e.g. wrapping
-        :func:`repro.assignment.ppi.ppi_assign_candidates`); used when
-        ``config.use_index`` is set.
+        :func:`repro.assignment.ppi.ppi_assign_candidates`); replaces
+        ``assign_fn`` for every batch when ``config.use_index`` is set.
     """
 
     def __init__(
@@ -349,7 +358,13 @@ class ServeEngine:
         """Serve the task stream over ``[t_start, t_end]``.
 
         Events dated past ``t_end`` never fire; tasks still pending at
-        the horizon's end count as expired, as in ``BatchPlatform``.
+        the horizon's end count as expired, so every task ends completed,
+        expired (deadline, cancellation, or horizon), or shed.
+
+        ``outcome_listener``, when given, receives
+        ``(task_id, worker_id, accepted, batch_time)`` for every
+        proposed assignment — the hook online components (e.g. adaptive
+        matching-rate tracking) use to learn from worker feedback.
         """
         if t_end < t_start:
             raise ValueError("t_end must be >= t_start")
@@ -405,9 +420,8 @@ class ServeEngine:
         horizon_end = t_end + 1e-9
 
         queue = EventQueue()
-        # Task arrivals (sorted so same-time ties resolve by release order,
-        # matching BatchPlatform's release scan) with their deadline and
-        # cancellation events.
+        # Task arrivals (sorted so same-time ties resolve by release order)
+        # with their deadline and cancellation events.
         for task in sorted(tasks, key=lambda t: t.release_time):
             arrival = max(task.release_time, t_start)
             if arrival > horizon_end:
@@ -415,9 +429,9 @@ class ServeEngine:
             queue.push(TaskArrival(time=arrival, task=task))
             queue.push(TaskDeadline(time=task.deadline, task_id=task.task_id))
             if cfg.assignment_window is not None:
-                # Anchored on the *release* time, like BatchPlatform's
-                # cancellation check; a window that closed before the
-                # arrival is handled dead-on-arrival below.
+                # Anchored on the *release* time; a window that closed
+                # before the arrival (a task released before t_start) is
+                # handled dead-on-arrival below.
                 cancel_at = task.release_time + cfg.assignment_window
                 if cancel_at >= arrival:
                     queue.push(TaskCancel(time=cancel_at, task_id=task.task_id))
@@ -549,9 +563,10 @@ class ServeEngine:
                                 "serve.task.time_to_assign", t - arrival_at.pop(task.task_id)
                             )
                         del pending[task.task_id]
-                        # Same busy model as BatchPlatform: off-route for
-                        # the detour distance at the worker's speed, plus
-                        # the current window.
+                        # The worker keeps following their routine until
+                        # the detour happens; they are busy only for the
+                        # time spent off-route (detour distance at their
+                        # speed) plus the current window.
                         off_route = decision.detour_km / worker.speed_km_per_min
                         busy_until[worker.worker_id] = t + cfg.batch_window + off_route
                     else:
@@ -625,9 +640,8 @@ class ServeEngine:
                         # arrival below — the forecaster models load.
                         fruntime.observe_arrival(task, event.time)
                     # Dead on arrival: a task released before the horizon
-                    # whose deadline or cancellation window already passed.
-                    # BatchPlatform releases and expires these in the same
-                    # tick, never attempting assignment.
+                    # whose deadline or cancellation window already passed
+                    # expires without an assignment attempt.
                     if task.deadline < event.time or (
                         cfg.assignment_window is not None
                         and event.time > task.release_time + cfg.assignment_window

@@ -1,11 +1,10 @@
 """The serving engine's event model and deterministic priority queue.
 
-The streaming engine replaces the batch simulator's fixed-step scan
-with discrete events: task arrivals, task deadlines and requester
-cancellations, worker check-in/check-out (availability windows), and
-batch ticks.  Events at the same timestamp are ordered by *phase* so
-one instant resolves the way a batch boundary does in
-:class:`repro.sc.platform.BatchPlatform`:
+The engine runs the online stage as discrete events: task arrivals,
+task deadlines and requester cancellations, worker check-in/check-out
+(availability windows), and batch ticks.  Events at the same timestamp
+are ordered by *phase*, which fixes how one instant resolves at a
+batch boundary:
 
 * ``OPEN`` events (arrivals, check-ins) land **before** a batch firing
   at the same time — a task released exactly at a tick is assignable in

@@ -1,7 +1,7 @@
 """TTL cache of worker snapshots keyed by (worker, prediction horizon).
 
-``BatchPlatform.run`` re-predicts every available worker every batch —
-with a 2-minute window and a 10-minute prediction sample step, five
+The paper's loop re-predicts every available worker every batch — with
+a 2-minute window and a 10-minute prediction sample step, five
 consecutive batches recompute what is essentially the same rollout.
 The cache keeps each worker's last snapshot alive for ``ttl`` minutes
 of simulated time and serves it back with only the (cheap)
@@ -12,8 +12,9 @@ deviates* from it: the platform compares the location the worker just
 shared against the cached trajectory's predicted position for that
 time, and a gap beyond ``deviation_km`` means the worker broke from the
 predicted route, so the stale rollout would poison assignment.  With
-``ttl=0`` the cache is a passthrough, reproducing ``BatchPlatform``'s
-predict-every-batch behaviour exactly.
+``ttl=0`` (the engine default) the cache is a passthrough: every
+request calls the provider, the paper's predict-every-batch
+behaviour.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 
 
@@ -187,14 +186,11 @@ def build_candidates(
             per_task.setdefault(task_id, []).append((pos, dist))
 
     graph: dict[int, list[int]] = {}
-    n_pairs = 0
     for task_id, hits in per_task.items():
         if max_candidates is not None and len(hits) > max_candidates:
             hits = sorted(hits, key=lambda h: h[1])[:max_candidates]
             hits.sort(key=lambda h: h[0])
         graph[task_id] = [snapshots[pos].worker_id for pos, _ in hits]
-        n_pairs += len(hits)
-    obs.histogram("serve.index.candidate_pairs", n_pairs)
     return graph
 
 

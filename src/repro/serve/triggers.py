@@ -15,9 +15,9 @@ A policy answers two questions:
   right now instead of waiting for the scheduled tick?
 
 ``next_tick`` advances by repeated addition from the previous tick
-(never by multiplying an index) so a fixed-window engine accumulates
-floating point exactly like ``BatchPlatform.run`` and stays
-batch-for-batch comparable.
+(never by multiplying an index), so batch times carry the same
+floating-point error as a fixed-step ``t += window`` scan and stay
+batch-for-batch comparable with one.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ class TestShardedEngineBehavior:
 
     def test_event_routing_metrics_emitted(self):
         """With a metrics recorder active, per-shard event counters and
-        lag histograms appear under dist.shard.*."""
+        lag histograms appear as labelled dist.shard.* families."""
         from repro import obs
         from repro.obs.recorder import MetricsRecorder
 
@@ -141,8 +141,13 @@ class TestShardedEngineBehavior:
             metrics = obs.get_recorder().metrics
             counter_names = set(metrics.counters)
             histogram_names = set(metrics.histograms)
-            assert any(n.startswith("dist.shard.") and n.endswith(".events") for n in counter_names)
-            assert any(n.startswith("dist.shard.") and n.endswith(".lag_s") for n in histogram_names)
+            assert any(n.startswith("dist.shard.events{") for n in counter_names)
+            assert any(n.startswith("dist.shard.lag_s{") for n in histogram_names)
+            # Only the labelled families: no dotted per-shard aliases.
+            assert not any(
+                n.startswith("dist.shard.") and n.endswith((".events", ".lag_s", ".pairs"))
+                for n in counter_names | histogram_names
+            )
             assert "dist.merge.seconds" in histogram_names
         finally:
             obs.set_recorder(previous)

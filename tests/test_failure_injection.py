@@ -10,7 +10,8 @@ from repro.geo.trajectory import Trajectory, TrajectoryPoint
 from repro.pipeline import AssignmentConfig
 from repro.pipeline.prediction import CurrentLocationSnapshotProvider, _recent_shared_track
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
-from repro.sc.platform import BatchPlatform
+
+from tests.test_sc import serve
 
 
 def point_worker(worker_id=0, x=0.0, y=0.0, t0=0.0, t1=100.0):
@@ -30,9 +31,11 @@ class TestDegenerateWorkers:
     def test_stationary_worker_serves_local_task(self):
         w = point_worker()
         provider = CurrentLocationSnapshotProvider()
-        platform = BatchPlatform([w], provider, batch_window=5.0)
         tasks = [SpatialTask(0, Point(0.5, 0.0), 0.0, 60.0)]
-        result = platform.run(tasks, lower_bound_assign, 0.0, 60.0)
+        result = serve(
+            [w], tasks, lower_bound_assign, 0.0, 60.0,
+            provider=provider, batch_window=5.0,
+        )
         assert result.n_completed == 1
 
     def test_worker_with_zero_matching_rate(self):
@@ -62,18 +65,22 @@ class TestDegenerateTasks:
     def test_all_tasks_expired_before_start(self):
         w = point_worker()
         provider = CurrentLocationSnapshotProvider()
-        platform = BatchPlatform([w], provider, batch_window=5.0)
         tasks = [SpatialTask(i, Point(0.1, 0.0), 0.0, 5.0) for i in range(3)]
-        result = platform.run(tasks, lower_bound_assign, 10.0, 60.0)
+        result = serve(
+            [w], tasks, lower_bound_assign, 10.0, 60.0,
+            provider=provider, batch_window=5.0,
+        )
         assert result.n_completed == 0
         assert result.n_expired == 3
 
     def test_tasks_unreachable_by_anyone(self):
         w = point_worker()
         provider = CurrentLocationSnapshotProvider()
-        platform = BatchPlatform([w], provider, batch_window=5.0)
         tasks = [SpatialTask(0, Point(500.0, 500.0), 0.0, 60.0)]
-        result = platform.run(tasks, km_assign, 0.0, 60.0)
+        result = serve(
+            [w], tasks, km_assign, 0.0, 60.0,
+            provider=provider, batch_window=5.0,
+        )
         assert result.n_assignments == 0
         assert result.n_expired == 1
 
@@ -81,9 +88,11 @@ class TestDegenerateTasks:
         """A burst larger than the worker pool must not break matching."""
         workers = [point_worker(i, x=float(i)) for i in range(3)]
         provider = CurrentLocationSnapshotProvider()
-        platform = BatchPlatform(workers, provider, batch_window=5.0, assignment_window=None)
         tasks = [SpatialTask(i, Point(float(i % 3), 0.2), 0.0, 120.0) for i in range(20)]
-        result = platform.run(tasks, lower_bound_assign, 0.0, 120.0)
+        result = serve(
+            workers, tasks, lower_bound_assign, 0.0, 120.0,
+            provider=provider, batch_window=5.0, assignment_window=None,
+        )
         assert result.n_completed > 0
         assert result.n_completed + result.n_expired == 20
 
@@ -123,9 +132,11 @@ class TestNumericalEdges:
     def test_assignment_window_none_disables_cancellation(self):
         w = point_worker()
         provider = CurrentLocationSnapshotProvider()
-        platform = BatchPlatform([w], provider, batch_window=5.0, assignment_window=None)
         # Task released at 0 with a generous deadline; the worker can't be
         # matched in the first window but is still eligible at t=50.
         tasks = [SpatialTask(0, Point(0.1, 0.0), 0.0, 90.0)]
-        result = platform.run(tasks, lower_bound_assign, 0.0, 90.0)
+        result = serve(
+            [w], tasks, lower_bound_assign, 0.0, 90.0,
+            provider=provider, batch_window=5.0, assignment_window=None,
+        )
         assert result.n_completed == 1

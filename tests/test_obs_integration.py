@@ -1,6 +1,6 @@
 """Integration tests: the instrumented pipeline under a live recorder.
 
-The hot layers (meta-training, clustering, assignment, the platform
+The hot layers (meta-training, clustering, assignment, the online
 loop) carry ``obs`` instrumentation that is inert by default; these
 tests install a real recorder around the shipped entry points and
 check the span tree and metric names the observability docs promise.
@@ -40,9 +40,9 @@ class TestAssignmentSpans:
         report = aggregate(sink.records)
         paths = set(report.stats)
         assert ("experiment.run_assignment",) in paths
-        assert ("experiment.run_assignment", "platform.batch") in paths
-        assert ("experiment.run_assignment", "platform.batch", "platform.predict") in paths
-        assert ("experiment.run_assignment", "platform.batch", "platform.assign") in paths
+        assert ("experiment.run_assignment", "serve.batch") in paths
+        assert ("experiment.run_assignment", "serve.batch", "serve.predict") in paths
+        assert ("experiment.run_assignment", "serve.batch", "serve.assign") in paths
 
     def test_run_span_records_outcome(self, recorded_lb):
         sink, result = recorded_lb
@@ -54,9 +54,9 @@ class TestAssignmentSpans:
     def test_platform_counters(self, recorded_lb):
         sink, result = recorded_lb
         counters = sink.metrics["counters"]
-        assert counters["platform.assignments"] == result.n_assignments
-        assert counters["acceptance.accepted"] == result.n_completed
-        assert counters.get("acceptance.rejections", 0.0) == result.n_rejections
+        assert counters["serve.assignments"] == result.n_assignments
+        assert counters["serve.accepted"] == result.n_completed
+        assert counters.get("serve.rejections", 0.0) == result.n_rejections
 
     def test_prediction_time_split_out(self, recorded_lb):
         # Satellite fix: running_seconds covers snapshot building too,
@@ -154,7 +154,7 @@ class TestCliTracing:
         assert {
             "training.offline",
             "training.cluster",
-            "platform.predict",
+            "serve.predict",
             "ppi.stage1",
             "ppi.stage2",
             "ppi.stage3",
@@ -167,7 +167,7 @@ class TestCliTracing:
     def test_trace_report_renders(self, traced_ppi, capsys):
         assert main(["trace-report", str(traced_ppi)]) == 0
         out = capsys.readouterr().out
-        for name in ("training.offline", "ppi.stage1", "platform.assign", "km.solves"):
+        for name in ("training.offline", "ppi.stage1", "serve.assign", "km.solves"):
             assert name in out
 
     def test_trace_report_json(self, traced_ppi, capsys):

@@ -86,7 +86,7 @@ class TestAdaptiveProvider:
         from repro.geo.point import Point
         from repro.geo.trajectory import Trajectory, TrajectoryPoint
         from repro.sc.entities import SpatialTask, Worker
-        from repro.sc.platform import BatchPlatform
+        from repro.serve.engine import ServeConfig, ServeEngine
 
         worker = Worker(
             worker_id=7,
@@ -98,10 +98,10 @@ class TestAdaptiveProvider:
             speed_km_per_min=0.5,
         )
         provider = AdaptiveMRSnapshotProvider(base=self._FakeBase())
-        platform = BatchPlatform([worker], provider, batch_window=5.0)
-        tasks = [SpatialTask(0, Point(1.0, 0.1), 0.0, 60.0)]
-        result = platform.run(
-            tasks, km_assign, 0.0, 30.0, outcome_listener=provider.outcome_listener
+        engine = ServeEngine(
+            [worker], provider, ServeConfig(batch_window=5.0), assign_fn=km_assign
         )
+        tasks = [SpatialTask(0, Point(1.0, 0.1), 0.0, 60.0)]
+        result = engine.run(tasks, 0.0, 30.0, outcome_listener=provider.outcome_listener)
         accepts, rejects = provider.tracker.observations(7)
         assert accepts + rejects == result.n_assignments

@@ -1,4 +1,4 @@
-"""Tests for the spatial crowdsourcing simulator."""
+"""Tests for the spatial crowdsourcing model and the paper's batch loop."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.geo.trajectory import Trajectory, TrajectoryPoint
 from repro.sc.acceptance import evaluate_acceptance, oracle_future_route
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.metrics import AssignmentMetrics
-from repro.sc.platform import BatchPlatform
+from repro.serve.engine import ServeConfig, ServeEngine
 
 from tests.conftest import straight_trajectory
 
@@ -40,8 +40,8 @@ class TestEntities:
 
     def test_worker_online_window(self):
         w = make_worker()
-        assert w.online_at(50.0)
-        assert not w.online_at(150.0)
+        assert w.availability_start() <= 50.0 <= w.availability_end()
+        assert w.availability_end() < 150.0
 
     def test_snapshot_validates(self):
         with pytest.raises(ValueError):
@@ -162,27 +162,34 @@ def greedy_assign(tasks, snapshots, t):
     return plan
 
 
+def serve(workers, tasks, assign_fn, t_start, t_end, provider=oracle_provider, **config):
+    """Run ``tasks`` through the engine in the paper's configuration
+    (``ServeConfig`` defaults, overridden by ``config``)."""
+    engine = ServeEngine(workers, provider, ServeConfig(**config), assign_fn=assign_fn)
+    return engine.run(tasks, t_start, t_end)
+
+
 class TestBatchPlatform:
+    """The paper's batch loop: ``ServeEngine`` under ``ServeConfig()``."""
+
     def test_validates_construction(self):
         with pytest.raises(ValueError):
-            BatchPlatform([], oracle_provider, batch_window=0.0)
+            ServeConfig(batch_window=0.0)
         w = make_worker()
         with pytest.raises(ValueError):
-            BatchPlatform([w, make_worker(0)], oracle_provider)
+            ServeEngine([w, make_worker(0)], oracle_provider, assign_fn=greedy_assign)
 
     def test_completes_easy_task(self):
         w = make_worker()
-        platform = BatchPlatform([w], oracle_provider, batch_window=2.0)
         tasks = [SpatialTask(0, Point(5.0, 0.0), 0.0, 60.0)]
-        result = platform.run(tasks, greedy_assign, 0.0, 60.0)
+        result = serve([w], tasks, greedy_assign, 0.0, 60.0)
         assert result.n_completed == 1
         assert result.n_rejections == 0
 
     def test_expires_unserviceable_task(self):
         w = make_worker()
-        platform = BatchPlatform([w], oracle_provider, batch_window=2.0)
         tasks = [SpatialTask(0, Point(50.0, 50.0), 0.0, 10.0)]
-        result = platform.run(tasks, greedy_assign, 0.0, 60.0)
+        result = serve([w], tasks, greedy_assign, 0.0, 60.0)
         assert result.n_completed == 0
         assert result.n_expired == 1
 
@@ -190,21 +197,19 @@ class TestBatchPlatform:
         """A task rejected in one batch is retried in the next."""
         w = make_worker(detour=1.0)
         # Task 3 km off-route: rejected by the detour budget every time.
-        platform = BatchPlatform([w], oracle_provider, batch_window=2.0)
         tasks = [SpatialTask(0, Point(5.0, 3.0), 0.0, 30.0)]
-        result = platform.run(tasks, greedy_assign, 0.0, 40.0)
+        result = serve([w], tasks, greedy_assign, 0.0, 40.0)
         assert result.n_completed == 0
         assert result.n_rejections >= 2  # retried across batches
         assert result.n_expired == 1
 
     def test_busy_worker_not_reassigned(self):
         w = make_worker()
-        platform = BatchPlatform([w], oracle_provider, batch_window=2.0)
         tasks = [
             SpatialTask(0, Point(5.0, 0.0), 0.0, 60.0),
             SpatialTask(1, Point(6.0, 0.0), 0.0, 8.0),
         ]
-        result = platform.run(tasks, greedy_assign, 0.0, 60.0)
+        result = serve([w], tasks, greedy_assign, 0.0, 60.0)
         # Both released at t=0; one is taken; the other waits while the
         # worker is busy and may expire before a second batch fires.
         assert result.n_completed >= 1
@@ -213,28 +218,24 @@ class TestBatchPlatform:
 
     def test_task_counts_are_conserved(self, small_workload):
         wl = small_workload
-        platform = BatchPlatform(wl.workers, oracle_provider, batch_window=2.0)
         t0, t1 = wl.horizon()
-        result = platform.run(wl.tasks, greedy_assign, t0, t1)
+        result = serve(wl.workers, wl.tasks, greedy_assign, t0, t1)
         assert result.n_completed + result.n_expired == result.n_tasks
 
     def test_duplicate_task_ids_rejected(self):
         w = make_worker()
-        platform = BatchPlatform([w], oracle_provider)
         tasks = [SpatialTask(0, Point(1, 0), 0.0, 10.0), SpatialTask(0, Point(2, 0), 0.0, 10.0)]
         with pytest.raises(ValueError):
-            platform.run(tasks, greedy_assign, 0.0, 10.0)
+            serve([w], tasks, greedy_assign, 0.0, 10.0)
 
     def test_time_window_validated(self):
-        platform = BatchPlatform([make_worker()], oracle_provider)
         with pytest.raises(ValueError):
-            platform.run([], greedy_assign, 10.0, 0.0)
+            serve([make_worker()], [], greedy_assign, 10.0, 0.0)
 
     def test_metrics_wired_through(self):
         w = make_worker()
-        platform = BatchPlatform([w], oracle_provider)
         tasks = [SpatialTask(0, Point(5.0, 0.0), 0.0, 60.0)]
-        result = platform.run(tasks, greedy_assign, 0.0, 60.0)
+        result = serve([w], tasks, greedy_assign, 0.0, 60.0)
         m = result.metrics()
         assert m.completion_ratio == 1.0
         assert m.rejection_ratio == 0.0

@@ -1,39 +1,114 @@
-"""Equivalence tests: the serving engine vs. the batch platform.
+"""Equivalence tests: the serving engine vs. a fixed-step reference loop.
 
 Two exactness claims anchor the serving layer:
 
-1. Configured fixed-window / unbounded queue / no index / no cache, the
-   event-driven engine reproduces ``BatchPlatform.run`` **exactly** —
-   same completion/rejection/expiry counts, same detours, same
-   per-batch records.
+1. Under its default ``ServeConfig`` (fixed window, unbounded queue, no
+   index, no cache) the event-driven engine reproduces the paper's
+   fixed-step batch scan **exactly** — same completion/rejection/expiry
+   counts, same detours, same per-batch records.  The scan lives here,
+   as :func:`fixed_step_reference`, and nowhere in the library.
 2. The sparse candidate graph from the uniform-grid index is a superset
    of every Theorem-2-feasible pair, so candidate-aware PPI/KM return
    the identical plans the dense scan would.
-
-The horizons here are multiples of the batch window: the fixed-step
-loop only releases tasks at ticks, so a ragged horizon would leave the
-tail tasks unreleased on one side (documented in
-:mod:`repro.serve.adapters`).
 """
 
 import pytest
 
 from repro.assignment.baselines import km_assign, km_assign_candidates
 from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
-from repro.sc.platform import BatchPlatform
+from repro.sc.acceptance import evaluate_acceptance
+from repro.sc.platform import BatchRecord, SimulationResult
 from repro.serve import (
     DeadReckoningProvider,
     ServeConfig,
     ServeEngine,
     StreamConfig,
-    batch_platform_config,
     make_task_stream,
     make_worker_fleet,
     result_signature,
-    run_like_batch_platform,
 )
 
 from tests.test_sc import greedy_assign, oracle_provider
+
+
+def fixed_step_reference(
+    workers, provider, tasks, assign_fn, t_start, t_end,
+    batch_window=2.0, assignment_window=10.0, outcome_listener=None,
+):
+    """The paper's online loop as a plain fixed-step scan.
+
+    Every ``batch_window`` minutes from ``t_start``: release arrived
+    tasks, expire those past their deadline or cancellation window, and
+    assign the pending tasks to the online, non-busy workers.  It only
+    releases tasks at ticks, so compare it with the engine on horizons
+    that are multiples of the window.
+    """
+    result = SimulationResult(
+        n_tasks=len(tasks), n_completed=0, n_assignments=0, n_rejections=0, n_expired=0
+    )
+    pending = {}
+    remaining = sorted(tasks, key=lambda task: task.release_time)
+    next_task = 0
+    busy_until = {}
+    worker_by_id = {w.worker_id: w for w in workers}
+    t = t_start
+    while t <= t_end + 1e-9:
+        while next_task < len(remaining) and remaining[next_task].release_time <= t:
+            pending[remaining[next_task].task_id] = remaining[next_task]
+            next_task += 1
+        for tid in [
+            tid
+            for tid, task in pending.items()
+            if task.deadline < t
+            or (assignment_window is not None and t > task.release_time + assignment_window)
+        ]:
+            del pending[tid]
+            result.n_expired += 1
+        available = [
+            w
+            for w in workers
+            if w.availability_start() <= t <= w.availability_end()
+            and busy_until.get(w.worker_id, -1.0) <= t
+        ]
+        batch_tasks = list(pending.values())
+        if batch_tasks and available:
+            plan = assign_fn(batch_tasks, [provider(w, t) for w in available], t)
+            n_accepted = 0
+            for pair in plan:
+                worker = worker_by_id[pair.worker_id]
+                task = pending[pair.task_id]
+                decision = evaluate_acceptance(worker, task, t)
+                result.n_assignments += 1
+                if outcome_listener is not None:
+                    outcome_listener(task.task_id, worker.worker_id, decision.accepted, t)
+                if decision.accepted:
+                    n_accepted += 1
+                    result.n_completed += 1
+                    result.completed_task_ids.add(task.task_id)
+                    result.detours_km.append(decision.detour_km)
+                    del pending[task.task_id]
+                    off_route = decision.detour_km / worker.speed_km_per_min
+                    busy_until[worker.worker_id] = t + batch_window + off_route
+                else:
+                    result.n_rejections += 1
+            result.batches.append(
+                BatchRecord(
+                    batch_time=t,
+                    n_pending=len(batch_tasks),
+                    n_available=len(available),
+                    n_assigned=len(plan),
+                    n_accepted=n_accepted,
+                    n_rejected=len(plan) - n_accepted,
+                )
+            )
+        t += batch_window
+    result.n_expired += len(pending)
+    return result
+
+
+def serve(workers, provider, tasks, assign_fn, t_start, t_end, outcome_listener=None, **config):
+    engine = ServeEngine(workers, provider, ServeConfig(**config), assign_fn=assign_fn)
+    return engine.run(tasks, t_start, t_end, outcome_listener=outcome_listener)
 
 
 def scenario(seed, **overrides):
@@ -48,62 +123,47 @@ def scenario(seed, **overrides):
 
 
 class TestBatchPlatformParity:
+    """The engine's default configuration vs :func:`fixed_step_reference`."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("assign_fn", [ppi_assign, km_assign, greedy_assign])
     def test_counts_and_batches_match(self, seed, assign_fn):
         tasks, workers = scenario(seed)
         provider = DeadReckoningProvider(seed=seed)
-        platform = BatchPlatform(workers, provider, batch_window=2.0, assignment_window=10.0)
-        reference = platform.run(tasks, assign_fn, 0.0, 60.0)
-        streamed = run_like_batch_platform(
-            workers, provider, tasks, assign_fn, 0.0, 60.0,
-            batch_window=2.0, assignment_window=10.0,
-        )
+        reference = fixed_step_reference(workers, provider, tasks, assign_fn, 0.0, 60.0)
+        streamed = serve(workers, provider, tasks, assign_fn, 0.0, 60.0)
         assert result_signature(streamed) == result_signature(reference)
 
     def test_parity_without_assignment_window(self):
         tasks, workers = scenario(5)
         provider = DeadReckoningProvider(seed=5)
-        platform = BatchPlatform(workers, provider, batch_window=2.0, assignment_window=None)
-        reference = platform.run(tasks, ppi_assign, 0.0, 60.0)
-        streamed = run_like_batch_platform(
-            workers, provider, tasks, ppi_assign, 0.0, 60.0,
-            batch_window=2.0, assignment_window=None,
+        reference = fixed_step_reference(
+            workers, provider, tasks, ppi_assign, 0.0, 60.0, assignment_window=None
         )
+        streamed = serve(workers, provider, tasks, ppi_assign, 0.0, 60.0, assignment_window=None)
         assert result_signature(streamed) == result_signature(reference)
 
     def test_parity_with_oracle_provider(self):
         tasks, workers = scenario(6, n_workers=10, n_tasks=30)
-        platform = BatchPlatform(workers, oracle_provider, batch_window=3.0)
-        reference = platform.run(tasks, ppi_assign, 0.0, 60.0)
-        streamed = run_like_batch_platform(
+        reference = fixed_step_reference(
             workers, oracle_provider, tasks, ppi_assign, 0.0, 60.0, batch_window=3.0
         )
+        streamed = serve(workers, oracle_provider, tasks, ppi_assign, 0.0, 60.0, batch_window=3.0)
         assert result_signature(streamed) == result_signature(reference)
 
     def test_parity_of_outcome_listener_streams(self):
         tasks, workers = scenario(7)
         provider = DeadReckoningProvider(seed=7)
         ref_events, got_events = [], []
-        platform = BatchPlatform(workers, provider, batch_window=2.0)
-        platform.run(
-            tasks, ppi_assign, 0.0, 60.0,
+        fixed_step_reference(
+            workers, provider, tasks, ppi_assign, 0.0, 60.0,
             outcome_listener=lambda *event: ref_events.append(event),
         )
-        run_like_batch_platform(
+        serve(
             workers, provider, tasks, ppi_assign, 0.0, 60.0,
             outcome_listener=lambda *event: got_events.append(event),
         )
         assert got_events == ref_events
-
-    def test_batch_platform_config_disables_serving_features(self):
-        cfg = batch_platform_config(batch_window=1.5, assignment_window=None)
-        assert cfg.trigger == "fixed"
-        assert cfg.max_pending is None
-        assert cfg.cache_ttl == 0.0
-        assert not cfg.use_index
-        assert cfg.batch_window == 1.5
-        assert cfg.assignment_window is None
 
 
 class TestSparseDenseExactness:
