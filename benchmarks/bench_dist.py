@@ -19,10 +19,12 @@ Two arms, both parity-asserted before any timing is reported:
 
 * ``shard_batch`` — one loaded assignment round (candidate build +
   PPI) executed dense and executed as K=4 spatial stripes merged by
-  the coordinator (:func:`repro.dist.sharded_ppi_assign`).  The
-  sharded plan must equal the dense plan tuple-for-tuple.  Two sharded
-  timings are taken: ``sharded_cold`` (stateless — the layout and every
-  worker halo recomputed from scratch, the pre-planner behaviour) and
+  the coordinator (:func:`repro.assignment.ppi.ppi_assign` over
+  :func:`repro.dist.sharded_build_candidates` with a
+  :class:`repro.dist.ComponentMatcher`).  The sharded plan must equal
+  the dense plan tuple-for-tuple.  Two sharded timings are taken:
+  ``sharded_cold`` (stateless — the layout and every worker halo
+  recomputed from scratch, the pre-planner behaviour) and
   ``sharded_steady`` (a persistent :class:`repro.dist.ShardPlanner`
   carries the stripe layout and halo memberships across calls, the
   regime a long-lived serving process is actually in).  The steady
@@ -46,14 +48,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from common import write_result  # noqa: E402
 
-from repro.assignment.ppi import ppi_assign_candidates  # noqa: E402
+from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.dist import (  # noqa: E402
+    ComponentMatcher,
     DistConfig,
     ShardPlanner,
     ShardStats,
     available_cpus,
     dist_taml_train,
-    sharded_ppi_assign,
+    sharded_build_candidates,
 )
 from repro.meta.learning_task import LearningTask  # noqa: E402
 from repro.meta.maml import MAMLConfig  # noqa: E402
@@ -238,7 +241,7 @@ def bench_shard(spec: dict) -> dict:
     for _ in range(repeats):
         started = time.perf_counter()
         graph = build_candidates(tasks, snapshots, t, cell_km=cell_km)
-        dense_plan = ppi_assign_candidates(tasks, snapshots, t, graph)
+        dense_plan = ppi_assign(tasks, snapshots, t, graph)
         dense_s = min(dense_s, time.perf_counter() - started)
 
     # Cold: stateless call, layout + every halo recomputed (the
@@ -247,9 +250,8 @@ def bench_shard(spec: dict) -> dict:
     cold_plan = None
     for _ in range(repeats):
         started = time.perf_counter()
-        cold_plan = sharded_ppi_assign(
-            tasks, snapshots, t, shards=k, cell_km=cell_km
-        )
+        graph = sharded_build_candidates(tasks, snapshots, t, k, cell_km=cell_km)
+        cold_plan = ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
         cold_s = min(cold_s, time.perf_counter() - started)
 
     # Steady state: one planner lives across calls, as it does inside a
@@ -257,17 +259,18 @@ def bench_shard(spec: dict) -> dict:
     # the sticky layout and populates the halo cache; the timed repeats
     # then pay only the cached-lookup cost.
     planner = ShardPlanner(shards=k, cell_km=cell_km)
-    sharded_ppi_assign(tasks, snapshots, t, shards=k, cell_km=cell_km, planner=planner)
+    graph = sharded_build_candidates(tasks, snapshots, t, k, cell_km=cell_km, planner=planner)
+    ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
     steady_s = float("inf")
     steady_plan = None
     stats = ShardStats()
     for _ in range(repeats):
         stats = ShardStats()
         started = time.perf_counter()
-        steady_plan = sharded_ppi_assign(
-            tasks, snapshots, t, shards=k, cell_km=cell_km,
-            stats=stats, planner=planner,
+        graph = sharded_build_candidates(
+            tasks, snapshots, t, k, cell_km=cell_km, stats=stats, planner=planner
         )
+        steady_plan = ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
         steady_s = min(steady_s, time.perf_counter() - started)
 
     for name, plan in (("cold sharded", cold_plan), ("steady sharded", steady_plan)):

@@ -31,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.obs import NOOP, MonitorConfig, get_recorder
 from repro.serve import (
     DeadReckoningProvider,
@@ -78,7 +78,7 @@ def _run_once(tasks, workers, monitor: MonitorConfig | None):
             monitor=monitor,
         ),
         assign_fn=ppi_assign,
-        candidate_assign_fn=ppi_assign_candidates,
+        candidate_assign_fn=ppi_assign,
     )
     started = time.perf_counter()
     result = engine.run(tasks, 0.0, SHAPE["t_end"])

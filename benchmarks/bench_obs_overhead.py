@@ -196,7 +196,7 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
         DeadReckoningProvider(seed=DIST_SHAPE["seed"]),
         ServeConfig(),
         assign_fn=ppi_assign,
-        candidate_assign_fn=component_candidate_assign("ppi"),
+        candidate_assign_fn=component_candidate_assign(ppi_assign),
         dist=DistConfig(
             backend="shard_server",
             shards=DIST_SHAPE["shards"],
@@ -253,7 +253,6 @@ def run_dist(samples: int = 3) -> dict:
 
 def _run_decisions_once(tasks, workers, log_path: str | None) -> tuple[float, str]:
     """One single-process serve run; wall seconds + plan signature."""
-    from repro.assignment.ppi import ppi_assign_candidates
     from repro.obs.decisions import DecisionConfig
     from repro.serve import ServeEngine
 
@@ -263,7 +262,7 @@ def _run_decisions_once(tasks, workers, log_path: str | None) -> tuple[float, st
         DeadReckoningProvider(seed=DIST_SHAPE["seed"]),
         ServeConfig(use_index=True, cache_ttl=6.0, decisions=decisions),
         assign_fn=ppi_assign,
-        candidate_assign_fn=ppi_assign_candidates,
+        candidate_assign_fn=ppi_assign,
     )
     start = time.perf_counter()
     result = engine.run(tasks, 0.0, DIST_SHAPE["t_end"])

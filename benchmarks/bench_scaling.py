@@ -92,7 +92,7 @@ def test_scaling_ppi_batch(benchmark):
     rows = []
     for n_tasks, n_workers in ((20, 10), (50, 20), (100, 40), (200, 80)):
         tasks, workers = make_inputs(n_tasks, n_workers)
-        elapsed = _time(lambda t=tasks, w=workers: ppi_assign(t, w, 0.0, PPIConfig()))
+        elapsed = _time(lambda t=tasks, w=workers: ppi_assign(t, w, 0.0, config=PPIConfig()))
         rows.append([f"{n_tasks}x{n_workers}", elapsed * 1e3])
     write_result(
         "scaling_ppi",

@@ -42,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from common import write_result  # noqa: E402
 
 from repro import obs  # noqa: E402
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates  # noqa: E402
+from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.obs import MemorySink, MonitorConfig  # noqa: E402
 from repro.scenarios import (  # noqa: E402
     build_engine,
@@ -106,7 +106,7 @@ def time_sparse(tasks, snapshots, t, repeats: int) -> tuple[float, object, int]:
     for _ in range(repeats):
         started = time.perf_counter()
         candidates = build_candidates(tasks, snapshots, t, cell_km=INDEX_CELL_KM)
-        plan = ppi_assign_candidates(tasks, snapshots, t, candidates)
+        plan = ppi_assign(tasks, snapshots, t, candidates)
         best = min(best, time.perf_counter() - started)
         n_pairs = sum(len(v) for v in candidates.values())
     return best, plan, n_pairs

@@ -3,9 +3,9 @@
 Two arms, both parity-asserted before any timing is reported:
 
 * ``warm_matching`` (the guard shape) — the same 12-step worker-churn
-  stream is assigned twice with :func:`ppi_assign_candidates`, once
-  with a cold :class:`ComponentMatcher` and once with a warm-started
-  one (:class:`repro.dist.WarmMatchCache` carrying dual potentials and
+  stream is assigned twice with :func:`ppi_assign`, once with a cold
+  :class:`ComponentMatcher` and once with a warm-started one
+  (:class:`repro.dist.WarmMatchCache` carrying dual potentials and
   cached matchings across steps).  Tasks carry far deadlines so the
   Theorem-2 weights are stable between steps, and the per-step churn
   is the shift-turnover rate of a metro fleet (a couple of
@@ -50,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from common import write_result  # noqa: E402
 
-from repro.assignment.ppi import ppi_assign_candidates  # noqa: E402
+from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.dist import ShardPlanner, ShardServerBackend, WarmMatchCache  # noqa: E402
 from repro.dist.backend import ProcessBackend  # noqa: E402
 from repro.dist.shard import ComponentMatcher, sharded_build_candidates  # noqa: E402
@@ -147,9 +147,9 @@ def bench_warm(spec: dict) -> dict:
     steps = 0
     for active in churned_active_sets(snapshots, spec["steps"], spec["churn_workers"]):
         graph = build_candidates(tasks, active, t, cell_km=spec["cell_km"])
-        cold_plan = ppi_assign_candidates(tasks, active, t, graph, matcher=cold_timer)
+        cold_plan = ppi_assign(tasks, active, t, graph, matcher=cold_timer)
         cache.begin_round()
-        warm_plan = ppi_assign_candidates(tasks, active, t, graph, matcher=warm_timer)
+        warm_plan = ppi_assign(tasks, active, t, graph, matcher=warm_timer)
         if plan_tuples(warm_plan) != plan_tuples(cold_plan):
             raise AssertionError(f"warm plan diverged from cold plan at step {steps}")
         steps += 1

@@ -41,7 +41,7 @@ def main() -> None:
     ppi_cfg = PPIConfig(a=assignment.ppi_a_km, epsilon=assignment.ppi_epsilon)
 
     def assign_fn(tasks, snapshots, t):
-        return ppi_assign(tasks, snapshots, t, ppi_cfg)
+        return ppi_assign(tasks, snapshots, t, config=ppi_cfg)
 
     t0, t1 = workload.horizon()
     serve_config = ServeConfig(

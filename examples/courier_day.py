@@ -43,7 +43,7 @@ def main() -> None:
     ppi_cfg = PPIConfig(a=assignment.ppi_a_km, epsilon=assignment.ppi_epsilon)
 
     def counting_ppi(tasks, snapshots, t):
-        plan = ppi_assign(tasks, snapshots, t, ppi_cfg)
+        plan = ppi_assign(tasks, snapshots, t, config=ppi_cfg)
         for pair in plan:
             stage_counter[pair.stage] += 1
         return plan

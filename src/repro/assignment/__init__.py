@@ -13,10 +13,9 @@ from repro.assignment.matching_rate import (
     feasible_prediction_points,
     theorem2_bound,
 )
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates, CandidateGraph, PPIConfig
+from repro.assignment.ppi import ppi_assign, CandidateGraph, PPIConfig
 from repro.assignment.baselines import (
     km_assign,
-    km_assign_candidates,
     upper_bound_assign,
     lower_bound_assign,
 )
@@ -34,11 +33,9 @@ __all__ = [
     "feasible_prediction_points",
     "theorem2_bound",
     "ppi_assign",
-    "ppi_assign_candidates",
     "CandidateGraph",
     "PPIConfig",
     "km_assign",
-    "km_assign_candidates",
     "upper_bound_assign",
     "lower_bound_assign",
     "ggpso_assign",

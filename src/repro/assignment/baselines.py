@@ -14,14 +14,14 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.assignment.hungarian import maximum_weight_matching
 from repro.assignment.matching_rate import theorem2_bound
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
-from repro.assignment.ppi import Matcher
+from repro.assignment.ppi import CandidateGraph, Matcher
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 
 _EPS = 1e-6
@@ -43,19 +43,11 @@ def km_assign(
     tasks: Sequence[SpatialTask],
     workers: Sequence[WorkerSnapshot],
     current_time: float,
-) -> AssignmentPlan:
-    """One global KM matching on predicted proximity (stage-3 graph)."""
-    return km_assign_candidates(tasks, workers, current_time, None)
-
-
-def km_assign_candidates(
-    tasks: Sequence[SpatialTask],
-    workers: Sequence[WorkerSnapshot],
-    current_time: float,
-    candidates: "Mapping[int, Sequence[int]] | None",
+    candidates: CandidateGraph | None = None,
+    *,
     matcher: Matcher | None = None,
 ) -> AssignmentPlan:
-    """KM matching restricted to a sparse candidate graph.
+    """One global KM matching on predicted proximity (stage-3 graph).
 
     ``candidates`` maps ``task_id`` to the worker ids worth considering
     (``None`` means every pair).  Because the dense path already prunes

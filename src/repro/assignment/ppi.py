@@ -90,31 +90,21 @@ def ppi_assign(
     tasks: Sequence[SpatialTask],
     workers: Sequence[WorkerSnapshot],
     current_time: float,
-    config: PPIConfig | None = None,
-) -> AssignmentPlan:
-    """Run Algorithm 4 over the dense W x T pair space."""
-    return ppi_assign_candidates(tasks, workers, current_time, None, config)
-
-
-def ppi_assign_candidates(
-    tasks: Sequence[SpatialTask],
-    workers: Sequence[WorkerSnapshot],
-    current_time: float,
-    candidates: CandidateGraph | None,
+    candidates: CandidateGraph | None = None,
+    *,
     config: PPIConfig | None = None,
     matcher: Matcher | None = None,
 ) -> AssignmentPlan:
-    """Run Algorithm 4 over a sparse candidate graph.
+    """Run Algorithm 4, over every pair or a sparse candidate graph.
 
     ``candidates`` restricts each task to a subset of workers (``None``
-    means every pair, reproducing :func:`ppi_assign`).  When the graph
-    contains every pair within the Theorem 2 radius, the plan is
-    identical to the dense path's — only the pairs PPI would have
-    discarded anyway are skipped.  ``matcher`` substitutes the KM
-    solver for every matching call (see :data:`Matcher`); the stage-2
-    control flow (score ordering, epsilon chunking) stays on this
-    code path regardless, because it is order-sensitive and must run
-    globally.
+    means the dense W x T pair space).  When the graph contains every
+    pair within the Theorem 2 radius, the plan is identical to the
+    dense one — only the pairs PPI would have discarded anyway are
+    skipped.  ``matcher`` substitutes the KM solver for every matching
+    call (see :data:`Matcher`); the stage-2 control flow (score
+    ordering, epsilon chunking) stays on this code path regardless,
+    because it is order-sensitive and must run globally.
     """
     cfg = config if config is not None else PPIConfig()
     solve = matcher if matcher is not None else maximum_weight_matching

@@ -44,8 +44,6 @@ from repro.dist.shard import (
     run_shard_candidate_job,
     shard_memberships,
     sharded_build_candidates,
-    sharded_km_assign,
-    sharded_ppi_assign,
 )
 
 __all__ = [
@@ -76,6 +74,4 @@ __all__ = [
     "serve_shard",
     "shard_memberships",
     "sharded_build_candidates",
-    "sharded_km_assign",
-    "sharded_ppi_assign",
 ]

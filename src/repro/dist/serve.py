@@ -2,7 +2,7 @@
 
 :class:`ShardedEngine` keeps the event loop, triggers, cache, queue
 bound, and acceptance bookkeeping of :class:`repro.serve.engine.ServeEngine`
-untouched and overrides exactly two hooks:
+untouched and overrides exactly three hooks:
 
 * ``_build_candidates`` — each batch's candidate graph is built stripe
   by stripe through :func:`repro.dist.shard.sharded_build_candidates`
@@ -10,12 +10,15 @@ untouched and overrides exactly two hooks:
   which provably merges to the dense graph, so every downstream plan —
   and therefore :func:`repro.serve.adapters.result_signature` — is
   unchanged at any shard count;
-* ``_on_event`` — events carrying a location are routed to the stripe
-  that owns (or is nearest to) their cell column under the most recent
-  batch's shard layout, feeding label-style per-shard
+* ``_on_event`` — before the engine dispatches an event, events
+  carrying a location are routed to the stripe that owns (or is
+  nearest to) their cell column under the most recent batch's shard
+  layout, feeding label-style per-shard
   ``dist.shard.events{shard=sid}`` counters and
   ``dist.shard.lag_s{shard=sid}`` histograms (simulation-time staleness
-  of the shard's last merged plan when the event lands).
+  of the shard's last merged plan when the event lands);
+* ``_make_decision_log`` — decision records carry the stripe that owns
+  their task's column, the column an arrival's routing noted.
 
 Boundary workers — snapshots whose halo spans more than one stripe —
 are counted per batch in :attr:`ShardedEngine.batch_stats`; they are the
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.obs.decisions import DecisionConfig, DecisionLog
@@ -41,9 +44,7 @@ from repro.obs.dist import (
     current_context,
 )
 from repro.obs.metrics import labelled
-from repro.assignment.baselines import km_assign_candidates
 from repro.assignment.plan import AssignmentPlan
-from repro.assignment.ppi import PPIConfig, ppi_assign_candidates
 from repro.dist.backend import Backend, DistConfig, ShardServerBackend, resolve_backend
 from repro.dist.server import batch_step, encode_snapshot, encode_task
 from repro.dist.shard import (
@@ -62,30 +63,30 @@ from repro.serve.spatial_index import latest_horizon
 
 
 def component_candidate_assign(
-    algorithm: str = "ppi",
-    config: PPIConfig | None = None,
+    assign: Callable[..., AssignmentPlan],
     backend: Backend | None = None,
     warm_start: bool = False,
 ) -> CandidateAssignFn:
-    """A :data:`CandidateAssignFn` whose KM solves decompose by component.
+    """``assign`` with its KM solves decomposed by connected component.
 
-    Drop-in for the engine's candidate path: same plans as the plain
-    ``ppi_assign_candidates`` / ``km_assign_candidates`` closures (the
+    ``assign`` is an assignment entry point taking a candidate graph
+    and a ``matcher`` keyword (:func:`repro.assignment.ppi.ppi_assign`,
+    :func:`repro.assignment.baselines.km_assign`, or a
+    :func:`functools.partial` of one fixing its config).  The result is
+    a drop-in for the engine's candidate path with the same plans (the
     component decomposition is exact under a unique optimum, see
-    :mod:`repro.dist.shard`), with each matching split into its
-    connected components — optionally solved across ``backend``.
+    :mod:`repro.dist.shard`), each matching split into its connected
+    components — optionally solved across ``backend``.
 
     ``warm_start`` keeps a :class:`~repro.dist.shard.WarmMatchCache` in
     the closure: successive batches seed each component's solve with the
     previous duals, and unchanged components skip the solve outright.
     The cache is per-closure state, so build one closure per engine.
     """
-    if algorithm not in ("ppi", "km"):
-        raise ValueError("algorithm must be 'ppi' or 'km'")
     warm = WarmMatchCache() if warm_start else None
     matcher = ComponentMatcher(backend=backend, warm=warm)
 
-    def assign(
+    def decomposed(
         tasks: Sequence[SpatialTask],
         snapshots: Sequence[WorkerSnapshot],
         t: float,
@@ -93,49 +94,10 @@ def component_candidate_assign(
     ) -> AssignmentPlan:
         if warm is not None:
             warm.begin_round()
-        if algorithm == "ppi":
-            return ppi_assign_candidates(tasks, snapshots, t, candidates, config, matcher=matcher)
-        return km_assign_candidates(tasks, snapshots, t, candidates, matcher=matcher)
+        return assign(tasks, snapshots, t, candidates, matcher=matcher)
 
-    assign.warm_cache = warm  # type: ignore[attr-defined]
-    return assign
-
-
-class _ShardedDecisionLog(DecisionLog):
-    """Decision log whose records carry the owning stripe.
-
-    Arrival-time terminals (dead on arrival, shed on arrival) fire
-    before the engine's ``_on_event`` routing hook sees the arrival, so
-    the log notes each task's cell column itself at the first decision
-    site; terminals then resolve the column to a stripe under the most
-    recent batch layout (``None`` — and spool 0 — before the first
-    batch lays stripes out).
-    """
-
-    def __init__(self, config: DecisionConfig, engine: "ShardedEngine") -> None:
-        self._engine = engine
-        super().__init__(config, shard_of=self._shard)
-
-    def _note(self, task: SpatialTask) -> None:
-        self._engine._task_col.setdefault(
-            task.task_id,
-            math.floor(task.location.x / self._engine.config.index_cell_km),
-        )
-
-    def admitted(self, task, t):
-        self._note(task)
-        super().admitted(task, t)
-
-    def dead_on_arrival(self, task, t, cancelled):
-        self._note(task)
-        super().dead_on_arrival(task, t, cancelled)
-
-    def shed_on_arrival(self, task, t):
-        self._note(task)
-        super().shed_on_arrival(task, t)
-
-    def _shard(self, task_id: int) -> int | None:
-        return self._engine._shard_for_column(self._engine._task_col.get(task_id))
+    decomposed.warm_cache = warm  # type: ignore[attr-defined]
+    return decomposed
 
 
 class ShardedEngine(ServeEngine):
@@ -416,7 +378,9 @@ class ShardedEngine(ServeEngine):
         return best_id
 
     def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
-        return _ShardedDecisionLog(config, self)
+        return DecisionLog(
+            config, shard_of=lambda task_id: self._shard_for_column(self._task_col.get(task_id))
+        )
 
     # ------------------------------------------------------------------
     @property

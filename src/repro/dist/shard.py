@@ -30,12 +30,18 @@ and a maximum matching restricted to a connected component is the
 component of a global maximum matching whenever the optimum is unique —
 the ordinary case with generic float weights (reciprocal distances).
 :class:`ComponentMatcher` plugs into
-:func:`repro.assignment.ppi.ppi_assign_candidates` /
-:func:`repro.assignment.baselines.km_assign_candidates` via their
-``matcher`` hook and re-sorts the merged matching into the ascending
-left-id order the dense solver emits.  PPI's stage-2 epsilon-chunking
-is order-sensitive and *not* component-decomposable, so it stays on the
-coordinator — its chunks are at most ``epsilon`` edges anyway.
+:func:`repro.assignment.ppi.ppi_assign` /
+:func:`repro.assignment.baselines.km_assign` via their ``matcher`` hook
+and re-sorts the merged matching into the ascending left-id order the
+dense solver emits.  PPI's stage-2 epsilon-chunking is order-sensitive
+and *not* component-decomposable, so it stays on the coordinator — its
+chunks are at most ``epsilon`` edges anyway.
+
+A sharded assignment round is the composition of the two::
+
+    ppi_assign(tasks, snapshots, t,
+               sharded_build_candidates(tasks, snapshots, t, shards),
+               matcher=ComponentMatcher())
 """
 
 from __future__ import annotations
@@ -47,10 +53,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.obs.metrics import labelled
-from repro.assignment.baselines import km_assign_candidates
 from repro.assignment.hungarian import WarmStartState, maximum_weight_matching
-from repro.assignment.plan import AssignmentPlan
-from repro.assignment.ppi import PPIConfig, ppi_assign_candidates
 from repro.dist.backend import Backend, SerialBackend
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 from repro.serve.spatial_index import build_candidates, cells_in_radius, latest_horizon
@@ -639,67 +642,3 @@ class ComponentMatcher:
         merged = [edge for part in solved for edge in part]
         merged.sort(key=lambda e: e[0])
         return merged
-
-
-# ----------------------------------------------------------------------
-# sharded assignment entry points
-# ----------------------------------------------------------------------
-def sharded_ppi_assign(
-    tasks: Sequence[SpatialTask],
-    snapshots: Sequence[WorkerSnapshot],
-    current_time: float,
-    shards: int,
-    config: PPIConfig | None = None,
-    cell_km: float = 1.0,
-    max_candidates: int | None = None,
-    backend: Backend | None = None,
-    stats: ShardStats | None = None,
-    planner: ShardPlanner | None = None,
-    warm: WarmMatchCache | None = None,
-) -> AssignmentPlan:
-    """PPI over sharded candidates with component-decomposed matching.
-
-    Reproduces ``ppi_assign(tasks, snapshots, current_time, config)``
-    exactly (unique-optimum caveat in the module docstring): the merged
-    candidate graph equals the dense superset of Theorem-2-feasible
-    pairs, the stage control flow runs globally on the coordinator, and
-    only the matmul-heavy KM solves decompose.  ``planner`` and ``warm``
-    carry layout/halo and solver state across calls for streaming use.
-    """
-    candidates = sharded_build_candidates(
-        tasks, snapshots, current_time, shards,
-        cell_km=cell_km, max_candidates=max_candidates, backend=backend, stats=stats,
-        planner=planner,
-    )
-    if warm is not None:
-        warm.begin_round()
-    matcher = ComponentMatcher(backend=backend, warm=warm)
-    return ppi_assign_candidates(
-        tasks, snapshots, current_time, candidates, config, matcher=matcher
-    )
-
-
-def sharded_km_assign(
-    tasks: Sequence[SpatialTask],
-    snapshots: Sequence[WorkerSnapshot],
-    current_time: float,
-    shards: int,
-    cell_km: float = 1.0,
-    max_candidates: int | None = None,
-    backend: Backend | None = None,
-    stats: ShardStats | None = None,
-    planner: ShardPlanner | None = None,
-    warm: WarmMatchCache | None = None,
-) -> AssignmentPlan:
-    """KM over sharded candidates with component-decomposed matching."""
-    candidates = sharded_build_candidates(
-        tasks, snapshots, current_time, shards,
-        cell_km=cell_km, max_candidates=max_candidates, backend=backend, stats=stats,
-        planner=planner,
-    )
-    if warm is not None:
-        warm.begin_round()
-    matcher = ComponentMatcher(backend=backend, warm=warm)
-    return km_assign_candidates(
-        tasks, snapshots, current_time, candidates, matcher=matcher
-    )

@@ -155,7 +155,7 @@ def run_assignment(
         if algorithm in ("ppi", "ppi_loss"):
             ppi_cfg = PPIConfig(a=cfg.ppi_a_km, epsilon=cfg.ppi_epsilon)
             # Looks ppi_assign up at call time, so tracers can patch it here.
-            assign_fn = lambda tasks, snaps, t: ppi_assign(tasks, snaps, t, ppi_cfg)
+            assign_fn = lambda tasks, snaps, t: ppi_assign(tasks, snaps, t, config=ppi_cfg)
         elif algorithm in ("km", "km_loss"):
             assign_fn = km_assign
         else:  # ggpso

@@ -56,16 +56,13 @@ def build_forecast_config(policy: PolicySpec):
     )
 
 
-def assign_fns(algorithm: str) -> tuple[Callable, Callable]:
-    """The dense and candidate-aware assign functions for an algorithm."""
-    from repro.assignment.baselines import km_assign, km_assign_candidates
-    from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+def assign_fn(algorithm: str) -> Callable:
+    """The assignment entry point of an algorithm (dense or candidate)."""
+    from repro.assignment.baselines import km_assign
+    from repro.assignment.ppi import ppi_assign
 
     try:
-        return {
-            "ppi": (ppi_assign, ppi_assign_candidates),
-            "km": (km_assign, km_assign_candidates),
-        }[algorithm]
+        return {"ppi": ppi_assign, "km": km_assign}[algorithm]
     except KeyError:
         raise ValueError(f"unknown assignment algorithm '{algorithm}'") from None
 
@@ -117,31 +114,30 @@ def build_engine(
     policies route through the component matcher, mirroring the sharded
     path so ``warm_start`` means the same thing at every shard count.
     """
-    assign_fn, candidate_fn = assign_fns(policy.algorithm)
+    assign = assign_fn(policy.algorithm)
     config = build_serve_config(policy, monitor=monitor, decisions=decisions)
     dist = build_dist_config(policy, dist_obs=dist_obs)
+    candidate_fn = assign
+    if dist is not None or policy.dist.warm_start:
+        from repro.dist import component_candidate_assign
+
+        candidate_fn = component_candidate_assign(assign, warm_start=policy.dist.warm_start)
     if dist is not None:
-        from repro.dist import ShardedEngine, component_candidate_assign
+        from repro.dist import ShardedEngine
 
         return ShardedEngine(
             workers,
             provider,
             config,
-            assign_fn=assign_fn,
-            candidate_assign_fn=component_candidate_assign(
-                policy.algorithm, warm_start=policy.dist.warm_start
-            ),
+            assign_fn=assign,
+            candidate_assign_fn=candidate_fn,
             dist=dist,
         )
-    if policy.dist.warm_start:
-        from repro.dist import component_candidate_assign
-
-        candidate_fn = component_candidate_assign(policy.algorithm, warm_start=True)
     return ServeEngine(
         workers,
         provider,
         config,
-        assign_fn=assign_fn,
+        assign_fn=assign,
         candidate_assign_fn=candidate_fn,
     )
 

@@ -163,10 +163,15 @@ class ServeConfig:
             raise ValueError("max_pending must be at least 1 (or None)")
         if self.cache_ttl < 0:
             raise ValueError("cache ttl must be non-negative")
+        if self.cache_deviation_km is not None and self.cache_deviation_km < 0:
+            raise ValueError("cache_deviation_km must be non-negative (or None)")
         if self.index_cell_km <= 0:
             raise ValueError("index cell size must be positive")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1 (or None)")
+        # Build the trigger once so its own checks reject bad knobs here
+        # rather than inside run().
+        self.make_trigger()
 
     def make_trigger(self, forecast_runtime=None) -> FixedWindowTrigger:
         if self.trigger == "fixed":
@@ -276,9 +281,12 @@ class ServeEngine:
         every available snapshot.  Always required; used for every
         batch unless ``config.use_index`` is set.
     candidate_assign_fn:
-        Sparse assignment entry point (e.g. wrapping
-        :func:`repro.assignment.ppi.ppi_assign_candidates`); replaces
-        ``assign_fn`` for every batch when ``config.use_index`` is set.
+        Assignment function called with each batch's candidate graph as
+        a fourth positional argument (e.g.
+        :func:`repro.assignment.ppi.ppi_assign` itself, or a
+        :func:`repro.dist.component_candidate_assign` wrapping of it);
+        replaces ``assign_fn`` for every batch when ``config.use_index``
+        is set.
     """
 
     def __init__(
@@ -330,12 +338,14 @@ class ServeEngine:
         )
 
     def _on_event(self, event) -> None:
-        """Post-dispatch event hook; the base engine does nothing.
+        """Pre-dispatch event hook; the base engine does nothing.
 
-        Called once per processed event, after its state updates.
-        Subclasses use it for routing accounting (per-shard event
-        counters in :class:`repro.dist.serve.ShardedEngine`); it must
-        not mutate engine state the event loop depends on.
+        Called once per processed event, before its state updates, so
+        decision records written while the event is dispatched can use
+        what the hook noted.  Subclasses use it for routing accounting
+        (per-shard event counters and task columns in
+        :class:`repro.dist.serve.ShardedEngine`); it must not mutate
+        engine state the event loop depends on.
         """
 
     def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
@@ -633,6 +643,7 @@ class ServeEngine:
                     fruntime.advance(event.time)
                 if watch:
                     event_started = time.perf_counter()
+                self._on_event(event)
                 if isinstance(event, TaskArrival):
                     task = event.task
                     if fruntime is not None:
@@ -722,7 +733,6 @@ class ServeEngine:
                     online[event.worker.worker_id] = event.worker
                 elif isinstance(event, WorkerCheckOut):
                     online.pop(event.worker_id, None)
-                self._on_event(event)
                 if watch:
                     obs.histogram("serve.loop.lag_s", time.perf_counter() - event_started)
                     obs.gauge("serve.loop.heap_depth", len(queue))

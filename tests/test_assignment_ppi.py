@@ -67,19 +67,19 @@ class TestPPI:
     def test_high_confidence_assigned_in_stage_one(self):
         # Two predicted points near the task, MR 0.9 -> |B|*MR = 1.8 >= 1.
         workers = [snapshot(0, [[1.0, 0.0], [1.1, 0.0], [0.9, 0.0]], mr=0.9)]
-        plan = ppi_assign([task(0, 1.0, 0.0)], workers, 0.0, PPIConfig(a=0.3))
+        plan = ppi_assign([task(0, 1.0, 0.0)], workers, 0.0, config=PPIConfig(a=0.3))
         assert plan.pairs[0].stage == 1
 
     def test_low_confidence_goes_to_stage_two(self):
         workers = [snapshot(0, [[1.0, 0.0]], mr=0.3)]  # |B|*MR = 0.3 < 1
-        plan = ppi_assign([task(0, 1.0, 0.0)], workers, 0.0, PPIConfig(a=0.3))
+        plan = ppi_assign([task(0, 1.0, 0.0)], workers, 0.0, config=PPIConfig(a=0.3))
         assert plan.pairs[0].stage == 2
 
     def test_out_of_radius_goes_to_stage_three(self):
         # Distance 1.8 + a 0.3 > bound 2.0 fails Theorem 2, but 1.8 <= 2.0
         # passes the plain stage-3 check.
         workers = [snapshot(0, [[1.8, 0.0]], mr=0.5, detour=4.0)]
-        plan = ppi_assign([task(0, 0.0, 0.0)], workers, 0.0, PPIConfig(a=0.3))
+        plan = ppi_assign([task(0, 0.0, 0.0)], workers, 0.0, config=PPIConfig(a=0.3))
         assert len(plan) == 1
         assert plan.pairs[0].stage == 3
 
@@ -93,7 +93,7 @@ class TestPPI:
         crosses the stage-1 threshold gets it."""
         confident = snapshot(0, [[1.0, 0.0], [1.0, 0.1]], mr=0.9)
         shaky = snapshot(1, [[1.0, 0.0], [1.0, 0.1]], mr=0.1)
-        plan = ppi_assign([task(0, 1.0, 0.0)], [confident, shaky], 0.0, PPIConfig(a=0.3))
+        plan = ppi_assign([task(0, 1.0, 0.0)], [confident, shaky], 0.0, config=PPIConfig(a=0.3))
         assert plan.worker_for_task(0) == 0
 
     def test_each_worker_used_once(self):
@@ -107,7 +107,7 @@ class TestPPI:
         served still gets a worker."""
         workers = [snapshot(i, [[float(i), 0.0]], mr=0.2) for i in range(5)]
         tasks = [task(i, float(i), 0.2) for i in range(5)]
-        plan = ppi_assign(tasks, workers, 0.0, PPIConfig(a=0.3, epsilon=1))
+        plan = ppi_assign(tasks, workers, 0.0, config=PPIConfig(a=0.3, epsilon=1))
         assert len(plan) == 5
 
     def test_expired_task_skipped(self):

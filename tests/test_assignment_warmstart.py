@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.assignment.hungarian import Edge, WarmStartState, maximum_weight_matching
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.dist import WarmMatchCache, component_candidate_assign
 from repro.serve import (
     DeadReckoningProvider,
@@ -152,7 +152,7 @@ def _run_stream(seed, warm_start, n_batches=52):
             cache_deviation_km=0.5,
         ),
         assign_fn=ppi_assign,
-        candidate_assign_fn=component_candidate_assign("ppi", warm_start=warm_start),
+        candidate_assign_fn=component_candidate_assign(ppi_assign, warm_start=warm_start),
     )
     return engine.run(tasks, 0.0, horizon)
 
@@ -166,7 +166,7 @@ class TestStreamParity:
         assert result_signature(warmed) == result_signature(cold)
 
     def test_warm_cache_actually_engages(self):
-        fn = component_candidate_assign("ppi", warm_start=True)
+        fn = component_candidate_assign(ppi_assign, warm_start=True)
         stream = StreamConfig(n_workers=20, n_tasks=60, t_end=40.0, seed=1)
         engine = ServeEngine(
             make_worker_fleet(stream),
@@ -180,7 +180,7 @@ class TestStreamParity:
             DeadReckoningProvider(seed=1),
             ServeConfig(batch_window=1.0, use_index=True, cache_ttl=5.0),
             assign_fn=ppi_assign,
-            candidate_assign_fn=ppi_assign_candidates,
+            candidate_assign_fn=ppi_assign,
         )
         tasks = make_task_stream(stream)
         got = engine.run(tasks, 0.0, 40.0)

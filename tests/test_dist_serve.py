@@ -6,11 +6,13 @@ if the sharded candidate build changed any plan anywhere, it shows up
 here.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.assignment.baselines import km_assign, km_assign_candidates
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.baselines import km_assign
+from repro.assignment.ppi import PPIConfig, ppi_assign
 from repro.dist import DistConfig, ProcessBackend, ShardedEngine, component_candidate_assign
 from repro.serve import (
     DeadReckoningProvider,
@@ -28,29 +30,27 @@ def scenario(seed, n_workers=30, n_tasks=60, t_end=60.0):
     return make_task_stream(cfg), make_worker_fleet(cfg)
 
 
+ASSIGN = {"ppi": ppi_assign, "km": km_assign}
+
+
 def run_reference(tasks, workers, seed, algorithm="ppi", **config_kwargs):
-    assign_fn, candidate_fn = {
-        "ppi": (ppi_assign, ppi_assign_candidates),
-        "km": (km_assign, km_assign_candidates),
-    }[algorithm]
     engine = ServeEngine(
         workers,
         DeadReckoningProvider(seed=seed),
         ServeConfig(use_index=True, **config_kwargs),
-        assign_fn=assign_fn,
-        candidate_assign_fn=candidate_fn,
+        assign_fn=ASSIGN[algorithm],
+        candidate_assign_fn=ASSIGN[algorithm],
     )
     return engine.run(tasks, 0.0, 60.0)
 
 
 def run_sharded(tasks, workers, seed, shards, algorithm="ppi", backend=None, **config_kwargs):
-    assign_fn = {"ppi": ppi_assign, "km": km_assign}[algorithm]
     engine = ShardedEngine(
         workers,
         DeadReckoningProvider(seed=seed),
         ServeConfig(**config_kwargs),
-        assign_fn=assign_fn,
-        candidate_assign_fn=component_candidate_assign(algorithm),
+        assign_fn=ASSIGN[algorithm],
+        candidate_assign_fn=component_candidate_assign(ASSIGN[algorithm]),
         dist=DistConfig(shards=shards),
         backend=backend,
     )
@@ -100,7 +100,7 @@ class TestShardedEngineBehavior:
             DeadReckoningProvider(seed=0),
             ServeConfig(),  # use_index not set by the caller
             assign_fn=ppi_assign,
-            candidate_assign_fn=component_candidate_assign("ppi"),
+            candidate_assign_fn=component_candidate_assign(ppi_assign),
         )
         assert engine.config.use_index is True
         engine.close()
@@ -111,6 +111,34 @@ class TestShardedEngineBehavior:
             ShardedEngine(
                 workers, DeadReckoningProvider(seed=0), ServeConfig(), assign_fn=ppi_assign
             )
+
+    def test_partial_carries_ppi_config(self):
+        """A non-default PPIConfig reaches the component-matched path
+        through functools.partial; plans still equal the serial engine's."""
+        tasks, workers = scenario(2)
+        narrow = functools.partial(ppi_assign, config=PPIConfig(a=0.05))
+        ref = ServeEngine(
+            workers,
+            DeadReckoningProvider(seed=2),
+            ServeConfig(use_index=True),
+            assign_fn=narrow,
+            candidate_assign_fn=narrow,
+        ).run(tasks, 0.0, 60.0)
+        engine = ShardedEngine(
+            workers,
+            DeadReckoningProvider(seed=2),
+            ServeConfig(),
+            assign_fn=narrow,
+            candidate_assign_fn=component_candidate_assign(narrow),
+            dist=DistConfig(shards=2),
+        )
+        try:
+            got = engine.run(tasks, 0.0, 60.0)
+        finally:
+            engine.close()
+        assert result_signature(got) == result_signature(ref)
+        default = run_reference(tasks, workers, 2)
+        assert result_signature(got) != result_signature(default)
 
     def test_boundary_worker_accounting(self):
         tasks, workers = scenario(0)
@@ -151,7 +179,3 @@ class TestShardedEngineBehavior:
             assert "dist.merge.seconds" in histogram_names
         finally:
             obs.set_recorder(previous)
-
-    def test_component_candidate_assign_validates_algorithm(self):
-        with pytest.raises(ValueError):
-            component_candidate_assign("greedy")

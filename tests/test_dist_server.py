@@ -13,7 +13,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.dist import (
     DistConfig,
     ShardedEngine,
@@ -196,7 +196,7 @@ def run_reference(tasks, workers, seed, **config_kwargs):
         DeadReckoningProvider(seed=seed),
         ServeConfig(use_index=True, **config_kwargs),
         assign_fn=ppi_assign,
-        candidate_assign_fn=ppi_assign_candidates,
+        candidate_assign_fn=ppi_assign,
     )
     return engine.run(tasks, 0.0, 60.0)
 
@@ -207,7 +207,7 @@ def run_with_servers(tasks, workers, seed, shards, warm_start=False, provider=No
         provider if provider is not None else DeadReckoningProvider(seed=seed),
         ServeConfig(**kw),
         assign_fn=ppi_assign,
-        candidate_assign_fn=component_candidate_assign("ppi", warm_start=warm_start),
+        candidate_assign_fn=component_candidate_assign(ppi_assign, warm_start=warm_start),
         dist=DistConfig(backend="shard_server", shards=shards, warm_start=warm_start),
     )
     try:
@@ -269,7 +269,7 @@ class TestShardServerEngineParity:
             provider,
             ServeConfig(),
             assign_fn=ppi_assign,
-            candidate_assign_fn=component_candidate_assign("ppi"),
+            candidate_assign_fn=component_candidate_assign(ppi_assign),
             dist=DistConfig(backend="shard_server", shards=3),
         )
         provider.engine = engine

@@ -15,9 +15,9 @@ The exactness ladder, tested rung by rung:
 import numpy as np
 import pytest
 
-from repro.assignment.baselines import km_assign_candidates
+from repro.assignment.baselines import km_assign
 from repro.assignment.hungarian import maximum_weight_matching
-from repro.assignment.ppi import PPIConfig, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.dist import (
     ComponentMatcher,
     ProcessBackend,
@@ -29,8 +29,6 @@ from repro.dist import (
     make_shards,
     shard_memberships,
     sharded_build_candidates,
-    sharded_km_assign,
-    sharded_ppi_assign,
 )
 from repro.geo.point import Point
 from repro.sc.entities import SpatialTask, WorkerSnapshot
@@ -235,8 +233,12 @@ class TestShardedAssignment:
         rng = np.random.default_rng(seed)
         tasks, snaps = random_workload(rng)
         dense_graph = build_candidates(tasks, snaps, 0.0, cell_km=1.5)
-        dense = ppi_assign_candidates(tasks, snaps, 0.0, dense_graph, PPIConfig())
-        sharded = sharded_ppi_assign(tasks, snaps, 0.0, shards=shards, cell_km=1.5)
+        dense = ppi_assign(tasks, snaps, 0.0, dense_graph)
+        sharded = ppi_assign(
+            tasks, snaps, 0.0,
+            sharded_build_candidates(tasks, snaps, 0.0, shards, cell_km=1.5),
+            matcher=ComponentMatcher(),
+        )
         assert plan_tuples(sharded) == plan_tuples(dense)
 
     @pytest.mark.parametrize("seed", [1, 5])
@@ -245,8 +247,12 @@ class TestShardedAssignment:
         rng = np.random.default_rng(seed)
         tasks, snaps = random_workload(rng)
         dense_graph = build_candidates(tasks, snaps, 0.0, cell_km=1.5)
-        dense = km_assign_candidates(tasks, snaps, 0.0, dense_graph)
-        sharded = sharded_km_assign(tasks, snaps, 0.0, shards=shards, cell_km=1.5)
+        dense = km_assign(tasks, snaps, 0.0, dense_graph)
+        sharded = km_assign(
+            tasks, snaps, 0.0,
+            sharded_build_candidates(tasks, snaps, 0.0, shards, cell_km=1.5),
+            matcher=ComponentMatcher(),
+        )
         assert plan_tuples(sharded) == plan_tuples(dense)
 
     def test_adversarial_straddle_plans_match(self):
@@ -255,9 +261,13 @@ class TestShardedAssignment:
         rng = np.random.default_rng(11)
         snaps = [wide] + [make_snapshot(w + 1, rng.uniform(0, 18, (3, 2))) for w in range(8)]
         dense_graph = build_candidates(tasks, snaps, 0.0, cell_km=1.0)
-        dense = ppi_assign_candidates(tasks, snaps, 0.0, dense_graph, PPIConfig())
+        dense = ppi_assign(tasks, snaps, 0.0, dense_graph)
         stats = ShardStats()
-        sharded = sharded_ppi_assign(tasks, snaps, 0.0, shards=3, cell_km=1.0, stats=stats)
+        sharded = ppi_assign(
+            tasks, snaps, 0.0,
+            sharded_build_candidates(tasks, snaps, 0.0, 3, cell_km=1.0, stats=stats),
+            matcher=ComponentMatcher(),
+        )
         assert plan_tuples(sharded) == plan_tuples(dense)
         assert stats.n_boundary_workers >= 1
 
@@ -307,8 +317,8 @@ class TestShardPlanner:
         for _ in range(3):
             tasks, snaps = random_workload(rng, n_tasks=30, n_workers=25)
             dense_graph = build_candidates(tasks, snaps, 0.0, cell_km=1.5)
-            dense = ppi_assign_candidates(tasks, snaps, 0.0, dense_graph, PPIConfig())
-            sharded = sharded_ppi_assign(
-                tasks, snaps, 0.0, shards=3, cell_km=1.5, planner=planner, warm=warm
-            )
+            dense = ppi_assign(tasks, snaps, 0.0, dense_graph)
+            graph = sharded_build_candidates(tasks, snaps, 0.0, 3, cell_km=1.5, planner=planner)
+            warm.begin_round()
+            sharded = ppi_assign(tasks, snaps, 0.0, graph, matcher=ComponentMatcher(warm=warm))
             assert plan_tuples(sharded) == plan_tuples(dense)

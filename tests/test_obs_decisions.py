@@ -20,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.cli import main as cli_main
 from repro.obs import RunManifest
 from repro.obs.decisions import (
@@ -72,7 +72,7 @@ def run_engine(tasks, workers, seed=0, t_end=40.0, **config):
         DeadReckoningProvider(seed=seed),
         ServeConfig(**config),
         assign_fn=ppi_assign,
-        candidate_assign_fn=ppi_assign_candidates,
+        candidate_assign_fn=ppi_assign,
     )
     return engine.run(tasks, 0.0, t_end)
 
@@ -261,7 +261,7 @@ class TestShardedLog:
                 DeadReckoningProvider(seed=7),
                 ServeConfig(decisions=decisions),
                 assign_fn=ppi_assign,
-                candidate_assign_fn=component_candidate_assign("ppi"),
+                candidate_assign_fn=component_candidate_assign(ppi_assign),
                 dist=DistConfig(shards=2),
             )
 
@@ -282,6 +282,54 @@ class TestShardedLog:
         spools = sorted((tmp_path / "sharded.decisions.jsonl.shards").glob("*.jsonl"))
         assert len(spools) >= 2
         assert {r["shard"] for r in records} >= {0, 1}
+
+    def test_arrival_terminals_carry_owning_stripe(self):
+        """Shed-on-arrival and dead-on-arrival records are written while
+        the arrival is dispatched; each one after the first batch names
+        the stripe that owned its task's column at that time."""
+        import math
+
+        from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
+
+        cfg = StreamConfig(n_workers=20, n_tasks=150, t_end=40.0, seed=3,
+                           width_km=24.0, height_km=12.0)
+        tasks, workers = make_task_stream(cfg), make_worker_fleet(cfg)
+        layouts = []  # (batch time, stripe specs) after each build
+
+        class Recording(ShardedEngine):
+            def _build_candidates(self, batch_tasks, snapshots, t):
+                graph = super()._build_candidates(batch_tasks, snapshots, t)
+                layouts.append((t, list(self._last_specs)))
+                return graph
+
+        engine = Recording(
+            workers,
+            DeadReckoningProvider(seed=3),
+            ServeConfig(max_pending=3, decisions=DecisionConfig()),
+            assign_fn=ppi_assign,
+            candidate_assign_fn=component_candidate_assign(ppi_assign),
+            dist=DistConfig(shards=3),
+        )
+        try:
+            engine.run(tasks, 5.0, cfg.t_end)
+        finally:
+            engine.close()
+        by_id = {task.task_id: task for task in tasks}
+        arrival_reasons = ("shed:queue_full", "expired:dead_on_arrival")
+        checked = 0
+        for rec in engine.decision_log.records:
+            if rec["reason"] not in arrival_reasons:
+                continue
+            earlier = [specs for t, specs in layouts if t < rec["t"] and specs]
+            if not earlier:
+                continue
+            task = by_id[rec["task"]]
+            col = math.floor(task.location.x / engine.config.index_cell_km)
+            owners = [spec.shard_id for spec in earlier[-1] if spec.owns_column(col)]
+            if owners:
+                assert rec["shard"] == owners[0]
+                checked += 1
+        assert checked > 0
 
 
 class TestRegistrySweepDiff:

@@ -60,7 +60,7 @@ def run_reference(tasks, workers, seed):
         DeadReckoningProvider(seed=seed),
         ServeConfig(),
         assign_fn=ppi_assign,
-        candidate_assign_fn=component_candidate_assign("ppi"),
+        candidate_assign_fn=component_candidate_assign(ppi_assign),
     )
     return engine.run(tasks, 0.0, 60.0)
 
@@ -72,7 +72,7 @@ def run_sharded(tasks, workers, seed, shards=2, obs_cfg=None, provider=None,
         provider if provider is not None else DeadReckoningProvider(seed=seed),
         ServeConfig(),
         assign_fn=ppi_assign,
-        candidate_assign_fn=component_candidate_assign("ppi"),
+        candidate_assign_fn=component_candidate_assign(ppi_assign),
         dist=DistConfig(backend=backend, shards=shards, workers=2, obs=obs_cfg),
     )
     if provider is not None and hasattr(provider, "engine"):

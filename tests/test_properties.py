@@ -54,7 +54,7 @@ class TestPPIProperties:
     @given(data=snapshots_and_tasks(), epsilon=st.integers(1, 6))
     def test_ppi_always_produces_valid_matching(self, data, epsilon):
         tasks, workers = data
-        plan = ppi_assign(tasks, workers, 0.0, PPIConfig(a=0.3, epsilon=epsilon))
+        plan = ppi_assign(tasks, workers, 0.0, config=PPIConfig(a=0.3, epsilon=epsilon))
         # AssignmentPlan.add enforces injectivity; re-validate ids too.
         assert plan.task_ids() <= {t.task_id for t in tasks}
         assert plan.worker_ids() <= {w.worker_id for w in workers}
@@ -64,7 +64,7 @@ class TestPPIProperties:
     def test_ppi_edges_respect_theorem2_or_stage3_bound(self, data):
         tasks, workers = data
         cfg = PPIConfig(a=0.3)
-        plan = ppi_assign(tasks, workers, 0.0, cfg)
+        plan = ppi_assign(tasks, workers, 0.0, config=cfg)
         by_task = {t.task_id: t for t in tasks}
         by_worker = {w.worker_id: w for w in workers}
         for pair in plan:

@@ -6,7 +6,7 @@ to the same run hand-assembled through the legacy ``ServeEngine``
 constructor path the benches and CLI used before the registry existed.
 """
 
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.scenarios import (
     PolicySpec,
     build_dist_config,
@@ -50,7 +50,7 @@ def legacy_smoke_adaptive_result():
             index_cell_km=2.0,
         ),
         assign_fn=ppi_assign,
-        candidate_assign_fn=ppi_assign_candidates,
+        candidate_assign_fn=ppi_assign,
     )
     return engine.run(tasks, cfg.t_start, cfg.t_end)
 

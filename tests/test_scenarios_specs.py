@@ -10,6 +10,7 @@ from repro.scenarios import (
     RunSpec,
     ScenarioSpec,
     TriggerSpec,
+    assign_fn,
     dump_spec,
     get_policy,
     get_scenario,
@@ -108,6 +109,10 @@ class TestValidation:
     def test_bad_algorithm(self):
         with pytest.raises(ValueError, match="ppi"):
             PolicySpec(algorithm="greedy")
+
+    def test_assign_fn_rejects_unknown_algorithm(self):
+        with pytest.raises(ValueError, match="greedy"):
+            assign_fn("greedy")
 
     def test_empty_sweep_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):

@@ -135,6 +135,19 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"cache_deviation_km": -1.0}, "cache_deviation_km"),
+            ({"trigger": "adaptive", "min_trigger_interval": 0.0}, "interval"),
+            ({"trigger": "adaptive", "pending_threshold": 0}, "threshold"),
+            ({"trigger": "adaptive", "deadline_slack": -1.0}, "slack"),
+        ],
+    )
+    def test_rejects_bad_knobs_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**kwargs)
+
     def test_makes_matching_trigger(self):
         assert isinstance(ServeConfig().make_trigger(), FixedWindowTrigger)
         adaptive = ServeConfig(trigger="adaptive", pending_threshold=3).make_trigger()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.ppi import ppi_assign
 from repro.cli import main as cli_main
 from repro.geo.point import Point
 from repro.obs import MemorySink, MonitorConfig, read_series
@@ -46,7 +46,7 @@ def run_engine(tasks, workers, seed=0, t_end=40.0, **config):
         DeadReckoningProvider(seed=seed),
         ServeConfig(**config),
         assign_fn=ppi_assign,
-        candidate_assign_fn=ppi_assign_candidates,
+        candidate_assign_fn=ppi_assign,
     )
     return engine.run(tasks, 0.0, t_end)
 

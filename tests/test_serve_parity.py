@@ -14,8 +14,8 @@ Two exactness claims anchor the serving layer:
 
 import pytest
 
-from repro.assignment.baselines import km_assign, km_assign_candidates
-from repro.assignment.ppi import ppi_assign, ppi_assign_candidates
+from repro.assignment.baselines import km_assign
+from repro.assignment.ppi import ppi_assign
 from repro.sc.acceptance import evaluate_acceptance
 from repro.sc.platform import BatchRecord, SimulationResult
 from repro.serve import (
@@ -168,22 +168,18 @@ class TestBatchPlatformParity:
 
 class TestSparseDenseExactness:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize(
-        "dense_fn,candidate_fn",
-        [(ppi_assign, ppi_assign_candidates), (km_assign, km_assign_candidates)],
-        ids=["ppi", "km"],
-    )
-    def test_sparse_plans_match_dense(self, seed, dense_fn, candidate_fn):
+    @pytest.mark.parametrize("assign_fn", [ppi_assign, km_assign], ids=["ppi", "km"])
+    def test_sparse_plans_match_dense(self, seed, assign_fn):
         # A wide extent so the index actually prunes.
         tasks, workers = scenario(seed, width_km=40.0, height_km=40.0)
         provider = DeadReckoningProvider(seed=seed)
-        dense = ServeEngine(workers, provider, ServeConfig(), assign_fn=dense_fn)
+        dense = ServeEngine(workers, provider, ServeConfig(), assign_fn=assign_fn)
         sparse = ServeEngine(
             workers,
             provider,
             ServeConfig(use_index=True, index_cell_km=2.0),
-            assign_fn=dense_fn,
-            candidate_assign_fn=candidate_fn,
+            assign_fn=assign_fn,
+            candidate_assign_fn=assign_fn,
         )
         r_dense = dense.run(tasks, 0.0, 60.0)
         r_sparse = sparse.run(tasks, 0.0, 60.0)
@@ -201,7 +197,7 @@ class TestSparseDenseExactness:
             provider,
             ServeConfig(use_index=True, index_cell_km=0.5),
             assign_fn=ppi_assign,
-            candidate_assign_fn=ppi_assign_candidates,
+            candidate_assign_fn=ppi_assign,
         )
         assert result_signature(sparse.run(tasks, 0.0, 60.0)) == result_signature(
             dense.run(tasks, 0.0, 60.0)
