@@ -865,9 +865,9 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_report(args: argparse.Namespace) -> int:
-    from repro.obs import aggregate_series, read_series, render_serve_report
+    from repro.obs import aggregate_series, read_jsonl, render_serve_report
 
-    records = read_series(args.series_file)
+    records = read_jsonl(args.series_file)
     if args.json:
         payload = {"series": args.series_file, **aggregate_series(records, args.phases)}
         print(json.dumps(payload, indent=2))

@@ -18,7 +18,9 @@ untouched and overrides exactly three hooks:
   ``dist.shard.lag_s{shard=sid}`` histograms (simulation-time staleness
   of the shard's last merged plan when the event lands);
 * ``_make_decision_log`` — decision records carry the stripe that owns
-  their task's column, the column an arrival's routing noted.
+  their task's column, the column an arrival's routing noted, in their
+  ``shard`` field; the log itself is the engine's one ``config.path``
+  file, written as tasks reach their terminal.
 
 Boundary workers — snapshots whose halo spans more than one stripe —
 are counted per batch in :attr:`ShardedEngine.batch_stats`; they are the
@@ -52,6 +54,7 @@ from repro.dist.shard import (
     ShardPlanner,
     ShardStats,
     WarmMatchCache,
+    fill_shard_stats,
     same_track,
     sharded_build_candidates,
 )
@@ -270,16 +273,13 @@ class ShardedEngine(ServeEngine):
                 merge_seconds = time.perf_counter() - started
             obs.histogram("dist.merge.seconds", merge_seconds)
 
-            seen: dict[int, int] = {}
-            for posns in members:
-                for pos in posns:
-                    seen[pos] = seen.get(pos, 0) + 1
-            stats.n_shards = n_shards
-            stats.tasks_per_shard = [len(o) for o in owned]
-            stats.snapshots_per_shard = [len(p) for p in members]
-            stats.pairs_per_shard = [sum(len(v) for v in g.values()) for g in graphs]
-            stats.n_boundary_workers = sum(1 for c in seen.values() if c > 1)
-            stats.merge_seconds = merge_seconds
+            fill_shard_stats(
+                stats,
+                [len(o) for o in owned],
+                members,
+                [sum(len(v) for v in g.values()) for g in graphs],
+                merge_seconds,
+            )
             self._flush_telemetry(round_idx, solve_seconds, n_shards)
         return merged
 

@@ -47,7 +47,11 @@ respawns the process, replays the log in order, and retries the request
 that failed; the rebuilt state is exactly the old one because the log is
 the complete sequence of mutations.  The log lives in memory by default
 and in ``log_dir`` (one ``shard-{id}.jsonl`` per server) when durability
-across coordinator restarts matters.
+across coordinator restarts matters; the file is written through
+:class:`~repro.obs.sinks.JsonlSink` (flushed per command) and loaded
+with :func:`~repro.obs.sinks.read_jsonl`, so a coordinator killed
+mid-append leaves a truncated final line that the next handle skips —
+that command was logged but never sent.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ import numpy as np
 
 from repro.geo.point import Point
 from repro.obs import dist as obs_dist
+from repro.obs.sinks import JsonlSink, read_jsonl
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 from repro.serve.spatial_index import build_candidates
 
@@ -255,7 +260,10 @@ class ShardServerHandle:
         #: wire form of :class:`repro.obs.dist.DistObsConfig` (or None),
         #: handed to the server process at every (re)spawn.
         self.obs = obs
+        #: JSON lines, so in-memory and file-backed replays send the
+        #: same JSON-normalised payloads.
         self._log: list[str] = []
+        self._sink: JsonlSink | None = None
         self._proc: multiprocessing.Process | None = None
         self._conn = None
         self._seq = 0
@@ -264,8 +272,7 @@ class ShardServerHandle:
         self._epoch = 0
         self.restarts = 0
         if log_path is not None and os.path.exists(log_path):
-            with open(log_path) as fh:
-                self._log = [line.rstrip("\n") for line in fh if line.strip()]
+            self._log = [json.dumps(entry) for entry in read_jsonl(log_path)]
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self) -> None:
@@ -389,11 +396,13 @@ class ShardServerHandle:
         return result
 
     def _append_log(self, command: str, payload: Any) -> None:
-        line = json.dumps({"command": command, "payload": payload})
-        self._log.append(line)
+        entry = {"command": command, "payload": payload}
+        self._log.append(json.dumps(entry))
         if self.log_path is not None:
-            with open(self.log_path, "a") as fh:
-                fh.write(line + "\n")
+            if self._sink is None:
+                self._sink = JsonlSink(self.log_path, append=True)
+            self._sink.emit(entry)
+            self._sink.flush()
 
     @property
     def log_length(self) -> int:
@@ -412,6 +421,9 @@ class ShardServerHandle:
             if self._proc.is_alive():  # pragma: no cover - stuck server
                 self._proc.terminate()
             self._proc = None
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
 
 def scatter(

@@ -85,6 +85,34 @@ class ShardStats:
     merge_seconds: float = 0.0
 
 
+def fill_shard_stats(
+    stats: ShardStats,
+    tasks_per_shard: Sequence[int],
+    members: Sequence[Sequence[int]],
+    pairs_per_shard: Sequence[int],
+    merge_seconds: float,
+) -> None:
+    """Record one batch's decomposition and publish its pair counters.
+
+    ``members`` holds each stripe's snapshot positions; a snapshot in
+    more than one stripe is a boundary worker.  Every build path (serial
+    planner, pool, shard servers) reports through here, so each emits
+    the same ``dist.shard.pairs{shard=S}`` counters.
+    """
+    seen: dict[int, int] = {}
+    for posns in members:
+        for pos in posns:
+            seen[pos] = seen.get(pos, 0) + 1
+    stats.n_shards = len(members)
+    stats.tasks_per_shard = list(tasks_per_shard)
+    stats.snapshots_per_shard = [len(posns) for posns in members]
+    stats.pairs_per_shard = list(pairs_per_shard)
+    stats.n_boundary_workers = sum(1 for c in seen.values() if c > 1)
+    stats.merge_seconds = merge_seconds
+    for s, pairs in enumerate(stats.pairs_per_shard):
+        obs.counter(labelled("dist.shard.pairs", shard=s), pairs)
+
+
 def make_shards(
     tasks: Sequence[SpatialTask], k: int, cell_km: float = 1.0
 ) -> list[ShardSpec]:
@@ -369,18 +397,9 @@ def _serial_planner_build(
         pairs = [0] * len(layout.specs)
         for task_id, workers in merged.items():
             pairs[task_owner[task_id]] += len(workers)
-        seen: dict[int, int] = {}
-        for posns in members:
-            for pos in posns:
-                seen[pos] = seen.get(pos, 0) + 1
-        stats.n_shards = len(layout.specs)
-        stats.tasks_per_shard = [len(t) for t in tasks_by_shard]
-        stats.snapshots_per_shard = [len(posns) for posns in members]
-        stats.pairs_per_shard = pairs
-        stats.n_boundary_workers = sum(1 for c in seen.values() if c > 1)
-        stats.merge_seconds = 0.0
-        for s in range(len(layout.specs)):
-            obs.counter(labelled("dist.shard.pairs", shard=s), pairs[s])
+        fill_shard_stats(
+            stats, [len(t) for t in tasks_by_shard], members, pairs, 0.0
+        )
     return merged
 
 
@@ -459,21 +478,13 @@ def sharded_build_candidates(
     obs.histogram("dist.merge.seconds", merge_seconds)
 
     if stats is not None:
-        shard_count = [0] * len(specs)
-        for s, posns in enumerate(members):
-            shard_count[s] = len(posns)
-        seen: dict[int, int] = {}
-        for posns in members:
-            for pos in posns:
-                seen[pos] = seen.get(pos, 0) + 1
-        stats.n_shards = len(specs)
-        stats.tasks_per_shard = [len(t) for t in tasks_by_shard]
-        stats.snapshots_per_shard = shard_count
-        stats.pairs_per_shard = [sum(len(v) for v in g.values()) for g in graphs]
-        stats.n_boundary_workers = sum(1 for c in seen.values() if c > 1)
-        stats.merge_seconds = merge_seconds
-        for s in range(len(specs)):
-            obs.counter(labelled("dist.shard.pairs", shard=s), stats.pairs_per_shard[s])
+        fill_shard_stats(
+            stats,
+            [len(t) for t in tasks_by_shard],
+            members,
+            [sum(len(v) for v in g.values()) for g in graphs],
+            merge_seconds,
+        )
     return merged
 
 

@@ -109,12 +109,6 @@ def _tmaj(a: Array) -> Array:
     return a.swapaxes(-3, -2)
 
 
-def _bc_w(w: Array) -> Array:
-    # Align a worker-stacked weight for a time-stacked matmul:
-    # (W, F, K) against inputs (W, T, B, F) needs a broadcast T axis.
-    return w[..., None, :, :] if w.ndim > 2 else w
-
-
 def _proj(x: Array, w: Array) -> Array:
     # Whole-sequence projection (..., T, B, F) @ (..., F, K) -> (..., T, B, K).
     # Worker-stacked weights flatten (T, B) first so each worker is one

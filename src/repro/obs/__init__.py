@@ -30,7 +30,6 @@ from repro.obs.calibration import (
 from repro.obs.dashboard import (
     aggregate_series,
     forecast_cell_errors,
-    load_serve_report,
     reason_breakdown,
     render_serve_report,
 )
@@ -41,13 +40,10 @@ from repro.obs.decisions import (
     diff_decisions,
     explain_task,
     find_decision_log,
-    merge_decision_spools,
-    preposition_records,
     read_decisions,
     reconcile,
     render_explain,
     render_run_diff,
-    write_decisions,
 )
 from repro.obs.dist import (
     DistObsConfig,
@@ -75,7 +71,6 @@ from repro.obs.monitor import (
     SLOEvaluator,
     SLOSpec,
     parse_slo,
-    read_series,
 )
 from repro.obs.openmetrics import (
     ExpositionServer,
@@ -100,8 +95,8 @@ from repro.obs.recorder import (
     set_recorder,
     span,
 )
-from repro.obs.report import TraceReport, aggregate, load_report, render_report
-from repro.obs.sinks import JsonlSink, MemorySink, read_jsonl, read_trace
+from repro.obs.report import TraceReport, aggregate, render_report
+from repro.obs.sinks import JsonlSink, MemorySink, read_jsonl
 
 __all__ = [
     "CalibrationConfig",
@@ -111,7 +106,6 @@ __all__ = [
     "PairOutcome",
     "aggregate_series",
     "forecast_cell_errors",
-    "load_serve_report",
     "reason_breakdown",
     "render_serve_report",
     "DecisionConfig",
@@ -120,13 +114,10 @@ __all__ = [
     "diff_decisions",
     "explain_task",
     "find_decision_log",
-    "merge_decision_spools",
-    "preposition_records",
     "read_decisions",
     "reconcile",
     "render_explain",
     "render_run_diff",
-    "write_decisions",
     "DistObsConfig",
     "RoundAttribution",
     "attribute_rounds",
@@ -151,7 +142,6 @@ __all__ = [
     "SLOEvaluator",
     "SLOSpec",
     "parse_slo",
-    "read_series",
     "ExpositionServer",
     "metric_name",
     "render_openmetrics",
@@ -173,10 +163,8 @@ __all__ = [
     "span",
     "TraceReport",
     "aggregate",
-    "load_report",
     "render_report",
     "JsonlSink",
     "MemorySink",
     "read_jsonl",
-    "read_trace",
 ]

@@ -20,10 +20,8 @@ aggregated per phase:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.obs.metrics import split_labels
-from repro.obs.monitor import read_series
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
@@ -340,10 +338,3 @@ def render_serve_report(records: list[dict], title: str = "serve report",
                 f"statistic {event['statistic']:.3f}, n={event['n_samples']})"
             )
     return "\n".join(lines)
-
-
-def load_serve_report(path: str | Path, title: str | None = None, n_phases: int = 3) -> str:
-    records = read_series(path)
-    return render_serve_report(
-        records, title=title or f"serve report: {path}", n_phases=n_phases
-    )

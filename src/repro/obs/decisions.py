@@ -13,14 +13,15 @@ predicted completion probability), and the terminal state — and the
 log appends one JSON record per task as it reaches its terminal.
 
 The on-disk format is append-only JSONL with a ``decisions_start``
-header, read back with the same tolerance as every other sidecar
+header, written through :class:`repro.obs.sinks.JsonlSink` in terminal
+order and read back with the same tolerance as every other sidecar
 (:func:`repro.obs.sinks.read_jsonl`): a truncated final record is
 skipped with a warning, and duplicate records for one task (a
 crash-replayed coordinator re-emitting its tail) keep the last copy
-only, so nothing is double-counted.  Sharded engines write per-shard
-spool files (``decisions-shard{K}.jsonl``, the
-:mod:`repro.obs.dist` spool idiom) and merge them into one log at
-close.
+only, so nothing is double-counted.  :func:`read_decisions` returns
+the records sorted by task id.  Sharded engines write the same single
+log; each record's ``shard`` field names the stripe that owned the
+task.
 
 Consumers:
 
@@ -111,11 +112,8 @@ class DecisionConfig:
     Attributes
     ----------
     path:
-        Merged JSONL target (``None`` keeps records in memory only —
-        tests and in-process analysis).
-    spool_dir:
-        Where sharded engines write their per-shard spool files before
-        the merge; defaults to ``<path>.shards``.
+        JSONL target (``None`` keeps records in memory only — tests
+        and in-process analysis).
     a_km:
         Theorem-2 grid granularity used when reconstructing the
         predicted completion probability of an accepted pair (same
@@ -123,17 +121,11 @@ class DecisionConfig:
     """
 
     path: str | None = None
-    spool_dir: str | None = None
     a_km: float = 0.3
 
     def __post_init__(self) -> None:
         if self.a_km <= 0:
             raise ValueError("a_km must be positive")
-
-    def resolved_spool_dir(self) -> str | None:
-        if self.spool_dir is not None:
-            return self.spool_dir
-        return f"{self.path}.shards" if self.path is not None else None
 
 
 def _new_record(task, arrival_t: float | None) -> dict:
@@ -169,9 +161,8 @@ class DecisionLog:
     in :attr:`records` (terminal order) and, when ``config.path`` is
     set, stream to the JSONL sink as they close.  ``shard_of`` (when
     provided, e.g. by :class:`repro.dist.serve.ShardedEngine`) maps a
-    task id to the stripe that owned it: records are then written to
-    per-shard spool files and merged into ``config.path`` at
-    :meth:`close`.
+    task id to the stripe that owned it, stored in each record's
+    ``shard`` field.
     """
 
     def __init__(
@@ -188,9 +179,7 @@ class DecisionLog:
         self._open: dict[int, dict] = {}
         self._shard_of = shard_of
         self._sink: JsonlSink | None = None
-        self._spools: dict[int, JsonlSink] = {}
-        self._closed = False
-        if self.config.path is not None and shard_of is None:
+        if self.config.path is not None:
             self._sink = JsonlSink(self.config.path)
             self._sink.emit({"type": "decisions_start"})
 
@@ -309,46 +298,22 @@ class DecisionLog:
     def _emit(self, rec: dict) -> None:
         if self._sink is not None:
             self._sink.emit(rec)
-            return
-        if self._shard_of is None or self.config.path is None:
-            return
-        shard = rec["shard"] if rec["shard"] is not None else 0
-        sink = self._spools.get(shard)
-        if sink is None:
-            spool_dir = Path(self.config.resolved_spool_dir())
-            sink = JsonlSink(spool_dir / f"decisions-shard{shard}.jsonl", append=True)
-            sink.emit({"type": "decisions_start", "shard": shard})
-            self._spools[shard] = sink
-        sink.emit(rec)
 
     def close(self) -> None:
-        """Flush and close sinks; merge shard spools into ``path``.
+        """Flush and close the sink.
 
         Idempotent, so engines can call it from a ``finally`` block.
         """
-        if self._closed:
-            return
-        self._closed = True
         if self._sink is not None:
             self._sink.close()
             self._sink = None
-        if self._spools:
-            for sink in self._spools.values():
-                sink.close()
-            self._spools = {}
-            spool_dir = Path(self.config.resolved_spool_dir())
-            raw: list[dict] = []
-            for path in sorted(spool_dir.glob("decisions-*.jsonl")):
-                raw.extend(read_jsonl(path))
-            merged = decision_records(raw) + preposition_records(raw)
-            write_decisions(self.config.path, merged)
 
     def terminal_counts(self) -> dict[str, int]:
         return dict(Counter(r["terminal"] for r in self.records))
 
 
 # ----------------------------------------------------------------------
-# Reading, merging, reconciling.
+# Reading and reconciling.
 
 def decision_records(records: Iterable[dict]) -> list[dict]:
     """Filter to ``decision`` records and de-duplicate per task.
@@ -357,7 +322,7 @@ def decision_records(records: Iterable[dict]) -> list[dict]:
     last copy per task id wins, with a warning, so counts stay exact.
     The result is sorted by task id — a deterministic order shared by
     every reader, which is what makes run diffs and reconciliations
-    stable across interleaved shard spools.
+    independent of the terminal order the log was written in.
     """
     by_task: dict[int, dict] = {}
     duplicates = 0
@@ -377,40 +342,9 @@ def decision_records(records: Iterable[dict]) -> list[dict]:
     return [by_task[tid] for tid in sorted(by_task)]
 
 
-def preposition_records(records: Iterable[dict]) -> list[dict]:
-    """Filter to the forecast layer's pre-position move records."""
-    return [rec for rec in records if rec.get("type") == "preposition"]
-
-
 def read_decisions(path: str | Path) -> list[dict]:
     """Load one decision log, tolerant of a truncated final record."""
     return decision_records(read_jsonl(path))
-
-
-def merge_decision_spools(spool_dir: str | Path) -> list[dict]:
-    """Merge every ``decisions-*.jsonl`` spool under a directory.
-
-    Spool files are read in sorted name order (shard order); the
-    per-task de-duplication of :func:`decision_records` then collapses
-    crash-replay repeats across spools.
-    """
-    spool_dir = Path(spool_dir)
-    records: list[dict] = []
-    for path in sorted(spool_dir.glob("decisions-*.jsonl")):
-        records.extend(read_jsonl(path))
-    return decision_records(records)
-
-
-def write_decisions(path: str | Path, records: Sequence[dict]) -> Path:
-    """Write one merged decision log (header + records)."""
-    sink = JsonlSink(path)
-    try:
-        sink.emit({"type": "decisions_start", "merged": True})
-        for rec in records:
-            sink.emit(rec)
-    finally:
-        sink.close()
-    return Path(path)
 
 
 def reconcile(records: Sequence[dict], result) -> dict:

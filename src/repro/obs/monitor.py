@@ -30,18 +30,16 @@ no-op default path is untouched.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 from repro.obs.calibration import CalibrationConfig, CalibrationMonitor
 from repro.obs.metrics import MetricsRegistry, labelled
 from repro.obs.openmetrics import ExpositionServer, render_openmetrics, write_openmetrics
-from repro.obs.sinks import read_jsonl
+from repro.obs.sinks import JsonlSink
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +324,7 @@ class MetricsMonitor:
         )
         self.slo: SLOEvaluator | None = SLOEvaluator(config.slos) if config.slos else None
         self.server: ExpositionServer | None = None
-        self._fh: IO[str] | None = None
+        self._sink: JsonlSink | None = None
         self._seq = 0
         self._last_t: float | None = None
         self._next_sample = 0.0
@@ -338,9 +336,7 @@ class MetricsMonitor:
     def start(self, t: float | None = None) -> None:
         """Open sinks and anchor the sampling clock at ``t``."""
         if self.config.series_path is not None:
-            path = Path(self.config.series_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = path.open("w")
+            self._sink = JsonlSink(self.config.series_path)
         if self.config.http_port is not None:
             self.server = ExpositionServer(port=self.config.http_port)
         t0 = self._now(t)
@@ -386,9 +382,9 @@ class MetricsMonitor:
             self._write({"type": "calibration", "wall_unix": time.time(),
                          **self.calibration.summary()})
         self._finished = True
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
         if self.server is not None:
             self.server.close()
             self.server = None
@@ -468,16 +464,6 @@ class MetricsMonitor:
             self.server.publish(render_openmetrics(snapshot, prefix=self.config.prefix))
 
     def _write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, default=str) + "\n")
-            self._fh.flush()
-
-
-def read_series(path: str | Path) -> list[dict]:
-    """Load a monitor time series, skipping corrupt trailing lines.
-
-    Same tolerance as :func:`repro.obs.sinks.read_jsonl`: a run killed
-    mid-write leaves a truncated last line, which is skipped with a
-    warning instead of losing the whole series.
-    """
-    return read_jsonl(path)
+        if self._sink is not None:
+            self._sink.emit(record)
+            self._sink.flush()

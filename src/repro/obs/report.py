@@ -11,9 +11,6 @@ histogram percentiles — is appended below the span tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from repro.obs.sinks import read_trace
 
 
 @dataclass
@@ -106,10 +103,6 @@ def aggregate(records: list[dict]) -> TraceReport:
         if record.get("type") == "metrics":
             report.metrics = {k: v for k, v in record.items() if k != "type"}
     return report
-
-
-def load_report(path: str | Path) -> TraceReport:
-    return aggregate(read_trace(path))
 
 
 def _ordered_paths(stats: dict[tuple[str, ...], PathStats]) -> list[PathStats]:

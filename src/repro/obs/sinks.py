@@ -47,15 +47,21 @@ class JsonlSink:
     """Appends records to a JSONL trace file, one object per line.
 
     ``append=True`` opens the file in append mode instead of
-    truncating — the mode per-process telemetry spools use, so a shard
-    server respawned after a crash continues the same spool file rather
-    than erasing the spans its predecessor managed to flush.
+    truncating — the mode per-process telemetry spools and the shard
+    server replay log use, so a process restarted after a crash
+    continues the same file rather than erasing what its predecessor
+    managed to flush.  A predecessor killed mid-write leaves a torn
+    last line; appending starts on a fresh line so that only the torn
+    record is lost (:func:`read_jsonl` skips it).
     """
 
     def __init__(self, path: str | Path, append: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = append and _ends_mid_line(self.path)
         self._fh: IO[str] | None = self.path.open("a" if append else "w")
+        if torn:
+            self._fh.write("\n")
 
     def emit(self, record: dict) -> None:
         if self._fh is None:
@@ -71,6 +77,19 @@ class JsonlSink:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+
+def _ends_mid_line(path: Path) -> bool:
+    """Whether a non-empty file's last byte is not a newline."""
+    try:
+        with path.open("rb") as fh:
+            fh.seek(0, 2)
+            if fh.tell() == 0:
+                return False
+            fh.seek(-1, 2)
+            return fh.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
 
 
 def _jsonable(value):
@@ -108,8 +127,3 @@ def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:
                     stacklevel=2,
                 )
     return records
-
-
-def read_trace(path: str | Path, strict: bool = False) -> list[dict]:
-    """Load every record of a JSONL trace file (see :func:`read_jsonl`)."""
-    return read_jsonl(path, strict=strict)

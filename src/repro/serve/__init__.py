@@ -32,7 +32,6 @@ from repro.serve.prediction_cache import CacheStats, PredictionCache
 from repro.serve.spatial_index import (
     UniformGridIndex,
     build_candidates,
-    candidate_stats,
     cells_in_radius,
     latest_horizon,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "WorkerCheckIn",
     "WorkerCheckOut",
     "build_candidates",
-    "candidate_stats",
     "cells_in_radius",
     "latest_horizon",
     "make_churn_worker_fleet",

@@ -192,19 +192,3 @@ def build_candidates(
             hits.sort(key=lambda h: h[0])
         graph[task_id] = [snapshots[pos].worker_id for pos, _ in hits]
     return graph
-
-
-def candidate_stats(
-    graph: dict[int, list[int]], task_ids: list[int], n_snapshots: int
-) -> dict[int, tuple[int, int]]:
-    """Per-task ``(candidates, pruned)`` counts of one batch's graph.
-
-    The decision-log view of :func:`build_candidates`: for every task
-    in the batch (including those the index matched to nobody), how
-    many workers survived into its candidate list and how many of the
-    available snapshots Theorem 2's ``d/2`` radius pruned away.
-    """
-    return {
-        tid: (len(graph.get(tid, ())), n_snapshots - len(graph.get(tid, ())))
-        for tid in task_ids
-    }

@@ -13,6 +13,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.dist import (
     DistConfig,
@@ -29,6 +30,8 @@ from repro.dist.server import (
     encode_task,
 )
 from repro.geo.point import Point
+from repro.obs import MemorySink
+from repro.obs.metrics import labelled
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 from repro.serve import (
     DeadReckoningProvider,
@@ -163,6 +166,44 @@ class TestShardServerHandle:
             second.close()
 
 
+    def test_file_log_survives_a_truncated_tail(self, tmp_path):
+        """A coordinator killed mid-append leaves half a line: a command
+        logged but never sent.  The next handle skips it with a warning,
+        replays the intact commands, and commands it logs afterwards
+        survive the restart after that."""
+        log = tmp_path / "shard-0.jsonl"
+        first = ShardServerHandle(0, log_path=str(log))
+        try:
+            first.request("reset")
+            first.request("apply", {
+                "tasks_add": [encode_task(sample_task(0))],
+                "snaps_add": [encode_snapshot(sample_snapshot(0))],
+            })
+            expected = first.request("build", build_payload([0]))
+        finally:
+            first.close()
+        with log.open("a") as fh:
+            fh.write('{"command": "apply", "payload": {"tasks_add": [{"task_')
+        with pytest.warns(UserWarning, match="truncated"):
+            second = ShardServerHandle(0, log_path=str(log))
+        try:
+            assert second.log_length == 2
+            second.ensure_running()
+            assert second.request("build", build_payload([0])) == expected
+            second.request("apply", {"tasks_add": [encode_task(sample_task(1, 1.2, 1.4))]})
+            expected_after = second.request("build", build_payload([0]))
+        finally:
+            second.close()
+        assert expected_after != expected
+        with pytest.warns(UserWarning, match="truncated"):
+            third = ShardServerHandle(0, log_path=str(log))
+        try:
+            assert third.log_length == 3
+            assert third.request("build", build_payload([0])) == expected_after
+        finally:
+            third.close()
+
+
 class TestShardServerBackend:
     def test_map_ordered_matches_serial(self):
         payloads = list(range(7))
@@ -256,6 +297,45 @@ class TestShardServerEngineParity:
         shipped = sum(len(m) for m in engine._server_preds)
         assert engine._planner.halo_hits > 0
         assert shipped > 0
+
+    def test_shard_pair_counters_match_serial_backend(self):
+        """Every build path publishes ``dist.shard.pairs{shard=S}``, so
+        the per-shard table reads the same for shard servers."""
+        cfg = StreamConfig(n_workers=30, n_tasks=60, t_end=40.0, seed=7,
+                           width_km=24.0, height_km=12.0)
+        tasks, workers = make_task_stream(cfg), make_worker_fleet(cfg)
+
+        def pair_counters(backend):
+            engine = ShardedEngine(
+                workers,
+                DeadReckoningProvider(seed=7),
+                ServeConfig(),
+                assign_fn=ppi_assign,
+                candidate_assign_fn=component_candidate_assign(ppi_assign),
+                dist=DistConfig(backend=backend, shards=2),
+            )
+            sink = MemorySink()
+            try:
+                with obs.recording(sink):
+                    engine.run(tasks, 0.0, cfg.t_end)
+            finally:
+                engine.close()
+            totals = [sum(s.pairs_per_shard[i] for s in engine.batch_stats) for i in (0, 1)]
+            counters = {
+                name: value
+                for name, value in sink.metrics["counters"].items()
+                if name.startswith("dist.shard.pairs")
+            }
+            return totals, counters
+
+        serial_totals, serial_counters = pair_counters("serial")
+        server_totals, server_counters = pair_counters("shard_server")
+        assert serial_totals == server_totals
+        assert serial_counters == {
+            labelled("dist.shard.pairs", shard=s): float(total)
+            for s, total in enumerate(serial_totals)
+        }
+        assert server_counters == serial_counters
 
     def test_crash_mid_run_replays_to_dense_signature(self):
         """Kill shard 0's process partway through the stream: the

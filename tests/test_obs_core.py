@@ -18,7 +18,7 @@ from repro.obs import (
     MetricsRegistry,
     TraceRecorder,
     percentile,
-    read_trace,
+    read_jsonl,
 )
 
 
@@ -202,7 +202,7 @@ class TestJsonlSink:
         with obs.recording(JsonlSink(path)):
             with obs.span("root", n=np.int64(3), arr=np.array([1.0, 2.0])):
                 obs.counter("hits", np.float64(2.0))
-        records = read_trace(path)
+        records = read_jsonl(path)
         assert [r["type"] for r in records] == ["span", "metrics"]
         assert records[0]["attrs"] == {"n": 3, "arr": [1.0, 2.0]}
         assert records[1]["counters"]["hits"] == 2.0

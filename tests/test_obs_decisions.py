@@ -7,8 +7,8 @@ provenance & SLOs"):
   **bit-identical** to a run that never heard of decision logging;
 * with a log, every task gets exactly one terminal record whose counts
   reconcile exactly with the run result, single-shard and sharded alike
-  (sharded engines merge per-stripe spools into one log at close);
-* readers tolerate truncated tails, interleaved shard spools, and
+  (sharded engines write the same single log, with a ``shard`` field);
+* readers tolerate truncated tails, out-of-order records, and
   crash-replay duplicates — warning, never double-counting;
 * ``diff_decisions`` attributes 100% of the completion delta between
   two runs to reason-code transitions, by construction.
@@ -31,13 +31,12 @@ from repro.obs.decisions import (
     diff_decisions,
     explain_task,
     find_decision_log,
-    merge_decision_spools,
     read_decisions,
     reconcile,
     render_explain,
     render_run_diff,
-    write_decisions,
 )
+from repro.obs.sinks import JsonlSink
 from repro.serve import (
     DeadReckoningProvider,
     ServeConfig,
@@ -116,6 +115,15 @@ class TestNoOpContract:
         assert check["observed"]["shed"] == result.n_shed
 
 
+def write_log(path, records):
+    """A decision log on disk: the header, then ``records`` in order."""
+    sink = JsonlSink(path)
+    sink.emit({"type": "decisions_start"})
+    for rec in records:
+        sink.emit(rec)
+    sink.close()
+
+
 class TestTolerantReading:
     def _records(self):
         return [
@@ -126,7 +134,7 @@ class TestTolerantReading:
 
     def test_truncated_final_record(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        write_decisions(path, self._records())
+        write_log(path, self._records())
         raw = path.read_bytes()
         path.write_bytes(raw[:-15])  # chop into the final JSON line
         with pytest.warns(UserWarning, match="truncated"):
@@ -138,7 +146,7 @@ class TestTolerantReading:
         records = self._records()
         # A replayed coordinator re-appends its tail with a newer state.
         replayed = dict(records[-1], reason="expired:horizon", terminal="expired")
-        write_decisions(path, records + [replayed])
+        write_log(path, records + [replayed])
         with pytest.warns(UserWarning, match="duplicate"):
             loaded = read_decisions(path)
         assert len(loaded) == len(records)
@@ -146,17 +154,15 @@ class TestTolerantReading:
         # Last copy wins.
         assert loaded[-1]["reason"] == "expired:horizon"
 
-    def test_interleaved_shard_spools_merge_sorted(self, tmp_path):
-        spool_dir = tmp_path / "log.shards"
-        spool_dir.mkdir()
-        evens = [r for r in self._records() if r["task"] % 2 == 0]
-        odds = [r for r in self._records() if r["task"] % 2 == 1]
-        write_decisions(spool_dir / "decisions-shard0.jsonl", evens)
-        # Shard 1 also replays task 0 (cross-spool duplicate).
-        write_decisions(spool_dir / "decisions-shard1.jsonl", odds + [dict(evens[0])])
+    def test_out_of_order_records_come_back_sorted(self, tmp_path):
+        """A sharded log is in terminal order, not task order; readers
+        sort by task id and collapse a replayed duplicate."""
+        path = tmp_path / "d.jsonl"
+        records = self._records()
+        write_log(path, [records[2], records[0], records[3], records[1], dict(records[0])])
         with pytest.warns(UserWarning, match="duplicate"):
-            merged = merge_decision_spools(spool_dir)
-        assert [r["task"] for r in merged] == [0, 1, 2, 3]
+            loaded = read_decisions(path)
+        assert [r["task"] for r in loaded] == [0, 1, 2, 3]
 
     def test_non_decision_records_ignored(self):
         mixed = [{"type": "decisions_start"}, *self._records(), {"type": "noise"}]
@@ -216,8 +222,8 @@ class TestDiff:
 class TestFindLog:
     def _write_run(self, tmp_path):
         log = tmp_path / "run.decisions.jsonl"
-        write_decisions(log, [{"type": "decision", "task": 0,
-                               "terminal": "completed", "reason": "completed"}])
+        write_log(log, [{"type": "decision", "task": 0,
+                         "terminal": "completed", "reason": "completed"}])
         manifest = RunManifest.start(command="t", argv=[], config={}, seed=0)
         path = tmp_path / "run.manifest.json"
         manifest.finalize(metrics={}, artifacts={"decisions": str(log)}).write(path)
@@ -249,6 +255,8 @@ class TestFindLog:
 
 class TestShardedLog:
     def test_merged_log_reconciles_and_carries_shards(self, tmp_path):
+        """A sharded engine writes one log directly: no per-shard spool
+        directory, exact reconciliation, and a shard on every record."""
         from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
 
         cfg = StreamConfig(n_workers=30, n_tasks=60, t_end=40.0, seed=7,
@@ -278,9 +286,8 @@ class TestShardedLog:
             engine.close()
         assert result_signature(result) == result_signature(plain)
         records = read_decisions(log_path)
+        assert not (tmp_path / "sharded.decisions.jsonl.shards").exists()
         assert reconcile(records, result)["ok"]
-        spools = sorted((tmp_path / "sharded.decisions.jsonl.shards").glob("*.jsonl"))
-        assert len(spools) >= 2
         assert {r["shard"] for r in records} >= {0, 1}
 
     def test_arrival_terminals_carry_owning_stripe(self):

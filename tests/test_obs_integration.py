@@ -17,7 +17,7 @@ from repro import obs
 from repro.assignment.hungarian import solve_assignment
 from repro.cli import main
 from repro.meta.maml import MAMLConfig
-from repro.obs import MemorySink, aggregate, read_manifest, read_trace
+from repro.obs import MemorySink, aggregate, read_jsonl, read_manifest
 from repro.pipeline.config import AssignmentConfig, PredictionConfig
 from repro.pipeline.experiment import run_assignment
 from repro.pipeline.training import train_predictor
@@ -149,7 +149,7 @@ class TestCliTracing:
         assert "completion_ratio" in manifest.metrics
 
     def test_trace_covers_the_whole_pipeline(self, traced_ppi):
-        report = aggregate(read_trace(traced_ppi))
+        report = aggregate(read_jsonl(traced_ppi))
         names = {stat.path[-1] for stat in report.stats.values()}
         assert {
             "training.offline",

@@ -28,8 +28,6 @@ from repro.obs import (
     percentile,
     read_jsonl,
     read_manifest,
-    read_series,
-    read_trace,
     render_openmetrics,
     write_openmetrics,
 )
@@ -165,7 +163,7 @@ class TestMetricsMonitor:
         reg.counter("n").add(1.0)
         mon.advance(3.0)
         mon.finish(3.0)
-        records = read_series(series)
+        records = read_jsonl(series)
         assert records[0]["type"] == "monitor_start"
         assert records[0]["cadence"] == 1.0
         assert [r["seq"] for r in records if r["type"] == "sample"] == [0, 1, 2, 3]
@@ -198,7 +196,7 @@ class TestMetricsMonitor:
         mon.start(0.0)
         mon.finish(1.0)
         mon.finish(2.0)
-        assert len([r for r in read_series(series) if r["type"] == "sample"]) == 1
+        assert len([r for r in read_jsonl(series) if r["type"] == "sample"]) == 1
 
 
 class TestOpenMetrics:
@@ -259,7 +257,7 @@ class TestTolerantReaders:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"type": "span", "name": "a"}\n{"type": "spa')
         with pytest.warns(UserWarning, match="trace.jsonl:2.*truncated"):
-            records = read_trace(path)
+            records = read_jsonl(path)
         assert [r["name"] for r in records] == ["a"]
 
     def test_read_jsonl_strict_raises(self, tmp_path):
@@ -268,12 +266,20 @@ class TestTolerantReaders:
         with pytest.raises(json.JSONDecodeError):
             read_jsonl(path, strict=True)
 
-    def test_read_series_skips_truncated_tail(self, tmp_path):
+    def test_monitor_series_skips_truncated_tail(self, tmp_path):
         path = tmp_path / "run.series.jsonl"
-        path.write_text('{"type": "sample", "seq": 0, "t": 1.0}\n{"type": "sam')
-        with pytest.warns(UserWarning):
-            records = read_series(path)
-        assert len(records) == 1
+        mon = MetricsMonitor(
+            MonitorConfig(cadence=1.0, series_path=str(path), calibration=None),
+            MetricsRegistry(),
+        )
+        mon.start(0.0)
+        mon.advance(2.0)
+        mon.finish(2.0)
+        intact = read_jsonl(path)
+        path.write_bytes(path.read_bytes()[:-10])  # run killed mid-write
+        with pytest.warns(UserWarning, match="truncated"):
+            records = read_jsonl(path)
+        assert records == intact[:-1]
 
     def test_corrupt_manifest_names_the_file(self, tmp_path):
         path = tmp_path / "run.manifest.json"

@@ -21,7 +21,7 @@ from repro.obs import (
     SLOEvaluator,
     SLOSpec,
     parse_slo,
-    read_series,
+    read_jsonl,
     render_serve_report,
 )
 
@@ -163,7 +163,7 @@ class TestEndToEnd:
         # An unreachable target guarantees a breach on a seeded run.
         series = self._series(tmp_path, "ar=serve.accepted/serve.assignments>=0.999")
         capsys.readouterr()
-        records = read_series(series)
+        records = read_jsonl(series)
         assert any(r.get("type") == "slo_spec" for r in records)
         samples = [r for r in records if r.get("type") == "sample"]
         assert all("slos" in s for s in samples)
@@ -190,7 +190,7 @@ class TestReportHardening:
     def test_empty_series_renders_gracefully(self, tmp_path):
         path = tmp_path / "empty.series.jsonl"
         path.write_text('{"type": "monitor_start", "cadence": 2.0}\n')
-        report = render_serve_report(read_series(path), title="empty")
+        report = render_serve_report(read_jsonl(path), title="empty")
         assert "no samples" in report
 
     def test_single_sample_series_renders(self, tmp_path):
@@ -203,7 +203,7 @@ class TestReportHardening:
             "--horizon", "10", "--monitor", str(series),
             "--monitor-cadence", "500",
         ])
-        records = read_series(series)
+        records = read_jsonl(series)
         samples = [r for r in records if r.get("type") == "sample"]
         assert len(samples) == 1
         report = render_serve_report(records, title="one")

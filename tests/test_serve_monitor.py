@@ -19,7 +19,7 @@ from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.cli import main as cli_main
 from repro.geo.point import Point
-from repro.obs import MemorySink, MonitorConfig, read_series
+from repro.obs import MemorySink, MonitorConfig, read_jsonl
 from repro.sc.acceptance import oracle_future_route
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.serve import (
@@ -88,7 +88,7 @@ class TestNoOpContract:
         assert obs.get_recorder() is obs.NOOP
         # The series file was closed with a final sample, so the partial
         # run is still inspectable.
-        assert any(r.get("final") for r in read_series(series))
+        assert any(r.get("final") for r in read_jsonl(series))
 
     def test_external_recorder_is_not_displaced(self):
         tasks, workers = seeded_scenario(n_workers=5, n_tasks=10, t_end=10.0)
@@ -114,7 +114,7 @@ class TestMonitoredRunOutputs:
                 cadence=4.0, series_path=str(series), openmetrics_path=str(exposition)
             ),
         )
-        records = read_series(series)
+        records = read_jsonl(series)
         samples = [r for r in records if r["type"] == "sample"]
         assert len(samples) == result.n_monitor_samples
         assert [s["seq"] for s in samples] == list(range(len(samples)))
@@ -134,7 +134,7 @@ class TestMonitoredRunOutputs:
             cache_ttl=4.0,
             monitor=MonitorConfig(cadence=4.0, series_path=str(tmp_path / "s.jsonl")),
         )
-        final = [r for r in read_series(tmp_path / "s.jsonl") if r["type"] == "sample"][-1]
+        final = [r for r in read_jsonl(tmp_path / "s.jsonl") if r["type"] == "sample"][-1]
         for hist in ("serve.loop.lag_s", "serve.batch.latency_s", "serve.index.candidates",
                      "serve.task.time_to_assign"):
             assert hist in final["histograms"], hist
@@ -143,7 +143,7 @@ class TestMonitoredRunOutputs:
         # The candidate histogram sums to the engine's own pair count.
         candidate_windows = [
             s["histograms"].get("serve.index.candidates", {"count": 0})
-            for s in read_series(tmp_path / "s.jsonl")
+            for s in read_jsonl(tmp_path / "s.jsonl")
             if s.get("type") == "sample"
         ]
         assert sum(w.get("sum", 0.0) for w in candidate_windows) == result.n_candidate_pairs
@@ -157,7 +157,7 @@ class TestMonitoredRunOutputs:
                 tasks, workers,
                 monitor=MonitorConfig(cadence=4.0, series_path=str(path)),
             )
-            records = read_series(path)
+            records = read_jsonl(path)
             for r in records:  # wall timestamps legitimately differ
                 r.pop("wall_unix", None)
                 for h in r.get("histograms", {}).values():
@@ -245,14 +245,14 @@ class TestDriftDetection:
         )
         result = engine.run(tasks, 0.0, 90.0)
         assert result.n_drift_events >= 1
-        drifts = [r for r in read_series(series) if r["type"] == "drift"]
+        drifts = [r for r in read_jsonl(series) if r["type"] == "drift"]
         assert len(drifts) == result.n_drift_events
         # The alarm fires in the stale regime, not during the calibrated
         # warm-up.
         assert drifts[0]["t"] > 40.0
         assert drifts[0]["detector"] == "page_hinkley"
         # The drift counter made it into the sampled series too.
-        final = [r for r in read_series(series) if r["type"] == "sample"][-1]
+        final = [r for r in read_jsonl(series) if r["type"] == "sample"][-1]
         assert final["counters"]["serve.calibration.drift"] >= 1
         # Reliability split: confident claims were honoured early
         # (high-p bin mixes accepts and the late rejects).
