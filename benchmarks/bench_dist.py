@@ -23,11 +23,12 @@ Two arms, both parity-asserted before any timing is reported:
   :func:`repro.dist.sharded_build_candidates` with a
   :class:`repro.dist.ComponentMatcher`).  The sharded plan must equal
   the dense plan tuple-for-tuple.  Two sharded timings are taken:
-  ``sharded_cold`` (stateless — the layout and every worker halo
-  recomputed from scratch, the pre-planner behaviour) and
-  ``sharded_steady`` (a persistent :class:`repro.dist.ShardPlanner`
-  carries the stripe layout and halo memberships across calls, the
-  regime a long-lived serving process is actually in).  The steady
+  ``sharded_cold`` (a fresh :class:`repro.dist.ShardPlanner` and
+  :class:`repro.dist.ShardStats` per repeat, so the layout and every
+  worker halo are recomputed from scratch) and ``sharded_steady`` (one
+  persistent planner carries the stripe layout and halo memberships
+  across calls, the regime a long-lived serving process is actually
+  in).  The steady
   overhead over dense is asserted ≤ ``MAX_STEADY_OVERHEAD_PCT`` — the
   planner exists precisely to kill the former +25% serial tax.
 
@@ -244,13 +245,15 @@ def bench_shard(spec: dict) -> dict:
         dense_plan = ppi_assign(tasks, snapshots, t, graph)
         dense_s = min(dense_s, time.perf_counter() - started)
 
-    # Cold: stateless call, layout + every halo recomputed (the
-    # pre-planner behaviour, kept for an honest before/after record).
+    # Cold: a fresh planner per call, so layout + every halo is
+    # recomputed (kept for an honest before/after record).
     cold_s = float("inf")
     cold_plan = None
     for _ in range(repeats):
         started = time.perf_counter()
-        graph = sharded_build_candidates(tasks, snapshots, t, k, cell_km=cell_km)
+        graph = sharded_build_candidates(
+            tasks, snapshots, t, ShardPlanner(shards=k, cell_km=cell_km), stats=ShardStats()
+        )
         cold_plan = ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
         cold_s = min(cold_s, time.perf_counter() - started)
 
@@ -259,7 +262,7 @@ def bench_shard(spec: dict) -> dict:
     # the sticky layout and populates the halo cache; the timed repeats
     # then pay only the cached-lookup cost.
     planner = ShardPlanner(shards=k, cell_km=cell_km)
-    graph = sharded_build_candidates(tasks, snapshots, t, k, cell_km=cell_km, planner=planner)
+    graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=ShardStats())
     ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
     steady_s = float("inf")
     steady_plan = None
@@ -267,9 +270,7 @@ def bench_shard(spec: dict) -> dict:
     for _ in range(repeats):
         stats = ShardStats()
         started = time.perf_counter()
-        graph = sharded_build_candidates(
-            tasks, snapshots, t, k, cell_km=cell_km, stats=stats, planner=planner
-        )
+        graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=stats)
         steady_plan = ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
         steady_s = min(steady_s, time.perf_counter() - started)
 

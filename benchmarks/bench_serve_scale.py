@@ -1,4 +1,4 @@
-"""Benchmark: million-user serving — warm-started matching and shard servers.
+"""Benchmark: serving at scale — warm-started matching and shard servers.
 
 Two arms, both parity-asserted before any timing is reported:
 
@@ -20,19 +20,12 @@ Two arms, both parity-asserted before any timing is reported:
   re-checks against this baseline.
 
 * ``serve_scale`` — one steady-state candidate round at 100k workers x
-  20k pending tasks, K=4 stripes, executed two ways: a **per-call
-  process pool** (every round re-ships each stripe's tasks and member
-  snapshots to a pool worker) and **long-lived shard servers**
+  20k pending tasks, K=4 stripes, on **long-lived shard servers**
   (:class:`repro.dist.ShardServerBackend` — stripe state resident in
   the server processes, a steady round ships only empty deltas and
-  build requests).  Both merged graphs must equal the serial reference
+  build requests).  The merged graph must equal the serial reference
   build exactly.  Throughput is reported as events/second (one event =
-  one pending task or one worker check-in entering the round) and the
-  shard servers must beat the per-call pool — their win is the state
-  they do *not* re-ship, so it holds even on a single-CPU host, where
-  both arms' build work serialises.  A 1M x 100k round is extrapolated
-  linearly in events (per-worker query cost is constant at fixed city
-  density) and flagged as such.
+  one pending task or one worker check-in entering the round).
 
 Writes ``BENCH_serve_scale.json`` at the repo root and a manifest
 under ``benchmarks/results/``.
@@ -41,7 +34,6 @@ under ``benchmarks/results/``.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -52,8 +44,7 @@ from common import write_result  # noqa: E402
 
 from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.dist import ShardPlanner, ShardServerBackend, WarmMatchCache  # noqa: E402
-from repro.dist.backend import ProcessBackend  # noqa: E402
-from repro.dist.shard import ComponentMatcher, sharded_build_candidates  # noqa: E402
+from repro.dist.shard import ComponentMatcher  # noqa: E402
 from repro.dist.server import batch_step, encode_snapshot, encode_task  # noqa: E402
 from repro.scenarios import get_scenario, materialize  # noqa: E402
 from repro.serve import build_candidates  # noqa: E402
@@ -89,9 +80,6 @@ SCALE_SPEC = {
     "shards": 4,
     "repeats": 2,
 }
-
-#: The extrapolation target: the paper's million-user regime.
-TARGET = {"n_workers": 1_000_000, "n_tasks": 100_000}
 
 
 def batch_state(spec: dict):
@@ -199,26 +187,9 @@ def bench_scale(spec: dict) -> dict:
     members = planner.memberships(layout, snapshots, horizon)
     tasks_by_shard: list[list] = [[] for _ in layout.specs]
     for task in tasks:
-        col = math.floor(task.location.x / layout.cell_km)
-        tasks_by_shard[layout.shard_for_column(col)].append(task)
+        tasks_by_shard[layout.shard_for_x(task.location.x)].append(task)
 
-    # --- per-call pool: full stripe state pickled out on every round.
-    pool_s = float("inf")
-    pool_graph: dict = {}
-    with ProcessBackend(workers=k) as pool:
-        sharded_build_candidates(  # warm-up: fork the pool off-clock
-            tasks, snapshots, t, k, cell_km=cell, backend=pool, planner=planner
-        )
-        for _ in range(repeats):
-            started = time.perf_counter()
-            pool_graph = sharded_build_candidates(
-                tasks, snapshots, t, k, cell_km=cell, backend=pool, planner=planner
-            )
-            pool_s = min(pool_s, time.perf_counter() - started)
-    if not graphs_equal(pool_graph, reference):
-        raise AssertionError("per-call pool graph diverged from the serial reference")
-
-    # --- shard servers: state shipped once, steady rounds send only
+    # Shard servers: state shipped once, steady rounds send only
     # empty deltas plus build requests against the resident mirrors.
     server_s = float("inf")
     server_graph: dict = {}
@@ -259,13 +230,7 @@ def bench_scale(spec: dict) -> dict:
         restarts = backend.total_restarts
     if not graphs_equal(server_graph, reference):
         raise AssertionError("shard-server graph diverged from the serial reference")
-    if server_s >= pool_s:
-        raise AssertionError(
-            f"shard servers ({server_s:.2f} s/round) did not beat the per-call "
-            f"pool ({pool_s:.2f} s/round)"
-        )
 
-    scale = (TARGET["n_workers"] + TARGET["n_tasks"]) / events
     params = get_scenario(spec["scenario"]).params
     return {
         "scenario": spec["scenario"],
@@ -276,27 +241,10 @@ def bench_scale(spec: dict) -> dict:
         "cell_km": cell,
         "events_per_round": events,
         "boundary_members": sum(len(m) for m in members) - len(snapshots),
-        "timings_s": {
-            "pool_round": pool_s,
-            "server_round": server_s,
-        },
-        "events_per_sec": {
-            "per_call_pool": events / pool_s,
-            "shard_servers": events / server_s,
-        },
-        "server_vs_pool": pool_s / server_s,
+        "timings_s": {"server_round": server_s},
+        "events_per_sec": {"shard_servers": events / server_s},
         "server_restarts": restarts,
         "graphs_identical": True,
-        "extrapolated_1m": {
-            "n_workers": TARGET["n_workers"],
-            "n_tasks": TARGET["n_tasks"],
-            "extrapolated": True,
-            "basis": "linear in events (fixed city density)",
-            "round_seconds": {
-                "per_call_pool": pool_s * scale,
-                "shard_servers": server_s * scale,
-            },
-        },
     }
 
 
@@ -334,24 +282,12 @@ def main() -> None:
         scale = result["shapes"][HEADLINE]
         st = scale["timings_s"]
         eps = scale["events_per_sec"]
-        extra = scale["extrapolated_1m"]
         lines.append(
             f"{HEADLINE:12s} {scale['n_workers']}w x {scale['n_tasks']}t, K={scale['shards']}"
-            f"  pool {st['pool_round']:6.2f} s/round ({eps['per_call_pool']:8.0f} ev/s)"
-            f" | servers {st['server_round']:6.2f} s/round ({eps['shard_servers']:8.0f} ev/s)"
-            f" | servers {scale['server_vs_pool']:.2f}x pool (graphs identical)"
+            f"  servers {st['server_round']:6.2f} s/round ({eps['shard_servers']:8.0f} ev/s)"
+            f" (graph identical to serial)"
         )
-        lines.append(
-            f"{'':12s} extrapolated {extra['n_workers']}w x {extra['n_tasks']}t:"
-            f" pool {extra['round_seconds']['per_call_pool']:7.1f} s/round"
-            f" | servers {extra['round_seconds']['shard_servers']:7.1f} s/round"
-            f" ({extra['basis']})"
-        )
-        metrics.update(
-            events_per_sec_servers=eps["shard_servers"],
-            events_per_sec_pool=eps["per_call_pool"],
-            server_vs_pool=scale["server_vs_pool"],
-        )
+        metrics.update(events_per_sec_servers=eps["shard_servers"])
     write_result("serve_scale", "\n".join(lines), metrics=metrics)
     print(f"[saved to {OUTPUT}]")
 

@@ -18,7 +18,9 @@ Examples::
 The CLI drives the same pipeline as the benches, at whatever scale the
 flags request.  ``--trace PATH`` records the run as a JSONL span trace
 plus a run manifest (config, seed, git SHA, final metrics) next to it;
-``trace-report`` renders the per-stage breakdown.  Sharded traced runs
+``trace-report`` renders the per-stage breakdown.  ``serve-sim --shards
+K`` serves through K x-stripes, built in process or, with
+``--shard-servers``, on long-lived shard servers.  Sharded traced runs
 additionally spool per-process telemetry into ``<trace>.spools`` and
 ``trace-report --distributed`` merges those spools into one timeline
 with a per-round straggler and critical-path breakdown.  ``serve-sim
@@ -153,14 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shards", type=int, default=1,
                        help=">1 serves through the sharded engine (per-stripe candidate "
                             "builds merged to the identical dense plan)")
-        p.add_argument("--backend", choices=("serial", "process", "shard_server"),
-                       default="serial",
-                       help="where per-shard candidate jobs run (with --shards)")
-        p.add_argument("--dist-workers", type=int, default=1,
-                       help="process-pool size for per-shard jobs (with --backend process)")
         p.add_argument("--shard-servers", action="store_true",
-                       help="shorthand for --backend shard_server: long-lived stateful "
-                            "shard processes fed incremental deltas")
+                       help="run the stripe builds on long-lived stateful shard processes "
+                            "fed incremental deltas (with --shards; default: in process)")
         p.add_argument("--warm-start", action="store_true",
                        help="carry Hungarian dual potentials across batches; unchanged "
                             "components skip the solve (plans unchanged)")
@@ -192,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_serve_policy_flags(serve)
     serve.add_argument("--spool-dir", metavar="DIR", default=None,
                        help="per-process telemetry spool directory for distributed runs "
-                            "(default with --trace and a non-serial backend: <trace>.spools)")
+                            "(default with --trace and --shard-servers: <trace>.spools)")
     serve.add_argument("--no-spool", action="store_true",
                        help="disable worker telemetry spooling even when --trace is set")
     serve.add_argument("--profile-shards", action="store_true",

@@ -14,8 +14,9 @@ Three arms, one invariant (see ``docs/DISTRIBUTED.md``):
   subclass that swaps in the sharded candidate build and per-shard
   routing metrics without touching the event loop.
 
-Everything runs on a :class:`~repro.dist.backend.Backend` — serial by
-default (zero behavior change), or a ``multiprocessing`` pool — and the
+Meta-training runs on a :class:`~repro.dist.backend.Backend` — serial
+by default (zero behavior change), or a ``multiprocessing`` pool —
+and sharded serving runs serial or on long-lived shard servers; the
 parity tests swap backends and compare outputs exactly.
 """
 
@@ -33,7 +34,6 @@ from repro.dist.serve import ShardedEngine, component_candidate_assign
 from repro.dist.server import ShardServerError, ShardServerHandle, serve_shard
 from repro.dist.shard import (
     ComponentMatcher,
-    ShardCandidateJob,
     ShardLayout,
     ShardPlanner,
     ShardSpec,
@@ -41,8 +41,6 @@ from repro.dist.shard import (
     WarmMatchCache,
     connected_components,
     make_shards,
-    run_shard_candidate_job,
-    shard_memberships,
     sharded_build_candidates,
 )
 
@@ -53,7 +51,6 @@ __all__ = [
     "LeafJob",
     "ProcessBackend",
     "SerialBackend",
-    "ShardCandidateJob",
     "ShardLayout",
     "ShardPlanner",
     "ShardServerBackend",
@@ -70,8 +67,6 @@ __all__ = [
     "make_shards",
     "resolve_backend",
     "run_leaf_job",
-    "run_shard_candidate_job",
     "serve_shard",
-    "shard_memberships",
     "sharded_build_candidates",
 ]

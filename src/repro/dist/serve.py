@@ -5,11 +5,13 @@ bound, and acceptance bookkeeping of :class:`repro.serve.engine.ServeEngine`
 untouched and overrides exactly three hooks:
 
 * ``_build_candidates`` — each batch's candidate graph is built stripe
-  by stripe through :func:`repro.dist.shard.sharded_build_candidates`
-  (optionally fanned across a :class:`~repro.dist.backend.Backend`),
-  which provably merges to the dense graph, so every downstream plan —
-  and therefore :func:`repro.serve.adapters.result_signature` — is
-  unchanged at any shard count;
+  by stripe on long-lived shard servers (``DistConfig.backend =
+  "shard_server"``) or, on the serial backend, once in process by
+  :func:`repro.dist.shard.sharded_build_candidates` with the same
+  per-stripe accounting.  Either way it provably equals the dense
+  graph, so every downstream plan — and therefore
+  :func:`repro.serve.adapters.result_signature` — is unchanged at any
+  shard count;
 * ``_on_event`` — before the engine dispatches an event, events
   carrying a location are routed to the stripe that owns (or is
   nearest to) their cell column under the most recent batch's shard
@@ -60,14 +62,13 @@ from repro.dist.shard import (
 )
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.platform import AssignFn, SnapshotProvider
-from repro.serve.engine import CandidateAssignFn, ServeConfig, ServeEngine
+from repro.serve.engine import CandidateAssignFn, ServeConfig, ServeEngine, ServeResult
 from repro.serve.events import TaskArrival, TaskCancel, TaskDeadline
 from repro.serve.spatial_index import latest_horizon
 
 
 def component_candidate_assign(
     assign: Callable[..., AssignmentPlan],
-    backend: Backend | None = None,
     warm_start: bool = False,
 ) -> CandidateAssignFn:
     """``assign`` with its KM solves decomposed by connected component.
@@ -79,7 +80,7 @@ def component_candidate_assign(
     a drop-in for the engine's candidate path with the same plans (the
     component decomposition is exact under a unique optimum, see
     :mod:`repro.dist.shard`), each matching split into its connected
-    components — optionally solved across ``backend``.
+    components.
 
     ``warm_start`` keeps a :class:`~repro.dist.shard.WarmMatchCache` in
     the closure: successive batches seed each component's solve with the
@@ -87,7 +88,7 @@ def component_candidate_assign(
     The cache is per-closure state, so build one closure per engine.
     """
     warm = WarmMatchCache() if warm_start else None
-    matcher = ComponentMatcher(backend=backend, warm=warm)
+    matcher = ComponentMatcher(warm=warm)
 
     def decomposed(
         tasks: Sequence[SpatialTask],
@@ -109,8 +110,10 @@ class ShardedEngine(ServeEngine):
     Parameters are those of :class:`ServeEngine` plus the dist knobs;
     ``config.use_index`` is forced on (sharding *is* an index strategy)
     and a ``candidate_assign_fn`` is therefore required.  ``dist``
-    controls both the stripe count and where stripe jobs run; serial
-    backend with any shard count is the parity reference.
+    controls both the stripe count and where stripe builds run:
+    ``"serial"`` (in process, the parity reference) or
+    ``"shard_server"``.  The engine owns the backend it resolves from
+    ``dist``; :meth:`close` releases it.
     """
 
     def __init__(
@@ -121,7 +124,6 @@ class ShardedEngine(ServeEngine):
         assign_fn: AssignFn | None = None,
         candidate_assign_fn: CandidateAssignFn | None = None,
         dist: DistConfig | None = None,
-        backend: Backend | None = None,
     ) -> None:
         cfg = config if config is not None else ServeConfig()
         if not cfg.use_index:
@@ -134,9 +136,13 @@ class ShardedEngine(ServeEngine):
             candidate_assign_fn=candidate_assign_fn,
         )
         self.dist = dist if dist is not None else DistConfig()
-        self._owns_backend = backend is None
-        self.backend: Backend = backend if backend is not None else resolve_backend(self.dist)
-        #: One :class:`ShardStats` per batch, in batch order.
+        if self.dist.backend == "process":
+            raise ValueError(
+                "DistConfig.backend 'process' does not serve a ShardedEngine; "
+                "use 'serial' or 'shard_server'"
+            )
+        self.backend: Backend = resolve_backend(self.dist)
+        #: One :class:`ShardStats` per batch of the latest run, in batch order.
         self.batch_stats: list[ShardStats] = []
         self._planner = ShardPlanner(
             shards=self.dist.shards, cell_km=self.config.index_cell_km
@@ -156,6 +162,22 @@ class ShardedEngine(ServeEngine):
         #: replies, in arrival order (see :class:`repro.obs.dist.DistObsConfig`).
         self.profile_hotspots: list[dict] = []
 
+    def run(
+        self,
+        tasks: Sequence[SpatialTask],
+        t_start: float,
+        t_end: float,
+        outcome_listener: Callable[[int, int, bool, float], None] | None = None,
+    ) -> ServeResult:
+        # Stripe routing and batch accounting are per run; the planner
+        # and the server mirrors persist because they track what the
+        # shard servers hold.
+        self.batch_stats = []
+        self._last_specs = []
+        self._last_merge_t = None
+        self._task_col = {}
+        return super().run(tasks, t_start, t_end, outcome_listener)
+
     # ------------------------------------------------------------------
     def _build_candidates(
         self,
@@ -163,7 +185,6 @@ class ShardedEngine(ServeEngine):
         snapshots: Sequence[WorkerSnapshot],
         t: float,
     ) -> dict[int, list[int]]:
-        cfg = self.config
         stats = ShardStats()
         if isinstance(self.backend, ShardServerBackend):
             graph = self._server_build(batch_tasks, snapshots, t, stats)
@@ -172,15 +193,12 @@ class ShardedEngine(ServeEngine):
                 batch_tasks,
                 snapshots,
                 t,
-                shards=self.dist.shards,
-                cell_km=cfg.index_cell_km,
-                max_candidates=cfg.max_candidates,
-                backend=self.backend,
+                self._planner,
+                max_candidates=self.config.max_candidates,
                 stats=stats,
-                planner=self._planner,
             )
-            layout = self._planner._layout
-            self._last_specs = list(layout.specs) if layout is not None else []
+        layout = self._planner._layout
+        self._last_specs = list(layout.specs) if layout is not None else []
         self.batch_stats.append(stats)
         self._last_merge_t = t
         obs.counter("dist.serve.boundary_workers", stats.n_boundary_workers)
@@ -210,15 +228,13 @@ class ShardedEngine(ServeEngine):
                 layout = self._planner.layout_for(batch_tasks)
                 if layout is None:
                     return {}
-                self._last_specs = list(layout.specs)
                 horizon = latest_horizon(batch_tasks, t)
                 members = self._planner.memberships(layout, snapshots, horizon)
                 n_shards = len(layout)
 
                 owned: list[dict[int, SpatialTask]] = [{} for _ in range(n_shards)]
                 for task in batch_tasks:
-                    col = math.floor(task.location.x / layout.cell_km)
-                    owned[layout.shard_for_column(col)][task.task_id] = task
+                    owned[layout.shard_for_x(task.location.x)][task.task_id] = task
 
                 deltas: list[dict] = []
                 builds: list[dict] = []
@@ -389,6 +405,5 @@ class ShardedEngine(ServeEngine):
         return sum(s.n_boundary_workers for s in self.batch_stats)
 
     def close(self) -> None:
-        """Release the backend, if this engine created it."""
-        if self._owns_backend:
-            self.backend.close()
+        """Release the backend (stops any shard servers)."""
+        self.backend.close()

@@ -24,6 +24,13 @@ output — including per-task worker order (stripes preserve global
 snapshot order) and ``max_candidates`` pruning (each task's full
 candidate list lives in its owning stripe).  The parity tests pin this.
 
+:class:`ShardPlanner` is the one stripe/halo implementation: it keeps
+a sticky :class:`ShardLayout` and caches each worker's halo.  The
+stripe builds themselves run on long-lived shard servers
+(:mod:`repro.dist.server`, fed by :class:`repro.dist.ShardedEngine`);
+in one process, :func:`sharded_build_candidates` builds the dense
+graph once and uses the planner only for the per-stripe accounting.
+
 Matching then decomposes by *connected components* of the edge graph:
 stages 1 and 3 of PPI (and all of KM) are global max-weight matchings,
 and a maximum matching restricted to a connected component is the
@@ -40,7 +47,7 @@ chunks are at most ``epsilon`` edges anyway.
 A sharded assignment round is the composition of the two::
 
     ppi_assign(tasks, snapshots, t,
-               sharded_build_candidates(tasks, snapshots, t, shards),
+               sharded_build_candidates(tasks, snapshots, t, ShardPlanner(shards)),
                matcher=ComponentMatcher())
 """
 
@@ -54,7 +61,6 @@ from typing import Sequence
 from repro import obs
 from repro.obs.metrics import labelled
 from repro.assignment.hungarian import WarmStartState, maximum_weight_matching
-from repro.dist.backend import Backend, SerialBackend
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 from repro.serve.spatial_index import build_candidates, cells_in_radius, latest_horizon
 
@@ -95,9 +101,9 @@ def fill_shard_stats(
     """Record one batch's decomposition and publish its pair counters.
 
     ``members`` holds each stripe's snapshot positions; a snapshot in
-    more than one stripe is a boundary worker.  Every build path (serial
-    planner, pool, shard servers) reports through here, so each emits
-    the same ``dist.shard.pairs{shard=S}`` counters.
+    more than one stripe is a boundary worker.  Both build paths (serial
+    and shard servers) report through here, so each emits the same
+    ``dist.shard.pairs{shard=S}`` counters.
     """
     seen: dict[int, int] = {}
     for posns in members:
@@ -140,42 +146,6 @@ def make_shards(
         start += size
         shards.append(ShardSpec(shard_id=shard_id, col_lo=run[0], col_hi=run[-1]))
     return shards
-
-
-def shard_memberships(
-    shards: Sequence[ShardSpec],
-    snapshots: Sequence[WorkerSnapshot],
-    horizon: float,
-    cell_km: float,
-) -> list[list[int]]:
-    """Snapshot positions per shard, preserving global snapshot order.
-
-    A snapshot joins every stripe whose column range intersects the
-    cells its radius-``min(d/2, sp * horizon)`` queries would scan
-    (:func:`cells_in_radius` around each predicted point) — the halo.
-    Snapshots the dense path would skip (no predicted points, zero
-    radius) join nothing, exactly as the dense loop `continue`s them.
-    """
-    col_to_shard: dict[int, int] = {}
-    for spec in shards:
-        for col in range(spec.col_lo, spec.col_hi + 1):
-            col_to_shard[col] = spec.shard_id
-    members: list[list[int]] = [[] for _ in shards]
-    for pos, snap in enumerate(snapshots):
-        if len(snap.predicted_xy) == 0:
-            continue
-        radius = min(snap.detour_budget_km / 2.0, snap.speed_km_per_min * horizon)
-        if radius <= 0:
-            continue
-        touched: set[int] = set()
-        for x, y in snap.predicted_xy:
-            for cx, _cy in cells_in_radius(float(x), float(y), radius, cell_km):
-                shard_id = col_to_shard.get(cx)
-                if shard_id is not None:
-                    touched.add(shard_id)
-        for shard_id in sorted(touched):
-            members[shard_id].append(pos)
-    return members
 
 
 def same_track(a, b) -> bool:
@@ -232,6 +202,10 @@ class ShardLayout:
     def shard_for_column(self, col: int) -> int:
         return bisect_left(self.boundaries, col)
 
+    def shard_for_x(self, x: float) -> int:
+        """The stripe owning the cell column of x-coordinate ``x``."""
+        return self.shard_for_column(math.floor(x / self.cell_km))
+
     def __len__(self) -> int:
         return len(self.specs)
 
@@ -241,7 +215,7 @@ class ShardPlanner:
     """Caches the stripe layout and worker halo lookups across batches.
 
     Recomputing :func:`make_shards` and rasterising every snapshot's
-    halo (:func:`shard_memberships`) each batch is the serial overhead
+    halo each batch is the serial overhead
     that made sharding *lose* time; both are stable across consecutive
     batches.  The layout is computed once from the first non-empty task
     batch and kept (optionally refreshed every ``relayout_every``
@@ -290,7 +264,14 @@ class ShardPlanner:
         snapshots: Sequence[WorkerSnapshot],
         horizon: float,
     ) -> list[list[int]]:
-        """Like :func:`shard_memberships`, but total-map routed and cached.
+        """Snapshot positions per stripe, preserving global snapshot order.
+
+        A snapshot joins every stripe whose columns intersect the cells
+        its radius-``min(d/2, sp * horizon)`` queries would scan
+        (:func:`cells_in_radius` around each predicted point, routed
+        through the layout's total column map) — the halo.  Snapshots
+        the dense path skips (no predicted points, zero radius) join
+        nothing, exactly as the dense loop skips them.
 
         Exactness does not depend on the cache key: a stale entry is
         impossible because a hit requires the *same* predicted-point
@@ -333,158 +314,47 @@ class ShardPlanner:
         return members
 
 
-@dataclass(frozen=True)
-class ShardCandidateJob:
-    """One stripe's candidate generation, as a picklable payload."""
-
-    tasks: tuple[SpatialTask, ...]
-    snapshots: tuple[WorkerSnapshot, ...]
-    current_time: float
-    cell_km: float
-    max_candidates: int | None
-    horizon: float
-
-
-def run_shard_candidate_job(job: ShardCandidateJob) -> dict[int, list[int]]:
-    """Build one stripe's candidate graph (the pool worker entry)."""
-    return build_candidates(
-        list(job.tasks),
-        list(job.snapshots),
-        job.current_time,
-        cell_km=job.cell_km,
-        max_candidates=job.max_candidates,
-        horizon=job.horizon,
-    )
-
-
-def _serial_planner_build(
-    tasks: Sequence[SpatialTask],
-    snapshots: Sequence[WorkerSnapshot],
-    current_time: float,
-    layout: ShardLayout,
-    members: Sequence[Sequence[int]],
-    tasks_by_shard: Sequence[Sequence[SpatialTask]],
-    cell_km: float,
-    max_candidates: int | None,
-    horizon: float,
-    stats: ShardStats | None,
-) -> dict[int, list[int]]:
-    """The planner path's serial coordinator fast path.
-
-    With no pool to farm the stripe jobs to, running one
-    :func:`build_candidates` per stripe re-queries every boundary
-    worker's halo once per stripe it touches — pure duplication when a
-    single process executes all stripes anyway.  Querying each halo
-    once against the *global* task index yields the identical graphs: a
-    task's hits can only come from workers whose halo touches its
-    owning stripe (halo and ownership go through the same total map),
-    so the dense graph partitioned by task ownership equals the union
-    of the per-stripe builds, hit for hit and in the same snapshot
-    order.  ``stats`` still reports the real decomposition — the one a
-    parallel backend would execute.
-    """
-    merged = build_candidates(
-        tasks, snapshots, current_time,
-        cell_km=cell_km, max_candidates=max_candidates, horizon=horizon,
-    )
-    obs.histogram("dist.merge.seconds", 0.0)
-    if stats is not None:
-        task_owner = {
-            task.task_id: s
-            for s, owned in enumerate(tasks_by_shard)
-            for task in owned
-        }
-        pairs = [0] * len(layout.specs)
-        for task_id, workers in merged.items():
-            pairs[task_owner[task_id]] += len(workers)
-        fill_shard_stats(
-            stats, [len(t) for t in tasks_by_shard], members, pairs, 0.0
-        )
-    return merged
-
-
 def sharded_build_candidates(
     tasks: Sequence[SpatialTask],
     snapshots: Sequence[WorkerSnapshot],
     current_time: float,
-    shards: int,
-    cell_km: float = 1.0,
+    planner: ShardPlanner,
     max_candidates: int | None = None,
-    backend: Backend | None = None,
     stats: ShardStats | None = None,
-    planner: ShardPlanner | None = None,
 ) -> dict[int, list[int]]:
-    """The dense candidate graph, built stripe by stripe.
+    """The dense candidate graph, accounted stripe by stripe.
 
-    Provably identical to ``build_candidates(tasks, snapshots, ...)``
-    (module docstring has the argument; the parity tests have the
-    receipts).  ``stats``, when given, is filled with the per-shard
-    accounting of this batch.  ``planner``, when given, reuses its
-    sticky layout and halo cache instead of re-sharding from scratch —
-    the steady-state path for streaming callers.
+    One :func:`build_candidates` over the global task index: a single
+    process executing every stripe would only re-query each boundary
+    worker's halo once per stripe it touches.  The result equals the
+    union of the per-stripe builds a shard server runs — a task's hits
+    can only come from workers whose halo touches its owning stripe
+    (halo and ownership go through the same total map), so the dense
+    graph partitioned by task ownership is that union, hit for hit and
+    in the same snapshot order.  ``planner`` supplies the sticky layout
+    (an empty task set with no layout yet builds nothing); with
+    ``stats`` given, its halo memberships fill the per-shard accounting
+    and the ``dist.shard.pairs{shard=S}`` counters of the decomposition
+    a shard-server run would execute.
     """
-    resolved = backend if backend is not None else SerialBackend()
+    layout = planner.layout_for(tasks)
+    if layout is None:
+        return {}
     horizon = latest_horizon(tasks, current_time)
-    if planner is not None:
-        layout = planner.layout_for(tasks)
-        if layout is None:
-            return {}
-        specs = list(layout.specs)
-        members = planner.memberships(layout, snapshots, horizon)
-        tasks_by_shard = [[] for _ in specs]
-        for task in tasks:
-            col = math.floor(task.location.x / layout.cell_km)
-            tasks_by_shard[layout.shard_for_column(col)].append(task)
-        cell_km = layout.cell_km
-        if isinstance(resolved, SerialBackend):
-            return _serial_planner_build(
-                tasks, snapshots, current_time, layout, members, tasks_by_shard,
-                cell_km, max_candidates, horizon, stats,
-            )
-    else:
-        specs = make_shards(tasks, shards, cell_km)
-        if not specs:
-            return {}
-        members = shard_memberships(specs, snapshots, horizon, cell_km)
-
-        tasks_by_shard = [[] for _ in specs]
-        for task in tasks:
-            col = math.floor(task.location.x / cell_km)
-            for spec in specs:
-                if spec.owns_column(col):
-                    tasks_by_shard[spec.shard_id].append(task)
-                    break
-
-    jobs = [
-        ShardCandidateJob(
-            tasks=tuple(tasks_by_shard[s]),
-            snapshots=tuple(snapshots[pos] for pos in members[s]),
-            current_time=current_time,
-            cell_km=cell_km,
-            max_candidates=max_candidates,
-            horizon=horizon,
-        )
-        for s in range(len(specs))
-    ]
-    graphs = resolved.map_ordered(run_shard_candidate_job, jobs)
-
-    import time as _time
-
-    started = _time.perf_counter()
-    merged: dict[int, list[int]] = {}
-    for graph in graphs:  # task ownership is disjoint: a plain union
-        merged.update(graph)
-    merge_seconds = _time.perf_counter() - started
-    obs.histogram("dist.merge.seconds", merge_seconds)
-
+    merged = build_candidates(
+        tasks, snapshots, current_time,
+        cell_km=layout.cell_km, max_candidates=max_candidates, horizon=horizon,
+    )
+    obs.histogram("dist.merge.seconds", 0.0)
     if stats is not None:
-        fill_shard_stats(
-            stats,
-            [len(t) for t in tasks_by_shard],
-            members,
-            [sum(len(v) for v in g.values()) for g in graphs],
-            merge_seconds,
-        )
+        tasks_per_shard = [0] * len(layout)
+        pairs = [0] * len(layout)
+        for task in tasks:
+            owner = layout.shard_for_x(task.location.x)
+            tasks_per_shard[owner] += 1
+            pairs[owner] += len(merged.get(task.task_id, ()))
+        members = planner.memberships(layout, snapshots, horizon)
+        fill_shard_stats(stats, tasks_per_shard, members, pairs, 0.0)
     return merged
 
 
@@ -603,10 +473,9 @@ class WarmMatchCache:
 class ComponentMatcher:
     """A drop-in :data:`repro.assignment.ppi.Matcher` that decomposes.
 
-    Solves each connected component with the dense Hungarian solver —
-    optionally fanning components across a backend — and merges the
-    results back into ascending left-id order, the exact order
-    :func:`maximum_weight_matching` emits.  Equal to the global solve
+    Solves each connected component with the dense Hungarian solver and
+    merges the results back into ascending left-id order, the exact
+    order :func:`maximum_weight_matching` emits.  Equal to the global solve
     whenever the maximum-weight matching is unique (see the module
     docstring); edge lists at or below ``inline_below`` are solved
     directly, the decomposition overhead not being worth it (PPI's
@@ -615,12 +484,9 @@ class ComponentMatcher:
     With ``warm`` set, every solve runs inline seeded from the cache's
     per-component :class:`WarmStartState` — unchanged components skip
     the solve entirely via the state's identical-edge-list fast path,
-    changed ones re-augment only affected rows.  Warm solves do not fan
-    out over the backend: the states live in this process, and shipping
-    them would cost more than the solve.
+    changed ones re-augment only affected rows.
     """
 
-    backend: Backend | None = None
     inline_below: int = 16
     warm: WarmMatchCache | None = None
     #: filled per call: component count and largest component size.
@@ -646,8 +512,6 @@ class ComponentMatcher:
                 )
                 for c in components
             ]
-        elif self.backend is not None and len(components) > 1:
-            solved = self.backend.map_ordered(maximum_weight_matching, components)
         else:
             solved = [maximum_weight_matching(c) for c in components]
         merged = [edge for part in solved for edge in part]

@@ -41,10 +41,6 @@ class CalibrationConfig:
     ----------
     n_bins:
         Reliability-diagram resolution over ``[0, 1]``.
-    a_km:
-        Matching-rate distance threshold (Definition 7) used when the
-        serving engine derives predicted completion probabilities;
-        matches ``PPIConfig.a``.
     min_samples:
         Drift alarms are suppressed until this many outcomes arrived
         (the detector still updates, so the baseline is learned from
@@ -60,7 +56,6 @@ class CalibrationConfig:
     """
 
     n_bins: int = 10
-    a_km: float = 0.3
     min_samples: int = 30
     detector: str = "page_hinkley"
     ph_delta: float = 0.02
@@ -71,8 +66,8 @@ class CalibrationConfig:
     def __post_init__(self) -> None:
         if self.n_bins < 1:
             raise ValueError("need at least one reliability bin")
-        if self.a_km < 0:
-            raise ValueError("matching threshold a_km must be non-negative")
+        if self.ph_delta < 0:
+            raise ValueError("ph_delta must be non-negative")
         if self.min_samples < 1:
             raise ValueError("min_samples must be positive")
         if self.detector not in ("page_hinkley", "ewma"):

@@ -114,18 +114,9 @@ class DecisionConfig:
     path:
         JSONL target (``None`` keeps records in memory only — tests
         and in-process analysis).
-    a_km:
-        Theorem-2 grid granularity used when reconstructing the
-        predicted completion probability of an accepted pair (same
-        meaning as ``CalibrationConfig.a_km``).
     """
 
     path: str | None = None
-    a_km: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.a_km <= 0:
-            raise ValueError("a_km must be positive")
 
 
 def _new_record(task, arrival_t: float | None) -> dict:

@@ -96,7 +96,6 @@ def build_dist_config(policy: PolicySpec, dist_obs=None):
 
     return DistConfig(
         backend=policy.dist.backend,
-        workers=policy.dist.workers,
         shards=policy.dist.shards,
         warm_start=policy.dist.warm_start,
         obs=dist_obs,
@@ -188,7 +187,6 @@ def scenario_from_args(args) -> ScenarioSpec:
 
 def policy_from_args(args) -> PolicySpec:
     """The ``PolicySpec`` equivalent of the serve-sim policy flags."""
-    backend = "shard_server" if getattr(args, "shard_servers", False) else args.backend
     return PolicySpec(
         algorithm=args.algorithm,
         assignment_window=args.assignment_window,
@@ -206,9 +204,8 @@ def policy_from_args(args) -> PolicySpec:
             max_candidates=args.max_candidates,
         ),
         dist=DistSpec(
-            backend=backend,
+            backend="shard_server" if args.shard_servers else "serial",
             shards=args.shards,
-            workers=args.dist_workers,
             warm_start=args.warm_start,
         ),
         forecast=forecast_from_args(args),

@@ -78,14 +78,13 @@ class DistSpec:
 
     backend: str = "serial"
     shards: int = 1
-    workers: int = 1
     warm_start: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "process", "shard_server"):
-            raise ValueError("backend must be 'serial', 'process', or 'shard_server'")
-        if self.shards < 1 or self.workers < 1:
-            raise ValueError("shards and workers must be at least 1")
+        if self.backend not in ("serial", "shard_server"):
+            raise ValueError("dist backend must be 'serial' or 'shard_server'")
+        if self.shards < 1:
+            raise ValueError("shards must be at least 1")
 
 
 @dataclass(frozen=True)

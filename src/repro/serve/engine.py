@@ -545,12 +545,7 @@ class ServeEngine:
                         outcome_listener(task.task_id, worker.worker_id, decision.accepted, t)
                     if calibrate or dlog is not None:
                         believed = pair_completion_probability(
-                            snap_by_worker[pair.worker_id],
-                            task,
-                            t,
-                            a=cfg.monitor.calibration.a_km
-                            if calibrate
-                            else cfg.decisions.a_km,
+                            snap_by_worker[pair.worker_id], task, t
                         )
                         if calibrate:
                             monitor.observe_outcome(believed, decision.accepted, t)

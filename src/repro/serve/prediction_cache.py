@@ -1,4 +1,4 @@
-"""TTL cache of worker snapshots keyed by (worker, prediction horizon).
+"""TTL cache of worker snapshots keyed by worker id.
 
 The paper's loop re-predicts every available worker every batch — with
 a 2-minute window and a 10-minute prediction sample step, five
@@ -92,17 +92,13 @@ class PredictionCache:
         Invalidate when the worker's shared location is further than
         this from the cached prediction for the current time (``None``
         disables the check).
-    horizon:
-        Cache key component: snapshots predicted for different horizons
-        must not satisfy each other's lookups.
     """
 
     provider: SnapshotProvider
     ttl: float = 0.0
     deviation_km: float | None = None
-    horizon: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
-    _entries: dict[tuple[int, int | None], _Entry] = field(default_factory=dict, repr=False)
+    _entries: dict[int, _Entry] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.ttl < 0:
@@ -114,7 +110,7 @@ class PredictionCache:
         return self.get(worker, t)
 
     def get(self, worker: Worker, t: float) -> WorkerSnapshot:
-        key = (worker.worker_id, self.horizon)
+        key = worker.worker_id
         if self.ttl > 0:
             entry = self._entries.get(key)
             if entry is not None and t - entry.created <= self.ttl + 1e-9:
@@ -140,10 +136,8 @@ class PredictionCache:
         return snapshot
 
     def invalidate(self, worker_id: int) -> None:
-        """Explicitly drop every cached horizon for one worker."""
-        stale = [key for key in self._entries if key[0] == worker_id]
-        for key in stale:
-            del self._entries[key]
+        """Explicitly drop one worker's cached snapshot."""
+        self._entries.pop(worker_id, None)
 
     def _deviated(self, entry: _Entry, worker: Worker, t: float) -> bool:
         """Has the worker's check-in broken from the cached forecast?"""

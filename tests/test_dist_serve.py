@@ -7,13 +7,14 @@ here.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.assignment.baselines import km_assign
 from repro.assignment.ppi import PPIConfig, ppi_assign
-from repro.dist import DistConfig, ProcessBackend, ShardedEngine, component_candidate_assign
+from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
 from repro.serve import (
     DeadReckoningProvider,
     ServeConfig,
@@ -44,7 +45,7 @@ def run_reference(tasks, workers, seed, algorithm="ppi", **config_kwargs):
     return engine.run(tasks, 0.0, 60.0)
 
 
-def run_sharded(tasks, workers, seed, shards, algorithm="ppi", backend=None, **config_kwargs):
+def run_sharded(tasks, workers, seed, shards, algorithm="ppi", **config_kwargs):
     engine = ShardedEngine(
         workers,
         DeadReckoningProvider(seed=seed),
@@ -52,7 +53,6 @@ def run_sharded(tasks, workers, seed, shards, algorithm="ppi", backend=None, **c
         assign_fn=ASSIGN[algorithm],
         candidate_assign_fn=component_candidate_assign(ASSIGN[algorithm]),
         dist=DistConfig(shards=shards),
-        backend=backend,
     )
     try:
         return engine.run(tasks, 0.0, 60.0), engine
@@ -84,13 +84,6 @@ class TestSignatureParity:
         got, _ = run_sharded(tasks, workers, 6, shards=2, **kwargs)
         assert result_signature(got) == ref
 
-    def test_process_backend_matches_serial(self):
-        tasks, workers = scenario(1, n_workers=15, n_tasks=30)
-        ref = result_signature(run_reference(tasks, workers, 1))
-        with ProcessBackend(workers=2) as backend:
-            got, _ = run_sharded(tasks, workers, 1, shards=2, backend=backend)
-        assert result_signature(got) == ref
-
 
 class TestShardedEngineBehavior:
     def test_forces_use_index(self):
@@ -104,6 +97,46 @@ class TestShardedEngineBehavior:
         )
         assert engine.config.use_index is True
         engine.close()
+
+    def test_rejects_process_backend(self):
+        _, workers = scenario(0)
+        with pytest.raises(ValueError, match="DistConfig.backend"):
+            ShardedEngine(
+                workers,
+                DeadReckoningProvider(seed=0),
+                ServeConfig(),
+                assign_fn=ppi_assign,
+                candidate_assign_fn=component_candidate_assign(ppi_assign),
+                dist=DistConfig(backend="process", shards=2),
+            )
+
+    def test_reused_engine_routes_each_run_afresh(self):
+        """A second run on one engine reports what a fresh engine would:
+        stripe routing and batch accounting start over each run."""
+        from repro import obs
+        from repro.obs.recorder import MetricsRecorder
+        from repro.scenarios import build_engine, get_policy, get_scenario, materialize
+        from repro.scenarios.specs import DistSpec
+
+        data = materialize(get_scenario("smoke"))
+        policy = replace(get_policy("indexed"), dist=DistSpec(shards=2))
+        engine = build_engine(data.workers, data.provider, policy)
+        runs = []
+        try:
+            for _ in range(2):
+                previous = obs.set_recorder(MetricsRecorder())
+                try:
+                    result = engine.run(data.tasks, data.t_start, data.t_end)
+                    counters = obs.get_recorder().metrics.counters
+                finally:
+                    obs.set_recorder(previous)
+                dist = {k: v for k, v in counters.items() if k.startswith("dist.")}
+                assert len(engine.batch_stats) == result.n_batches
+                runs.append((result_signature(result), dist))
+        finally:
+            engine.close()
+        assert runs[0][1]  # the routing counters were emitted
+        assert runs[1] == runs[0]
 
     def test_requires_candidate_assign_fn(self):
         _, workers = scenario(0)

@@ -4,8 +4,9 @@ The exactness ladder, tested rung by rung:
 
 1. ``cells_in_radius`` is the same arithmetic the grid index queries
    with (boundary cells included);
-2. shard membership via that helper makes the merged per-shard
-   candidate graphs EQUAL the dense ``build_candidates`` output;
+2. ``ShardPlanner`` halo membership via that helper makes the merged
+   per-stripe candidate graphs (what a shard server builds) EQUAL the
+   dense ``build_candidates`` output;
 3. ``ComponentMatcher`` reproduces the global KM matching;
 4. therefore sharded PPI/KM plans equal the dense plans — including an
    adversarial workload where one worker's Theorem-2 disk straddles
@@ -20,14 +21,12 @@ from repro.assignment.hungarian import maximum_weight_matching
 from repro.assignment.ppi import ppi_assign
 from repro.dist import (
     ComponentMatcher,
-    ProcessBackend,
     ShardLayout,
     ShardPlanner,
     ShardStats,
     WarmMatchCache,
     connected_components,
     make_shards,
-    shard_memberships,
     sharded_build_candidates,
 )
 from repro.geo.point import Point
@@ -73,6 +72,24 @@ def random_workload(rng, n_tasks=40, n_workers=30, extent=30.0):
 
 def plan_tuples(plan):
     return [(p.task_id, p.worker_id, p.score, p.stage) for p in plan]
+
+
+def stripe_union(tasks, snaps, t, planner, max_candidates=None):
+    """One ``build_candidates`` per stripe over its owned tasks and halo
+    members, with the global horizon, merged — a shard server's build."""
+    layout = planner.layout_for(tasks)
+    horizon = latest_horizon(tasks, t)
+    members = planner.memberships(layout, snaps, horizon)
+    merged = {}
+    for s in range(len(layout)):
+        owned = [task for task in tasks if layout.shard_for_x(task.location.x) == s]
+        graph = build_candidates(
+            owned, [snaps[pos] for pos in members[s]], t,
+            cell_km=layout.cell_km, max_candidates=max_candidates, horizon=horizon,
+        )
+        assert not merged.keys() & graph.keys()  # task ownership is disjoint
+        merged.update(graph)
+    return merged
 
 
 class TestCellsInRadius:
@@ -143,10 +160,14 @@ class TestShardedCandidates:
         rng = np.random.default_rng(seed)
         tasks, snaps = random_workload(rng)
         dense = build_candidates(tasks, snaps, 0.0, cell_km=1.5, max_candidates=max_candidates)
-        merged = sharded_build_candidates(
-            tasks, snaps, 0.0, shards=shards, cell_km=1.5, max_candidates=max_candidates
+        union = stripe_union(
+            tasks, snaps, 0.0, ShardPlanner(shards, cell_km=1.5), max_candidates
         )
-        assert merged == dense  # keys, worker lists, AND list order
+        assert union == dense  # keys, worker lists, AND list order
+        merged = sharded_build_candidates(
+            tasks, snaps, 0.0, ShardPlanner(shards, cell_km=1.5), max_candidates
+        )
+        assert merged == dense
 
     def test_adversarial_straddle_three_shards(self):
         """One worker whose Theorem-2 disk spans three stripes: it must
@@ -155,14 +176,16 @@ class TestShardedCandidates:
         wide = make_snapshot(0, [(9.0, 0.0)], detour=14.0, speed=2.0)  # radius 7
         rng = np.random.default_rng(9)
         snaps = [wide] + [make_snapshot(w + 1, rng.uniform(0, 18, (3, 2))) for w in range(8)]
-        specs = make_shards(tasks, 3, cell_km=1.0)
-        horizon = latest_horizon(tasks, 0.0)
-        members = shard_memberships(specs, snaps, horizon, cell_km=1.0)
+        planner = ShardPlanner(3, cell_km=1.0)
+        layout = planner.layout_for(tasks)
+        members = planner.memberships(layout, snaps, latest_horizon(tasks, 0.0))
         shards_with_wide = [s for s, posns in enumerate(members) if 0 in posns]
         assert len(shards_with_wide) == 3  # the straddler reaches every stripe
+        dense = build_candidates(tasks, snaps, 0.0, cell_km=1.0)
+        assert stripe_union(tasks, snaps, 0.0, planner) == dense
         stats = ShardStats()
-        merged = sharded_build_candidates(tasks, snaps, 0.0, shards=3, cell_km=1.0, stats=stats)
-        assert merged == build_candidates(tasks, snaps, 0.0, cell_km=1.0)
+        merged = sharded_build_candidates(tasks, snaps, 0.0, planner, stats=stats)
+        assert merged == dense
         assert stats.n_boundary_workers >= 1
         assert stats.n_shards == 3
         assert sum(stats.pairs_per_shard) == sum(len(v) for v in merged.values())
@@ -171,19 +194,12 @@ class TestShardedCandidates:
         tasks = [make_task(0, 0.5, 0.5)]
         dead = make_snapshot(1, [(0.5, 0.5)], detour=0.0)
         empty = make_snapshot(2, np.zeros((0, 2)))
-        specs = make_shards(tasks, 1, cell_km=1.0)
-        members = shard_memberships(specs, [dead, empty], 60.0, 1.0)
-        assert members == [[]]
-
-    def test_process_backend_matches_serial(self):
-        rng = np.random.default_rng(4)
-        tasks, snaps = random_workload(rng, n_tasks=20, n_workers=12)
-        serial = sharded_build_candidates(tasks, snaps, 0.0, shards=3, cell_km=1.5)
-        with ProcessBackend(workers=2) as backend:
-            pooled = sharded_build_candidates(
-                tasks, snaps, 0.0, shards=3, cell_km=1.5, backend=backend
-            )
-        assert pooled == serial
+        planner = ShardPlanner(1, cell_km=1.0)
+        layout = planner.layout_for(tasks)
+        assert planner.memberships(layout, [dead, empty], 60.0) == [[]]
+        stats = ShardStats()
+        assert sharded_build_candidates(tasks, [dead, empty], 0.0, planner, stats=stats) == {}
+        assert stats.snapshots_per_shard == [0] and stats.n_boundary_workers == 0
 
 
 class TestComponentMatcher:
@@ -236,7 +252,7 @@ class TestShardedAssignment:
         dense = ppi_assign(tasks, snaps, 0.0, dense_graph)
         sharded = ppi_assign(
             tasks, snaps, 0.0,
-            sharded_build_candidates(tasks, snaps, 0.0, shards, cell_km=1.5),
+            sharded_build_candidates(tasks, snaps, 0.0, ShardPlanner(shards, cell_km=1.5)),
             matcher=ComponentMatcher(),
         )
         assert plan_tuples(sharded) == plan_tuples(dense)
@@ -250,7 +266,7 @@ class TestShardedAssignment:
         dense = km_assign(tasks, snaps, 0.0, dense_graph)
         sharded = km_assign(
             tasks, snaps, 0.0,
-            sharded_build_candidates(tasks, snaps, 0.0, shards, cell_km=1.5),
+            sharded_build_candidates(tasks, snaps, 0.0, ShardPlanner(shards, cell_km=1.5)),
             matcher=ComponentMatcher(),
         )
         assert plan_tuples(sharded) == plan_tuples(dense)
@@ -265,7 +281,7 @@ class TestShardedAssignment:
         stats = ShardStats()
         sharded = ppi_assign(
             tasks, snaps, 0.0,
-            sharded_build_candidates(tasks, snaps, 0.0, 3, cell_km=1.0, stats=stats),
+            sharded_build_candidates(tasks, snaps, 0.0, ShardPlanner(3, cell_km=1.0), stats=stats),
             matcher=ComponentMatcher(),
         )
         assert plan_tuples(sharded) == plan_tuples(dense)
@@ -289,10 +305,9 @@ class TestShardPlanner:
         planner = ShardPlanner(shards=4, cell_km=1.5)
         for batch in range(4):
             tasks, snaps = random_workload(rng, n_tasks=25, n_workers=20)
-            got = sharded_build_candidates(
-                tasks, snaps, 0.0, shards=4, cell_km=1.5, planner=planner
-            )
-            assert got == build_candidates(tasks, snaps, 0.0, cell_km=1.5)
+            dense = build_candidates(tasks, snaps, 0.0, cell_km=1.5)
+            assert stripe_union(tasks, snaps, 0.0, planner) == dense
+            assert sharded_build_candidates(tasks, snaps, 0.0, planner) == dense
         assert planner._layout is not None
         assert planner._layout.generation == 1  # never re-laid-out
 
@@ -301,13 +316,13 @@ class TestShardPlanner:
         tasks, snaps = random_workload(rng, n_tasks=20, n_workers=15)
         planner = ShardPlanner(shards=3, cell_km=1.5)
         for _ in range(3):
-            sharded_build_candidates(tasks, snaps, 0.0, shards=3, cell_km=1.5, planner=planner)
+            sharded_build_candidates(tasks, snaps, 0.0, planner, stats=ShardStats())
         assert planner.halo_hits > 0
         # Identity-keyed: a changed track for one worker is a miss.
         first_misses = planner.halo_misses
         moved = list(snaps)
         moved[0] = make_snapshot(snaps[0].worker_id, rng.uniform(0, 30, (4, 2)))
-        sharded_build_candidates(tasks, moved, 0.0, shards=3, cell_km=1.5, planner=planner)
+        sharded_build_candidates(tasks, moved, 0.0, planner, stats=ShardStats())
         assert planner.halo_misses == first_misses + 1
 
     def test_planner_with_warm_matcher_plan_equals_dense(self):
@@ -318,7 +333,7 @@ class TestShardPlanner:
             tasks, snaps = random_workload(rng, n_tasks=30, n_workers=25)
             dense_graph = build_candidates(tasks, snaps, 0.0, cell_km=1.5)
             dense = ppi_assign(tasks, snaps, 0.0, dense_graph)
-            graph = sharded_build_candidates(tasks, snaps, 0.0, 3, cell_km=1.5, planner=planner)
+            graph = sharded_build_candidates(tasks, snaps, 0.0, planner)
             warm.begin_round()
             sharded = ppi_assign(tasks, snaps, 0.0, graph, matcher=ComponentMatcher(warm=warm))
             assert plan_tuples(sharded) == plan_tuples(dense)

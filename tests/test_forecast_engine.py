@@ -5,7 +5,7 @@ subsystem: with ``forecast=None`` (or a configured-but-disabled block)
 the engine's ``result_signature`` is bit-identical to the reactive
 engine on every built-in registry scenario, and a forecast-enabled run
 is deterministic — same seed, same metrics — whether per-batch
-assignment runs serially or on :class:`repro.dist.ProcessBackend`.
+candidate builds run serially or on shard servers.
 """
 
 import pytest
@@ -84,16 +84,16 @@ class TestForecastDeterminism:
         assert a.n_prepositioned == b.n_prepositioned
         assert a.forecast_cell_mae == b.forecast_cell_mae
 
-    def test_serial_vs_process_backend_identical(self):
+    def test_serial_vs_shard_server_backend_identical(self):
         data = materialize(get_scenario("hot-cell-burst"))
         doc = get_policy("forecast-prepositioned").to_dict()
         doc["dist"] = {"shards": 2, "backend": "serial"}
         serial = run_policy(data, PolicySpec.from_dict(doc))
-        doc["dist"] = {"shards": 2, "backend": "process", "workers": 2}
-        process = run_policy(data, PolicySpec.from_dict(doc))
-        assert result_signature(serial) == result_signature(process)
-        assert serial.forecast_mae == process.forecast_mae
-        assert serial.n_prepositioned == process.n_prepositioned
+        doc["dist"] = {"shards": 2, "backend": "shard_server"}
+        servers = run_policy(data, PolicySpec.from_dict(doc))
+        assert result_signature(serial) == result_signature(servers)
+        assert serial.forecast_mae == servers.forecast_mae
+        assert serial.n_prepositioned == servers.n_prepositioned
 
 
 class TestForecastEffects:

@@ -5,8 +5,12 @@ pure functions of the sample sequence, so a synthetic outcome stream
 trips (or does not trip) the alarm reproducibly.
 """
 
+import inspect
+
 import pytest
 
+from repro.assignment.matching_rate import pair_completion_probability
+from repro.assignment.ppi import PPIConfig
 from repro.obs import (
     CalibrationConfig,
     CalibrationMonitor,
@@ -18,13 +22,16 @@ from repro.obs import (
 
 class TestConfig:
     def test_defaults_match_ppi_threshold(self):
-        assert CalibrationConfig().a_km == pytest.approx(0.3)
+        """The engine scores calibration outcomes with the belief's
+        default threshold, which must be the one PPI assigns with."""
+        default_a = inspect.signature(pair_completion_probability).parameters["a"].default
+        assert default_a == PPIConfig().a
 
     @pytest.mark.parametrize(
         "kwargs,match",
         [
             ({"n_bins": 0}, "bin"),
-            ({"a_km": -1.0}, "non-negative"),
+            ({"ph_delta": -1.0}, "non-negative"),
             ({"min_samples": 0}, "positive"),
             ({"detector": "cusum"}, "detector"),
             ({"ph_threshold": 0.0}, "threshold"),

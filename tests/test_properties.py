@@ -9,11 +9,14 @@ from repro.assignment.matching_rate import matching_rate, theorem2_bound
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.assignment.ppi import PPIConfig, ppi_assign
 from repro.cluster.game import best_response_clustering
+from repro.dist.shard import ShardPlanner
 from repro.geo.detour import min_detour
 from repro.geo.grid import Grid
 from repro.geo.point import Point
 from repro.sc.entities import SpatialTask, WorkerSnapshot
+from repro.serve.spatial_index import build_candidates
 from repro.similarity.distribution import sliced_wasserstein
+from tests.test_dist_shard import stripe_union
 
 coord = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
@@ -100,6 +103,59 @@ class TestMatchingProperties:
                 used_l.add(l)
                 used_r.add(r)
         assert optimal >= greedy - 1e-9
+
+
+def random_batch(rng, n_tasks, n_workers, extent=30.0):
+    """A batch spread over several stripes, with dead-radius and
+    track-less snapshots mixed in (the halo must skip both)."""
+    tasks = [
+        SpatialTask(
+            task_id=i,
+            location=Point(*rng.uniform(0, extent, size=2)),
+            release_time=0.0,
+            deadline=float(rng.uniform(1, 60)),
+        )
+        for i in range(n_tasks)
+    ]
+    snaps = []
+    for wid in range(n_workers):
+        n_pts = int(rng.integers(0, 5))
+        snaps.append(
+            WorkerSnapshot(
+                worker_id=wid,
+                current_location=Point(*rng.uniform(0, extent, size=2)),
+                predicted_xy=rng.uniform(0, extent, size=(n_pts, 2)),
+                predicted_times=10.0 * np.arange(1, n_pts + 1),
+                detour_budget_km=float(rng.choice([0.0, rng.uniform(0.5, 12.0)])),
+                speed_km_per_min=float(rng.uniform(0.1, 1.5)),
+                matching_rate=float(rng.uniform(0, 1)),
+            )
+        )
+    return tasks, snaps
+
+
+class TestShardProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        shards=st.integers(1, 6),
+        max_candidates=st.one_of(st.none(), st.integers(1, 4)),
+        cell_km=st.sampled_from([0.7, 1.0, 2.5]),
+        n_batches=st.integers(1, 3),
+    )
+    def test_stripe_builds_union_to_dense(self, seed, shards, max_candidates, cell_km, n_batches):
+        """What each shard server builds — its owned tasks against its
+        halo members, under the global horizon — merges to the dense
+        graph, batch after batch under one sticky layout."""
+        rng = np.random.default_rng(seed)
+        planner = ShardPlanner(shards, cell_km=cell_km)
+        for _ in range(n_batches):
+            tasks, snaps = random_batch(rng, int(rng.integers(1, 25)), int(rng.integers(1, 20)))
+            t = float(rng.uniform(0, 5))
+            dense = build_candidates(
+                tasks, snaps, t, cell_km=cell_km, max_candidates=max_candidates
+            )
+            assert stripe_union(tasks, snaps, t, planner, max_candidates) == dense
 
 
 class TestGameProperties:

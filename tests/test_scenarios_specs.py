@@ -35,8 +35,7 @@ FULL_DOC = {
         "shedding": {"max_pending": 120},
         "cache": {"ttl": 6.0, "deviation_km": 2.0},
         "index": {"enabled": True, "cell_km": 2.0, "max_candidates": 32},
-        "dist": {"backend": "process", "shards": 2, "workers": 2,
-                 "warm_start": True},
+        "dist": {"backend": "shard_server", "shards": 2, "warm_start": True},
     },
     "sweep": {"scenario.seed": [1, 2]},
 }
@@ -105,6 +104,15 @@ class TestValidation:
     def test_bad_dist_backend(self):
         with pytest.raises(ValueError, match="serial"):
             DistSpec(backend="carrier-pigeon")
+        # The per-call pool does not serve a sharded engine.
+        with pytest.raises(ValueError, match="shard_server"):
+            DistSpec(backend="process")
+
+    def test_dist_workers_key_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            PolicySpec.from_dict({"dist": {"shards": 2, "workers": 2}})
+        message = str(exc.value)
+        assert "workers" in message and "shards" in message
 
     def test_bad_algorithm(self):
         with pytest.raises(ValueError, match="ppi"):

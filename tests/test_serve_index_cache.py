@@ -209,15 +209,6 @@ class TestPredictionCache:
         cache.get(w, 1.0)
         assert provider.calls == 2
 
-    def test_horizon_partitions_the_key(self):
-        provider = CountingProvider()
-        short = PredictionCache(provider, ttl=30.0, horizon=3)
-        long = PredictionCache(provider, ttl=30.0, horizon=9)
-        w = make_worker()
-        short.get(w, 0.0)
-        long.get(w, 0.0)
-        assert provider.calls == 2
-
     def test_stats_row(self):
         provider = CountingProvider()
         cache = PredictionCache(provider, ttl=5.0)
