@@ -54,7 +54,7 @@ from repro.nn.module import apply_gradient_step, clone_parameters
 from repro.nn.seq2seq import make_mobility_model
 from repro.nn.tensor import Tensor
 from repro.obs import NOOP, JsonlSink, get_recorder
-from repro.obs.dist import DistObsConfig, list_spools
+from repro.obs.dist import list_spools
 from repro.serve import (
     DeadReckoningProvider,
     ServeConfig,
@@ -188,9 +188,6 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
     frames, spool writes, round flushes, and the merge-ready trace
     file.  Server shutdown is excluded from both arms alike.
     """
-    obs_cfg = None
-    if traced:
-        obs_cfg = DistObsConfig(spool_dir=str(Path(tmp) / "spools"))
     engine = ShardedEngine(
         workers,
         DeadReckoningProvider(seed=DIST_SHAPE["seed"]),
@@ -201,7 +198,7 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
             backend="shard_server",
             shards=DIST_SHAPE["shards"],
             workers=2,
-            obs=obs_cfg,
+            spool_dir=str(Path(tmp) / "spools") if traced else None,
         ),
     )
     try:

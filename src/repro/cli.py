@@ -20,14 +20,14 @@ flags request.  ``--trace PATH`` records the run as a JSONL span trace
 plus a run manifest (config, seed, git SHA, final metrics) next to it;
 ``trace-report`` renders the per-stage breakdown.  ``serve-sim --shards
 K`` serves through K x-stripes, built in process or, with
-``--shard-servers``, on long-lived shard servers.  Sharded traced runs
-additionally spool per-process telemetry into ``<trace>.spools`` and
-``trace-report --distributed`` merges those spools into one timeline
-with a per-round straggler and critical-path breakdown.  ``serve-sim
---monitor PATH`` samples the engine's metrics on a cadence into a JSONL
-time series (optionally exposing OpenMetrics via ``--openmetrics`` /
-``--monitor-port``) and ``serve-report`` renders it as a per-phase
-dashboard.  ``--json`` switches every subcommand's stdout to one
+``--shard-servers``, on long-lived shard servers.  Traced shard-server
+runs additionally spool per-shard telemetry into ``<trace>.spools`` and
+``trace-report --distributed`` merges that trace's spools into one
+timeline with a per-round straggler and critical-path breakdown.
+``serve-sim --monitor PATH`` samples the engine's metrics on a cadence
+into a JSONL time series (optionally exposing OpenMetrics via
+``--openmetrics`` / ``--monitor-port``) and ``serve-report`` renders it
+as a per-phase dashboard.  ``--json`` switches every subcommand's stdout to one
 machine-readable JSON document.
 """
 
@@ -188,17 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_stream_flags(serve)
     add_serve_policy_flags(serve)
     serve.add_argument("--spool-dir", metavar="DIR", default=None,
-                       help="per-process telemetry spool directory for distributed runs "
-                            "(default with --trace and --shard-servers: <trace>.spools)")
+                       help="per-shard telemetry spool directory (with --shard-servers; "
+                            "default with --trace: <trace>.spools)")
     serve.add_argument("--no-spool", action="store_true",
-                       help="disable worker telemetry spooling even when --trace is set")
-    serve.add_argument("--profile-shards", action="store_true",
-                       help="cadence-sampled cProfile inside each shard server; top "
-                            "hotspots land in the run manifest (needs a spool dir)")
-    serve.add_argument("--profile-every", type=int, default=1,
-                       help="profile every Nth serving round (with --profile-shards)")
-    serve.add_argument("--profile-top", type=int, default=10,
-                       help="hotspots reported per profiled round (with --profile-shards)")
+                       help="disable shard-server telemetry spooling even when --trace is set")
     serve.add_argument("--monitor", metavar="PATH", default=None,
                        help="sample engine metrics on a cadence into a JSONL time series")
     serve.add_argument("--monitor-cadence", type=float, default=2.0,
@@ -361,8 +354,8 @@ def _observed(
     With ``--trace`` the body executes inside a recording session whose
     spans stream to the JSONL sink, and a run manifest (flags, seed,
     git SHA, the metrics ``body`` returns) lands next to the trace.
-    The body may deposit distributed-run extras on ``args``
-    (``_spool_dir``, ``_profile``) for the manifest to pick up.
+    The body may deposit run extras on ``args`` (``_spool_dir``,
+    ``_artifacts``) for the manifest to pick up.
     """
     trace = getattr(args, "trace", None)
     if not trace:
@@ -379,7 +372,6 @@ def _observed(
         metrics=metrics,
         trace_path=trace,
         spool_dir=getattr(args, "_spool_dir", None),
-        profile=getattr(args, "_profile", None),
         artifacts=getattr(args, "_artifacts", None),
     ).write(manifest_path_for(trace))
     reporter.add("trace", str(trace))
@@ -513,44 +505,28 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
     )
 
     reporter = Reporter(json_mode=args.json)
+    policy = policy_from_args(args)
+    servers = policy.dist.shards > 1 and policy.dist.backend == "shard_server"
+    if args.spool_dir is not None and not servers:
+        raise SystemExit("--spool-dir needs --shard-servers with --shards > 1")
+    spool_dir = None
+    if servers and not args.no_spool:
+        spool_dir = args.spool_dir or (f"{args.trace}.spools" if args.trace else None)
+    monitor = _monitor_config(args)
+    decisions = None
+    if args.decisions:
+        from repro.obs import DecisionConfig
+
+        decisions = DecisionConfig(path=args.decisions)
 
     def body() -> dict:
-        scenario = scenario_from_args(args)
-        policy = policy_from_args(args)
-        data = materialize(scenario)
-        monitor = _monitor_config(args)
-        decisions = None
-        if args.decisions:
-            from repro.obs import DecisionConfig
-
-            decisions = DecisionConfig(path=args.decisions)
-        dist_obs = None
-        if policy.dist.shards > 1:
-            from repro.obs.dist import DistObsConfig
-
-            spool_dir = args.spool_dir
-            if (
-                spool_dir is None
-                and args.trace
-                and policy.dist.backend != "serial"
-                and not args.no_spool
-            ):
-                spool_dir = f"{args.trace}.spools"
-            if args.profile_shards and spool_dir is None:
-                raise SystemExit("--profile-shards needs a spool dir (--spool-dir or --trace)")
-            if spool_dir is not None and not args.no_spool:
-                dist_obs = DistObsConfig(
-                    spool_dir=spool_dir,
-                    profile=args.profile_shards,
-                    profile_every=args.profile_every,
-                    profile_top_n=args.profile_top,
-                )
+        data = materialize(scenario_from_args(args))
         engine = build_engine(
             data.workers,
             data.provider,
             policy,
             monitor=monitor,
-            dist_obs=dist_obs,
+            spool_dir=spool_dir,
             decisions=decisions,
         )
         try:
@@ -570,12 +546,10 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
                 f"warm_start={policy.dist.warm_start} "
                 f"boundary_workers={engine.boundary_workers_total}"
             )
-        if dist_obs is not None:
-            args._spool_dir = dist_obs.spool_dir
-            if getattr(engine, "profile_hotspots", None):
-                args._profile = engine.profile_hotspots
-            reporter.add("spool_dir", dist_obs.spool_dir)
-            reporter.line(f"[spools: {dist_obs.spool_dir}]")
+        if spool_dir is not None:
+            args._spool_dir = spool_dir
+            reporter.add("spool_dir", spool_dir)
+            reporter.line(f"[spools: {spool_dir}]")
         rows = result.metrics().as_row()
         rows.update(
             n_expired=float(result.n_expired),

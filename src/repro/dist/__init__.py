@@ -11,13 +11,15 @@ Three arms, one invariant (see ``docs/DISTRIBUTED.md``):
   exactly, and connected-component matching reproduces the global KM
   solves;
 * **sharded serve** (:mod:`repro.dist.serve`) — a ``ServeEngine``
-  subclass that swaps in the sharded candidate build and per-shard
-  routing metrics without touching the event loop.
+  subclass that swaps in the sharded candidate build and stripe-stamped
+  decision records without touching the event loop.
 
 Meta-training runs on a :class:`~repro.dist.backend.Backend` — serial
 by default (zero behavior change), or a ``multiprocessing`` pool —
-and sharded serving runs serial or on long-lived shard servers; the
-parity tests swap backends and compare outputs exactly.
+and sharded serving runs serial or on long-lived shard servers
+(:mod:`repro.dist.server`), whose per-shard telemetry spools are the
+only cross-process telemetry; the parity tests swap backends and
+compare outputs exactly.
 """
 
 from repro.dist.backend import (

@@ -1,12 +1,12 @@
-"""Execution backends: where `repro.dist` runs its fanned-out jobs.
+"""Execution backends: where `repro.dist` runs its work.
 
-A backend is deliberately tiny — one ordered map over picklable
-payloads — because every parity guarantee in this package rests on the
-same invariant: *the work is a pure function of its payload, and the
-reduction consumes results in payload order*.  Under that invariant the
-serial backend and a process pool are interchangeable bit for bit, so
-every dist entry point is tested by swapping backends and comparing
-outputs exactly.
+A :class:`Backend` is deliberately tiny — one ordered map over picklable
+payloads — because every parity guarantee of the fan-out entry points
+(meta-training leaves, sweep cells) rests on the same invariant: *the
+work is a pure function of its payload, and the reduction consumes
+results in payload order*.  Under that invariant the serial backend and
+a process pool are interchangeable bit for bit, so those entry points
+are tested by swapping backends and comparing outputs exactly.
 
 ``SerialBackend`` runs jobs inline (the default everywhere: zero new
 processes, zero behavior change for existing entry points).
@@ -14,8 +14,12 @@ processes, zero behavior change for existing entry points).
 ``Pool.map`` already returns results in submission order, which is the
 ordered-reduction half of the invariant.  Payload purity is the caller's
 half — the job functions in :mod:`repro.dist.meta` and
-:mod:`repro.dist.shard` take explicit seeded RNGs and frozen configs,
-never ambient state.
+:mod:`repro.scenarios.sweep` take explicit seeded RNGs and frozen
+configs, never ambient state.
+
+``ShardServerBackend`` is not an ordered map: it owns one long-lived,
+stateful server per stripe that only :class:`repro.dist.serve.ShardedEngine`
+feeds, through the command surface of :mod:`repro.dist.server`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
-
-from repro.obs.dist import DistObsConfig, current_context, traced_job
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -45,8 +47,10 @@ class DistConfig:
     ----------
     backend:
         ``"serial"`` (inline, the default), ``"process"``
-        (multiprocessing pool), or ``"shard_server"`` (one long-lived
-        stateful process per shard, see :mod:`repro.dist.server`).
+        (multiprocessing pool, for meta-training and sweep cells), or
+        ``"shard_server"`` (one long-lived stateful process per shard,
+        for :class:`repro.dist.serve.ShardedEngine` only, see
+        :mod:`repro.dist.server`).
     workers:
         Degree of parallelism.  On the process backend this is the pool
         size; on the serial backend it is the *gang width* of the
@@ -65,11 +69,11 @@ class DistConfig:
     server_log_dir:
         Where shard servers append their JSONL replay logs; ``None``
         keeps the logs in coordinator memory.
-    obs:
-        Distributed-observability knobs
-        (:class:`repro.obs.dist.DistObsConfig`): per-process telemetry
-        spool directory and optional in-server profiling.  ``None``
-        (the default) keeps workers telemetry-free.
+    spool_dir:
+        Where shard servers spool their telemetry while the coordinator
+        traces (see :mod:`repro.obs.dist`); ``None`` (the default) keeps
+        the servers telemetry-free.  Only the ``"shard_server"`` backend
+        spools, so any other backend rejects it.
     """
 
     backend: str = "serial"
@@ -78,7 +82,7 @@ class DistConfig:
     start_method: str = "fork"
     warm_start: bool = False
     server_log_dir: str | None = None
-    obs: DistObsConfig | None = None
+    spool_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "process", "shard_server"):
@@ -89,6 +93,11 @@ class DistConfig:
             raise ValueError("shards must be at least 1")
         if self.start_method not in START_METHODS:
             raise ValueError(f"start_method must be one of {START_METHODS}")
+        if self.spool_dir is not None and self.backend != "shard_server":
+            raise ValueError(
+                f"spool_dir needs backend 'shard_server' (got {self.backend!r}): "
+                "only shard servers spool telemetry"
+            )
 
 
 @runtime_checkable
@@ -132,19 +141,13 @@ class ProcessBackend:
     latency attribution per job honest.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str = "fork",
-        obs: DistObsConfig | None = None,
-    ) -> None:
+    def __init__(self, workers: int, start_method: str = "fork") -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if start_method not in START_METHODS:
             raise ValueError(f"start_method must be one of {START_METHODS}")
         self.workers = workers
         self.start_method = start_method
-        self.obs = obs
         self._pool: multiprocessing.pool.Pool | None = None
 
     def _ensure_pool(self) -> "multiprocessing.pool.Pool":
@@ -158,12 +161,6 @@ class ProcessBackend:
             return []
         if len(payloads) == 1:  # no point shipping a single job out
             return [fn(payloads[0])]
-        if self.obs is not None and self.obs.enabled:
-            ctx = current_context()
-            if ctx is not None:
-                cfg = self.obs.to_wire()
-                bundles = [(fn, p, ctx, cfg) for p in payloads]
-                return self._ensure_pool().map(traced_job, bundles, chunksize=1)
         return self._ensure_pool().map(fn, payloads, chunksize=1)
 
     def close(self) -> None:
@@ -188,15 +185,13 @@ class ProcessBackend:
 class ShardServerBackend:
     """``shards`` long-lived stateful server processes (one per stripe).
 
-    Implements the ordered-map protocol — payload ``i`` executes on
-    server ``i % shards`` via the stateless ``call`` command, all
-    servers working concurrently — and additionally exposes the
-    stateful delta/build command surface of
+    Exposes the stateful delta/build command surface of
     :class:`repro.dist.server.ShardServerHandle` that
     :class:`repro.dist.serve.ShardedEngine` feeds with per-batch
     deltas.  Servers spawn lazily on first use and survive across
-    calls; a crashed server is respawned and its state rebuilt by
-    replaying the append-only JSONL command log.
+    batches; a crashed server is respawned and its state rebuilt by
+    replaying the append-only JSONL command log.  With a ``spool_dir``
+    each server spools its telemetry there while the coordinator traces.
     """
 
     def __init__(
@@ -204,7 +199,7 @@ class ShardServerBackend:
         shards: int,
         start_method: str = "fork",
         log_dir: str | None = None,
-        obs: DistObsConfig | None = None,
+        spool_dir: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard server")
@@ -212,13 +207,10 @@ class ShardServerBackend:
             raise ValueError(f"start_method must be one of {START_METHODS}")
         from repro.dist.server import ShardServerHandle
 
-        if log_dir is not None:
-            os.makedirs(log_dir, exist_ok=True)
-        if obs is not None and obs.spool_dir is not None:
-            os.makedirs(obs.spool_dir, exist_ok=True)
+        for directory in (log_dir, spool_dir):
+            if directory is not None:
+                os.makedirs(directory, exist_ok=True)
         self.shards = shards
-        self.workers = shards
-        self.obs = obs
         self.handles = [
             ShardServerHandle(
                 shard_id=s,
@@ -228,25 +220,10 @@ class ShardServerBackend:
                     if log_dir is not None
                     else None
                 ),
-                obs=obs.to_wire() if obs is not None else None,
+                spool_dir=spool_dir,
             )
             for s in range(shards)
         ]
-
-    def map_ordered(self, fn: Callable[[T], R], payloads: Sequence[T]) -> list[R]:
-        if not payloads:
-            return []
-        if len(payloads) == 1:
-            return [fn(payloads[0])]
-        from repro.dist.server import scatter
-
-        results: list[R] = [None] * len(payloads)  # type: ignore[list-item]
-        for start in range(0, len(payloads), self.shards):
-            chunk = payloads[start : start + self.shards]
-            handles = self.handles[: len(chunk)]
-            replies = scatter(handles, [("call", (fn, p)) for p in chunk])
-            results[start : start + len(chunk)] = replies
-        return results
 
     def request(self, shard_id: int, command: str, payload=None):
         """One stateful command on one server (see :mod:`repro.dist.server`)."""
@@ -273,7 +250,7 @@ class ShardServerBackend:
         self.close()
 
 
-def resolve_backend(config: DistConfig | None) -> Backend:
+def resolve_backend(config: DistConfig | None) -> Backend | ShardServerBackend:
     """Build the backend a :class:`DistConfig` asks for.
 
     ``None`` and the default config both resolve to the serial backend —
@@ -286,9 +263,9 @@ def resolve_backend(config: DistConfig | None) -> Backend:
             config.shards,
             config.start_method,
             log_dir=config.server_log_dir,
-            obs=config.obs,
+            spool_dir=config.spool_dir,
         )
-    return ProcessBackend(config.workers, config.start_method, obs=config.obs)
+    return ProcessBackend(config.workers, config.start_method)
 
 
 def available_cpus() -> int:

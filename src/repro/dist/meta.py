@@ -97,6 +97,15 @@ def run_leaf_job(job: LeafJob) -> tuple[dict[str, np.ndarray], list[float]]:
     return model.state_dict(), history
 
 
+def check_meta_backend(dist: DistConfig) -> None:
+    """Reject a backend meta-training cannot run on: shard servers."""
+    if dist.backend == "shard_server":
+        raise ValueError(
+            "DistConfig.backend 'shard_server' does not run meta-training; "
+            "use 'serial' or 'process'"
+        )
+
+
 def dist_taml_train(
     tree: LearningTaskTree,
     model_factory: Callable[[], Module],
@@ -111,14 +120,17 @@ def dist_taml_train(
     Drop-in counterpart of :func:`repro.meta.taml.taml_train` with a
     parallel-friendly RNG schedule (see the module docstring).  Pass an
     explicit ``backend`` to reuse a pool across calls; otherwise one is
-    resolved from ``dist`` and released before returning.
+    resolved from ``dist`` and released before returning.  Shard
+    servers serve :class:`repro.dist.serve.ShardedEngine` only, so a
+    ``"shard_server"`` backend is rejected (:func:`check_meta_backend`).
     """
     cfg = config if config is not None else TAMLConfig()
     dcfg = dist if dist is not None else DistConfig()
+    check_meta_backend(dcfg)
     rng = rng if rng is not None else np.random.default_rng(0)
     if tree.theta is None:
         tree.theta = model_factory().state_dict()
-    maml_cfg = cfg.resolved_maml()
+    maml_cfg = cfg.maml
     leaves = tree.leaves()
     leaf_rngs = rng.spawn(len(leaves))
 

@@ -2,7 +2,7 @@
 
 :class:`ShardedEngine` keeps the event loop, triggers, cache, queue
 bound, and acceptance bookkeeping of :class:`repro.serve.engine.ServeEngine`
-untouched and overrides exactly three hooks:
+untouched and overrides exactly two hooks:
 
 * ``_build_candidates`` — each batch's candidate graph is built stripe
   by stripe on long-lived shard servers (``DistConfig.backend =
@@ -12,17 +12,11 @@ untouched and overrides exactly three hooks:
   graph, so every downstream plan — and therefore
   :func:`repro.serve.adapters.result_signature` — is unchanged at any
   shard count;
-* ``_on_event`` — before the engine dispatches an event, events
-  carrying a location are routed to the stripe that owns (or is
-  nearest to) their cell column under the most recent batch's shard
-  layout, feeding label-style per-shard
-  ``dist.shard.events{shard=sid}`` counters and
-  ``dist.shard.lag_s{shard=sid}`` histograms (simulation-time staleness
-  of the shard's last merged plan when the event lands);
-* ``_make_decision_log`` — decision records carry the stripe that owns
-  their task's column, the column an arrival's routing noted, in their
-  ``shard`` field; the log itself is the engine's one ``config.path``
-  file, written as tasks reach their terminal.
+* ``_make_decision_log`` — decision records carry, in their ``shard``
+  field, the stripe that owns (or is nearest to) their task's cell
+  column under the most recent batch's layout; the log itself is the
+  engine's one ``config.path`` file, written as tasks reach their
+  terminal.
 
 Boundary workers — snapshots whose halo spans more than one stripe —
 are counted per batch in :attr:`ShardedEngine.batch_stats`; they are the
@@ -49,7 +43,7 @@ from repro.obs.dist import (
 )
 from repro.obs.metrics import labelled
 from repro.assignment.plan import AssignmentPlan
-from repro.dist.backend import Backend, DistConfig, ShardServerBackend, resolve_backend
+from repro.dist.backend import DistConfig, ShardServerBackend, resolve_backend
 from repro.dist.server import batch_step, encode_snapshot, encode_task
 from repro.dist.shard import (
     ComponentMatcher,
@@ -63,7 +57,6 @@ from repro.dist.shard import (
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.platform import AssignFn, SnapshotProvider
 from repro.serve.engine import CandidateAssignFn, ServeConfig, ServeEngine, ServeResult
-from repro.serve.events import TaskArrival, TaskCancel, TaskDeadline
 from repro.serve.spatial_index import latest_horizon
 
 
@@ -141,14 +134,13 @@ class ShardedEngine(ServeEngine):
                 "DistConfig.backend 'process' does not serve a ShardedEngine; "
                 "use 'serial' or 'shard_server'"
             )
-        self.backend: Backend = resolve_backend(self.dist)
+        self.backend = resolve_backend(self.dist)
         #: One :class:`ShardStats` per batch of the latest run, in batch order.
         self.batch_stats: list[ShardStats] = []
         self._planner = ShardPlanner(
             shards=self.dist.shards, cell_km=self.config.index_cell_km
         )
         self._last_specs: list = []
-        self._last_merge_t: float | None = None
         self._task_col: dict[int, int] = {}
         # Shard-server mirrors: which task ids and which snapshot
         # versions (predicted-track array identity) each server holds.
@@ -158,9 +150,6 @@ class ShardedEngine(ServeEngine):
         ]
         #: serving-round index (one per shard-server build).
         self._round = 0
-        #: per-shard profiler hotspots harvested from ``obs_flush``
-        #: replies, in arrival order (see :class:`repro.obs.dist.DistObsConfig`).
-        self.profile_hotspots: list[dict] = []
 
     def run(
         self,
@@ -169,13 +158,15 @@ class ShardedEngine(ServeEngine):
         t_end: float,
         outcome_listener: Callable[[int, int, bool, float], None] | None = None,
     ) -> ServeResult:
-        # Stripe routing and batch accounting are per run; the planner
-        # and the server mirrors persist because they track what the
-        # shard servers hold.
+        # Stripe attribution and batch accounting are per run; the
+        # planner and the server mirrors persist because they track what
+        # the shard servers hold.
         self.batch_stats = []
         self._last_specs = []
-        self._last_merge_t = None
-        self._task_col = {}
+        cell_km = self.config.index_cell_km
+        self._task_col = {
+            task.task_id: math.floor(task.location.x / cell_km) for task in tasks
+        }
         return super().run(tasks, t_start, t_end, outcome_listener)
 
     # ------------------------------------------------------------------
@@ -200,7 +191,6 @@ class ShardedEngine(ServeEngine):
         layout = self._planner._layout
         self._last_specs = list(layout.specs) if layout is not None else []
         self.batch_stats.append(stats)
-        self._last_merge_t = t
         obs.counter("dist.serve.boundary_workers", stats.n_boundary_workers)
         return graph
 
@@ -296,21 +286,20 @@ class ShardedEngine(ServeEngine):
                 [sum(len(v) for v in g.values()) for g in graphs],
                 merge_seconds,
             )
-            self._flush_telemetry(round_idx, solve_seconds, n_shards)
+            self._flush_telemetry(solve_seconds)
         return merged
 
-    def _flush_telemetry(self, round_idx: int, solve_seconds: float, n_shards: int) -> None:
+    def _flush_telemetry(self, solve_seconds: float) -> None:
         """Round boundary: flush server spools, attribute the stragglers.
 
-        Only runs when distributed spooling is configured *and* a trace
-        is active (workers install telemetry lazily off the propagated
+        Only runs when a spool directory is configured *and* a trace is
+        active (servers install telemetry lazily off the propagated
         context, so flushing an untraced run would be a wasted
         round-trip).  Flush replies carry each server's busy seconds
         for the round; the gap to the solve window is that shard's IPC
         wait, and the busiest shard is the round's straggler.
         """
-        dist_obs = self.dist.obs
-        if dist_obs is None or not dist_obs.enabled or current_context() is None:
+        if self.dist.spool_dir is None or current_context() is None:
             return
         # Flush every server (not just this round's active stripes) so
         # spools stay durable even for shards the layout left idle.
@@ -322,15 +311,6 @@ class ShardedEngine(ServeEngine):
             if not isinstance(reply, dict):
                 continue
             busy[shard_id] = float(reply.get("busy_s") or 0.0)
-            if reply.get("profile"):
-                self.profile_hotspots.append(
-                    {
-                        "round": round_idx,
-                        "shard": shard_id,
-                        "pid": reply.get("pid"),
-                        "top": reply["profile"],
-                    }
-                )
         if not busy:
             return
         straggler = max(busy, key=lambda s: busy[s])
@@ -343,44 +323,12 @@ class ShardedEngine(ServeEngine):
         obs.gauge("dist.shard.straggler", straggler)
         obs.counter(labelled("dist.shard.straggler_rounds", shard=straggler))
 
-    def _on_event(self, event) -> None:
-        shard_id = self._route(event)
-        if shard_id is None:
-            obs.counter("dist.events.unrouted")
-            return
-        # Label-style names keep one metric family per base name at any
-        # shard count.
-        obs.counter(labelled("dist.shard.events", shard=shard_id))
-        if self._last_merge_t is not None:
-            lag = max(event.time - self._last_merge_t, 0.0)
-            obs.histogram(labelled("dist.shard.lag_s", shard=shard_id), lag)
-
     # ------------------------------------------------------------------
-    def _route(self, event) -> int | None:
-        """The stripe an event belongs to under the last batch's layout.
-
-        Arrivals route by their task's cell column (remembered so the
-        matching deadline/cancel events route to the same stripe);
-        batch ticks and worker availability events are global and stay
-        unrouted.  Columns outside every stripe clamp to the nearest
-        one — the stripe whose boundary tasks the event could affect.
-        """
-        if isinstance(event, TaskArrival):
-            col = math.floor(event.task.location.x / self.config.index_cell_km)
-            self._task_col[event.task.task_id] = col
-        elif isinstance(event, (TaskDeadline, TaskCancel)):
-            if event.task_id not in self._task_col:
-                return None
-            col = self._task_col[event.task_id]
-        else:
-            return None
-        return self._shard_for_column(col)
-
     def _shard_for_column(self, col: int | None) -> int | None:
         """The stripe owning (or nearest to) a cell column, or ``None``.
 
-        Shared by event routing and decision-log shard attribution;
-        ``None`` before the first batch lays stripes out.
+        Columns outside every stripe clamp to the nearest one; ``None``
+        before the first batch lays stripes out.
         """
         if col is None or not self._last_specs:
             return None

@@ -1,14 +1,13 @@
 """Long-lived shard server processes for streaming candidate generation.
 
-:class:`~repro.dist.backend.ProcessBackend` ships each stripe's *entire*
-working set — every owned task and every halo snapshot — through a pickle
-pipe on every batch, which is the dominant coordinator cost at serving
-scale.  A shard *server* is a persistent process that owns its stripe's
-state (pending-task mirror and worker snapshots) across batches, so the
-coordinator ships only the **deltas**: tasks that arrived or left the
-stripe, and snapshots whose predicted track actually changed (the
-prediction cache shares the array object across hits, so "changed" is an
-identity check on the coordinator).
+A shard *server* is a persistent process that owns its stripe's state
+(pending-task mirror and worker snapshots) across batches, so instead
+of shipping a stripe's entire working set — every owned task and every
+halo snapshot — on every batch, the coordinator ships only the
+**deltas**: tasks that arrived or left the stripe, and snapshots whose
+predicted track actually changed (the prediction cache shares the array
+object across hits, so "changed" is an identity check on the
+coordinator).
 
 Protocol
 --------
@@ -24,19 +23,16 @@ state dict:
 * ``build`` — run :func:`repro.serve.spatial_index.build_candidates`
   over the stripe's current state for the member ids given, returning
   the stripe's candidate graph;
-* ``call`` — stateless passthrough executing a pickled function (the
-  generic :meth:`Backend.map_ordered` escape hatch);
 * ``obs_flush`` — round boundary for the server's telemetry spool:
   flushes buffered spans to disk and returns the round's per-command
-  busy seconds (plus profiler hotspots when profiling is on);
+  busy seconds;
 * ``reset`` / ``ping`` / ``crash`` — lifecycle and test hooks.
 
-When the coordinator's :class:`~repro.dist.backend.DistConfig` carries
-a :class:`~repro.obs.dist.DistObsConfig` with a spool directory, each
-server lazily installs a :class:`~repro.obs.dist.WorkerTelemetry` on
-the first traced frame it sees and records one span per command,
-parented (via the propagated context) under the coordinator span that
-issued it.
+When the coordinator's :class:`~repro.dist.backend.DistConfig` sets a
+``spool_dir``, each server lazily installs a
+:class:`~repro.obs.dist.WorkerTelemetry` on the first traced frame it
+sees and records one span per command, parented (via the propagated
+context) under the coordinator span that issued it.
 
 Crash recovery
 --------------
@@ -171,11 +167,6 @@ def _cmd_build(state: dict, payload: dict) -> dict[int, list[int]]:
     )
 
 
-def _cmd_call(state: dict, payload: tuple) -> Any:
-    fn, arg = payload
-    return fn(arg)
-
-
 def _cmd_crash(state: dict, payload: Any) -> None:  # pragma: no cover - exits
     os._exit(1)
 
@@ -185,7 +176,6 @@ _COMMANDS: dict[str, Callable[[dict, Any], Any]] = {
     "reset": _cmd_reset,
     "apply": _cmd_apply,
     "build": _cmd_build,
-    "call": _cmd_call,
     "crash": _cmd_crash,
 }
 
@@ -193,18 +183,16 @@ _COMMANDS: dict[str, Callable[[dict, Any], Any]] = {
 LOGGED_COMMANDS = frozenset({"apply", "reset"})
 
 
-def serve_shard(conn, shard_id: int, obs_cfg: dict | None = None) -> None:
+def serve_shard(conn, shard_id: int, spool_dir: str | None = None) -> None:
     """The server process main loop: recv, dispatch, respond.
 
-    ``obs_cfg`` is the wire form of :class:`repro.obs.dist.DistObsConfig`;
-    with a spool directory set, the first frame carrying a trace
-    context installs a :class:`~repro.obs.dist.WorkerTelemetry` whose
-    recorder spools one span per command.  Untraced frames (and
-    untraced servers) run the exact pre-observability dispatch.
+    With a ``spool_dir``, the first frame carrying a trace context
+    installs a :class:`~repro.obs.dist.WorkerTelemetry` whose recorder
+    spools one span per command.  Untraced frames (and servers without
+    a spool directory) run the exact pre-observability dispatch.
     """
     state: dict = {"tasks": {}, "snaps": {}}
     telemetry: obs_dist.WorkerTelemetry | None = None
-    spooling = obs_cfg is not None and obs_cfg.get("spool_dir")
     while True:
         try:
             message = conn.recv()
@@ -215,10 +203,10 @@ def serve_shard(conn, shard_id: int, obs_cfg: dict | None = None) -> None:
         seq, command, payload, *rest = message
         ctx = rest[0] if rest else None
         try:
-            if spooling and ctx is not None:
+            if spool_dir is not None and ctx is not None:
                 if telemetry is None:
                     telemetry = obs_dist.WorkerTelemetry(
-                        obs_cfg, role="shard", ident=shard_id, trace_id=ctx["trace"]
+                        spool_dir, role="shard", ident=shard_id, trace_id=ctx["trace"]
                     )
                 if command == "obs_flush":
                     result = telemetry.flush()
@@ -252,14 +240,14 @@ class ShardServerHandle:
         shard_id: int,
         start_method: str = "fork",
         log_path: str | None = None,
-        obs: dict | None = None,
+        spool_dir: str | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.start_method = start_method
         self.log_path = log_path
-        #: wire form of :class:`repro.obs.dist.DistObsConfig` (or None),
-        #: handed to the server process at every (re)spawn.
-        self.obs = obs
+        #: telemetry spool directory (or None), handed to the server
+        #: process at every (re)spawn.
+        self.spool_dir = spool_dir
         #: JSON lines, so in-memory and file-backed replays send the
         #: same JSON-normalised payloads.
         self._log: list[str] = []
@@ -279,7 +267,7 @@ class ShardServerHandle:
         ctx = multiprocessing.get_context(self.start_method)
         parent, child = ctx.Pipe()
         proc = ctx.Process(
-            target=serve_shard, args=(child, self.shard_id, self.obs), daemon=True
+            target=serve_shard, args=(child, self.shard_id, self.spool_dir), daemon=True
         )
         proc.start()
         child.close()
@@ -349,7 +337,7 @@ class ShardServerHandle:
         except (BrokenPipeError, EOFError, ConnectionResetError, OSError):
             self._respawn_and_replay()
             # Logged commands were already replayed from the log; the
-            # rest (builds, calls) are idempotent reads — retry once.
+            # rest (builds, pings) are idempotent reads — retry once.
             if command in LOGGED_COMMANDS:
                 return None
             return self._roundtrip(command, payload)

@@ -15,7 +15,7 @@ that initialises a new worker's model from the most similar node
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -35,28 +35,14 @@ class TAMLConfig:
     the interior-node aggregation step toward the mean child
     parameters (1.0 reproduces "take the averaged child update in
     full"; smaller values damp the upward propagation).
-
-    ``fast_path`` overrides ``maml.fast_path`` for the whole tree when
-    set (``None`` leaves the per-leaf MAML setting in charge): ``True``
-    /``False``/``"auto"`` select the fused-BPTT engine exactly as in
-    :class:`~repro.meta.maml.MAMLConfig`.
     """
 
     maml: MAMLConfig = MAMLConfig()
     tree_rate: float = 1.0
-    fast_path: bool | str | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tree_rate <= 1.0:
             raise ValueError("tree_rate must lie in (0, 1]")
-        if self.fast_path not in (None, True, False, "auto"):
-            raise ValueError("fast_path must be None, True, False, or 'auto'")
-
-    def resolved_maml(self) -> MAMLConfig:
-        """The per-leaf MAML config with any ``fast_path`` override applied."""
-        if self.fast_path is None:
-            return self.maml
-        return replace(self.maml, fast_path=self.fast_path)
 
 
 def taml_train(
@@ -97,7 +83,7 @@ def _train_node(
             obs.counter("taml.leaves_trained")
             model = model_factory()
             model.load_state_dict(node.theta)
-            history = meta_train(model, node.cluster, cfg.resolved_maml(), loss_fn, rng=rng)
+            history = meta_train(model, node.cluster, cfg.maml, loss_fn, rng=rng)
             node.theta = model.state_dict()
             loss = history[-1] if history else 0.0
             obs.histogram("taml.leaf_loss", loss)

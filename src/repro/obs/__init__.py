@@ -46,7 +46,6 @@ from repro.obs.decisions import (
     render_run_diff,
 )
 from repro.obs.dist import (
-    DistObsConfig,
     RoundAttribution,
     attribute_rounds,
     current_context,
@@ -118,7 +117,6 @@ __all__ = [
     "reconcile",
     "render_explain",
     "render_run_diff",
-    "DistObsConfig",
     "RoundAttribution",
     "attribute_rounds",
     "current_context",

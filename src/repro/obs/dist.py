@@ -1,35 +1,34 @@
 """Cross-process observability: trace context, spools, merge, attribution.
 
 The recorder in :mod:`repro.obs.recorder` is process-local — spans and
-metrics recorded inside a :class:`~repro.dist.backend.ProcessBackend`
-job or a shard server die with that process.  This module carries
-telemetry across the process boundary in three moves:
+metrics recorded inside a shard server die with that process.  This
+module carries telemetry across the process boundary in three moves:
 
 **Trace context propagation.**  :func:`current_context` captures the
 active trace id and innermost span id as a compact wire dict; the
 coordinator injects it into every shard-server command frame (a fourth
 tuple element, present *only* when tracing is active, so the disabled
-path's frames stay byte-identical) and into every ``Backend.map``
-payload bundle.  Child-process spans record the coordinator span they
-were sent under as ``remote_parent``, which the merge step below turns
-back into a real parent edge.
+path's frames stay byte-identical).  Server spans record the
+coordinator span they were sent under as ``remote_parent``, which the
+merge step below turns back into a real parent edge.
 
-**Per-process telemetry spooling.**  Each worker process installs a
-real :class:`~repro.obs.recorder.TraceRecorder` writing to an
-append-only JSONL *spool* (``spool-shard3-12345.jsonl``), reusing the
-crash-safe sink machinery — a worker killed mid-write leaves a
-truncated final line that the tolerant reader skips, and a respawned
-server (new pid) opens a fresh spool file next to its predecessor's.
-Spools are flushed on round boundaries (the ``obs_flush`` command) and
-start with a ``spool_start`` header naming the process and trace.
+**Per-shard telemetry spooling.**  Each shard server installs a real
+:class:`~repro.obs.recorder.TraceRecorder` writing to an append-only
+JSONL *spool* (``spool-shard3-12345.jsonl``), reusing the crash-safe
+sink machinery — a server killed mid-write leaves a truncated final
+line that the tolerant reader skips, and a respawned server (new pid)
+opens a fresh spool file next to its predecessor's.  Spools are flushed
+on round boundaries (the ``obs_flush`` command) and start with a
+``spool_start`` header naming the process and trace.
 
 **Merged timeline & attribution.**  :func:`merge_spools` aligns each
-spool onto the coordinator's clock (per-process offset estimated as the
-minimum observed ``recv_unix - sent_unix`` over command spans — the
-one-way-latency-is-nonnegative bound), rewrites worker span ids into a
-per-process namespace (``p12345:7``), re-parents top-level worker spans
-onto the coordinator spans that issued them, and returns one unified
-record list that :func:`repro.obs.report.aggregate` consumes unchanged.
+spool of the coordinator's trace onto the coordinator's clock
+(per-process offset estimated as the minimum observed ``recv_unix -
+sent_unix`` over command spans — the one-way-latency-is-nonnegative
+bound), rewrites server span ids into a per-process namespace
+(``shard0-12345:7``), re-parents top-level server spans onto the
+coordinator spans that issued them, and returns one unified record list
+that :func:`repro.obs.report.aggregate` consumes unchanged.
 :func:`attribute_rounds` then splits every serving round into
 prepare / solve / merge on the coordinator side and per-shard busy vs
 IPC-wait inside the solve, naming the straggler (the busiest shard)
@@ -39,74 +38,22 @@ critical-path summary behind ``trace-report --distributed``.
 
 from __future__ import annotations
 
-import cProfile
-import io
 import os
-import pstats
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import recorder as _recorder_mod
 from repro.obs.recorder import TraceRecorder, get_recorder
 from repro.obs.sinks import JsonlSink, read_jsonl
 
 #: Span name prefix for shard-server command execution in workers.
 CMD_SPAN_PREFIX = "dist.cmd."
-#: Span name for process-pool jobs executed under a propagated context.
-JOB_SPAN = "dist.job"
 #: Coordinator-side span names for one sharded serving round.
 ROUND_SPAN = "dist.server.round"
 PREPARE_SPAN = "dist.server.prepare"
 SOLVE_SPAN = "dist.server.solve"
 MERGE_SPAN = "dist.server.merge"
-
-
-@dataclass(frozen=True)
-class DistObsConfig:
-    """Distributed-observability knobs carried by ``DistConfig.obs``.
-
-    Attributes
-    ----------
-    spool_dir:
-        Directory for per-process telemetry spools; ``None`` (the
-        default) disables spooling entirely — workers install no
-        recorder and command frames still carry trace context only if
-        the coordinator traces.
-    profile:
-        Enable cadence-sampled ``cProfile`` profiling inside shard
-        servers; hotspots come back in ``obs_flush`` replies.
-    profile_every:
-        Profile every Nth round (1 = every round).
-    profile_top_n:
-        How many hotspots (by cumulative time) each flush reports.
-    """
-
-    spool_dir: str | None = None
-    profile: bool = False
-    profile_every: int = 1
-    profile_top_n: int = 10
-
-    def __post_init__(self) -> None:
-        if self.profile_every < 1:
-            raise ValueError("profile_every must be at least 1")
-        if self.profile_top_n < 1:
-            raise ValueError("profile_top_n must be at least 1")
-        if self.profile and self.spool_dir is None:
-            raise ValueError("profiling requires a spool_dir to report into")
-
-    @property
-    def enabled(self) -> bool:
-        return self.spool_dir is not None
-
-    def to_wire(self) -> dict:
-        """A plain picklable dict for shipping to worker processes."""
-        return {
-            "spool_dir": self.spool_dir,
-            "profile": self.profile,
-            "profile_every": self.profile_every,
-            "profile_top_n": self.profile_top_n,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -149,26 +96,21 @@ def spool_path(spool_dir: str | Path, role: str, ident: int | str) -> Path:
 
 
 class WorkerTelemetry:
-    """One worker process's recorder, spool, and per-round accounting.
+    """One shard server's recorder, spool, and per-round accounting.
 
     Created lazily on the first command frame that carries a trace
     context (so an untraced run never touches the filesystem), it
     installs a :class:`TraceRecorder` spooling to an append-only JSONL
-    file, counts rounds (advanced by ``obs_flush``), accumulates
-    per-command busy seconds for the flush reply, and optionally runs a
-    cadence-sampled ``cProfile`` session per round.
+    file, counts rounds (advanced by ``obs_flush``), and accumulates
+    per-command busy seconds for the flush reply.
     """
 
-    def __init__(self, cfg: dict, role: str, ident: int | str, trace_id: str) -> None:
-        self.cfg = cfg
-        self.role = role
-        self.ident = ident
-        self.path = spool_path(cfg["spool_dir"], role, ident)
+    def __init__(self, spool_dir: str | Path, role: str, ident: int | str, trace_id: str) -> None:
+        self.path = spool_path(spool_dir, role, ident)
         self.sink = JsonlSink(self.path, append=True)
         self.recorder = TraceRecorder(self.sink, trace_id=trace_id)
         self.round = 0
         self.busy_s: dict[str, float] = {}
-        self._profiler: cProfile.Profile | None = None
         self.sink.emit(
             {
                 "type": "spool_start",
@@ -180,9 +122,7 @@ class WorkerTelemetry:
             }
         )
         self.sink.flush()
-        self._maybe_start_profile()
 
-    # -- spans ---------------------------------------------------------
     def command_span(self, name: str, ctx: dict, **attrs):
         """The span timing one command, parented back to the coordinator."""
         span = self.recorder.span(
@@ -200,54 +140,17 @@ class WorkerTelemetry:
     def account(self, command: str, seconds: float) -> None:
         self.busy_s[command] = self.busy_s.get(command, 0.0) + seconds
 
-    # -- profiling -----------------------------------------------------
-    def _profiling_this_round(self) -> bool:
-        return bool(self.cfg.get("profile")) and (
-            self.round % int(self.cfg.get("profile_every", 1)) == 0
-        )
-
-    def _maybe_start_profile(self) -> None:
-        if self._profiling_this_round():
-            self._profiler = cProfile.Profile()
-            self._profiler.enable()
-
-    def _harvest_profile(self) -> list[dict] | None:
-        if self._profiler is None:
-            return None
-        self._profiler.disable()
-        stats = pstats.Stats(self._profiler, stream=io.StringIO())
-        top_n = int(self.cfg.get("profile_top_n", 10))
-        rows = []
-        for func, (cc, nc, tt, ct, _callers) in stats.stats.items():
-            filename, lineno, name = func
-            rows.append(
-                {
-                    "function": f"{os.path.basename(filename)}:{lineno}:{name}",
-                    "ncalls": nc,
-                    "tottime_s": round(tt, 6),
-                    "cumtime_s": round(ct, 6),
-                }
-            )
-        rows.sort(key=lambda r: -r["cumtime_s"])
-        self._profiler = None
-        return rows[:top_n]
-
-    # -- round boundary ------------------------------------------------
     def flush(self) -> dict:
-        """Close out the round: durable spool, busy summary, hotspots."""
-        profile = self._harvest_profile()
+        """Close out the round: durable spool and busy summary."""
         reply = {
             "round": self.round,
             "pid": os.getpid(),
             "busy_s": round(sum(self.busy_s.values()), 9),
             "by_command": {k: round(v, 9) for k, v in sorted(self.busy_s.items())},
         }
-        if profile is not None:
-            reply["profile"] = profile
         self.sink.flush()
         self.busy_s = {}
         self.round += 1
-        self._maybe_start_profile()
         return reply
 
     def close(self) -> None:
@@ -255,27 +158,6 @@ class WorkerTelemetry:
             self.recorder.finish(strict=False)
         except Exception:
             pass
-
-
-def traced_job(bundle: tuple) -> object:
-    """Picklable wrapper running one process-pool job under telemetry.
-
-    ``bundle`` is ``(fn, payload, ctx, cfg)`` as packed by
-    :class:`~repro.dist.backend.ProcessBackend` when distributed
-    observability is on.  A short-lived recorder spools one
-    :data:`JOB_SPAN` span (plus anything ``fn`` itself records) to this
-    process's spool, then flushes; pool processes are reused, so the
-    append-mode spool accumulates one segment per job.
-    """
-    fn, payload, ctx, cfg = bundle
-    telemetry = WorkerTelemetry(cfg, role="proc", ident="", trace_id=ctx["trace"])
-    previous = _recorder_mod.set_recorder(telemetry.recorder)
-    try:
-        with telemetry.command_span(JOB_SPAN, ctx, pid=os.getpid()):
-            return fn(payload)
-    finally:
-        _recorder_mod.set_recorder(previous)
-        telemetry.close()
 
 
 # ----------------------------------------------------------------------
@@ -356,20 +238,39 @@ def align_spool(records: list[dict], source: str) -> list[dict]:
 def merge_spools(
     records: list[dict], spool_dir: str | Path, strict: bool = False
 ) -> list[dict]:
-    """The unified timeline: coordinator records plus every spool.
+    """The unified timeline: coordinator records plus its trace's spools.
 
     ``records`` is the coordinator's own trace (as read from its JSONL
     trace file or a memory sink); every ``spool-*.jsonl`` under
     ``spool_dir`` is read tolerantly (truncated tails from crashed
-    workers are skipped with a warning), aligned, and appended.  The
-    result feeds :func:`repro.obs.report.aggregate`,
-    :func:`attribute_rounds`, and :func:`render_distributed_report`
-    directly.
+    workers are skipped with a warning), aligned, and appended.  When
+    the coordinator trace names its trace id (the ``trace_start``
+    header :func:`repro.obs.recorder.recording` writes), spools whose
+    ``spool_start`` header names another trace — left behind by an
+    earlier run into the same directory — are skipped with a warning;
+    span ids restart at 1 in every recorder, so merging them would
+    re-parent their spans onto this run's.  The result feeds
+    :func:`repro.obs.report.aggregate`, :func:`attribute_rounds`, and
+    :func:`render_distributed_report` directly.
     """
+    trace_id = next(
+        (r.get("trace_id") for r in records if r.get("type") == "trace_start"), None
+    )
     merged = list(records)
+    stale: list[str] = []
     for path in list_spools(spool_dir):
         spool = read_jsonl(path, strict=strict)
+        header = spool[0] if spool and spool[0].get("type") == "spool_start" else None
+        if trace_id is not None and header is not None and header.get("trace_id") != trace_id:
+            stale.append(path.name)
+            continue
         merged.extend(align_spool(spool, source=path.stem.removeprefix("spool-")))
+    if stale:
+        warnings.warn(
+            f"skipped {len(stale)} spool(s) of another trace in {spool_dir}: "
+            + ", ".join(stale),
+            stacklevel=2,
+        )
     return merged
 
 

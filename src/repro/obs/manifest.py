@@ -55,9 +55,6 @@ class RunManifest:
     #: Where per-process telemetry spools were written (distributed
     #: runs only; see :mod:`repro.obs.dist`).
     spool_dir: str | None = None
-    #: Per-shard profiler hotspots harvested from shard servers
-    #: (``DistObsConfig.profile``), newest rounds last.
-    profile: list = field(default_factory=list)
     #: Free-form string labels identifying the run within a family
     #: (sweep name, cell index, cell label — see
     #: :mod:`repro.scenarios.sweep`); report tooling groups on these.
@@ -96,7 +93,6 @@ class RunManifest:
         metrics: dict | None = None,
         trace_path: str | Path | None = None,
         spool_dir: str | Path | None = None,
-        profile: list | None = None,
         artifacts: dict | None = None,
     ) -> "RunManifest":
         """Record the run's outcome; returns self for chaining."""
@@ -110,8 +106,6 @@ class RunManifest:
         if spool_dir is not None:
             self.spool_dir = str(spool_dir)
             self.artifacts.setdefault("spools", str(spool_dir))
-        if profile is not None:
-            self.profile = list(profile)
         if artifacts is not None:
             self.artifacts.update(
                 {kind: str(p) for kind, p in artifacts.items() if p is not None}

@@ -110,7 +110,7 @@ def labelled(base: str, **labels) -> str:
     """Render a label-style metric name: ``base{k=v,k2=v2}``.
 
     Label-style names keep one logical metric family per base name
-    (``dist.shard.events{shard=3}``) instead of minting a new dotted
+    (``dist.shard.pairs{shard=3}``) instead of minting a new dotted
     path per shard id, so OpenMetrics exposition can group them into a
     single family with proper labels rather than exploding the
     namespace at high shard counts.  Labels are sorted for a canonical

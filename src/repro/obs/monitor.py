@@ -299,6 +299,8 @@ class MonitorConfig:
             raise ValueError("monitor cadence must be positive")
         if self.clock not in ("event", "wall"):
             raise ValueError("monitor clock must be 'event' or 'wall'")
+        if self.http_port is not None and not 0 <= self.http_port <= 65535:
+            raise ValueError(f"http_port must lie in 0..65535, got {self.http_port}")
         object.__setattr__(
             self,
             "slos",

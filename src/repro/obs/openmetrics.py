@@ -12,9 +12,9 @@ the OpenMetrics text format, so an external scraper (Prometheus, a
 Dotted metric names (``serve.queue.pending``) are sanitised to the
 ``[a-zA-Z_][a-zA-Z0-9_]*`` charset with an optional namespace prefix
 (``repro_serve_queue_pending``).  Label-style names
-(``dist.shard.events{shard=3}``, see
+(``dist.shard.pairs{shard=3}``, see
 :func:`repro.obs.metrics.labelled`) are grouped into one family per
-base name with proper OpenMetrics labels — ``repro_dist_shard_events``
+base name with proper OpenMetrics labels — ``repro_dist_shard_pairs``
 gets one ``{shard="3"}`` series per shard instead of one metric family
 per shard, keeping the exposition's family count independent of the
 shard count.  Two targets are provided: an

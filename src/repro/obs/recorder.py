@@ -337,11 +337,16 @@ def histogram(name: str, value: float) -> None:
 def recording(*sinks) -> Iterator[TraceRecorder]:
     """Run a block under a fresh :class:`TraceRecorder`.
 
-    Installs the recorder for the duration of the block, then finishes
-    it (flushing the metrics snapshot and closing the sinks) and
-    restores whatever recorder was active before.
+    The sinks first receive a ``trace_start`` header naming the trace
+    id, which :func:`repro.obs.dist.merge_spools` matches against each
+    shard spool's own header.  Installs the recorder for the duration
+    of the block, then finishes it (flushing the metrics snapshot and
+    closing the sinks) and restores whatever recorder was active before.
     """
     recorder = TraceRecorder(*sinks)
+    recorder._emit(
+        {"type": "trace_start", "trace_id": recorder.trace_id, "start_unix": time.time()}
+    )
     previous = set_recorder(recorder)
     try:
         yield recorder

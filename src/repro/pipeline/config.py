@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.dist.backend import DistConfig
+from repro.dist.meta import check_meta_backend
 from repro.meta.gtmc import GTMCConfig
 from repro.meta.maml import MAMLConfig
 from repro.tools import check_keys, dataclass_from_mapping
@@ -49,6 +50,8 @@ class PredictionConfig:
         through :func:`repro.dist.meta.dist_taml_train`, whose result is
         bit-identical at every worker count (but uses its own per-leaf
         RNG schedule, so it differs numerically from the legacy path).
+        Its backend is ``"serial"`` or ``"process"``; shard servers
+        serve only the sharded engine.
     """
 
     algorithm: str = "gttaml"
@@ -88,6 +91,8 @@ class PredictionConfig:
             raise ValueError("cell must be 'lstm' or 'gru'")
         if self.fine_tune_optimizer not in ("sgd", "adam"):
             raise ValueError("fine_tune_optimizer must be 'sgd' or 'adam'")
+        if self.dist is not None:
+            check_meta_backend(self.dist)
 
     @classmethod
     def from_dict(cls, data: Mapping, owner: str = "prediction") -> "PredictionConfig":

@@ -88,8 +88,12 @@ def build_serve_config(policy: PolicySpec, monitor=None, decisions=None) -> Serv
     )
 
 
-def build_dist_config(policy: PolicySpec, dist_obs=None):
-    """The :class:`repro.dist.DistConfig` of a sharded policy, else None."""
+def build_dist_config(policy: PolicySpec, spool_dir=None):
+    """The :class:`repro.dist.DistConfig` of a sharded policy, else None.
+
+    ``spool_dir`` is where shard servers spool telemetry while a trace
+    is active (``shard_server`` policies only).
+    """
     if policy.dist.shards <= 1:
         return None
     from repro.dist import DistConfig
@@ -98,12 +102,12 @@ def build_dist_config(policy: PolicySpec, dist_obs=None):
         backend=policy.dist.backend,
         shards=policy.dist.shards,
         warm_start=policy.dist.warm_start,
-        obs=dist_obs,
+        spool_dir=spool_dir,
     )
 
 
 def build_engine(
-    workers, provider, policy: PolicySpec, monitor=None, dist_obs=None, decisions=None
+    workers, provider, policy: PolicySpec, monitor=None, spool_dir=None, decisions=None
 ):
     """Assemble the engine a policy asks for.
 
@@ -115,7 +119,7 @@ def build_engine(
     """
     assign = assign_fn(policy.algorithm)
     config = build_serve_config(policy, monitor=monitor, decisions=decisions)
-    dist = build_dist_config(policy, dist_obs=dist_obs)
+    dist = build_dist_config(policy, spool_dir=spool_dir)
     candidate_fn = assign
     if dist is not None or policy.dist.warm_start:
         from repro.dist import component_candidate_assign
@@ -141,9 +145,7 @@ def build_engine(
     )
 
 
-def run_scenario(
-    scenario: ScenarioSpec, policy: PolicySpec, monitor=None, dist_obs=None, decisions=None
-):
+def run_scenario(scenario: ScenarioSpec, policy: PolicySpec, monitor=None, decisions=None):
     """Materialise a scenario, run it under a policy, return the result.
 
     The single entry point behind ``scenarios run`` cells and the
@@ -156,7 +158,6 @@ def run_scenario(
         data.provider,
         policy,
         monitor=monitor,
-        dist_obs=dist_obs,
         decisions=decisions,
     )
     try:

@@ -337,23 +337,11 @@ class ServeEngine:
             max_candidates=cfg.max_candidates,
         )
 
-    def _on_event(self, event) -> None:
-        """Pre-dispatch event hook; the base engine does nothing.
-
-        Called once per processed event, before its state updates, so
-        decision records written while the event is dispatched can use
-        what the hook noted.  Subclasses use it for routing accounting
-        (per-shard event counters and task columns in
-        :class:`repro.dist.serve.ShardedEngine`); it must not mutate
-        engine state the event loop depends on.
-        """
-
     def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
         """The decision log a run records into (``config.decisions``).
 
         Subclasses substitute their own — :class:`repro.dist.serve.ShardedEngine`
-        attributes each record to the stripe that owned the task and
-        writes per-shard spools merged at close.
+        attributes each record to the stripe that owns the task.
         """
         return DecisionLog(config)
 
@@ -628,7 +616,6 @@ class ServeEngine:
                 result.n_prepositioned += len(moves)
                 obs.counter("forecast.prepositioned", len(moves))
 
-        event_started = 0.0
         try:
             while queue and queue.peek_time() <= horizon_end:
                 event = queue.pop()
@@ -636,9 +623,6 @@ class ServeEngine:
                     monitor.advance(event.time)
                 if fruntime is not None:
                     fruntime.advance(event.time)
-                if watch:
-                    event_started = time.perf_counter()
-                self._on_event(event)
                 if isinstance(event, TaskArrival):
                     task = event.task
                     if fruntime is not None:
@@ -728,9 +712,6 @@ class ServeEngine:
                     online[event.worker.worker_id] = event.worker
                 elif isinstance(event, WorkerCheckOut):
                     online.pop(event.worker_id, None)
-                if watch:
-                    obs.histogram("serve.loop.lag_s", time.perf_counter() - event_started)
-                    obs.gauge("serve.loop.heap_depth", len(queue))
 
             # Tasks still pending at the horizon's end count as expired.
             if (watch or dlog is not None) and pending:

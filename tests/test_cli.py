@@ -87,6 +87,14 @@ class TestCommands:
         assert "completion_ratio" in out
         assert "cache_hit_rate" in out
 
+    def test_serve_sim_spool_dir_needs_shard_servers(self, tmp_path):
+        with pytest.raises(SystemExit, match="--spool-dir"):
+            main([
+                "serve-sim", "--n-workers", "10", "--n-tasks", "20", "--horizon", "10",
+                "--shards", "2", "--spool-dir", str(tmp_path / "spools"),
+            ])
+        assert not (tmp_path / "spools").exists()
+
     def test_serve_sim_json_and_trace(self, capsys, tmp_path):
         import json
 

@@ -227,3 +227,14 @@ class TestSemantics:
         )
         for node in tree.iter_nodes():
             assert node.theta is not None
+
+    def test_rejects_shard_server_backend(self):
+        """Shard servers serve the sharded engine only: meta-training
+        and its config reject them, naming the field."""
+        from repro.pipeline.config import PredictionConfig
+
+        dist = DistConfig(backend="shard_server", shards=2)
+        with pytest.raises(ValueError, match="DistConfig.backend"):
+            run_dist(dist)
+        with pytest.raises(ValueError, match="DistConfig.backend"):
+            PredictionConfig(dist=dist)

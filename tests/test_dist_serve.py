@@ -188,27 +188,3 @@ class TestShardedEngineBehavior:
         tasks, workers = scenario(3)
         _, engine = run_sharded(tasks, workers, 3, shards=1)
         assert engine.boundary_workers_total == 0
-
-    def test_event_routing_metrics_emitted(self):
-        """With a metrics recorder active, per-shard event counters and
-        lag histograms appear as labelled dist.shard.* families."""
-        from repro import obs
-        from repro.obs.recorder import MetricsRecorder
-
-        tasks, workers = scenario(5)
-        previous = obs.set_recorder(MetricsRecorder())
-        try:
-            run_sharded(tasks, workers, 5, shards=2)
-            metrics = obs.get_recorder().metrics
-            counter_names = set(metrics.counters)
-            histogram_names = set(metrics.histograms)
-            assert any(n.startswith("dist.shard.events{") for n in counter_names)
-            assert any(n.startswith("dist.shard.lag_s{") for n in histogram_names)
-            # Only the labelled families: no dotted per-shard aliases.
-            assert not any(
-                n.startswith("dist.shard.") and n.endswith((".events", ".lag_s", ".pairs"))
-                for n in counter_names | histogram_names
-            )
-            assert "dist.merge.seconds" in histogram_names
-        finally:
-            obs.set_recorder(previous)

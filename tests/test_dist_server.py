@@ -205,11 +205,6 @@ class TestShardServerHandle:
 
 
 class TestShardServerBackend:
-    def test_map_ordered_matches_serial(self):
-        payloads = list(range(7))
-        with ShardServerBackend(shards=3) as backend:
-            assert backend.map_ordered(_square, payloads) == [p * p for p in payloads]
-
     def test_distconfig_resolves_shard_servers(self):
         from repro.dist import resolve_backend
 
@@ -220,10 +215,6 @@ class TestShardServerBackend:
     def test_distconfig_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             DistConfig(backend="threads")
-
-
-def _square(x):
-    return x * x
 
 
 def scenario(seed, n_workers=30, n_tasks=60, t_end=60.0):

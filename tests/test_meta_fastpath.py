@@ -8,6 +8,8 @@ engines share no backward code, so agreement here is a strong check on
 both.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,6 @@ class TestResolve:
     def test_config_validates_setting(self):
         with pytest.raises(ValueError):
             MAMLConfig(fast_path="yes")
-        with pytest.raises(ValueError):
-            TAMLConfig(fast_path="yes")
 
 
 class TestAdaptEquivalence:
@@ -137,7 +137,7 @@ class TestTAMLEquivalence:
         states = {}
         for fast in (True, False):
             tree = self._tree()
-            cfg = TAMLConfig(maml=maml, fast_path=fast)
+            cfg = TAMLConfig(maml=replace(maml, fast_path=fast))
             taml_train(tree, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
             states[fast] = [node.theta for node in tree.iter_nodes()]
         for fast_theta, tape_theta in zip(states[True], states[False]):

@@ -199,13 +199,14 @@ class TestTraceRecorder:
 class TestJsonlSink:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "deep" / "run.trace.jsonl"
-        with obs.recording(JsonlSink(path)):
+        with obs.recording(JsonlSink(path)) as rec:
             with obs.span("root", n=np.int64(3), arr=np.array([1.0, 2.0])):
                 obs.counter("hits", np.float64(2.0))
         records = read_jsonl(path)
-        assert [r["type"] for r in records] == ["span", "metrics"]
-        assert records[0]["attrs"] == {"n": 3, "arr": [1.0, 2.0]}
-        assert records[1]["counters"]["hits"] == 2.0
+        assert [r["type"] for r in records] == ["trace_start", "span", "metrics"]
+        assert records[0]["trace_id"] == rec.trace_id
+        assert records[1]["attrs"] == {"n": 3, "arr": [1.0, 2.0]}
+        assert records[2]["counters"]["hits"] == 2.0
         # Every line independently parseable (the JSONL contract).
         for line in path.read_text().splitlines():
             json.loads(line)

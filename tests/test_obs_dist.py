@@ -18,14 +18,11 @@ import pytest
 from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
-from repro.dist.backend import ProcessBackend
 from repro.obs import MemorySink
 from repro.obs.dist import (
     CMD_SPAN_PREFIX,
-    JOB_SPAN,
     ROUND_SPAN,
     SOLVE_SPAN,
-    DistObsConfig,
     align_spool,
     attribute_rounds,
     clock_offset,
@@ -65,7 +62,7 @@ def run_reference(tasks, workers, seed):
     return engine.run(tasks, 0.0, 60.0)
 
 
-def run_sharded(tasks, workers, seed, shards=2, obs_cfg=None, provider=None,
+def run_sharded(tasks, workers, seed, shards=2, spool_dir=None, provider=None,
                 backend="shard_server", record=False, t_end=60.0):
     engine = ShardedEngine(
         workers,
@@ -73,7 +70,8 @@ def run_sharded(tasks, workers, seed, shards=2, obs_cfg=None, provider=None,
         ServeConfig(),
         assign_fn=ppi_assign,
         candidate_assign_fn=component_candidate_assign(ppi_assign),
-        dist=DistConfig(backend=backend, shards=shards, workers=2, obs=obs_cfg),
+        dist=DistConfig(backend=backend, shards=shards, workers=2,
+                        spool_dir=None if spool_dir is None else str(spool_dir)),
     )
     if provider is not None and hasattr(provider, "engine"):
         provider.engine = engine
@@ -94,9 +92,9 @@ def run_sharded(tasks, workers, seed, shards=2, obs_cfg=None, provider=None,
 # ----------------------------------------------------------------------
 class TestLabelledNames:
     def test_roundtrip(self):
-        name = labelled("dist.shard.events", shard=3)
-        assert name == "dist.shard.events{shard=3}"
-        assert split_labels(name) == ("dist.shard.events", {"shard": "3"})
+        name = labelled("dist.shard.pairs", shard=3)
+        assert name == "dist.shard.pairs{shard=3}"
+        assert split_labels(name) == ("dist.shard.pairs", {"shard": "3"})
 
     def test_labels_sorted(self):
         assert labelled("m", b=1, a=2) == "m{a=2,b=1}"
@@ -113,17 +111,17 @@ class TestLabelledNames:
     def test_openmetrics_groups_label_families(self):
         snapshot = {
             "counters": {
-                labelled("dist.shard.events", shard=0): 5.0,
-                labelled("dist.shard.events", shard=1): 7.0,
+                labelled("dist.shard.pairs", shard=0): 5.0,
+                labelled("dist.shard.pairs", shard=1): 7.0,
             },
             "gauges": {labelled("dist.shard.busy_s", shard=1): 0.25},
             "histograms": {},
         }
         text = render_openmetrics(snapshot)
         # One family declaration, one labelled series per shard.
-        assert text.count("# TYPE repro_dist_shard_events counter") == 1
-        assert 'repro_dist_shard_events_total{shard="0"} 5' in text
-        assert 'repro_dist_shard_events_total{shard="1"} 7' in text
+        assert text.count("# TYPE repro_dist_shard_pairs counter") == 1
+        assert 'repro_dist_shard_pairs_total{shard="0"} 5' in text
+        assert 'repro_dist_shard_pairs_total{shard="1"} 7' in text
         assert 'repro_dist_shard_busy_s{shard="1"} 0.25' in text
 
 
@@ -157,10 +155,8 @@ class TestMergedTimeline:
         stream = StreamConfig(n_workers=40, n_tasks=80, t_end=30.0,
                               width_km=20.0, height_km=20.0, seed=1)
         tasks, workers = make_task_stream(stream), make_worker_fleet(stream)
-        cfg = DistObsConfig(spool_dir=str(spool_dir), profile=True,
-                            profile_every=2, profile_top_n=5)
         result, engine, records = run_sharded(
-            tasks, workers, 1, shards=2, obs_cfg=cfg, record=True, t_end=30.0
+            tasks, workers, 1, shards=2, spool_dir=spool_dir, record=True, t_end=30.0
         )
         merged = merge_spools(records, spool_dir)
         return result, engine, records, merged, spool_dir
@@ -210,26 +206,37 @@ class TestMergedTimeline:
         assert "critical path" in text
         assert "straggler" in text
 
-    def test_profile_hotspots_on_cadence(self, traced_run):
-        result, engine, *_ = traced_run
-        hotspots = engine.profile_hotspots
-        assert hotspots
-        profiled_rounds = {h["round"] for h in hotspots}
-        # Every other round (profile_every=2), both shards each time.
-        assert all(r % 2 == 0 for r in profiled_rounds)
-        assert {h["shard"] for h in hotspots} == {0, 1}
-        for entry in hotspots:
-            assert len(entry["top"]) <= 5
-            assert all({"function", "ncalls", "cumtime_s"} <= set(row) for row in entry["top"])
-
     def test_labelled_shard_metrics_without_dotted_aliases(self, traced_run):
         _, _, records, *_ = traced_run
         metrics = next(r for r in records if r.get("type") == "metrics")
         counters, gauges = metrics["counters"], metrics["gauges"]
-        assert labelled("dist.shard.events", shard=0) in counters
+        assert labelled("dist.shard.pairs", shard=0) in counters
         assert not any(name.startswith("dist.shard.0.") for name in counters)
         assert labelled("dist.shard.busy_s", shard=0) in gauges
         assert "dist.shard.straggler" in gauges
+
+    def test_rerun_into_same_spool_dir_merges_only_its_own_spools(self, tmp_path):
+        """A second traced run into the same spool directory leaves the
+        first run's spools in place; merging the second run's trace
+        must skip them, so every solve parents one build per shard."""
+        stream = StreamConfig(n_workers=40, n_tasks=80, t_end=30.0,
+                              width_km=20.0, height_km=20.0, seed=1)
+        tasks, workers = make_task_stream(stream), make_worker_fleet(stream)
+        for _ in range(2):
+            result, _, records = run_sharded(
+                tasks, workers, 1, shards=2, spool_dir=tmp_path, record=True, t_end=30.0
+            )
+        assert len(list_spools(tmp_path)) == 4
+        with pytest.warns(UserWarning, match="another trace"):
+            merged = merge_spools(records, tmp_path)
+        solve_ids = {r["span_id"] for r in records
+                     if r.get("type") == "span" and r["name"] == SOLVE_SPAN}
+        per_solve = dict.fromkeys(solve_ids, 0)
+        for r in merged:
+            if r.get("type") == "span" and r["name"] == CMD_SPAN_PREFIX + "build":
+                per_solve[r["parent_id"]] += 1
+        assert per_solve and max(per_solve.values()) <= 2
+        assert len(attribute_rounds(merged)) == result.n_batches
 
     def test_spools_are_valid_jsonl_with_header(self, traced_run):
         *_, spool_dir = traced_run
@@ -240,38 +247,6 @@ class TestMergedTimeline:
             assert any(r.get("type") == "span" for r in lines)
 
 
-class TestProcessBackendJobs:
-    def test_pool_jobs_spool_job_spans(self, tmp_path):
-        cfg = DistObsConfig(spool_dir=str(tmp_path))
-        backend = ProcessBackend(workers=2, obs=cfg)
-        sink = MemorySink()
-        try:
-            with obs.recording(sink):
-                with obs.span("driver") as driver:
-                    out = backend.map_ordered(_square, [1, 2, 3])
-                    parent = driver.span_id
-        finally:
-            backend.close()
-        assert out == [1, 4, 9]
-        merged = merge_spools(sink.records, tmp_path)
-        jobs = [r for r in merged if r.get("type") == "span" and r["name"] == JOB_SPAN]
-        assert len(jobs) == 3
-        assert all(r["parent_id"] == parent for r in jobs)
-
-    def test_untraced_pool_leaves_no_spools(self, tmp_path):
-        cfg = DistObsConfig(spool_dir=str(tmp_path))
-        backend = ProcessBackend(workers=2, obs=cfg)
-        try:
-            assert backend.map_ordered(_square, [2, 3]) == [4, 9]
-        finally:
-            backend.close()
-        assert list_spools(tmp_path) == []
-
-
-def _square(x):
-    return x * x
-
-
 # ----------------------------------------------------------------------
 # disabled-path parity
 # ----------------------------------------------------------------------
@@ -280,8 +255,7 @@ class TestDisabledPathParity:
         tasks, workers = scenario(6)
         ref = result_signature(run_reference(tasks, workers, 6))
         plain, *_ = run_sharded(tasks, workers, 6)
-        cfg = DistObsConfig(spool_dir=str(tmp_path))
-        traced, *_ = run_sharded(tasks, workers, 6, obs_cfg=cfg, record=True)
+        traced, *_ = run_sharded(tasks, workers, 6, spool_dir=tmp_path, record=True)
         assert result_signature(plain) == ref
         assert result_signature(traced) == ref
 
@@ -313,12 +287,12 @@ class TestDisabledPathParity:
         assert tap.sent and all(len(frame) == 3 for frame in tap.sent)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DistObsConfig(profile=True)  # profiling needs a spool dir
-        with pytest.raises(ValueError):
-            DistObsConfig(spool_dir="x", profile_every=0)
-        assert not DistObsConfig().enabled
-        assert DistObsConfig(spool_dir="x").enabled
+        # Only shard servers spool, so any other backend rejects a spool dir.
+        for backend in ("serial", "process"):
+            with pytest.raises(ValueError, match="spool_dir"):
+                DistConfig(backend=backend, spool_dir="x")
+        assert DistConfig().spool_dir is None
+        assert DistConfig(backend="shard_server", spool_dir="x").spool_dir == "x"
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +330,21 @@ class TestMergeEdgeCases:
         assert len(spans) == 1
         assert spans[0]["span_id"] == "shard0-1:1"
         assert spans[0]["parent_id"] == 9
+
+    def test_spools_of_another_trace_are_skipped(self, tmp_path):
+        for name, trace_id in (("spool-shard0-1.jsonl", "old"), ("spool-shard0-2.jsonl", "new")):
+            header = {"type": "spool_start", "pid": 1, "role": "shard", "ident": 0,
+                      "trace_id": trace_id, "start_unix": 100.0}
+            span = spool_span(1, remote_parent=1, shard=0)
+            (tmp_path / name).write_text(json.dumps(header) + "\n" + json.dumps(span) + "\n")
+        coordinator = [{"type": "trace_start", "trace_id": "new", "start_unix": 100.0}]
+        with pytest.warns(UserWarning, match="spool-shard0-1.jsonl"):
+            merged = merge_spools(coordinator, tmp_path)
+        spans = [r for r in merged if r.get("type") == "span"]
+        assert [r["span_id"] for r in spans] == ["shard0-2:1"]
+        # A trace that names no id keeps merging every spool.
+        spans = [r for r in merge_spools([], tmp_path) if r.get("type") == "span"]
+        assert len(spans) == 2
 
     def test_empty_spool_merges_to_nothing(self, tmp_path):
         (tmp_path / "spool-shard1-2.jsonl").write_text("")
@@ -421,9 +410,8 @@ class TestCrashReplayTelemetry:
         tasks, workers = scenario(5)
         ref = result_signature(run_reference(tasks, workers, 5))
         provider = _CrashingProvider(DeadReckoningProvider(seed=5), kill_at_call=200)
-        cfg = DistObsConfig(spool_dir=str(tmp_path))
         result, engine, records = run_sharded(
-            tasks, workers, 5, shards=3, obs_cfg=cfg, provider=provider, record=True
+            tasks, workers, 5, shards=3, spool_dir=tmp_path, provider=provider, record=True
         )
         assert provider.killed, "crash was never injected; raise kill_at_call"
         assert engine.backend.total_restarts >= 1

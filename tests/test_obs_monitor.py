@@ -187,6 +187,9 @@ class TestMetricsMonitor:
             MonitorConfig(cadence=0.0)
         with pytest.raises(ValueError, match="clock"):
             MonitorConfig(clock="lamport")
+        for port in (70000, -1):
+            with pytest.raises(ValueError, match="http_port"):
+                MonitorConfig(http_port=port)
 
     def test_finish_is_idempotent(self, tmp_path):
         series = tmp_path / "s.jsonl"

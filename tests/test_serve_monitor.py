@@ -97,7 +97,7 @@ class TestNoOpContract:
             assert obs.get_recorder() is rec
         assert result.n_monitor_samples > 0
         # The monitor sampled the recorder's registry, not a private one.
-        assert "serve.loop.heap_depth" in rec.metrics.gauges
+        assert "serve.queue.pending" in rec.metrics.gauges
 
 
 class TestMonitoredRunOutputs:
@@ -123,7 +123,6 @@ class TestMonitoredRunOutputs:
         text = exposition.read_text()
         assert text.endswith("# EOF\n")
         assert "repro_serve_assignments_total" in text
-        assert "repro_serve_loop_heap_depth" in text
 
     def test_engine_health_metrics_present(self, tmp_path):
         tasks, workers = seeded_scenario()
@@ -135,10 +134,10 @@ class TestMonitoredRunOutputs:
             monitor=MonitorConfig(cadence=4.0, series_path=str(tmp_path / "s.jsonl")),
         )
         final = [r for r in read_jsonl(tmp_path / "s.jsonl") if r["type"] == "sample"][-1]
-        for hist in ("serve.loop.lag_s", "serve.batch.latency_s", "serve.index.candidates",
+        for hist in ("serve.batch.latency_s", "serve.index.candidates",
                      "serve.task.time_to_assign"):
             assert hist in final["histograms"], hist
-        for gauge in ("serve.loop.heap_depth", "serve.cache.hit_rate", "serve.queue.pending"):
+        for gauge in ("serve.cache.hit_rate", "serve.queue.pending"):
             assert gauge in final["gauges"], gauge
         # The candidate histogram sums to the engine's own pair count.
         candidate_windows = [
