@@ -24,11 +24,10 @@ Two arms, both parity-asserted before any timing is reported:
   :class:`repro.dist.ComponentMatcher`).  The sharded plan must equal
   the dense plan tuple-for-tuple.  Two sharded timings are taken:
   ``sharded_cold`` (a fresh :class:`repro.dist.ShardPlanner` and
-  :class:`repro.dist.ShardStats` per repeat, so the layout and every
-  worker halo are recomputed from scratch) and ``sharded_steady`` (one
-  persistent planner carries the stripe layout and halo memberships
-  across calls, the regime a long-lived serving process is actually
-  in).  The steady
+  :class:`repro.dist.ShardStats` per repeat, so the stripe layout is
+  recomputed from scratch) and ``sharded_steady`` (one persistent
+  planner carries the stripe layout across calls, the regime a
+  long-lived serving process is actually in).  The steady
   overhead over dense is asserted ≤ ``MAX_STEADY_OVERHEAD_PCT`` — the
   planner exists precisely to kill the former +25% serial tax.
 
@@ -110,8 +109,9 @@ SHARD_SPEC = {
 SEED = 7
 
 # Steady-state sharding must cost no more than this over the dense
-# solve — the ShardPlanner caches the stripe layout and halo lookups
-# precisely so a serving loop does not pay partitioning tax per batch.
+# solve — the ShardPlanner keeps the stripe layout and computes halos in
+# one batched pass precisely so a serving loop does not pay partitioning
+# tax per batch.
 MAX_STEADY_OVERHEAD_PCT = 10.0
 
 
@@ -245,8 +245,8 @@ def bench_shard(spec: dict) -> dict:
         dense_plan = ppi_assign(tasks, snapshots, t, graph)
         dense_s = min(dense_s, time.perf_counter() - started)
 
-    # Cold: a fresh planner per call, so layout + every halo is
-    # recomputed (kept for an honest before/after record).
+    # Cold: a fresh planner per call, so the layout is recomputed
+    # (kept for an honest before/after record).
     cold_s = float("inf")
     cold_plan = None
     for _ in range(repeats):
@@ -259,8 +259,8 @@ def bench_shard(spec: dict) -> dict:
 
     # Steady state: one planner lives across calls, as it does inside a
     # long-running ShardedEngine.  The unmeasured warm-up call builds
-    # the sticky layout and populates the halo cache; the timed repeats
-    # then pay only the cached-lookup cost.
+    # the sticky layout; the timed repeats then pay only the per-batch
+    # halo pass.
     planner = ShardPlanner(shards=k, cell_km=cell_km)
     graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=ShardStats())
     ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
@@ -282,7 +282,7 @@ def bench_shard(spec: dict) -> dict:
     if steady_overhead > MAX_STEADY_OVERHEAD_PCT:
         raise AssertionError(
             f"steady-state sharding overhead {steady_overhead:+.1f}% exceeds "
-            f"{MAX_STEADY_OVERHEAD_PCT:.0f}% — the planner caches regressed"
+            f"{MAX_STEADY_OVERHEAD_PCT:.0f}% — the planner regressed"
         )
 
     params = get_scenario(spec["scenario"]).params
@@ -301,7 +301,6 @@ def bench_shard(spec: dict) -> dict:
         "sharding_overhead_pct": steady_overhead,
         "sharding_cold_overhead_pct": 100.0 * (cold_s - dense_s) / dense_s,
         "max_steady_overhead_pct": MAX_STEADY_OVERHEAD_PCT,
-        "halo_cache": {"hits": planner.halo_hits, "misses": planner.halo_misses},
         "tasks_per_shard": stats.tasks_per_shard,
         "snapshots_per_shard": stats.snapshots_per_shard,
         "pairs_per_shard": stats.pairs_per_shard,

@@ -126,3 +126,45 @@ def pair_completion_probability(snapshot, task, current_time: float, a: float = 
     dy = pred[:, 1] - task.location.y
     b_size = int(np.count_nonzero(dx * dx + dy * dy <= radius * radius))
     return 1.0 - (1.0 - snapshot.matching_rate) ** b_size
+
+
+def pair_completion_probabilities(
+    snapshots, tasks, current_time: float, a: float = 0.3
+) -> list[float]:
+    """:func:`pair_completion_probability` for many pairs in one pass.
+
+    ``snapshots[i]`` and ``tasks[i]`` form pair ``i``.  Every predicted
+    point of every pair is tested in one numpy expression — the same
+    arithmetic as the per-pair form, so each result is bit-identical to
+    ``pair_completion_probability(snapshots[i], tasks[i], current_time, a)``.
+    """
+    probs = [0.0] * len(tasks)
+    live: list[int] = []
+    blocks: list[np.ndarray] = []
+    rows: list[tuple[float, float, float]] = []
+    for i, (snapshot, task) in enumerate(zip(snapshots, tasks)):
+        pred = snapshot.predicted_xy
+        if len(pred) == 0:
+            continue
+        bound = min(
+            snapshot.detour_budget_km / 2.0,
+            snapshot.speed_km_per_min * (task.deadline - current_time),
+        )
+        radius = bound - a
+        if bound <= 0 or radius < 0:
+            continue
+        live.append(i)
+        blocks.append(pred)
+        rows.append((task.location.x, task.location.y, radius * radius))
+    if not live:
+        return probs
+    pair = np.repeat(np.arange(len(live)), [len(block) for block in blocks])
+    per_point = np.array(rows)[pair]
+    pred = np.concatenate(blocks)
+    dx = pred[:, 0] - per_point[:, 0]
+    dy = pred[:, 1] - per_point[:, 1]
+    inside = dx * dx + dy * dy <= per_point[:, 2]
+    b_sizes = np.bincount(pair[inside], minlength=len(live)).tolist()
+    for i, b_size in zip(live, b_sizes):
+        probs[i] = 1.0 - (1.0 - snapshots[i].matching_rate) ** b_size
+    return probs

@@ -11,9 +11,9 @@ candidate generation runs independently:
   column) — the merge is a disjoint union, no conflicts by construction;
 * **workers** join every stripe their radius-expanded predicted points
   touch (the *halo*), computed with the same
-  :func:`repro.serve.spatial_index.cells_in_radius` arithmetic the index
-  itself queries with, so shard membership covers exactly the buckets a
-  query could read;
+  :func:`repro.serve.spatial_index.cells_in_radius` column ranges the
+  batched index pass scans, so shard membership covers exactly the
+  cells a query could read;
 * the **horizon** (latest pending deadline) is computed once over the
   global task set and passed down, because a shard-local horizon would
   shrink halo radii.
@@ -25,10 +25,10 @@ snapshot order) and ``max_candidates`` pruning (each task's full
 candidate list lives in its owning stripe).  The parity tests pin this.
 
 :class:`ShardPlanner` is the one stripe/halo implementation: it keeps
-a sticky :class:`ShardLayout` and caches each worker's halo.  The
-stripe builds themselves run on long-lived shard servers
-(:mod:`repro.dist.server`, fed by :class:`repro.dist.ShardedEngine`);
-in one process, :func:`sharded_build_candidates` builds the dense
+a sticky :class:`ShardLayout` and computes every worker's halo in one
+numpy pass per batch.  The stripe builds themselves run on long-lived
+shard servers (:mod:`repro.dist.server`, fed by
+:class:`repro.dist.ShardedEngine`); in one process, :func:`sharded_build_candidates` builds the dense
 graph once and uses the planner only for the per-stripe accounting.
 
 Matching then decomposes by *connected components* of the edge graph:
@@ -58,11 +58,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.obs.metrics import labelled
 from repro.assignment.hungarian import WarmStartState, maximum_weight_matching
 from repro.sc.entities import SpatialTask, WorkerSnapshot
-from repro.serve.spatial_index import build_candidates, cells_in_radius, latest_horizon
+from repro.serve.spatial_index import build_candidates, latest_horizon, predicted_points
 
 Edge = tuple[int, int, float]
 
@@ -212,35 +214,22 @@ class ShardLayout:
 
 @dataclass
 class ShardPlanner:
-    """Caches the stripe layout and worker halo lookups across batches.
+    """Keeps the stripe layout across batches and computes worker halos.
 
-    Recomputing :func:`make_shards` and rasterising every snapshot's
-    halo each batch is the serial overhead
-    that made sharding *lose* time; both are stable across consecutive
-    batches.  The layout is computed once from the first non-empty task
-    batch and kept (optionally refreshed every ``relayout_every``
-    batches); halo memberships are cached per worker and reused while
-    the snapshot's predicted track (array identity — the prediction
-    cache shares it across hits), radius, and layout generation are
-    unchanged.
+    Recomputing :func:`make_shards` each batch is serial overhead, and
+    the layout is stable across consecutive batches: it is computed once
+    from the first non-empty task batch and kept (optionally refreshed
+    every ``relayout_every`` batches).  Halo memberships are computed
+    fresh each batch in one numpy pass over every predicted point.
     """
 
     shards: int
     cell_km: float = 1.0
     #: refresh the stripe layout every N batches; ``None`` = sticky.
     relayout_every: int | None = None
-    #: drop halo cache entries unused for this many batches.
-    prune_every: int = 64
     _layout: ShardLayout | None = None
     _batches: int = 0
     _generation: int = 0
-    #: worker_id -> (predicted_xy ref, radius, layout generation,
-    #: touched shard ids, last-used batch)
-    _halo: dict[int, tuple[object, float, int, tuple[int, ...], int]] = field(
-        default_factory=dict
-    )
-    halo_hits: int = 0
-    halo_misses: int = 0
 
     def layout_for(self, tasks: Sequence[SpatialTask]) -> ShardLayout | None:
         """The sticky layout, (re)built from ``tasks`` when due."""
@@ -267,50 +256,26 @@ class ShardPlanner:
         """Snapshot positions per stripe, preserving global snapshot order.
 
         A snapshot joins every stripe whose columns intersect the cells
-        its radius-``min(d/2, sp * horizon)`` queries would scan
-        (:func:`cells_in_radius` around each predicted point, routed
-        through the layout's total column map) — the halo.  Snapshots
-        the dense path skips (no predicted points, zero radius) join
-        nothing, exactly as the dense loop skips them.
-
-        Exactness does not depend on the cache key: a stale entry is
-        impossible because a hit requires the *same* predicted-point
-        array object, the same radius, and the same layout generation —
-        everything the rasterisation reads.
+        its radius-``min(d/2, sp * horizon)`` queries would scan — the
+        halo.  Each predicted point's column range ``cx0..cx1`` is the
+        :func:`~repro.serve.spatial_index.cells_in_radius` range,
+        computed for the whole batch at once; stripes are contiguous
+        column runs under the layout's total column map, so the point
+        touches stripes ``shard_for_column(cx0) .. shard_for_column(cx1)``.
+        Snapshots the dense path skips (no predicted points, zero
+        radius) join nothing, exactly as the dense pass skips them.
         """
         members: list[list[int]] = [[] for _ in layout.specs]
-        for pos, snap in enumerate(snapshots):
-            if len(snap.predicted_xy) == 0:
-                continue
-            radius = min(snap.detour_budget_km / 2.0, snap.speed_km_per_min * horizon)
-            if radius <= 0:
-                continue
-            entry = self._halo.get(snap.worker_id)
-            if (
-                entry is not None
-                and same_track(entry[0], snap.predicted_xy)
-                and entry[1] == radius
-                and entry[2] == layout.generation
-            ):
-                touched = entry[3]
-                self.halo_hits += 1
-            else:
-                seen: set[int] = set()
-                for x, y in snap.predicted_xy:
-                    for cx, _cy in cells_in_radius(float(x), float(y), radius, layout.cell_km):
-                        seen.add(layout.shard_for_column(cx))
-                touched = tuple(sorted(seen))
-                self.halo_misses += 1
-            self._halo[snap.worker_id] = (
-                snap.predicted_xy, radius, layout.generation, touched, self._batches,
-            )
-            for shard_id in touched:
-                members[shard_id].append(pos)
-        if self.prune_every and self._batches % self.prune_every == 0:
-            floor = self._batches - self.prune_every
-            self._halo = {
-                wid: entry for wid, entry in self._halo.items() if entry[4] >= floor
-            }
+        points = predicted_points(snapshots, horizon)
+        if points is None:
+            return members
+        x = points.xy[:, 0]
+        bounds = np.asarray(layout.boundaries, dtype=float)
+        first = np.searchsorted(bounds, np.floor((x - points.radius) / layout.cell_km), "left")
+        last = np.searchsorted(bounds, np.floor((x + points.radius) / layout.cell_km), "left")
+        for shard_id in range(len(members)):
+            touched = (first <= shard_id) & (last >= shard_id)
+            members[shard_id] = np.unique(points.owner[touched]).tolist()
         return members
 
 

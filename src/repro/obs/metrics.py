@@ -25,7 +25,11 @@ def percentile(values: list[float], q: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must lie in [0, 100]")
-    ordered = sorted(values)
+    return _sorted_percentile(sorted(values), q)
+
+
+def _sorted_percentile(ordered: list[float], q: float) -> float:
+    """:func:`percentile` of an already-sorted, non-empty list."""
     if len(ordered) == 1:
         return float(ordered[0])
     rank = q / 100.0 * (len(ordered) - 1)
@@ -94,15 +98,16 @@ class Histogram:
         if not window:
             return {"count": 0}
         total = float(sum(window))
+        ordered = sorted(window)
         return {
             "count": len(window),
             "sum": total,
             "mean": total / len(window),
             "min": float(min(window)),
             "max": float(max(window)),
-            "p50": percentile(window, 50.0),
-            "p90": percentile(window, 90.0),
-            "p99": percentile(window, 99.0),
+            "p50": _sorted_percentile(ordered, 50.0),
+            "p90": _sorted_percentile(ordered, 90.0),
+            "p99": _sorted_percentile(ordered, 99.0),
         }
 
 

@@ -66,7 +66,7 @@ class JsonlSink:
     def emit(self, record: dict) -> None:
         if self._fh is None:
             raise ValueError(f"sink for {self.path} is closed")
-        self._fh.write(json.dumps(record, default=_jsonable) + "\n")
+        self._fh.write(_ENCODER.encode(record) + "\n")
 
     def flush(self) -> None:
         """Push buffered records to the OS (round-boundary durability)."""
@@ -97,6 +97,11 @@ def _jsonable(value):
     if hasattr(value, "tolist"):  # numpy array or scalar
         return value.tolist()
     return str(value)
+
+
+#: ``json.dumps(record, default=_jsonable)`` without building an encoder
+#: per record.
+_ENCODER = json.JSONEncoder(default=_jsonable)
 
 
 def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:

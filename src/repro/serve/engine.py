@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # import cycle: forecast.dispatch imports serve.triggers
     from repro.forecast.dispatch import ForecastConfig
 
 from repro import obs
-from repro.assignment.matching_rate import pair_completion_probability
+from repro.assignment.matching_rate import pair_completion_probabilities
 from repro.assignment.plan import AssignmentPlan
 from repro.obs.decisions import DecisionConfig, DecisionLog
 from repro.obs.metrics import labelled
@@ -337,6 +337,49 @@ class ServeEngine:
             max_candidates=cfg.max_candidates,
         )
 
+    @staticmethod
+    def _record_offers(
+        offers: Sequence[tuple[SpatialTask, int, bool]],
+        snapshots: Sequence[WorkerSnapshot],
+        t: float,
+        monitor: MetricsMonitor | None,
+        dlog: DecisionLog | None,
+        warm_tier: str | None,
+    ) -> None:
+        """Feed one batch's offers to calibration and the decision log.
+
+        ``offers`` holds each plan pair's task, worker id and acceptance,
+        in plan order.  The believed completion probability is computed
+        only where it is read — every offer under calibration, accepted
+        offers for the decision log — in one batched pass.
+        """
+        calibrate = monitor is not None and monitor.calibration is not None
+        scored = [i for i, offer in enumerate(offers) if calibrate or offer[2]]
+        snap_by_worker = {s.worker_id: s for s in snapshots}
+        beliefs = dict(
+            zip(
+                scored,
+                pair_completion_probabilities(
+                    [snap_by_worker[offers[i][1]] for i in scored],
+                    [offers[i][0] for i in scored],
+                    t,
+                ),
+            )
+        )
+        for i, (task, worker_id, accepted) in enumerate(offers):
+            believed = beliefs.get(i)
+            if calibrate:
+                monitor.observe_outcome(believed, accepted, t)
+            if dlog is not None:
+                dlog.offered(
+                    task.task_id,
+                    worker_id,
+                    t,
+                    accepted,
+                    predicted_p=believed,
+                    warm_tier=warm_tier,
+                )
+
     def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
         """The decision log a run records into (``config.decisions``).
 
@@ -478,11 +521,13 @@ class ServeEngine:
                 available=len(available),
                 early=early,
             ) as batch_span:
+                cache_mark = cache.stats.counts()
                 pre_cache = cache.stats.snapshot() if dlog is not None else None
                 with obs.span("serve.predict", workers=len(available)):
                     started = time.perf_counter()
                     snapshots = [cache.get(w, t) for w in available]
                     result.prediction_seconds += time.perf_counter() - started
+                cache.stats.publish_since(cache_mark)
                 served = cache.stats.hits + cache.stats.misses
                 if served:
                     obs.gauge("serve.cache.hit_rate", cache.stats.hits / served)
@@ -517,10 +562,9 @@ class ServeEngine:
                         warm_tier = _warm_tier(
                             warm_pre, _warm_tier_counts(self.candidate_assign_fn)
                         )
-                snap_by_worker = (
-                    {s.worker_id: s for s in snapshots}
-                    if calibrate or dlog is not None
-                    else None
+                # Fed to calibration and the decision log after the loop.
+                offers: list[tuple[SpatialTask, int, bool]] | None = (
+                    [] if calibrate or dlog is not None else None
                 )
                 n_accepted = 0
                 n_rejected = 0
@@ -531,21 +575,8 @@ class ServeEngine:
                     result.n_assignments += 1
                     if outcome_listener is not None:
                         outcome_listener(task.task_id, worker.worker_id, decision.accepted, t)
-                    if calibrate or dlog is not None:
-                        believed = pair_completion_probability(
-                            snap_by_worker[pair.worker_id], task, t
-                        )
-                        if calibrate:
-                            monitor.observe_outcome(believed, decision.accepted, t)
-                        if dlog is not None:
-                            dlog.offered(
-                                task.task_id,
-                                worker.worker_id,
-                                t,
-                                decision.accepted,
-                                predicted_p=believed,
-                                warm_tier=warm_tier,
-                            )
+                    if offers is not None:
+                        offers.append((task, worker.worker_id, decision.accepted))
                     if decision.accepted:
                         n_accepted += 1
                         result.n_completed += 1
@@ -567,6 +598,8 @@ class ServeEngine:
                         result.n_rejections += 1
                         if watch or dlog is not None:
                             offered_ids.add(task.task_id)
+                if offers is not None:
+                    self._record_offers(offers, snapshots, t, monitor, dlog, warm_tier)
                 obs.counter("serve.assignments", len(plan))
                 obs.counter("serve.accepted", n_accepted)
                 obs.counter("serve.rejections", n_rejected)

@@ -28,9 +28,17 @@ from repro.sc.entities import Worker, WorkerSnapshot
 from repro.sc.platform import SnapshotProvider
 
 
+#: The ``serve.cache.*`` counters, in :meth:`CacheStats.counts` order.
+_COUNTERS = ("serve.cache.hits", "serve.cache.misses", "serve.cache.invalidations")
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss accounting, also mirrored to ``serve.cache.*`` metrics."""
+    """Hit/miss accounting, published as ``serve.cache.*`` counters.
+
+    The counters go out once per batch (:meth:`publish_since`), not on
+    every lookup.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -51,6 +59,20 @@ class CacheStats:
             "invalidations": float(self.invalidations),
             "hit_rate": self.hit_rate,
         }
+
+    def counts(self) -> tuple[int, int, int]:
+        """A ``(hits, misses, invalidations)`` mark for :meth:`publish_since`."""
+        return (self.hits, self.misses, self.invalidations)
+
+    def publish_since(self, mark: tuple[int, int, int]) -> None:
+        """Add the lookups since a :meth:`counts` mark to the counters.
+
+        A counter that did not move is not touched, so it appears in
+        the registry only once it has counted something.
+        """
+        for name, before, now in zip(_COUNTERS, mark, self.counts()):
+            if now > before:
+                obs.counter(name, now - before)
 
     def snapshot(self) -> tuple[int, int]:
         """A (hits, requests) mark for :meth:`window_hit_rate`."""
@@ -116,11 +138,9 @@ class PredictionCache:
             if entry is not None and t - entry.created <= self.ttl + 1e-9:
                 if self._deviated(entry, worker, t):
                     self.stats.invalidations += 1
-                    obs.counter("serve.cache.invalidations")
                     del self._entries[key]
                 else:
                     self.stats.hits += 1
-                    obs.counter("serve.cache.hits")
                     return replace(
                         entry.snapshot, current_location=worker.last_shared_location(t)
                     )
@@ -129,7 +149,6 @@ class PredictionCache:
                 del self._entries[key]
 
         self.stats.misses += 1
-        obs.counter("serve.cache.misses")
         snapshot = self.provider(worker, t)
         if self.ttl > 0:
             self._entries[key] = _Entry(snapshot=snapshot, created=t)

@@ -4,10 +4,18 @@ Dense assignment enumerates every (task, worker) pair — O(W x T) per
 batch — even though Theorem 2 discards any pair whose predicted points
 all lie further than ``min(d/2, sp * (deadline - t))`` from the task.
 Bucketing task locations into a uniform grid (the same trick as
-``repro.geo.grid``, but hashed and extent-free) lets each worker fetch
-only the tasks near its predicted trajectory, so the candidate graph
-fed to PPI/KM is sparse wherever the city is larger than the detour
-radius.
+``repro.geo.grid``, but extent-free) lets each worker fetch only the
+tasks near its predicted trajectory, so the candidate graph fed to
+PPI/KM is sparse wherever the city is larger than the detour radius.
+
+:func:`build_candidates` runs the whole batch as one numpy pass: the
+tasks are sorted once by ``(cell column, cell row)``, every eligible
+snapshot's predicted points are stacked into one array
+(:func:`predicted_points`), and for each (point, occupied column) pair a
+``searchsorted`` finds the contiguous run of tasks whose rows fall in
+the point's bounding-box cell range — the cells :func:`cells_in_radius`
+lists.  :class:`UniformGridIndex` is the per-point form of the same
+scan, kept as the reference the tests compare the batched pass against.
 
 Exactness: ``min(d/2, d^t) <= d/2``, so querying every predicted point
 with radius ``d/2`` returns a **superset** of the pairs the dense path
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,11 +44,13 @@ def cells_in_radius(
 
     The bounding-box cell range ``cell(x - r, y - r) .. cell(x + r,
     y + r)`` — a superset of the cells the disk intersects, and exactly
-    the cells :meth:`UniformGridIndex._query_positions` scans.  Shard
-    and halo construction in :mod:`repro.dist.shard` reuses this so
-    "which shards can this worker reach" and "which buckets will the
-    index read" are the same arithmetic by construction: any point a
-    query could return lives in one of these cells.
+    the cells :meth:`UniformGridIndex._query_positions` scans.  The
+    batched :func:`build_candidates` and the shard halo
+    (:meth:`repro.dist.shard.ShardPlanner.memberships`) compute the same
+    ranges with the same floor arithmetic over a whole batch, so "which
+    shards can this worker reach" and "which cells will the index read"
+    agree by construction: any point a query could return lives in one
+    of these cells.
 
     A point exactly on a cell edge belongs to the higher cell
     (``floor`` semantics), consistent with the index's bucketing.
@@ -116,23 +126,6 @@ class UniformGridIndex:
         keep = dists <= radius
         return [(positions[i], float(dists[i])) for i in np.flatnonzero(keep)]
 
-    def query_points(self, xy: np.ndarray, radius: float) -> dict[int, float]:
-        """Min distance per indexed id over a set of query points.
-
-        This is the per-worker candidate query: ``xy`` is the worker's
-        predicted trajectory and the result maps each task id within
-        ``radius`` of *some* predicted point to the smallest such
-        distance.
-        """
-        best: dict[int, float] = {}
-        arr = np.asarray(xy, dtype=float).reshape(-1, 2)
-        for x, y in arr:
-            for pos, dist in self._query_positions(float(x), float(y), radius):
-                item_id = self._ids[pos]
-                if dist < best.get(item_id, math.inf):
-                    best[item_id] = dist
-        return best
-
 
 def latest_horizon(
     tasks: Sequence[SpatialTask], current_time: float
@@ -149,6 +142,76 @@ def latest_horizon(
     return max(latest_deadline - current_time, 0.0)
 
 
+class PredictedPoints(NamedTuple):
+    """One batch's predicted points, stacked for a single numpy pass."""
+
+    #: ``(P, 2)`` predicted points of every eligible snapshot, in order.
+    xy: np.ndarray
+    #: ``(P,)`` snapshot position owning each point.
+    owner: np.ndarray
+    #: ``(P,)`` query radius of each point's snapshot.
+    radius: np.ndarray
+
+
+def predicted_points(
+    snapshots: Sequence[WorkerSnapshot], horizon: float
+) -> PredictedPoints | None:
+    """Stack every eligible snapshot's predicted points for one batch.
+
+    A snapshot's radius is ``min(d/2, sp * horizon)``; snapshots with no
+    predicted points or a radius ``<= 0`` can reach no task and are
+    skipped.  ``None`` when nothing is left.  A non-finite point or
+    radius raises ``ValueError`` naming the worker: the cell arithmetic
+    downstream would otherwise place it silently in a bogus cell.
+    """
+    blocks: list[np.ndarray] = []
+    owners: list[int] = []
+    radii: list[float] = []
+    for pos, snap in enumerate(snapshots):
+        if len(snap.predicted_xy) == 0:
+            continue
+        radius = min(snap.detour_budget_km / 2.0, snap.speed_km_per_min * horizon)
+        if radius <= 0:
+            continue
+        blocks.append(snap.predicted_xy)
+        owners.append(pos)
+        radii.append(radius)
+    if not blocks:
+        return None
+    counts = [len(block) for block in blocks]
+    points = PredictedPoints(
+        xy=np.concatenate(blocks),
+        owner=np.repeat(np.asarray(owners, dtype=np.intp), counts),
+        radius=np.repeat(np.asarray(radii, dtype=float), counts),
+    )
+    bad_radius = ~np.isfinite(points.radius)
+    if bad_radius.any():
+        i = int(np.argmax(bad_radius))
+        raise ValueError(
+            f"worker {snapshots[points.owner[i]].worker_id}: non-finite query radius "
+            f"{points.radius[i]} (from detour_budget_km and speed_km_per_min)"
+        )
+    bad_point = ~np.isfinite(points.xy).all(axis=1)
+    if bad_point.any():
+        i = int(np.argmax(bad_point))
+        raise ValueError(
+            f"worker {snapshots[points.owner[i]].worker_id}: non-finite predicted_xy "
+            f"point {points.xy[i].tolist()}"
+        )
+    return points
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the runs ``starts[i] .. starts[i] + counts[i] - 1``.
+
+    Returns ``(run index, value)`` per element, runs in order.
+    """
+    counts = np.maximum(counts, 0)
+    run = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.cumsum(counts) - counts
+    return run, np.arange(len(run)) - offsets[run] + starts[run]
+
+
 def build_candidates(
     tasks: Sequence[SpatialTask],
     snapshots: Sequence[WorkerSnapshot],
@@ -159,36 +222,100 @@ def build_candidates(
 ) -> dict[int, list[int]]:
     """Sparse candidate graph ``task_id -> worker ids`` for one batch.
 
-    Queries every snapshot's predicted points against a grid index of
+    Queries every snapshot's predicted points against the grid cells of
     the pending task locations with radius ``d/2`` (capped by how far
     the worker could travel before the latest pending deadline), so the
     graph is a superset of the Theorem-2-feasible pairs — PPI/KM on it
     match the dense plan exactly.  Worker ids per task are ordered by
     snapshot position, reproducing the dense enumeration order;
     ``max_candidates`` keeps only the k nearest workers per task
-    (approximate, but bounds the per-task degree).  ``horizon``
-    overrides the deadline horizon (see :func:`latest_horizon`); the
-    default derives it from ``tasks``.
+    (approximate, but bounds the per-task degree; ties go to the
+    earlier snapshot).  ``horizon`` overrides the deadline horizon (see
+    :func:`latest_horizon`); the default derives it from ``tasks``.
+
+    The batch runs as one numpy pass (see the module docstring) and
+    scans exactly the cells a per-point :meth:`UniformGridIndex.query`
+    would, with the same distance expression, so the graph equals the
+    per-point one bit for bit.
     """
-    index = UniformGridIndex(cell_km=cell_km)
-    index.build([(t.task_id, t.location.x, t.location.y) for t in tasks])
+    if cell_km <= 0:
+        raise ValueError("cell size must be positive")
     if horizon is None:
         horizon = latest_horizon(tasks, current_time)
+    if not tasks:
+        return {}
+    points = predicted_points(snapshots, horizon)
+    if points is None:
+        return {}
 
-    per_task: dict[int, list[tuple[int, float]]] = {}
-    for pos, snap in enumerate(snapshots):
-        if len(snap.predicted_xy) == 0:
-            continue
-        radius = min(snap.detour_budget_km / 2.0, snap.speed_km_per_min * horizon)
-        if radius <= 0:
-            continue
-        for task_id, dist in index.query_points(snap.predicted_xy, radius).items():
-            per_task.setdefault(task_id, []).append((pos, dist))
+    task_xy = np.array([(t.location.x, t.location.y) for t in tasks], dtype=float)
+    if not np.isfinite(task_xy).all():
+        bad = int(np.argmax(~np.isfinite(task_xy).all(axis=1)))
+        raise ValueError(f"task {tasks[bad].task_id}: non-finite location")
+    # Tasks sorted by (column rank, row rank): each occupied column's
+    # tasks form one run, sorted by row inside it.
+    task_cell = np.floor(task_xy / cell_km)
+    cols, col_rank = np.unique(task_cell[:, 0], return_inverse=True)
+    rows, row_rank = np.unique(task_cell[:, 1], return_inverse=True)
+    key = col_rank.reshape(-1) * len(rows) + row_rank.reshape(-1)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
 
-    graph: dict[int, list[int]] = {}
-    for task_id, hits in per_task.items():
-        if max_candidates is not None and len(hits) > max_candidates:
-            hits = sorted(hits, key=lambda h: h[1])[:max_candidates]
-            hits.sort(key=lambda h: h[0])
-        graph[task_id] = [snapshots[pos].worker_id for pos, _ in hits]
-    return graph
+    # Each point's bounding-box cell range, as in cells_in_radius, cut
+    # down to the occupied columns and rows.
+    reach = points.radius[:, None]
+    lo = np.floor((points.xy - reach) / cell_km)
+    hi = np.floor((points.xy + reach) / cell_km)
+    col_lo = np.searchsorted(cols, lo[:, 0], "left")
+    col_hi = np.searchsorted(cols, hi[:, 0], "right")
+    row_lo = np.searchsorted(rows, lo[:, 1], "left")
+    row_hi = np.searchsorted(rows, hi[:, 1], "right")
+
+    # One task run per (point, occupied column) pair.
+    point, col = _expand(col_lo, col_hi - col_lo)
+    run_start = np.searchsorted(sorted_key, col * len(rows) + row_lo[point], "left")
+    run_stop = np.searchsorted(sorted_key, col * len(rows) + row_hi[point], "left")
+    run, slot = _expand(run_start, run_stop - run_start)
+    point = point[run]
+    task = order[slot]
+
+    dist = np.sqrt(((task_xy[task] - points.xy[point]) ** 2).sum(axis=1))
+    keep = dist <= points.radius[point]
+    if not keep.any():
+        return {}
+    owner = points.owner[point[keep]]
+    dist = dist[keep]
+    # Tasks sharing an id count as one, as in a per-id index.
+    id_rank: dict[int, int] = {}
+    task_rank = np.array([id_rank.setdefault(t.task_id, len(id_rank)) for t in tasks])
+    ident = task_rank[task[keep]]
+
+    # The nearest hit per (task, snapshot), in (task, snapshot) order.
+    by_pair = np.lexsort((dist, owner, ident))
+    ident, owner, dist = ident[by_pair], owner[by_pair], dist[by_pair]
+    first = np.ones(len(ident), dtype=bool)
+    first[1:] = (ident[1:] != ident[:-1]) | (owner[1:] != owner[:-1])
+    ident, owner, dist = ident[first], owner[first], dist[first]
+
+    if max_candidates is not None:
+        # Per task: nearest first, ties to the earlier snapshot (a
+        # stable sort of the snapshot-ordered list), keep the first k.
+        nearest = np.lexsort((owner, dist, ident))
+        grouped = ident[nearest]
+        position = np.arange(len(nearest))
+        group_start = np.where(np.r_[True, grouped[1:] != grouped[:-1]], position, 0)
+        rank = position - np.maximum.accumulate(group_start)
+        kept = np.empty(len(nearest), dtype=bool)
+        kept[nearest] = rank < max_candidates
+        ident, owner = ident[kept], owner[kept]
+
+    ids = list(id_rank)
+    worker_ids = [snap.worker_id for snap in snapshots]
+    owners = owner.tolist()
+    bounds = np.flatnonzero(ident[1:] != ident[:-1]) + 1
+    starts = [0, *bounds.tolist()]
+    stops = [*bounds.tolist(), len(owners)]
+    return {
+        ids[rank]: [worker_ids[pos] for pos in owners[a:b]]
+        for rank, a, b in zip(ident[starts].tolist(), starts, stops)
+    }

@@ -311,19 +311,14 @@ class TestShardPlanner:
         assert planner._layout is not None
         assert planner._layout.generation == 1  # never re-laid-out
 
-    def test_halo_cache_hits_on_stable_tracks(self):
-        rng = np.random.default_rng(3)
-        tasks, snaps = random_workload(rng, n_tasks=20, n_workers=15)
-        planner = ShardPlanner(shards=3, cell_km=1.5)
-        for _ in range(3):
-            sharded_build_candidates(tasks, snaps, 0.0, planner, stats=ShardStats())
-        assert planner.halo_hits > 0
-        # Identity-keyed: a changed track for one worker is a miss.
-        first_misses = planner.halo_misses
-        moved = list(snaps)
-        moved[0] = make_snapshot(snaps[0].worker_id, rng.uniform(0, 30, (4, 2)))
-        sharded_build_candidates(tasks, moved, 0.0, planner, stats=ShardStats())
-        assert planner.halo_misses == first_misses + 1
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predicted_point_names_the_worker(self, bad):
+        tasks = [make_task(0, 0.5, 0.5), make_task(1, 10.5, 0.5)]
+        planner = ShardPlanner(shards=2, cell_km=1.0)
+        layout = planner.layout_for(tasks)
+        snaps = [make_snapshot(5, [(0.5, 0.5)]), make_snapshot(9, [(1.0, 1.0), (2.0, bad)])]
+        with pytest.raises(ValueError, match=r"worker 9: non-finite predicted_xy"):
+            planner.memberships(layout, snaps, 60.0)
 
     def test_planner_with_warm_matcher_plan_equals_dense(self):
         rng = np.random.default_rng(12)

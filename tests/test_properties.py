@@ -9,12 +9,17 @@ from repro.assignment.matching_rate import matching_rate, theorem2_bound
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.assignment.ppi import PPIConfig, ppi_assign
 from repro.cluster.game import best_response_clustering
-from repro.dist.shard import ShardPlanner
+from repro.dist.shard import ShardLayout, ShardPlanner, make_shards
 from repro.geo.detour import min_detour
 from repro.geo.grid import Grid
 from repro.geo.point import Point
 from repro.sc.entities import SpatialTask, WorkerSnapshot
-from repro.serve.spatial_index import build_candidates
+from repro.serve.spatial_index import (
+    UniformGridIndex,
+    build_candidates,
+    cells_in_radius,
+    latest_horizon,
+)
 from repro.similarity.distribution import sliced_wasserstein
 from tests.test_dist_shard import stripe_union
 
@@ -132,6 +137,110 @@ def random_batch(rng, n_tasks, n_workers, extent=30.0):
             )
         )
     return tasks, snaps
+
+
+@st.composite
+def index_batches(draw):
+    """Batches that stress the batched candidate pass: negative
+    coordinates, points exactly on cell edges, duplicate task
+    locations, empty tracks and zero-radius workers."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    cell_km = draw(st.sampled_from([0.5, 1.0, 1.3, 2.5]))
+    on_edges = draw(st.booleans())
+
+    def coords(n):
+        xy = rng.uniform(-10.0, 10.0, size=(n, 2))
+        return np.round(xy / cell_km) * cell_km if on_edges else xy
+
+    task_xy = coords(draw(st.integers(0, 20)))
+    if len(task_xy) > 1 and draw(st.booleans()):
+        task_xy[1:] = task_xy[rng.integers(0, len(task_xy), len(task_xy) - 1)]
+    tasks = [
+        SpatialTask(i, Point(float(x), float(y)), 0.0, float(rng.uniform(0.5, 40.0)))
+        for i, (x, y) in enumerate(task_xy)
+    ]
+    snaps = []
+    for wid in range(draw(st.integers(0, 12))):
+        pts = coords(int(rng.integers(0, 6)))
+        snaps.append(
+            WorkerSnapshot(
+                worker_id=100 + wid,
+                current_location=Point(0.0, 0.0),
+                predicted_xy=pts,
+                predicted_times=10.0 * np.arange(1, len(pts) + 1),
+                detour_budget_km=float(rng.choice([0.0, 2.0, rng.uniform(0.5, 9.0)])),
+                speed_km_per_min=float(rng.uniform(0.1, 1.5)),
+                matching_rate=0.5,
+            )
+        )
+    return tasks, snaps, cell_km
+
+
+def per_point_candidates(tasks, snaps, t, cell_km, max_candidates, horizon):
+    """The candidate graph one :meth:`UniformGridIndex.query` per
+    predicted point gives: min distance per (task, worker), workers in
+    snapshot order, nearest-``k`` with ties to the earlier snapshot."""
+    index = UniformGridIndex(cell_km=cell_km).build(
+        [(task.task_id, task.location.x, task.location.y) for task in tasks]
+    )
+    if horizon is None:
+        horizon = latest_horizon(tasks, t)
+    per_task = {}
+    for pos, snap in enumerate(snaps):
+        radius = min(snap.detour_budget_km / 2.0, snap.speed_km_per_min * horizon)
+        if len(snap.predicted_xy) == 0 or radius <= 0:
+            continue
+        best = {}
+        for x, y in snap.predicted_xy:
+            for task_id, dist in index.query(float(x), float(y), radius):
+                best[task_id] = min(dist, best.get(task_id, np.inf))
+        for task_id, dist in best.items():
+            per_task.setdefault(task_id, []).append((pos, dist))
+    graph = {}
+    for task_id, hits in per_task.items():
+        if max_candidates is not None and len(hits) > max_candidates:
+            hits = sorted(sorted(hits, key=lambda h: h[1])[:max_candidates])
+        graph[task_id] = [snaps[pos].worker_id for pos, _ in hits]
+    return graph
+
+
+class TestCandidateIndexProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=index_batches(),
+        max_candidates=st.one_of(st.none(), st.integers(1, 3)),
+        horizon=st.one_of(st.none(), st.floats(0.0, 20.0)),
+        t=st.floats(0.0, 5.0),
+    )
+    def test_batched_pass_equals_per_point_queries(self, batch, max_candidates, horizon, t):
+        tasks, snaps, cell_km = batch
+        got = build_candidates(
+            tasks, snaps, t, cell_km=cell_km, max_candidates=max_candidates, horizon=horizon
+        )
+        assert got == per_point_candidates(tasks, snaps, t, cell_km, max_candidates, horizon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=index_batches(), shards=st.integers(1, 6), horizon=st.floats(0.0, 30.0))
+    def test_memberships_equal_per_point_cell_scan(self, batch, shards, horizon):
+        """A snapshot joins exactly the stripes that own a column of some
+        point's ``cells_in_radius`` range."""
+        tasks, snaps, cell_km = batch
+        specs = make_shards(tasks or [SpatialTask(0, Point(0.0, 0.0), 0.0, 1.0)], shards, cell_km)
+        layout = ShardLayout.from_specs(specs, cell_km)
+        want = [[] for _ in layout.specs]
+        for pos, snap in enumerate(snaps):
+            radius = min(snap.detour_budget_km / 2.0, snap.speed_km_per_min * horizon)
+            if len(snap.predicted_xy) == 0 or radius <= 0:
+                continue
+            touched = {
+                layout.shard_for_column(cx)
+                for x, y in snap.predicted_xy
+                for cx, _ in cells_in_radius(float(x), float(y), radius, cell_km)
+            }
+            for shard_id in sorted(touched):
+                want[shard_id].append(pos)
+        got = ShardPlanner(shards, cell_km=cell_km).memberships(layout, snaps, horizon)
+        assert got == want
 
 
 class TestShardProperties:

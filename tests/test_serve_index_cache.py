@@ -51,11 +51,6 @@ class TestUniformGridIndex:
         with pytest.raises(ValueError):
             UniformGridIndex().build([(0, 1.0, 1.0)]).query(0.0, 0.0, -1.0)
 
-    def test_query_points_takes_min_distance(self):
-        index = UniformGridIndex(cell_km=1.0).build([(7, 0.0, 0.0)])
-        hits = index.query_points(np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), 5.0)
-        assert hits == {7: pytest.approx(1.0)}
-
     def test_rebuild_replaces_contents(self):
         index = UniformGridIndex(cell_km=1.0).build([(0, 0.0, 0.0)])
         index.build([(1, 5.0, 5.0)])
@@ -117,6 +112,30 @@ class TestBuildCandidates:
         snaps = [snapshot_at(w, [(0.5 * (w + 1), 0.0)]) for w in range(4)]
         graph = build_candidates(tasks, snaps, current_time=0.0, max_candidates=2)
         assert graph[0] == [0, 1]
+
+    def test_max_candidates_ranks_by_nearest_point(self):
+        """A worker's distance to a task is its *nearest* predicted
+        point: worker 0's track ends 0.5 km away, so it outranks worker
+        1 (1 km away) even though its other points are 3-4 km off."""
+        tasks = [SpatialTask(7, Point(0.0, 0.0), 0.0, 60.0)]
+        snaps = [
+            snapshot_at(0, [(3.0, 0.0), (4.0, 0.0), (0.5, 0.0)], detour=10.0),
+            snapshot_at(1, [(1.0, 0.0)], detour=10.0),
+        ]
+        assert build_candidates(tasks, snaps, 0.0, max_candidates=1) == {7: [0]}
+        assert build_candidates(tasks, snaps, 0.0, max_candidates=2) == {7: [0, 1]}
+
+    def test_max_candidates_ties_go_to_earlier_snapshot(self):
+        tasks = [SpatialTask(0, Point(0.0, 0.0), 0.0, 60.0)]
+        snaps = [snapshot_at(w, [(0.0, 1.0)]) for w in (4, 2, 8)]
+        assert build_candidates(tasks, snaps, 0.0, max_candidates=2) == {0: [4, 2]}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predicted_point_names_the_worker(self, bad):
+        tasks = [SpatialTask(0, Point(0.0, 0.0), 0.0, 60.0)]
+        snaps = [snapshot_at(3, [(0.5, 0.0)]), snapshot_at(11, [(1.0, 0.0), (bad, 2.0)])]
+        with pytest.raises(ValueError, match=r"worker 11: non-finite predicted_xy"):
+            build_candidates(tasks, snaps, 0.0)
 
     def test_deadline_caps_radius(self):
         """A nearly-expired task only reaches very close workers."""
