@@ -197,9 +197,9 @@ def engine_metrics_run() -> dict:
             "n_workers": scenario.params["n_workers"],
             "n_tasks": scenario.params["n_tasks"],
             "horizon_minutes": data.t_end,
-            "trigger": policy.trigger.kind,
-            "cache_ttl": policy.cache.ttl,
-            "max_pending": policy.shedding.max_pending,
+            "trigger": policy.serve.trigger,
+            "cache_ttl": policy.serve.cache_ttl,
+            "max_pending": policy.serve.max_pending,
         },
         "completion_ratio": result.metrics().completion_ratio,
         "n_batches": result.n_batches,

@@ -127,58 +127,59 @@ def build_parser() -> argparse.ArgumentParser:
 
         One flag group → one PolicySpec translation
         (:func:`repro.scenarios.builders.policy_from_args`), so both
-        commands compile flags to the engine identically.
+        commands compile flags to the engine identically.  The flags
+        default to ``None``: only the flags given enter the policy
+        document, and the engine configs supply every other default.
         """
-        p.add_argument("--algorithm", choices=("ppi", "km"), default="ppi")
-        p.add_argument("--batch-window", type=float, default=2.0)
-        p.add_argument("--assignment-window", type=float, default=10.0)
+        p.add_argument("--algorithm", choices=("ppi", "km"))
+        p.add_argument("--batch-window", type=float)
+        p.add_argument("--assignment-window", type=float)
         p.add_argument(
-            "--trigger", choices=("fixed", "adaptive", "forecast"), default="fixed",
+            "--trigger", choices=("fixed", "adaptive", "forecast"),
             help="batch trigger policy (adaptive fires early under load; "
                  "forecast adds predicted-demand pressure)",
         )
-        p.add_argument("--pending-threshold", type=int, default=None)
-        p.add_argument("--deadline-slack", type=float, default=None)
+        p.add_argument("--pending-threshold", type=int)
+        p.add_argument("--deadline-slack", type=float)
         p.add_argument(
-            "--max-pending", type=int, default=None,
+            "--max-pending", type=int,
             help="bound the pending queue; overflow sheds the least-slack task",
         )
-        p.add_argument("--cache-ttl", type=float, default=0.0,
+        p.add_argument("--cache-ttl", type=float,
                        help="prediction cache TTL (minutes)")
-        p.add_argument("--cache-deviation", type=float, default=None,
+        p.add_argument("--cache-deviation", type=float,
                        help="invalidate cached predictions on check-in deviation beyond this (km)")
-        p.add_argument("--use-index", action="store_true",
+        p.add_argument("--use-index", action="store_true", default=None,
                        help="sparse candidate graph from the uniform-grid index")
-        p.add_argument("--index-cell", type=float, default=1.0, help="grid cell size (km)")
-        p.add_argument("--max-candidates", type=int, default=None,
+        p.add_argument("--index-cell", type=float, help="grid cell size (km)")
+        p.add_argument("--max-candidates", type=int,
                        help="keep only the k nearest candidate workers per task")
-        p.add_argument("--shards", type=int, default=1,
+        p.add_argument("--shards", type=int,
                        help=">1 serves through the sharded engine (per-stripe candidate "
                             "builds merged to the identical dense plan)")
         p.add_argument("--shard-servers", action="store_true",
                        help="run the stripe builds on long-lived stateful shard processes "
                             "fed incremental deltas (with --shards; default: in process)")
-        p.add_argument("--warm-start", action="store_true",
+        p.add_argument("--warm-start", action="store_true", default=None,
                        help="carry Hungarian dual potentials across batches; unchanged "
                             "components skip the solve (plans unchanged)")
         p.add_argument("--forecast", choices=("ewma", "seasonal_naive", "seq2seq"),
-                       default=None,
                        help="enable per-cell demand forecasting with this model "
                             "(see docs/FORECASTING.md)")
-        p.add_argument("--prepositioning", action="store_true",
+        p.add_argument("--prepositioning", action="store_true", default=None,
                        help="move idle workers toward predicted demand gaps between "
                             "batches (implies --forecast ewma unless a model is given)")
-        p.add_argument("--forecast-bin", type=float, default=2.0,
+        p.add_argument("--forecast-bin", type=float,
                        help="demand time-bin width in minutes (with --forecast)")
-        p.add_argument("--forecast-grid", type=int, default=8,
+        p.add_argument("--forecast-grid", type=int,
                        help="demand grid resolution per axis (with --forecast)")
-        p.add_argument("--forecast-threshold", type=float, default=None,
+        p.add_argument("--forecast-threshold", type=float,
                        help="predicted-pressure threshold of --trigger forecast: fire "
                             "when pending + predicted demand reaches this")
-        p.add_argument("--forecast-gap", type=float, default=1.0,
+        p.add_argument("--forecast-gap", type=float,
                        help="minimum predicted supply/demand gap worth a move "
                             "(with --prepositioning)")
-        p.add_argument("--forecast-moves", type=int, default=4,
+        p.add_argument("--forecast-moves", type=int,
                        help="pre-position move cap per batch (with --prepositioning)")
 
     serve = sub.add_parser(
@@ -534,11 +535,12 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         finally:
             if policy.dist.shards > 1:
                 engine.close()
-        reporter.add("algorithm", args.algorithm)
-        reporter.add("trigger", args.trigger)
+        serve = policy.serve
+        reporter.add("algorithm", policy.algorithm)
+        reporter.add("trigger", serve.trigger)
         reporter.line(
-            f"algorithm={args.algorithm} trigger={args.trigger} "
-            f"use_index={args.use_index} cache_ttl={args.cache_ttl}"
+            f"algorithm={policy.algorithm} trigger={serve.trigger} "
+            f"use_index={serve.use_index} cache_ttl={serve.cache_ttl}"
         )
         if policy.dist.shards > 1:
             reporter.line(
@@ -574,7 +576,7 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
             rows["n_decisions"] = float(result.n_decisions)
             reporter.add("decisions", args.decisions)
             reporter.line(f"[decisions: {args.decisions}]")
-        if policy.forecast.enabled:
+        if policy.serve.forecast is not None:
             rows["n_prepositioned"] = float(result.n_prepositioned)
             if result.forecast_mae is not None:
                 rows["forecast_mae"] = result.forecast_mae
@@ -678,11 +680,11 @@ def cmd_scenarios_list(args: argparse.Namespace) -> int:
         reporter.line(f"  {name:<18} {spec.generator:<15} {shape} seed={spec.seed}")
     reporter.line("policies:")
     for name, spec in BUILTIN_POLICIES.items():
-        traits = [spec.algorithm, spec.trigger.kind]
-        if spec.index.enabled:
-            traits.append(f"index={spec.index.cell_km}km")
-        if spec.cache.ttl:
-            traits.append(f"cache={spec.cache.ttl}m")
+        traits = [spec.algorithm, spec.serve.trigger]
+        if spec.serve.use_index:
+            traits.append(f"index={spec.serve.index_cell_km}km")
+        if spec.serve.cache_ttl:
+            traits.append(f"cache={spec.serve.cache_ttl}m")
         if spec.dist.shards > 1:
             traits.append(f"shards={spec.dist.shards}")
         if spec.dist.warm_start:

@@ -47,6 +47,7 @@ from repro.dist.backend import DistConfig, ShardServerBackend, resolve_backend
 from repro.dist.server import batch_step, encode_snapshot, encode_task
 from repro.dist.shard import (
     ComponentMatcher,
+    ShardLayout,
     ShardPlanner,
     ShardStats,
     WarmMatchCache,
@@ -140,7 +141,8 @@ class ShardedEngine(ServeEngine):
         self._planner = ShardPlanner(
             shards=self.dist.shards, cell_km=self.config.index_cell_km
         )
-        self._last_specs: list = []
+        #: The stripe layout of the latest batch (``None`` before a run's first).
+        self._layout: ShardLayout | None = None
         self._task_col: dict[int, int] = {}
         # Shard-server mirrors: which task ids and which snapshot
         # versions (predicted-track array identity) each server holds.
@@ -162,7 +164,7 @@ class ShardedEngine(ServeEngine):
         # planner and the server mirrors persist because they track what
         # the shard servers hold.
         self.batch_stats = []
-        self._last_specs = []
+        self._layout = None
         cell_km = self.config.index_cell_km
         self._task_col = {
             task.task_id: math.floor(task.location.x / cell_km) for task in tasks
@@ -188,8 +190,7 @@ class ShardedEngine(ServeEngine):
                 max_candidates=self.config.max_candidates,
                 stats=stats,
             )
-        layout = self._planner._layout
-        self._last_specs = list(layout.specs) if layout is not None else []
+        self._layout = self._planner._layout
         self.batch_stats.append(stats)
         obs.counter("dist.serve.boundary_workers", stats.n_boundary_workers)
         return graph
@@ -327,19 +328,13 @@ class ShardedEngine(ServeEngine):
     def _shard_for_column(self, col: int | None) -> int | None:
         """The stripe owning (or nearest to) a cell column, or ``None``.
 
-        Columns outside every stripe clamp to the nearest one; ``None``
-        before the first batch lays stripes out.
+        The layout's own total column map: columns outside every stripe
+        clamp to the nearest one; ``None`` before the run's first batch
+        lays stripes out.
         """
-        if col is None or not self._last_specs:
+        if col is None or self._layout is None:
             return None
-        best_id, best_gap = None, math.inf
-        for spec in self._last_specs:
-            if spec.owns_column(col):
-                return spec.shard_id
-            gap = min(abs(col - spec.col_lo), abs(col - spec.col_hi))
-            if gap < best_gap:
-                best_id, best_gap = spec.shard_id, gap
-        return best_id
+        return self._layout.shard_for_column(col)
 
     def _make_decision_log(self, config: DecisionConfig) -> DecisionLog:
         return DecisionLog(

@@ -25,7 +25,6 @@ from repro.obs.calibration import (
     CalibrationMonitor,
     EwmaDetector,
     PageHinkley,
-    PairOutcome,
 )
 from repro.obs.dashboard import (
     aggregate_series,
@@ -102,7 +101,6 @@ __all__ = [
     "CalibrationMonitor",
     "EwmaDetector",
     "PageHinkley",
-    "PairOutcome",
     "aggregate_series",
     "forecast_cell_errors",
     "reason_breakdown",

@@ -242,19 +242,3 @@ class CalibrationMonitor:
                 for i, b in enumerate(self.bins)
             ],
         }
-
-
-@dataclass(frozen=True, slots=True)
-class PairOutcome:
-    """One assignment outcome with the probability the platform believed.
-
-    The serving engine emits these to the calibration monitor (and to
-    any ``outcome_listener`` interested in the predicted score, not
-    just the accept/reject bit).
-    """
-
-    task_id: int
-    worker_id: int
-    predicted_probability: float
-    accepted: bool
-    time: float

@@ -1,8 +1,9 @@
 """repro.scenarios — declarative scenario × policy registry + sweep runner.
 
 One spec document names a data scenario (generator + params + seed →
-deterministic streams), a serving policy (trigger, shedding, cache,
-index, algorithm, backend/shards as one validated block), and an
+deterministic streams), a serving policy (algorithm, the engine's own
+``ServeConfig`` loaded from the trigger/shedding/cache/index/forecast
+blocks, and backend/shards), and an
 optional sweep grid; ``repro-tamp scenarios run`` executes the grid and
 leaves one comparable run manifest per cell.  See ``docs/SCENARIOS.md``.
 """
@@ -11,7 +12,6 @@ from repro.scenarios.builders import (
     assign_fn,
     build_dist_config,
     build_engine,
-    build_forecast_config,
     build_serve_config,
     policy_from_args,
     run_scenario,
@@ -38,15 +38,10 @@ from repro.scenarios.report import (
     rows_from_manifests,
 )
 from repro.scenarios.specs import (
-    CacheSpec,
     DistSpec,
-    ForecastSpec,
-    IndexSpec,
     PolicySpec,
     RunSpec,
     ScenarioSpec,
-    SheddingSpec,
-    TriggerSpec,
     dump_spec,
     load_spec,
     parse_sweep_arg,
@@ -65,22 +60,16 @@ from repro.scenarios.sweep import (
 __all__ = [
     "BUILTIN_POLICIES",
     "BUILTIN_SCENARIOS",
-    "CacheSpec",
     "Cell",
     "DistSpec",
-    "ForecastSpec",
     "GENERATORS",
     "GeneratorEntry",
-    "IndexSpec",
     "PolicySpec",
     "RunSpec",
     "ScenarioData",
     "ScenarioSpec",
-    "SheddingSpec",
-    "TriggerSpec",
     "assign_fn",
     "build_dist_config",
-    "build_forecast_config",
     "build_engine",
     "build_serve_config",
     "decision_diff_tables",

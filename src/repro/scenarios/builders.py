@@ -1,7 +1,8 @@
-"""Compile specs to engine configs — the one flags/specs → engine path.
+"""Compile specs to engines — the one flags/specs → engine path.
 
 Everything that turns a :class:`~repro.scenarios.specs.PolicySpec` into
-runnable machinery lives here: ``ServeConfig``/``DistConfig``
+runnable machinery lives here: the run's ``ServeConfig`` (the policy's
+own, plus the per-run monitor and decision-log sinks), ``DistConfig``
 construction, assignment-function selection, and engine assembly
 (serial :class:`~repro.serve.ServeEngine` or sharded
 :class:`~repro.dist.ShardedEngine`).  ``repro.cli serve-sim``, the
@@ -10,50 +11,20 @@ functions, so a policy knob behaves identically no matter which door
 the run came in through.
 
 ``scenario_from_args`` / ``policy_from_args`` lift an argparse
-namespace (the shared serve flag group in :mod:`repro.cli`) into specs,
-collapsing the old per-command flag plumbing into one translation.
+namespace (the shared serve flag group in :mod:`repro.cli`) into specs;
+the policy flags become a policy document loaded through
+:meth:`~repro.scenarios.specs.PolicySpec.from_dict`, the same path a
+spec file takes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 from repro.scenarios.registry import ScenarioData, materialize
-from repro.scenarios.specs import (
-    CacheSpec,
-    DistSpec,
-    ForecastSpec,
-    IndexSpec,
-    PolicySpec,
-    ScenarioSpec,
-    SheddingSpec,
-    TriggerSpec,
-)
+from repro.scenarios.specs import PolicySpec, ScenarioSpec
 from repro.serve import ServeConfig, ServeEngine
-
-
-def build_forecast_config(policy: PolicySpec):
-    """The :class:`repro.forecast.dispatch.ForecastConfig` of a policy,
-    or ``None`` when its forecast block is disabled."""
-    spec = policy.forecast
-    if not spec.enabled:
-        return None
-    from repro.forecast.dispatch import ForecastConfig
-
-    return ForecastConfig(
-        model=spec.model,
-        bin_minutes=spec.bin_minutes,
-        history_bins=spec.history_bins,
-        horizon_bins=spec.horizon_bins,
-        grid_rows=spec.grid_rows,
-        grid_cols=spec.grid_cols,
-        demand_threshold=spec.demand_threshold,
-        prepositioning=spec.prepositioning,
-        gap_threshold=spec.gap_threshold,
-        max_moves=spec.max_moves,
-        detour_fraction=spec.detour_fraction,
-        cooldown_minutes=spec.cooldown_minutes,
-    )
 
 
 def assign_fn(algorithm: str) -> Callable:
@@ -68,24 +39,8 @@ def assign_fn(algorithm: str) -> Callable:
 
 
 def build_serve_config(policy: PolicySpec, monitor=None, decisions=None) -> ServeConfig:
-    """The :class:`ServeConfig` a policy spec compiles to."""
-    return ServeConfig(
-        batch_window=policy.trigger.window,
-        assignment_window=policy.assignment_window,
-        trigger=policy.trigger.kind,
-        pending_threshold=policy.trigger.pending_threshold,
-        deadline_slack=policy.trigger.deadline_slack,
-        min_trigger_interval=policy.trigger.min_interval,
-        max_pending=policy.shedding.max_pending,
-        cache_ttl=policy.cache.ttl,
-        cache_deviation_km=policy.cache.deviation_km,
-        use_index=policy.index.enabled,
-        index_cell_km=policy.index.cell_km,
-        max_candidates=policy.index.max_candidates,
-        monitor=monitor,
-        decisions=decisions,
-        forecast=build_forecast_config(policy),
-    )
+    """The policy's :class:`ServeConfig` with this run's monitor/decision sinks."""
+    return replace(policy.serve, monitor=monitor, decisions=decisions)
 
 
 def build_dist_config(policy: PolicySpec, spool_dir=None):
@@ -186,53 +141,53 @@ def scenario_from_args(args) -> ScenarioSpec:
     )
 
 
+#: serve-sim policy flag → policy document path.  A flag left unset
+#: (``None``) stays out of the document, so the engine config's own
+#: default applies.
+_FLAG_PATHS = (
+    ("algorithm", "algorithm"),
+    ("assignment_window", "assignment_window"),
+    ("trigger", "trigger.kind"),
+    ("batch_window", "trigger.window"),
+    ("pending_threshold", "trigger.pending_threshold"),
+    ("deadline_slack", "trigger.deadline_slack"),
+    ("max_pending", "shedding.max_pending"),
+    ("cache_ttl", "cache.ttl"),
+    ("cache_deviation", "cache.deviation_km"),
+    ("use_index", "index.enabled"),
+    ("index_cell", "index.cell_km"),
+    ("max_candidates", "index.max_candidates"),
+    ("shards", "dist.shards"),
+    ("warm_start", "dist.warm_start"),
+    ("forecast", "forecast.model"),
+    ("prepositioning", "forecast.prepositioning"),
+    ("forecast_bin", "forecast.bin_minutes"),
+    ("forecast_grid", "forecast.grid_rows"),
+    ("forecast_grid", "forecast.grid_cols"),
+    ("forecast_threshold", "forecast.demand_threshold"),
+    ("forecast_gap", "forecast.gap_threshold"),
+    ("forecast_moves", "forecast.max_moves"),
+)
+
+
 def policy_from_args(args) -> PolicySpec:
-    """The ``PolicySpec`` equivalent of the serve-sim policy flags."""
-    return PolicySpec(
-        algorithm=args.algorithm,
-        assignment_window=args.assignment_window,
-        trigger=TriggerSpec(
-            kind=args.trigger,
-            window=args.batch_window,
-            pending_threshold=args.pending_threshold,
-            deadline_slack=args.deadline_slack,
-        ),
-        shedding=SheddingSpec(max_pending=args.max_pending),
-        cache=CacheSpec(ttl=args.cache_ttl, deviation_km=args.cache_deviation),
-        index=IndexSpec(
-            enabled=args.use_index,
-            cell_km=args.index_cell,
-            max_candidates=args.max_candidates,
-        ),
-        dist=DistSpec(
-            backend="shard_server" if args.shard_servers else "serial",
-            shards=args.shards,
-            warm_start=args.warm_start,
-        ),
-        forecast=forecast_from_args(args),
-    )
+    """The ``PolicySpec`` of the serve-sim policy flags actually given.
 
-
-def forecast_from_args(args) -> ForecastSpec:
-    """The ``ForecastSpec`` of the serve-sim forecast flags.
-
-    The layer turns on when any of ``--forecast``, ``--prepositioning``,
-    or ``--trigger forecast`` is given; a model named nowhere defaults
-    to ``ewma``.
+    The flags build a policy document that loads through
+    :meth:`PolicySpec.from_dict`, so flag values are checked exactly as
+    spec-file values are.  ``--shard-servers`` selects the
+    ``shard_server`` backend; the forecast layer turns on when any of
+    ``--forecast``, ``--prepositioning``, or ``--trigger forecast`` is
+    given.
     """
-    model = getattr(args, "forecast", None)
-    prepositioning = bool(getattr(args, "prepositioning", False))
-    enabled = model is not None or prepositioning or args.trigger == "forecast"
-    if not enabled:
-        return ForecastSpec()
-    return ForecastSpec(
-        enabled=True,
-        model=model if model is not None else "ewma",
-        bin_minutes=getattr(args, "forecast_bin", 2.0),
-        grid_rows=getattr(args, "forecast_grid", 8),
-        grid_cols=getattr(args, "forecast_grid", 8),
-        demand_threshold=getattr(args, "forecast_threshold", None),
-        prepositioning=prepositioning,
-        gap_threshold=getattr(args, "forecast_gap", 1.0),
-        max_moves=getattr(args, "forecast_moves", 4),
-    )
+    doc: dict = {}
+    for flag, path in _FLAG_PATHS:
+        value = getattr(args, flag)
+        if value is not None:
+            block, _, key = path.rpartition(".")
+            (doc.setdefault(block, {}) if block else doc)[key] = value
+    if args.shard_servers:
+        doc.setdefault("dist", {})["backend"] = "shard_server"
+    if args.forecast or args.prepositioning or args.trigger == "forecast":
+        doc.setdefault("forecast", {})["enabled"] = True
+    return PolicySpec.from_dict(doc)

@@ -5,71 +5,93 @@ params + seed → deterministic data (the CORTEX generator-dataset
 pattern): the spec identifies the generator, the params are its
 arguments, and two resolutions of the same spec are byte-identical.
 A *policy* is everything the serving stack can be configured with —
-trigger, shedding, cache, spatial index, assignment algorithm,
-backend/shards — as one validated document, compiled to
-``ServeConfig``/``DistConfig`` by :mod:`repro.scenarios.builders`.
+trigger, shedding, cache, spatial index, forecasting, assignment
+algorithm, backend/shards — as one document that loads straight into
+the engine's own :class:`~repro.serve.ServeConfig` (whose ``forecast``
+holds a :class:`~repro.forecast.dispatch.ForecastConfig`) plus a
+:class:`DistSpec`.  The engine configs own every serving default and
+every value check; the document only renames their fields (see
+:data:`SERVE_KEYS` and :data:`FORECAST_KEYS`).
 
 Specs load from YAML or JSON (one mapping), dump back to plain dicts,
 and round-trip exactly: ``load(dump(spec)) == spec``.  Every block is
 validated with :func:`repro.tools.check_keys`, so an unknown key fails
-with a ``ValueError`` naming the key and the allowed keys rather than
-an opaque ``TypeError``.
+with a ``ValueError`` naming the key and the allowed keys, and a value
+the engine config rejects fails at load with a ``ValueError`` naming
+its document path (``policy.trigger.window``) and the engine's reason.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from repro.tools import check_keys, dataclass_from_mapping
+from repro.forecast.dispatch import ForecastConfig
+from repro.serve.engine import ServeConfig
+from repro.tools import check_keys
+
+#: Policy document key → :class:`ServeConfig` field, block by block.
+#: Keys apply in this order, so the trigger kind is set before the
+#: knobs it validates.
+SERVE_KEYS: dict[str, dict[str, str]] = {
+    "trigger": {
+        "kind": "trigger",
+        "window": "batch_window",
+        "pending_threshold": "pending_threshold",
+        "deadline_slack": "deadline_slack",
+        "min_interval": "min_trigger_interval",
+    },
+    "shedding": {"max_pending": "max_pending"},
+    "cache": {"ttl": "cache_ttl", "deviation_km": "cache_deviation_km"},
+    "index": {
+        "enabled": "use_index",
+        "cell_km": "index_cell_km",
+        "max_candidates": "max_candidates",
+    },
+}
+
+#: The :class:`ForecastConfig` fields a policy's ``forecast`` block sets
+#: (same names).  Its ``enabled`` key decides whether the engine gets a
+#: forecast config at all; the other config fields keep their defaults.
+FORECAST_KEYS = (
+    "model",
+    "bin_minutes",
+    "history_bins",
+    "horizon_bins",
+    "grid_rows",
+    "grid_cols",
+    "demand_threshold",
+    "prepositioning",
+    "gap_threshold",
+    "max_moves",
+    "detour_fraction",
+    "cooldown_minutes",
+)
 
 
-def _block(cls, data: Mapping | None, owner: str):
-    """One nested policy block: missing → defaults, mapping → validated."""
-    if data is None:
-        return cls()
-    return dataclass_from_mapping(cls, data, owner=owner)
+def _block(data: Mapping, name: str, allowed, owner: str) -> Mapping:
+    """One nested policy block, key-checked; missing or null → empty."""
+    block = data.get(name)
+    if block is None:
+        return {}
+    check_keys(f"{owner}.{name}", block, list(allowed))
+    return block
 
 
-@dataclass(frozen=True)
-class TriggerSpec:
-    """When assignment batches fire (see :mod:`repro.serve.triggers`)."""
+def _apply(config, updates, owner: str):
+    """``config`` with each ``(key, field, value)`` of ``updates`` set in turn.
 
-    kind: str = "fixed"
-    window: float = 2.0
-    pending_threshold: int | None = None
-    deadline_slack: float | None = None
-    min_interval: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "adaptive", "forecast"):
-            raise ValueError("trigger kind must be 'fixed', 'adaptive', or 'forecast'")
-
-
-@dataclass(frozen=True)
-class SheddingSpec:
-    """Pending-queue bound; overflow sheds the least-slack task."""
-
-    max_pending: int | None = None
-
-
-@dataclass(frozen=True)
-class CacheSpec:
-    """Prediction-cache freshness (TTL minutes, deviation invalidation)."""
-
-    ttl: float = 0.0
-    deviation_km: float | None = None
-
-
-@dataclass(frozen=True)
-class IndexSpec:
-    """Uniform-grid candidate index feeding sparse assignment."""
-
-    enabled: bool = False
-    cell_km: float = 1.0
-    max_candidates: int | None = None
+    Every step re-runs the config's own checks; a value they reject (by
+    range or by type) raises a ``ValueError`` naming ``owner.key``.
+    """
+    for key, name, value in updates:
+        try:
+            config = replace(config, **{name: value})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{owner}.{key}: {exc}") from exc
+    return config
 
 
 @dataclass(frozen=True)
@@ -88,92 +110,66 @@ class DistSpec:
 
 
 @dataclass(frozen=True)
-class ForecastSpec:
-    """Demand forecasting + proactive dispatch (see :mod:`repro.forecast`).
+class PolicySpec:
+    """One serving policy: algorithm + the engine's config + sharding.
 
-    ``enabled`` gates the whole layer: a disabled block compiles to
-    ``ServeConfig.forecast = None`` and the engine stays bit-identical
-    to the seed.  The remaining knobs mirror
-    :class:`repro.forecast.dispatch.ForecastConfig` (which performs the
-    deep validation at compile time).
+    ``serve`` is the :class:`ServeConfig` the engine runs with (minus
+    the per-run ``monitor``/``decisions`` sinks the builders add), so a
+    policy carries no defaults or checks of its own.
     """
 
-    enabled: bool = False
-    model: str = "ewma"
-    bin_minutes: float = 2.0
-    history_bins: int = 6
-    horizon_bins: int = 1
-    grid_rows: int = 8
-    grid_cols: int = 8
-    demand_threshold: float | None = None
-    prepositioning: bool = False
-    gap_threshold: float = 1.0
-    max_moves: int = 4
-    detour_fraction: float = 0.5
-    cooldown_minutes: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.model not in ("ewma", "seasonal_naive", "seq2seq"):
-            raise ValueError(
-                "forecast model must be 'ewma', 'seasonal_naive', or 'seq2seq'"
-            )
-
-
-_POLICY_BLOCKS = {
-    "trigger": TriggerSpec,
-    "shedding": SheddingSpec,
-    "cache": CacheSpec,
-    "index": IndexSpec,
-    "dist": DistSpec,
-    "forecast": ForecastSpec,
-}
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """One serving policy: algorithm + every engine/dist knob."""
-
     algorithm: str = "ppi"
-    assignment_window: float | None = 10.0
-    trigger: TriggerSpec = field(default_factory=TriggerSpec)
-    shedding: SheddingSpec = field(default_factory=SheddingSpec)
-    cache: CacheSpec = field(default_factory=CacheSpec)
-    index: IndexSpec = field(default_factory=IndexSpec)
+    serve: ServeConfig = field(default_factory=ServeConfig)
     dist: DistSpec = field(default_factory=DistSpec)
-    forecast: ForecastSpec = field(default_factory=ForecastSpec)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("ppi", "km"):
             raise ValueError("algorithm must be 'ppi' or 'km'")
-        if self.trigger.kind == "forecast" and not self.forecast.enabled:
-            raise ValueError(
-                "trigger kind 'forecast' requires the forecast block "
-                "to be enabled"
-            )
 
     @classmethod
     def from_dict(cls, data: Mapping, owner: str = "policy") -> "PolicySpec":
-        check_keys(owner, data, ["algorithm", "assignment_window", *_POLICY_BLOCKS])
-        blocks = {
-            name: _block(block_cls, data.get(name), owner=f"{owner}.{name}")
-            for name, block_cls in _POLICY_BLOCKS.items()
-        }
+        check_keys(
+            owner, data, ["algorithm", "assignment_window", *SERVE_KEYS, "dist", "forecast"]
+        )
+        block = _block(data, "forecast", ["enabled", *FORECAST_KEYS], owner)
+        forecast = _apply(
+            ForecastConfig(),
+            [(f"forecast.{key}", key, block[key]) for key in FORECAST_KEYS if key in block],
+            owner,
+        )
+        # The forecast config goes in first: the 'forecast' trigger needs it.
+        serve = ServeConfig(forecast=forecast if block.get("enabled", False) else None)
+        updates = []
+        if "assignment_window" in data:
+            updates.append(("assignment_window", "assignment_window", data["assignment_window"]))
+        for name, keys in SERVE_KEYS.items():
+            block = _block(data, name, keys, owner)
+            updates += [
+                (f"{name}.{key}", attr, block[key])
+                for key, attr in keys.items()
+                if key in block
+            ]
+        dist = _block(data, "dist", [f.name for f in fields(DistSpec)], owner)
         return cls(
-            algorithm=data.get("algorithm", "ppi"),
-            assignment_window=data.get("assignment_window", 10.0),
-            **blocks,
+            algorithm=data.get("algorithm", cls.algorithm),
+            serve=_apply(serve, updates, owner),
+            dist=DistSpec(**dist),
         )
 
     def to_dict(self) -> dict:
+        serve = self.serve
+        forecast = serve.forecast or ForecastConfig()
         return {
             "algorithm": self.algorithm,
-            "assignment_window": self.assignment_window,
+            "assignment_window": serve.assignment_window,
             **{
-                name: {
-                    f.name: getattr(getattr(self, name), f.name)
-                    for f in fields(_POLICY_BLOCKS[name])
-                }
-                for name in _POLICY_BLOCKS
+                name: {key: getattr(serve, attr) for key, attr in keys.items()}
+                for name, keys in SERVE_KEYS.items()
+            },
+            "dist": {f.name: getattr(self.dist, f.name) for f in fields(DistSpec)},
+            "forecast": {
+                "enabled": serve.forecast is not None,
+                **{key: getattr(forecast, key) for key in FORECAST_KEYS},
             },
         }
 

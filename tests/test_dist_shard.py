@@ -13,8 +13,11 @@ The exactness ladder, tested rung by rung:
    three shards.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.assignment.baselines import km_assign
 from repro.assignment.hungarian import maximum_weight_matching
@@ -297,6 +300,32 @@ class TestShardPlanner:
         # Columns between stripes clamp to the nearest one.
         assert layout.shard_for_column(-100) == 0
         assert layout.shard_for_column(100) == 2
+
+    @given(
+        st.sets(st.integers(-40, 40), min_size=1, max_size=25),
+        st.integers(1, 6),
+    )
+    @example({0, 2, 6}, 3)  # column 4 ties between stripes 1 and 2
+    def test_column_map_equals_nearest_stripe(self, cols, k):
+        """``shard_for_column`` is "the owning stripe, else the nearest,
+        ties to the lower" for every column, including columns outside
+        the stripes, between them, and on the midpoints."""
+
+        def nearest_stripe(specs, col):
+            best_id, best_gap = None, math.inf
+            for spec in specs:
+                if spec.owns_column(col):
+                    return spec.shard_id
+                gap = min(abs(col - spec.col_lo), abs(col - spec.col_hi))
+                if gap < best_gap:
+                    best_id, best_gap = spec.shard_id, gap
+            return best_id
+
+        tasks = [make_task(i, col + 0.5, 0.5) for i, col in enumerate(sorted(cols))]
+        specs = make_shards(tasks, k, 1.0)
+        layout = ShardLayout.from_specs(specs, 1.0)
+        for col in range(min(cols) - 10, max(cols) + 11):
+            assert layout.shard_for_column(col) == nearest_stripe(specs, col)
 
     def test_sticky_layout_build_equals_dense_across_batches(self):
         """The planner keeps batch 1's layout; batch 2's tasks land in

@@ -22,7 +22,6 @@ from repro.obs import (
     CalibrationMonitor,
     EwmaDetector,
     PageHinkley,
-    PairOutcome,
 )
 
 
@@ -188,11 +187,3 @@ class TestCalibrationMonitor:
         mon = CalibrationMonitor()
         feed(mon, [(0.2, False), (0.8, True)])
         assert json.loads(json.dumps(mon.summary()))["n_samples"] == 2
-
-
-def test_pair_outcome_is_frozen_record():
-    outcome = PairOutcome(
-        task_id=1, worker_id=2, predicted_probability=0.8, accepted=True, time=3.0
-    )
-    with pytest.raises(AttributeError):
-        outcome.accepted = False

@@ -306,7 +306,7 @@ class TestShardedLog:
         class Recording(ShardedEngine):
             def _build_candidates(self, batch_tasks, snapshots, t):
                 graph = super()._build_candidates(batch_tasks, snapshots, t)
-                layouts.append((t, list(self._last_specs)))
+                layouts.append((t, list(self._layout.specs) if self._layout else []))
                 return graph
 
         engine = Recording(

@@ -87,8 +87,8 @@ class TestBuilders:
         assert config.pending_threshold == 50
         assert config.cache_ttl == 6.0
         assert config.use_index and config.index_cell_km == 2.0
-        assert config.batch_window == ADAPTIVE.trigger.window
-        assert config.min_trigger_interval == ADAPTIVE.trigger.min_interval
+        assert config.batch_window == ADAPTIVE.serve.batch_window
+        assert config.min_trigger_interval == ADAPTIVE.serve.min_trigger_interval
 
     def test_dist_config_only_when_sharded(self):
         assert build_dist_config(ADAPTIVE) is None

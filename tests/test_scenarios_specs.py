@@ -1,7 +1,11 @@
 """Tests for the declarative scenario/policy spec layer."""
 
+import pickle
+from dataclasses import fields
+
 import pytest
 
+from repro.forecast.dispatch import ForecastConfig
 from repro.scenarios import (
     BUILTIN_POLICIES,
     BUILTIN_SCENARIOS,
@@ -9,8 +13,8 @@ from repro.scenarios import (
     PolicySpec,
     RunSpec,
     ScenarioSpec,
-    TriggerSpec,
     assign_fn,
+    build_serve_config,
     dump_spec,
     get_policy,
     get_scenario,
@@ -19,6 +23,7 @@ from repro.scenarios import (
     resolve_run_spec,
     stream_config_for,
 )
+from repro.serve import ServeConfig
 
 FULL_DOC = {
     "name": "full",
@@ -98,8 +103,9 @@ class TestValidation:
             ScenarioSpec.from_dict({"params": {"seed": 3}})
 
     def test_bad_trigger_kind(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            TriggerSpec(kind="psychic")
+        with pytest.raises(ValueError, match="adaptive") as exc:
+            PolicySpec.from_dict({"trigger": {"kind": "psychic"}})
+        assert "policy.trigger.kind" in str(exc.value)
 
     def test_bad_dist_backend(self):
         with pytest.raises(ValueError, match="serial"):
@@ -129,6 +135,158 @@ class TestValidation:
     def test_string_scenario_points_at_registry(self):
         with pytest.raises(ValueError, match="resolve_run_spec"):
             RunSpec.from_dict({"scenario": "smoke"})
+
+
+class TestLoadTimeValidation:
+    """Values the engine configs reject fail in ``from_dict``, naming the path."""
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"trigger": {"window": -1}}, "policy.trigger.window"),
+            ({"trigger": {"window": "fast"}}, "policy.trigger.window"),
+            ({"cache": {"ttl": -5}}, "policy.cache.ttl"),
+            ({"cache": {"ttl": None}}, "policy.cache.ttl"),
+            ({"index": {"cell_km": 0}}, "policy.index.cell_km"),
+            ({"index": {"max_candidates": 0}}, "policy.index.max_candidates"),
+            ({"shedding": {"max_pending": 0}}, "policy.shedding.max_pending"),
+            ({"forecast": {"enabled": True, "max_moves": 0}}, "policy.forecast.max_moves"),
+            ({"trigger": {"kind": "forecast"}}, "policy.trigger.kind"),
+        ],
+        ids=[
+            "window-negative", "window-string", "ttl-negative", "ttl-null",
+            "cell-zero", "max-candidates-zero", "max-pending-zero",
+            "forecast-max-moves-zero", "forecast-trigger-without-block",
+        ],
+    )
+    def test_bad_value_names_document_path(self, doc, path):
+        with pytest.raises(ValueError) as exc:
+            PolicySpec.from_dict(doc)
+        assert path in str(exc.value)
+
+    def test_engine_reason_is_kept(self):
+        with pytest.raises(ValueError, match="batch window must be positive"):
+            PolicySpec.from_dict({"trigger": {"window": -1}})
+
+
+#: The keys each policy block accepts; adding or dropping one is an
+#: option change.
+BLOCK_KEYS = {
+    "trigger": {"kind", "window", "pending_threshold", "deadline_slack", "min_interval"},
+    "shedding": {"max_pending"},
+    "cache": {"ttl", "deviation_km"},
+    "index": {"enabled", "cell_km", "max_candidates"},
+    "dist": {"backend", "shards", "warm_start"},
+    "forecast": {
+        "enabled", "model", "bin_minutes", "history_bins", "horizon_bins",
+        "grid_rows", "grid_cols", "demand_threshold", "prepositioning",
+        "gap_threshold", "max_moves", "detour_fraction", "cooldown_minutes",
+    },
+}
+
+
+class TestDocumentShape:
+    def test_default_document_has_the_pinned_keys(self):
+        doc = PolicySpec().to_dict()
+        assert set(doc) == {"algorithm", "assignment_window", *BLOCK_KEYS}
+        assert {name: set(doc[name]) for name in BLOCK_KEYS} == BLOCK_KEYS
+        assert doc["forecast"]["enabled"] is False
+
+    @pytest.mark.parametrize("block", sorted(BLOCK_KEYS))
+    def test_block_accepts_exactly_the_pinned_keys(self, block):
+        allowed = BLOCK_KEYS[block]
+        with pytest.raises(ValueError) as exc:
+            PolicySpec.from_dict({block: {"no_such_key": 1}})
+        listed = str(exc.value).split("allowed: ", 1)[1].rstrip(")")
+        assert set(listed.split(", ")) == allowed
+
+    def test_specs_pickle(self):
+        for policy in BUILTIN_POLICIES.values():
+            assert pickle.loads(pickle.dumps(policy)) == policy
+
+
+def _config_values(config) -> dict:
+    return {f.name: getattr(config, f.name) for f in fields(config)}
+
+
+#: ``ServeConfig()`` / ``ForecastConfig()`` field values, and each
+#: policy's departures from them, as the policy layer compiled them
+#: before the engine configs became the policy's own fields.
+PINNED_SERVE_DEFAULTS = {
+    "batch_window": 2.0, "assignment_window": 10.0, "trigger": "fixed",
+    "pending_threshold": None, "deadline_slack": None, "min_trigger_interval": 0.25,
+    "max_pending": None, "cache_ttl": 0.0, "cache_deviation_km": None,
+    "use_index": False, "index_cell_km": 1.0, "max_candidates": None,
+    "monitor": None, "decisions": None, "forecast": None,
+}
+PINNED_FORECAST_DEFAULTS = {
+    "model": "ewma", "bin_minutes": 2.0, "history_bins": 6, "horizon_bins": 1,
+    "grid_rows": 8, "grid_cols": 8, "width_km": None, "height_km": None,
+    "alpha": 0.4, "period_bins": None, "seq_cell": "lstm", "seq_hidden": 24,
+    "seq_epochs": 60, "seq_lr": 0.02, "seq_top_cells": 12, "fit_after_bins": 8,
+    "demand_threshold": None, "prepositioning": False, "gap_threshold": 1.0,
+    "max_moves": 4, "detour_fraction": 0.5, "cooldown_minutes": 4.0, "seed": 0,
+}
+_INDEXED = {"use_index": True, "index_cell_km": 2.0}
+_REACTIVE = {"trigger": "adaptive", "pending_threshold": 50, "cache_ttl": 6.0, **_INDEXED}
+_CITY = {"batch_window": 1.0, "max_pending": 600, "cache_ttl": 6.0,
+         "cache_deviation_km": 2.0, **_INDEXED}
+PINNED_POLICIES = {
+    "batch-parity": ({}, None),
+    "serve-default": ({}, None),
+    "indexed": (_INDEXED, None),
+    "adaptive-indexed": (_REACTIVE, None),
+    "bench-serve-engine": (
+        {"trigger": "adaptive", "pending_threshold": 120, "deadline_slack": 1.0,
+         "max_pending": 150, "cache_ttl": 6.0, "cache_deviation_km": 2.0, **_INDEXED},
+        None,
+    ),
+    "reactive-adaptive": (_REACTIVE, None),
+    "forecast-prepositioned": (
+        _REACTIVE,
+        {"grid_rows": 6, "grid_cols": 6, "prepositioning": True, "gap_threshold": 2.0},
+    ),
+    "sharded-2": (_INDEXED, None),
+    "warm-sharded-2": (_INDEXED, None),
+    "bench:stream-city": (_CITY, None),
+    "bench:stream-burst-observed": (
+        {"trigger": "adaptive", "pending_threshold": 80, "deadline_slack": 1.0,
+         "max_pending": 120, "cache_ttl": 6.0, "cache_deviation_km": 2.0, **_INDEXED},
+        {"prepositioning": True, "max_moves": 8},
+    ),
+    "bench:stream-churn-sharded": (_CITY, None),
+}
+
+
+def _pinned_policies() -> dict:
+    from bench.workloads import POLICIES
+
+    return {**BUILTIN_POLICIES, **{f"bench:{k}": v for k, v in POLICIES.items()}}
+
+
+class TestCompiledConfigsPinned:
+    def test_engine_config_defaults(self):
+        assert _config_values(ServeConfig()) == PINNED_SERVE_DEFAULTS
+        assert _config_values(ForecastConfig()) == PINNED_FORECAST_DEFAULTS
+
+    def test_every_policy_compiles_to_the_pinned_configs(self):
+        policies = _pinned_policies()
+        assert set(policies) == set(PINNED_POLICIES)
+        for name, policy in policies.items():
+            serve, forecast = PINNED_POLICIES[name]
+            config = build_serve_config(policy)
+            expected_forecast = (
+                None if forecast is None else {**PINNED_FORECAST_DEFAULTS, **forecast}
+            )
+            actual_forecast = (
+                None if config.forecast is None else _config_values(config.forecast)
+            )
+            assert actual_forecast == expected_forecast, name
+            values = _config_values(config)
+            values.pop("forecast")
+            expected = {**PINNED_SERVE_DEFAULTS, **serve}
+            expected.pop("forecast")
+            assert values == expected, name
 
 
 class TestRegistry:

@@ -66,7 +66,7 @@ class TestExpandCells:
     def test_cells_carry_resolved_specs(self):
         cells = expand_cells(sweep_spec())
         assert cells[2].spec.scenario.seed == 2
-        assert cells[1].spec.policy.trigger.kind == "adaptive"
+        assert cells[1].spec.policy.serve.trigger == "adaptive"
         assert all(c.spec.sweep == {} for c in cells)
 
     def test_no_axes_yields_single_cell(self):
@@ -86,6 +86,14 @@ class TestExpandCells:
     def test_cell_values_revalidated(self):
         with pytest.raises(ValueError, match="adaptive"):
             expand_cells(sweep_spec(), {"policy.trigger.kind": ["psychic"]})
+
+    def test_bad_cell_value_fails_before_any_cell_runs(self, tmp_path):
+        with pytest.raises(ValueError, match="policy.trigger.window"):
+            run_sweep(
+                sweep_spec(), out_dir=tmp_path,
+                extra_sweep={"policy.trigger.window": [2, -1]},
+            )
+        assert not list(tmp_path.glob("cell*.manifest.json"))
 
 
 class TestManifestPath:
