@@ -113,18 +113,18 @@ def pair_completion_probability(snapshot, task, current_time: float, a: float = 
     if len(pred) == 0:
         return 0.0
     # Inlined theorem2_bound / feasible_prediction_points: this runs per
-    # proposed pair inside the serving loop, so skip re-validation and
-    # compare squared distances (dis + a <= bound  <=>  dis^2 <= (bound-a)^2).
+    # proposed pair inside the serving loop, so skip re-validation.  The
+    # test is PPI's own ``dis + a <= bound``, so |B| is the one PPI
+    # matched on, points on the radius included.
     bound = min(
         snapshot.detour_budget_km / 2.0,
         snapshot.speed_km_per_min * (task.deadline - current_time),
     )
-    radius = bound - a
-    if bound <= 0 or radius < 0:
+    if bound <= 0:
         return 0.0
     dx = pred[:, 0] - task.location.x
     dy = pred[:, 1] - task.location.y
-    b_size = int(np.count_nonzero(dx * dx + dy * dy <= radius * radius))
+    b_size = int(np.count_nonzero(np.sqrt(dx * dx + dy * dy) + a <= bound))
     return 1.0 - (1.0 - snapshot.matching_rate) ** b_size
 
 
@@ -150,12 +150,11 @@ def pair_completion_probabilities(
             snapshot.detour_budget_km / 2.0,
             snapshot.speed_km_per_min * (task.deadline - current_time),
         )
-        radius = bound - a
-        if bound <= 0 or radius < 0:
+        if bound <= 0:
             continue
         live.append(i)
         blocks.append(pred)
-        rows.append((task.location.x, task.location.y, radius * radius))
+        rows.append((task.location.x, task.location.y, bound))
     if not live:
         return probs
     pair = np.repeat(np.arange(len(live)), [len(block) for block in blocks])
@@ -163,7 +162,7 @@ def pair_completion_probabilities(
     pred = np.concatenate(blocks)
     dx = pred[:, 0] - per_point[:, 0]
     dy = pred[:, 1] - per_point[:, 1]
-    inside = dx * dx + dy * dy <= per_point[:, 2]
+    inside = np.sqrt(dx * dx + dy * dy) + a <= per_point[:, 2]
     b_sizes = np.bincount(pair[inside], minlength=len(live)).tolist()
     for i, b_size in zip(live, b_sizes):
         probs[i] = 1.0 - (1.0 - snapshots[i].matching_rate) ** b_size

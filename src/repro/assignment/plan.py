@@ -31,34 +31,34 @@ class AssignmentPlan:
     """A valid batch assignment: injective in both tasks and workers."""
 
     pairs: list[AssignmentPair] = field(default_factory=list)
+    _task_ids: set[int] = field(init=False, repr=False, compare=False)
+    _worker_ids: set[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._validate(self.pairs)
-
-    @staticmethod
-    def _validate(pairs: list[AssignmentPair]) -> None:
-        tasks = [p.task_id for p in pairs]
-        workers = [p.worker_id for p in pairs]
-        if len(set(tasks)) != len(tasks):
+        self._task_ids = {p.task_id for p in self.pairs}
+        self._worker_ids = {p.worker_id for p in self.pairs}
+        if len(self._task_ids) != len(self.pairs):
             raise ValueError("a task may be assigned to at most one worker")
-        if len(set(workers)) != len(workers):
+        if len(self._worker_ids) != len(self.pairs):
             raise ValueError("a worker may receive at most one task")
 
     def add(self, pair: AssignmentPair) -> None:
         """Append a pair, preserving matching validity."""
-        if pair.task_id in self.task_ids() or pair.worker_id in self.worker_ids():
+        if pair.task_id in self._task_ids or pair.worker_id in self._worker_ids:
             raise ValueError(f"pair {pair} conflicts with the existing plan")
         self.pairs.append(pair)
+        self._task_ids.add(pair.task_id)
+        self._worker_ids.add(pair.worker_id)
 
     def extend(self, pairs: list[AssignmentPair]) -> None:
         for p in pairs:
             self.add(p)
 
     def task_ids(self) -> set[int]:
-        return {p.task_id for p in self.pairs}
+        return set(self._task_ids)
 
     def worker_ids(self) -> set[int]:
-        return {p.worker_id for p in self.pairs}
+        return set(self._worker_ids)
 
     def worker_for_task(self, task_id: int) -> int | None:
         for p in self.pairs:

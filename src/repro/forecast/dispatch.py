@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,11 @@ from repro.sc.entities import SpatialTask, Worker
 from repro.serve.triggers import DemandAdaptiveTrigger
 
 _FORECAST_MODELS = ("ewma", "seasonal_naive", "seq2seq")
+
+#: Relative widening of the planner's numpy distance filter: orders of
+#: magnitude above the rounding gap between ``np.hypot`` and the exact
+#: ``math.hypot`` test, so the filter never drops an admissible worker.
+_FILTER_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -286,9 +291,22 @@ class ForecastRuntime:
         b = int((t - self.t_start) / self.config.bin_minutes)
         return min(max(b, 0), self.n_bins - 1)
 
+    def _flat_cells(self, xy: np.ndarray, owner: Callable[[int], str]) -> np.ndarray:
+        """Flat grid cell of each ``(x, y)`` row; a non-finite row raises
+        ``ValueError`` naming ``owner(row)`` (the id and location field)."""
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            x, y = xy[k].tolist()
+            raise ValueError(f"{owner(k)} must be finite, got ({x}, {y})")
+        return self.grid.to_flat_cell_array(xy)
+
     def observe_arrival(self, task: SpatialTask, t: float) -> None:
-        i, j = self.grid.to_cell(task.location)
-        self.counts[self._bin_of(t), i * self.grid.cols + j] += 1.0
+        flat = self._flat_cells(
+            np.array([[task.location.x, task.location.y]], dtype=float),
+            lambda _: f"task {task.task_id} location",
+        )[0]
+        self.counts[self._bin_of(t), flat] += 1.0
 
     def advance(self, t: float) -> None:
         """Finalise every bin fully before ``t`` and score its forecast."""
@@ -376,20 +394,30 @@ class ForecastRuntime:
         to arrive inside both their availability window and the run
         horizon, and off cooldown) up to ``ceil(gap)`` of them, until
         ``max_moves`` is spent.
+
+        One numpy pass per call bins the queue and the idle roster and
+        computes each worker's reach and latest arrival; per gap cell a
+        numpy distance filter keeps the workers that might qualify, and
+        only those get the exact ``Point.distance_to`` test, so move
+        distances, arrival times and ``(distance, worker_id)`` order
+        are those of the per-pair rules.
         """
         cfg = self.config
+        grid = self.grid
         demand = self.predicted_cells(t).copy()
-        for task in pending.values():
-            i, j = self.grid.to_cell(task.location)
-            demand[i * self.grid.cols + j] += 1.0
-        supply = np.zeros(self.grid.n_cells, dtype=float)
-        locations: list[tuple[Worker, Point]] = []
-        for worker in idle_workers:
-            loc = worker.last_shared_location(t)
-            i, j = self.grid.to_cell(loc)
-            supply[i * self.grid.cols + j] += 1.0
-            locations.append((worker, loc))
-        gaps = demand - supply
+        if pending:
+            tasks = list(pending.values())
+            task_cells = self._flat_cells(
+                np.array([(task.location.x, task.location.y) for task in tasks], dtype=float),
+                lambda k: f"task {tasks[k].task_id} location",
+            )
+            np.add.at(demand, task_cells, 1.0)
+        locations = [worker.last_shared_location(t) for worker in idle_workers]
+        xy = np.array([(loc.x, loc.y) for loc in locations], dtype=float).reshape(-1, 2)
+        cells = self._flat_cells(
+            xy, lambda k: f"worker {idle_workers[k].worker_id} last shared location"
+        )
+        gaps = demand - np.bincount(cells, minlength=grid.n_cells)
         obs.gauge("forecast.gap", float(np.maximum(gaps, 0.0).sum()))
         targets = [
             flat for flat in np.lexsort((np.arange(gaps.size), -gaps))
@@ -397,31 +425,40 @@ class ForecastRuntime:
         ]
         if not targets or not locations:
             return []
+        # Per-worker terms, once per call: reach (the detour share a move
+        # may spend), the latest allowed arrival, and the distance bound
+        # both imply for the numpy filter.  The bound is widened by a
+        # slack far above the rounding of either exact test, so the
+        # filter only ever admits extra workers and the exact test
+        # decides.  Cooling-down and already-moved workers get -inf.
+        reach = [cfg.detour_fraction * w.detour_budget_km for w in idle_workers]
+        latest = [min(w.availability_end(), self.t_end) - 1e-9 for w in idle_workers]
+        speed = [w.speed_km_per_min for w in idle_workers]
+        speed_arr = np.array(speed, dtype=float)
+        bound = np.minimum(reach, (np.array(latest) - t) * speed_arr)
+        bound += _FILTER_SLACK * (1.0 + np.abs(bound) + abs(t) * speed_arr)
+        cooling = [self._cooldown.get(w.worker_id, -math.inf) > t for w in idle_workers]
+        bound[cooling] = -np.inf
         moves: list[Move] = []
-        used: set[int] = set()
         for flat in targets:
             if len(moves) >= cfg.max_moves:
                 break
-            i, j = flat // self.grid.cols, flat % self.grid.cols
-            centre = self.grid.cell_center(i, j)
+            i, j = flat // grid.cols, flat % grid.cols
+            centre = grid.cell_center(i, j)
             wanted = int(math.ceil(gaps[flat]))
+            near = np.hypot(xy[:, 0] - centre.x, xy[:, 1] - centre.y) <= bound
+            near &= cells != flat  # a worker already in the cell supplies it
             candidates = []
-            for worker, loc in locations:
-                if worker.worker_id in used:
+            for k in np.flatnonzero(near).tolist():
+                dist = locations[k].distance_to(centre)
+                if dist > reach[k]:
                     continue
-                if self._cooldown.get(worker.worker_id, -math.inf) > t:
+                arrive = t + dist / speed[k]
+                if arrive > latest[k]:
                     continue
-                if self.grid.to_cell(loc) == (i, j):
-                    continue  # already supplying this cell
-                dist = loc.distance_to(centre)
-                if dist > cfg.detour_fraction * worker.detour_budget_km:
-                    continue
-                arrive = t + dist / worker.speed_km_per_min
-                if arrive > min(worker.availability_end(), self.t_end) - 1e-9:
-                    continue
-                candidates.append((dist, worker.worker_id, worker, arrive))
+                candidates.append((dist, idle_workers[k].worker_id, k, arrive))
             candidates.sort(key=lambda c: (c[0], c[1]))
-            for dist, worker_id, worker, arrive in candidates[:wanted]:
+            for dist, worker_id, k, arrive in candidates[:wanted]:
                 if len(moves) >= cfg.max_moves:
                     break
                 moves.append(
@@ -435,7 +472,7 @@ class ForecastRuntime:
                         gap=float(gaps[flat]),
                     )
                 )
-                used.add(worker_id)
+                bound[k] = -np.inf
                 self._cooldown[worker_id] = t + cfg.cooldown_minutes
         self.n_prepositioned += len(moves)
         return moves

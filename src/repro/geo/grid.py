@@ -105,6 +105,21 @@ class Grid:
         clamped = np.clip(arr, [0.0, 0.0], [self.width_km, self.height_km])
         return clamped / np.array([self.cell_width, self.cell_height])
 
+    def to_flat_cell_array(self, xy: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`to_cell` for an ``(n, 2)`` array, flattened
+        row-major (``i * cols + j``).
+
+        The integer sibling of :meth:`to_cell_array`: the same clamp,
+        divide and truncate as the scalar form, so every cell equals
+        ``to_cell``'s.  Coordinates must be finite; callers validate
+        them, since a non-finite point has no cell.
+        """
+        arr = np.asarray(xy, dtype=float).reshape(-1, 2)
+        clamped = np.minimum(np.maximum(arr, 0.0), (self.width_km, self.height_km))
+        ij = (clamped / (self.cell_width, self.cell_height)).astype(np.intp)
+        ij = np.minimum(ij, (self.rows - 1, self.cols - 1))
+        return ij[:, 0] * self.cols + ij[:, 1]
+
     def from_cell_array(self, cells: np.ndarray) -> np.ndarray:
         """Vectorised inverse of :meth:`to_cell_array`."""
         arr = np.asarray(cells, dtype=float)

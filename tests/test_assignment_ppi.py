@@ -52,6 +52,17 @@ class TestAssignmentPlan:
         assert plan.task_ids() == {3}
         assert plan.worker_ids() == {7}
 
+    def test_id_sets_track_adds_and_are_copies(self):
+        plan = AssignmentPlan()
+        plan.extend([AssignmentPair(k, 10 + k, 1.0) for k in range(3)])
+        assert plan.task_ids() == {0, 1, 2} and plan.worker_ids() == {10, 11, 12}
+        plan.task_ids().add(5)
+        plan.worker_ids().add(15)
+        plan.add(AssignmentPair(5, 15, 1.0))  # the copies did not block it
+        with pytest.raises(ValueError, match="conflicts"):
+            plan.add(AssignmentPair(6, 15, 1.0))
+        assert len(plan) == 4
+
 
 class TestPPI:
     def test_empty_inputs(self):

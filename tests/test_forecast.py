@@ -6,8 +6,11 @@ protocol, and the dispatch pieces (config validation, the forecast
 trigger, routine splicing, and gap planning).
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.forecast import (
     DemandSeries,
@@ -26,6 +29,7 @@ from repro.forecast import (
     train_eval_split,
 )
 from repro.forecast.models import DemandForecaster
+from repro.geo.grid import Grid
 from repro.geo.point import Point
 from repro.geo.trajectory import Trajectory, TrajectoryPoint
 from repro.sc.entities import SpatialTask, Worker
@@ -293,6 +297,249 @@ class TestPlanMoves:
         assert runtime.mae() is not None and runtime.mae() >= 0.0
         cell_mae = runtime.cell_mae()
         assert all(v >= 0.0 for v in cell_mae.values())
+
+
+def reference_plan_moves(runtime, t, idle_workers, pending):
+    """The per-pair gap planner the batched ``plan_moves`` replaced.
+
+    Kept as its spec: every (gap cell, worker) pair re-bins the worker
+    with ``Grid.to_cell``, re-reads its cooldown and measures with
+    ``Point.distance_to``.
+    """
+    cfg = runtime.config
+    grid = runtime.grid
+    demand = runtime.predicted_cells(t).copy()
+    for pending_task in pending.values():
+        i, j = grid.to_cell(pending_task.location)
+        demand[i * grid.cols + j] += 1.0
+    supply = np.zeros(grid.n_cells, dtype=float)
+    locations = []
+    for worker in idle_workers:
+        loc = worker.last_shared_location(t)
+        i, j = grid.to_cell(loc)
+        supply[i * grid.cols + j] += 1.0
+        locations.append((worker, loc))
+    gaps = demand - supply
+    targets = [
+        flat for flat in np.lexsort((np.arange(gaps.size), -gaps))
+        if gaps[flat] >= cfg.gap_threshold
+    ]
+    if not targets or not locations:
+        return []
+    moves = []
+    used = set()
+    for flat in targets:
+        if len(moves) >= cfg.max_moves:
+            break
+        i, j = flat // grid.cols, flat % grid.cols
+        centre = grid.cell_center(i, j)
+        wanted = int(math.ceil(gaps[flat]))
+        candidates = []
+        for worker, loc in locations:
+            if worker.worker_id in used:
+                continue
+            if runtime._cooldown.get(worker.worker_id, -math.inf) > t:
+                continue
+            if grid.to_cell(loc) == (i, j):
+                continue
+            dist = loc.distance_to(centre)
+            if dist > cfg.detour_fraction * worker.detour_budget_km:
+                continue
+            arrive = t + dist / worker.speed_km_per_min
+            if arrive > min(worker.availability_end(), runtime.t_end) - 1e-9:
+                continue
+            candidates.append((dist, worker.worker_id, worker, arrive))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        for dist, worker_id, worker, arrive in candidates[:wanted]:
+            if len(moves) >= cfg.max_moves:
+                break
+            moves.append(
+                Move(
+                    worker_id=worker_id,
+                    cell=(i, j),
+                    target=centre,
+                    distance_km=dist,
+                    depart_t=t,
+                    arrive_t=arrive,
+                    gap=float(gaps[flat]),
+                )
+            )
+            used.add(worker_id)
+            runtime._cooldown[worker_id] = t + cfg.cooldown_minutes
+    runtime.n_prepositioned += len(moves)
+    return moves
+
+
+def standing_worker(worker_id, x, y, budget=50.0, speed=1.0, until=None):
+    routine = Trajectory(
+        [TrajectoryPoint(Point(x, y), 0.0), TrajectoryPoint(Point(x, y), 30.0)]
+    )
+    return Worker(worker_id=worker_id, routine=routine, detour_budget_km=budget,
+                  speed_km_per_min=speed, available_until=until)
+
+
+def planner_pair(config, predicted, cooldown=()):
+    """Two identical runtimes with a fixed forecast: (batched, reference)."""
+    runtimes = []
+    for _ in range(2):
+        runtime = ForecastRuntime(config, 0.0, 20.0)
+        runtime.predicted_cells = lambda t, p=np.asarray(predicted, dtype=float): p
+        runtime._cooldown = dict(cooldown)
+        runtimes.append(runtime)
+    return runtimes
+
+
+def assert_same_plan(config, predicted, t, workers, pending, cooldown=()):
+    """Both planners give the same moves and cooldowns; returns the moves."""
+    fast, ref = planner_pair(config, predicted, cooldown)
+    moves = fast.plan_moves(t, workers, pending)
+    assert moves == reference_plan_moves(ref, t, workers, pending)
+    assert fast._cooldown == ref._cooldown
+    assert fast.n_prepositioned == ref.n_prepositioned
+    return moves
+
+
+@st.composite
+def planner_cases(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width = draw(st.sampled_from([3.0, 4.5, 7.0]))
+    height = draw(st.sampled_from([2.0, 5.0, 6.3]))
+    fraction = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    config = ForecastConfig(
+        grid_rows=rows, grid_cols=cols, width_km=width, height_km=height,
+        prepositioning=True, gap_threshold=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        max_moves=draw(st.integers(1, 6)), detour_fraction=fraction,
+        cooldown_minutes=draw(st.sampled_from([0.0, 1.0, 4.0])),
+    )
+    grid = Grid(width_km=width, height_km=height, rows=rows, cols=cols)
+
+    def coordinate(cell, n, extent):
+        # Cell edges (the extent's and beyond it too), centres, anything.
+        return st.one_of(
+            st.integers(-1, n + 1).map(lambda k: k * cell),
+            st.integers(0, n - 1).map(lambda k: (k + 0.5) * cell),
+            st.floats(-2.0, extent + 2.0),
+        )
+
+    xs = coordinate(grid.cell_width, rows, width)
+    ys = coordinate(grid.cell_height, cols, height)
+    t = draw(st.sampled_from([1.0, 2.5, 7.0]))
+    pending = {}
+    for task_id in range(draw(st.integers(0, 6))):
+        pending[task_id] = task(task_id, draw(xs), draw(ys), t - 0.5)
+    predicted = draw(
+        st.lists(st.sampled_from([0.0, 0.4, 1.0, 1.5, 2.7, 3.0]),
+                 min_size=grid.n_cells, max_size=grid.n_cells)
+    )
+    n_workers = draw(st.integers(0, 10))
+    ids = draw(st.lists(st.integers(0, 50), min_size=n_workers, max_size=n_workers, unique=True))
+    workers, cooldown = [], {}
+    for worker_id in ids:
+        x, y = draw(xs), draw(ys)
+        if workers and draw(st.booleans()):
+            x, y = workers[-1].routine[0].location  # a distance tie
+        speed = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        # Reach and the availability window either fall exactly at the
+        # distance to some cell centre or anywhere.
+        centre = grid.cell_center(draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+        dist = Point(x, y).distance_to(centre)
+        budget = draw(st.one_of(st.just(dist / fraction), st.sampled_from([0.0, 1.0, 3.0, 50.0])))
+        until = draw(st.one_of(st.none(), st.just(t + dist / speed + 1e-9),
+                               st.sampled_from([t + 0.5, t + 4.0])))
+        workers.append(standing_worker(worker_id, x, y, budget, speed, until))
+        if draw(st.booleans()):
+            cooldown[worker_id] = t + draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    t_next = t + draw(st.sampled_from([0.0, 0.5, 5.0]))
+    return config, predicted, pending, workers, cooldown, t, t_next
+
+
+class TestBatchedPlannerMatchesPerPair:
+    @settings(max_examples=300, deadline=None)
+    @given(case=planner_cases())
+    def test_same_moves_and_cooldowns_over_two_rounds(self, case):
+        config, predicted, pending, workers, cooldown, t, t_next = case
+        fast, ref = planner_pair(config, predicted, cooldown)
+        for now in (t, t_next):
+            moves = fast.plan_moves(now, workers, pending)
+            assert moves == reference_plan_moves(ref, now, workers, pending)
+            assert fast._cooldown == ref._cooldown
+        assert fast.n_prepositioned == ref.n_prepositioned
+
+    def config(self, **overrides):
+        base = dict(grid_rows=2, grid_cols=3, width_km=4.0, height_km=6.0,
+                    prepositioning=True, gap_threshold=1.0, max_moves=4,
+                    detour_fraction=0.5, cooldown_minutes=4.0)
+        return ForecastConfig(**{**base, **overrides})
+
+    def test_distance_equal_to_reach_is_admitted(self):
+        # Cell (1, 2) is centred at (3, 5); the worker stands 3 km away.
+        hot = [0.0] * 5 + [1.0]
+        at_reach = standing_worker(4, 3.0, 0.0, budget=10.0)  # 5 km = 0.5 * 10
+        moves = assert_same_plan(self.config(), hot, 1.0, [at_reach], {})
+        assert [m.worker_id for m in moves] == [4] and moves[0].distance_km == 5.0
+        short = standing_worker(4, 3.0, 0.0, budget=math.nextafter(10.0, 0.0))
+        assert assert_same_plan(self.config(), hot, 1.0, [short], {}) == []
+
+    def test_distance_ties_break_by_worker_id(self):
+        hot = [0.0] * 5 + [1.0]
+        # Mirror images around the centre (3, 5): equal distances.
+        workers = [standing_worker(9, 1.0, 4.0), standing_worker(4, 1.0, 6.0)]
+        moves = assert_same_plan(self.config(), hot, 1.0, workers, {})
+        assert [m.worker_id for m in moves] == [4]
+
+    def test_arrival_at_the_window_end(self):
+        hot = [0.0] * 5 + [1.0]
+        # 5 km at 1 km/min from t=1 arrives at t=6, the window's last moment.
+        on_time = standing_worker(4, 3.0, 0.0, budget=10.0, until=6.0 + 1e-9)
+        late = standing_worker(4, 3.0, 0.0, budget=10.0, until=6.0)
+        assert [m.arrive_t for m in assert_same_plan(self.config(), hot, 1.0, [on_time], {})] == [6.0]
+        assert assert_same_plan(self.config(), hot, 1.0, [late], {}) == []
+
+    def test_zero_cooldown_and_a_queue_in_one_cell(self):
+        # Three queued tasks in cell (0, 0) make a gap of 3 with no forecast.
+        pending = {k: task(k, 0.5, 0.5 + 0.1 * k, 0.0) for k in range(3)}
+        workers = [standing_worker(k, 3.5, 5.5) for k in range(5)]
+        config = self.config(cooldown_minutes=0.0)
+        moves = assert_same_plan(config, [0.0] * 6, 1.0, workers, pending)
+        assert [m.worker_id for m in moves] == [0, 1, 2]
+        assert all(m.cell == (0, 0) and m.gap == 3.0 for m in moves)
+        # With no cooldown the same workers are eligible again at once.
+        again = assert_same_plan(config, [0.0] * 6, 1.0, workers, pending,
+                                 cooldown={k: 1.0 for k in range(3)})
+        assert [m.worker_id for m in again] == [0, 1, 2]
+
+    def test_points_outside_the_extent_are_clamped(self):
+        hot = [1.0] + [0.0] * 5
+        # (-3, 9) clamps into cell (0, 2); it may move to cell (0, 0).
+        workers = [standing_worker(1, -3.0, 9.0)]
+        moves = assert_same_plan(self.config(), hot, 1.0, workers, {})
+        assert [m.cell for m in moves] == [(0, 0)]
+
+
+class TestNonFiniteLocations:
+    BAD = [math.nan, math.inf, -math.inf]
+
+    def runtime(self):
+        config = ForecastConfig(grid_rows=8, grid_cols=8, width_km=8.0, height_km=8.0,
+                                prepositioning=True)
+        return ForecastRuntime(config, 0.0, 20.0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_arrival_names_the_task(self, bad):
+        with pytest.raises(ValueError, match="task 7 location must be finite"):
+            self.runtime().observe_arrival(task(7, bad, 3.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_queued_task_names_the_task(self, bad):
+        pending = {0: task(0, 1.0, 1.0, 0.0), 3: task(3, 2.0, bad, 0.0)}
+        with pytest.raises(ValueError, match="task 3 location must be finite"):
+            self.runtime().plan_moves(1.0, [standing_worker(0, 1.0, 1.0)], pending)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_idle_worker_names_the_worker(self, bad):
+        workers = [standing_worker(0, 1.0, 1.0), standing_worker(5, bad, 2.0)]
+        with pytest.raises(ValueError, match="worker 5 last shared location must be finite"):
+            self.runtime().plan_moves(1.0, workers, {})
 
 
 class TestStreamHorizonValidation:

@@ -18,6 +18,7 @@ from repro.scenarios import (
     get_scenario,
     materialize,
 )
+from repro.scenarios.sweep import signature_digest
 from repro.serve.adapters import result_signature
 
 BASE_DOC = {
@@ -94,6 +95,26 @@ class TestForecastDeterminism:
         assert result_signature(serial) == result_signature(servers)
         assert serial.forecast_mae == servers.forecast_mae
         assert serial.n_prepositioned == servers.n_prepositioned
+
+
+#: ``signature_digest`` of each registry scenario under the registry's
+#: forecast-enabled policy (``forecast-prepositioned``), recorded with
+#: the per-pair gap planner.  The bench-shape scenarios are left out:
+#: their one-minute horizons leave the planner nothing to move.
+FORECAST_DIGESTS = {
+    "smoke": "3e16e739c5705ce9e64686a6f6370719977c7a981c2506d598896bdefa9f9154",
+    "serve-default": "deff1449292b5d80dc0d24334ab8bcda9ec34fb8b010020def9a67d930d5aa98",
+    "hot-cell-burst": "44d95bb5daa4b16277d86150ed4ed1265b8a3b8f531a3b5f07456d269f624b16",
+    "rush-hour": "44e3e81dae432916f4bd3fc8a2e0e03d185e0ba20d8754a5e5b1732293ef4e76",
+    "worker-churn": "89b333dd4269d4a4ec280868089045c217e0de4c291f167037b9d07a7b0e06da",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORECAST_DIGESTS))
+def test_forecast_run_keeps_its_pinned_digest(name):
+    result = run_policy(materialize(get_scenario(name)), get_policy("forecast-prepositioned"))
+    assert result.n_prepositioned > 0
+    assert signature_digest(result) == FORECAST_DIGESTS[name]
 
 
 class TestForecastEffects:

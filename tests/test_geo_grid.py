@@ -59,6 +59,20 @@ class TestCellMapping:
         back = g.from_fractional_cell(ci, cj)
         assert back.distance_to(p) < 1e-9
 
+    @given(
+        st.integers(1, 7), st.integers(1, 7),
+        st.lists(st.tuples(st.integers(-2, 16), st.integers(-2, 16)), min_size=1, max_size=20),
+        st.lists(st.tuples(st.floats(-3, 12), st.floats(-3, 12)), max_size=20),
+    )
+    def test_flat_cell_array_matches_to_cell(self, rows, cols, edges, anywhere):
+        """The vectorised binning lands every point, cell edges and
+        points outside the extent included, in ``to_cell``'s cell."""
+        g = Grid(width_km=7.5, height_km=4.2, rows=rows, cols=cols)
+        points = [(a * g.cell_width / 2, b * g.cell_height / 2) for a, b in edges] + anywhere
+        flat = g.to_flat_cell_array(np.array(points))
+        want = [i * cols + j for i, j in (g.to_cell(Point(x, y)) for x, y in points)]
+        assert flat.tolist() == want
+
     def test_contains(self, paper_grid):
         assert paper_grid.contains(Point(10, 5))
         assert not paper_grid.contains(Point(21, 5))

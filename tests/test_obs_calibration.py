@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.assignment.matching_rate import (
+    feasible_prediction_points,
     pair_completion_probabilities,
     pair_completion_probability,
 )
@@ -78,6 +79,34 @@ def test_batched_beliefs_equal_per_pair():
     assert pair_completion_probabilities(snaps, tasks, 2.0) == want
     assert any(0.0 < p < 1.0 for p in want) and 0.0 in want
     assert pair_completion_probabilities([], [], 2.0) == []
+
+
+def test_beliefs_count_the_points_ppi_counts():
+    """|B| behind a belief is PPI's ``dis + a <= bound`` set, including
+    predicted points placed exactly on the Theorem 2 radius."""
+    a, budget = 0.3, 3.4  # bound = min(3.4 / 2, ...) = 1.7
+    centre = Point(2.0, 3.0)
+    snaps, tasks, want = [], [], []
+    for k, angle in enumerate(np.linspace(0.0, 2.0 * np.pi, 240, endpoint=False)):
+        radius = 1.7 - a
+        point = np.array([[centre.x + radius * np.cos(angle), centre.y + radius * np.sin(angle)]])
+        snaps.append(
+            WorkerSnapshot(
+                worker_id=k,
+                current_location=centre,
+                predicted_xy=point,
+                predicted_times=np.array([10.0]),
+                detour_budget_km=budget,
+                speed_km_per_min=1.0,
+                matching_rate=0.5,
+            )
+        )
+        tasks.append(SpatialTask(k, centre, 0.0, 60.0))
+        b_set = feasible_prediction_points(point, np.array([centre.x, centre.y]), a, 1.7)
+        want.append(1.0 - 0.5 ** len(b_set))
+    assert 0.0 in want and 0.5 in want  # the radius really splits the points
+    assert [pair_completion_probability(s, t, 2.0, a) for s, t in zip(snaps, tasks)] == want
+    assert pair_completion_probabilities(snaps, tasks, 2.0, a) == want
 
 
 class TestPageHinkley:
