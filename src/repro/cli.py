@@ -201,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refresh an OpenMetrics exposition file on every sample")
     serve.add_argument("--monitor-port", type=int, default=None,
                        help="serve the exposition at http://localhost:PORT/metrics (0 = ephemeral)")
-    serve.add_argument("--drift-detector", choices=("page_hinkley", "ewma"),
-                       default="page_hinkley",
-                       help="calibration drift detector (with --monitor)")
     serve.add_argument("--no-calibration", action="store_true",
                        help="disable calibration tracking in the monitor")
     serve.add_argument("--decisions", metavar="PATH", default=None,
@@ -484,9 +481,7 @@ def _monitor_config(args: argparse.Namespace):
         and not args.slo
     ):
         return None
-    calibration = (
-        None if args.no_calibration else CalibrationConfig(detector=args.drift_detector)
-    )
+    calibration = None if args.no_calibration else CalibrationConfig()
     return MonitorConfig(
         cadence=args.monitor_cadence,
         series_path=args.monitor,

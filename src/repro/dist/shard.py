@@ -380,9 +380,15 @@ class WarmMatchCache:
     _last_used: dict = field(default_factory=dict)
     _round: int = 0
     _calls: int = 0
+    _round_start: dict = field(default_factory=dict)
 
     def begin_round(self) -> None:
-        """Start a new batch: reset the call counter, evict stale states."""
+        """Start a new batch: reset the call counter, evict stale states.
+
+        The tier counts are snapshotted after eviction, so
+        :meth:`round_tier` compares this round's solves against the
+        states that survive it.
+        """
         self._round += 1
         self._calls = 0
         if self._round % self.keep_rounds == 0:
@@ -391,6 +397,7 @@ class WarmMatchCache:
             for k in stale:
                 del self._states[k]
                 del self._last_used[k]
+        self._round_start = self.tier_counts()
 
     def next_call(self) -> int:
         idx = self._calls
@@ -418,17 +425,27 @@ class WarmMatchCache:
         return sum(s.rows_total for s in self._states.values())
 
     def tier_counts(self) -> dict[str, int]:
-        """Cumulative solve counts per warm-start tier across all states.
-
-        Sampled before/after a batch's solve by the decision log
-        (:mod:`repro.obs.decisions`) to name the tier that batch took.
-        """
+        """Solve counts per warm-start tier, summed over the live states."""
         counts = {"identical": 0, "warm": 0, "cold": 0}
         for state in self._states.values():
             counts["identical"] += state.identical_hits
             counts["warm"] += state.warm_solves
             counts["cold"] += state.cold_solves
         return counts
+
+    def round_tier(self) -> str | None:
+        """The worst warm-start tier a solve of the current round hit.
+
+        A cold solve anywhere makes the round ``cold``, else a seeded
+        re-augment makes it ``warm``, else whole-solve reuse makes it
+        ``identical``; ``None`` when the round ran no solve.  The
+        decision log records it on each batch's accepted offers.
+        """
+        counts = self.tier_counts()
+        for tier in ("cold", "warm", "identical"):
+            if counts[tier] > self._round_start.get(tier, 0):
+                return tier
+        return None
 
     def __len__(self) -> int:
         return len(self._states)

@@ -23,7 +23,6 @@ activates tracing.  Typical use::
 from repro.obs.calibration import (
     CalibrationConfig,
     CalibrationMonitor,
-    EwmaDetector,
     PageHinkley,
 )
 from repro.obs.dashboard import (
@@ -99,7 +98,6 @@ from repro.obs.sinks import JsonlSink, MemorySink, read_jsonl
 __all__ = [
     "CalibrationConfig",
     "CalibrationMonitor",
-    "EwmaDetector",
     "PageHinkley",
     "aggregate_series",
     "forecast_cell_errors",

@@ -17,14 +17,14 @@ assignment contributes one ``(predicted probability, accepted)`` sample:
   error summarises the gap);
 * **Brier score** — the running mean of ``(p - y)^2``, the proper
   scoring rule for probabilistic predictions;
-* **drift detection** — a windowed detector (Page–Hinkley by default,
-  EWMA as the alternative) over the per-sample calibration error
-  ``|p - y|``; a sustained rise beyond the configured threshold means
-  the predictor's reliability assumption broke, and the monitor raises
-  a ``serve.calibration.drift`` counter plus a structured drift event.
+* **drift detection** — a Page–Hinkley test over the per-sample
+  calibration error ``|p - y|``; a sustained rise beyond the configured
+  threshold means the predictor's reliability assumption broke, and the
+  monitor raises a ``serve.calibration.drift`` counter plus a
+  structured drift event.
 
-Both detectors are deterministic functions of the sample sequence, so
-a seeded run trips (or doesn't) reproducibly.
+The detector is a deterministic function of the sample sequence, so a
+seeded run trips (or doesn't) reproducibly.
 """
 
 from __future__ import annotations
@@ -45,23 +45,15 @@ class CalibrationConfig:
         Drift alarms are suppressed until this many outcomes arrived
         (the detector still updates, so the baseline is learned from
         the warm-up).
-    detector:
-        ``"page_hinkley"`` or ``"ewma"``.
     ph_delta / ph_threshold:
         Page–Hinkley tolerance (magnitude of drift considered noise)
         and alarm threshold on the cumulative deviation statistic.
-    ewma_alpha / ewma_threshold:
-        EWMA smoothing factor and the alarm threshold on the smoothed
-        error's rise above the running baseline mean.
     """
 
     n_bins: int = 10
     min_samples: int = 30
-    detector: str = "page_hinkley"
     ph_delta: float = 0.02
     ph_threshold: float = 3.0
-    ewma_alpha: float = 0.1
-    ewma_threshold: float = 0.25
 
     def __post_init__(self) -> None:
         if self.n_bins < 1:
@@ -70,17 +62,11 @@ class CalibrationConfig:
             raise ValueError("ph_delta must be non-negative")
         if self.min_samples < 1:
             raise ValueError("min_samples must be positive")
-        if self.detector not in ("page_hinkley", "ewma"):
-            raise ValueError("detector must be 'page_hinkley' or 'ewma'")
-        if self.ph_threshold <= 0 or self.ewma_threshold <= 0:
-            raise ValueError("drift thresholds must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must lie in (0, 1]")
+        if self.ph_threshold <= 0:
+            raise ValueError("drift threshold must be positive")
 
-    def make_detector(self) -> "PageHinkley | EwmaDetector":
-        if self.detector == "page_hinkley":
-            return PageHinkley(delta=self.ph_delta, threshold=self.ph_threshold)
-        return EwmaDetector(alpha=self.ewma_alpha, threshold=self.ewma_threshold)
+    def make_detector(self) -> PageHinkley:
+        return PageHinkley(delta=self.ph_delta, threshold=self.ph_threshold)
 
 
 @dataclass
@@ -119,40 +105,6 @@ class PageHinkley:
         self.mean = 0.0
         self.cumulative = 0.0
         self.minimum = 0.0
-
-
-@dataclass
-class EwmaDetector:
-    """EWMA drift detector: smoothed signal rising above its long mean.
-
-    Alarms when ``ewma - running_mean > threshold`` — a simpler (and
-    less tunable) alternative to Page–Hinkley for heavily windowed
-    signals.
-    """
-
-    alpha: float = 0.1
-    threshold: float = 0.25
-    n: int = 0
-    mean: float = 0.0
-    ewma: float = 0.0
-
-    def update(self, x: float) -> bool:
-        self.n += 1
-        self.mean += (x - self.mean) / self.n
-        if self.n == 1:
-            self.ewma = x
-        else:
-            self.ewma += self.alpha * (x - self.ewma)
-        return self.ewma - self.mean > self.threshold
-
-    @property
-    def statistic(self) -> float:
-        return self.ewma - self.mean
-
-    def reset(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.ewma = 0.0
 
 
 @dataclass
@@ -198,7 +150,7 @@ class CalibrationMonitor:
                 "type": "drift",
                 "t": float(t),
                 "n_samples": self.n,
-                "detector": self.config.detector,
+                "detector": "page_hinkley",
                 "statistic": float(self.detector.statistic),
                 "brier": self.brier,
             }

@@ -26,6 +26,11 @@ Compared with a fixed-step scan of that loop:
   check-in deviation invalidation (:mod:`repro.serve.prediction_cache`)
   instead of being re-predicted every batch.
 
+A task that ends unserved ends in one place, keyed by its decision-log
+reason code, which updates the result, the ``serve.*`` counters and the
+decision log together; every offer's feedback likewise goes through one
+pass after the batch's acceptance loop.
+
 Every serving feature is off in the default ``ServeConfig()``; the
 parity tests pin that configuration against a fixed-step reference
 loop, batch for batch.
@@ -43,7 +48,20 @@ if TYPE_CHECKING:  # import cycle: forecast.dispatch imports serve.triggers
 from repro import obs
 from repro.assignment.matching_rate import pair_completion_probabilities
 from repro.assignment.plan import AssignmentPlan
-from repro.obs.decisions import DecisionConfig, DecisionLog
+from repro.obs.decisions import (
+    REASON_CANCELLED,
+    REASON_CANCELLED_ON_ARRIVAL,
+    REASON_DEAD_ON_ARRIVAL,
+    REASON_EXPIRED_DEADLINE,
+    REASON_EXPIRED_HORIZON,
+    REASON_SHED_DEADLINE_SLACK,
+    REASON_SHED_QUEUE_FULL,
+    TERMINAL_CANCELLED,
+    TERMINAL_EXPIRED,
+    TERMINAL_SHED,
+    DecisionConfig,
+    DecisionLog,
+)
 from repro.obs.metrics import labelled
 from repro.obs.monitor import MetricsMonitor, MonitorConfig
 from repro.obs.recorder import MetricsRecorder
@@ -124,8 +142,8 @@ class ServeConfig:
         one lifecycle record per task — admission, candidate
         generation, matching outcome, terminal state — appended to a
         JSONL decision log.  ``None`` (the default) keeps the run
-        log-free with exact ``result_signature`` parity; the per-event
-        cost of the off path is one ``is None`` test.
+        log-free with exact ``result_signature`` parity; the off path
+        costs one ``is None`` test per lost task and per batch.
     forecast:
         Demand-forecasting knobs (:class:`repro.forecast.dispatch.ForecastConfig`):
         per-cell arrival forecasting, the ``"forecast"`` trigger's
@@ -236,28 +254,23 @@ class ServeResult(SimulationResult):
         return self.n_candidate_pairs / self.n_dense_pairs if self.n_dense_pairs else 0.0
 
 
-def _warm_tier_counts(assign_fn) -> dict | None:
-    """The warm-start solve counters behind an assign closure, if any."""
-    cache = getattr(assign_fn, "warm_cache", None)
-    return cache.tier_counts() if cache is not None else None
+#: The ``serve.*`` counter a lost task increments, by its terminal.
+_LOST_COUNTERS = {
+    TERMINAL_SHED: "serve.shed.tasks",
+    TERMINAL_CANCELLED: "serve.cancelled",
+    TERMINAL_EXPIRED: "serve.expired",
+}
 
-
-def _warm_tier(pre: dict | None, post: dict | None) -> str | None:
-    """The batch's warm-start tier from before/after solve counters.
-
-    The worst tier any of the batch's component solves hit: a cold
-    solve anywhere makes the batch ``cold``, else a seeded re-augment
-    makes it ``warm``, else whole-solve reuse makes it ``identical``.
-    """
-    if pre is None or post is None:
-        return None
-    if post["cold"] > pre["cold"]:
-        return "cold"
-    if post["warm"] > pre["warm"]:
-        return "warm"
-    if post["identical"] > pre["identical"]:
-        return "identical"
-    return None
+#: The decision-log call that closes a lost task's record, by reason.
+_LOG_LOSS = {
+    REASON_DEAD_ON_ARRIVAL: lambda log, task, t: log.dead_on_arrival(task, t, cancelled=False),
+    REASON_CANCELLED_ON_ARRIVAL: lambda log, task, t: log.dead_on_arrival(task, t, cancelled=True),
+    REASON_SHED_QUEUE_FULL: lambda log, task, t: log.shed_on_arrival(task, t),
+    REASON_SHED_DEADLINE_SLACK: lambda log, task, t: log.displaced(task.task_id, t),
+    REASON_CANCELLED: lambda log, task, t: log.cancelled(task.task_id, t),
+    REASON_EXPIRED_DEADLINE: lambda log, task, t: log.expired(task.task_id, t),
+    REASON_EXPIRED_HORIZON: lambda log, task, t: log.expired(task.task_id, t, horizon=True),
+}
 
 
 class ServeEngine:
@@ -342,11 +355,12 @@ class ServeEngine:
         offers: Sequence[tuple[SpatialTask, int, bool]],
         snapshots: Sequence[WorkerSnapshot],
         t: float,
+        outcome_listener: Callable[[int, int, bool, float], None] | None,
         monitor: MetricsMonitor | None,
         dlog: DecisionLog | None,
         warm_tier: str | None,
     ) -> None:
-        """Feed one batch's offers to calibration and the decision log.
+        """Feed one batch's offers to the listener, calibration and the decision log.
 
         ``offers`` holds each plan pair's task, worker id and acceptance,
         in plan order.  The believed completion probability is computed
@@ -354,7 +368,9 @@ class ServeEngine:
         offers for the decision log — in one batched pass.
         """
         calibrate = monitor is not None and monitor.calibration is not None
-        scored = [i for i, offer in enumerate(offers) if calibrate or offer[2]]
+        if outcome_listener is None and not calibrate and dlog is None:
+            return
+        scored = [i for i, o in enumerate(offers) if calibrate or (dlog is not None and o[2])]
         snap_by_worker = {s.worker_id: s for s in snapshots}
         beliefs = dict(
             zip(
@@ -367,6 +383,8 @@ class ServeEngine:
             )
         )
         for i, (task, worker_id, accepted) in enumerate(offers):
+            if outcome_listener is not None:
+                outcome_listener(task.task_id, worker_id, accepted, t)
             believed = beliefs.get(i)
             if calibrate:
                 monitor.observe_outcome(believed, accepted, t)
@@ -399,7 +417,7 @@ class ServeEngine:
         """Serve the task stream over ``[t_start, t_end]``.
 
         Events dated past ``t_end`` never fire; tasks still pending at
-        the horizon's end count as expired, so every task ends completed,
+        the horizon's end expire there, so every task ends completed,
         expired (deadline, cancellation, or horizon), or shed.
 
         ``outcome_listener``, when given, receives
@@ -444,7 +462,6 @@ class ServeEngine:
             monitor = MetricsMonitor(cfg.monitor, obs.get_recorder().metrics)
             monitor.start(t_start)
         watch = obs.enabled()
-        calibrate = monitor is not None and monitor.calibration is not None
         # Decision provenance is equally opt-in: with cfg.decisions
         # unset `dlog` stays None and every decision site below costs
         # one `is None` test, keeping result_signature bit-identical.
@@ -490,23 +507,29 @@ class ServeEngine:
         queue.push(BatchTick(time=t_start, generation=tick_generation))
 
         last_batch = t_start - cfg.batch_window
+        warm = getattr(self.candidate_assign_fn, "warm_cache", None) if cfg.use_index else None
 
-        def shed_for(new_task: SpatialTask) -> SpatialTask | None:
-            """Deadline-aware shedding: victim with the least slack."""
-            victim = new_task
-            for candidate in pending.values():
-                if candidate.deadline < victim.deadline:
-                    victim = candidate
-            return victim
+        def lose(task: SpatialTask, reason: str, t: float) -> None:
+            """End ``task`` unserved in every ledger; ``reason`` is a ``REASON_*`` code."""
+            pending.pop(task.task_id, None)
+            terminal, _, detail = reason.partition(":")
+            if terminal == TERMINAL_SHED:
+                result.n_shed += 1
+            else:
+                result.n_expired += 1
+            if watch:
+                obs.counter(_LOST_COUNTERS[terminal])
+                if terminal == TERMINAL_SHED:
+                    obs.counter(labelled("serve.shed.tasks", reason=detail))
+                elif terminal == TERMINAL_EXPIRED:
+                    phase = "assigned" if task.task_id in offered_ids else "pending"
+                    obs.counter(labelled("serve.task.expired", phase=phase))
+            if dlog is not None:
+                _LOG_LOSS[reason](dlog, task, t)
 
-        def run_batch(t: float, early: bool) -> None:
-            nonlocal last_batch, tick_generation
+        def run_batch(t: float, early: bool, available: list[Worker]) -> None:
+            nonlocal last_batch
             last_batch = t
-            available = [
-                worker_by_id[w_id]
-                for w_id in sorted(online, key=self._worker_pos.__getitem__)
-                if busy_until.get(w_id, -1.0) <= t
-            ]
             batch_tasks = list(pending.values())
             obs.gauge("serve.queue.pending", len(pending))
             obs.gauge("serve.workers.available", len(available))
@@ -533,7 +556,6 @@ class ServeEngine:
                     obs.gauge("serve.cache.hit_rate", cache.stats.hits / served)
                 result.n_dense_pairs += len(batch_tasks) * len(available)
                 candidates = None
-                warm_pre = None
                 with obs.span("serve.assign", tasks=len(batch_tasks)):
                     started = time.perf_counter()
                     if cfg.use_index and self.candidate_assign_fn is not None:
@@ -541,8 +563,6 @@ class ServeEngine:
                         batch_candidates = sum(len(v) for v in candidates.values())
                         result.n_candidate_pairs += batch_candidates
                         obs.histogram("serve.index.candidates", batch_candidates)
-                        if dlog is not None:
-                            warm_pre = _warm_tier_counts(self.candidate_assign_fn)
                         plan = self.candidate_assign_fn(batch_tasks, snapshots, t, candidates)
                     else:
                         result.n_candidate_pairs += len(batch_tasks) * len(available)
@@ -558,28 +578,17 @@ class ServeEngine:
                         candidates,
                         cache.stats.window_hit_rate(pre_cache),
                     )
-                    if warm_pre is not None:
-                        warm_tier = _warm_tier(
-                            warm_pre, _warm_tier_counts(self.candidate_assign_fn)
-                        )
-                # Fed to calibration and the decision log after the loop.
-                offers: list[tuple[SpatialTask, int, bool]] | None = (
-                    [] if calibrate or dlog is not None else None
-                )
+                    if warm is not None:
+                        warm_tier = warm.round_tier()
+                offers: list[tuple[SpatialTask, int, bool]] = []
                 n_accepted = 0
-                n_rejected = 0
                 for pair in plan:
                     worker = worker_by_id[pair.worker_id]
                     task = pending[pair.task_id]
                     decision = evaluate_acceptance(worker, task, t)
-                    result.n_assignments += 1
-                    if outcome_listener is not None:
-                        outcome_listener(task.task_id, worker.worker_id, decision.accepted, t)
-                    if offers is not None:
-                        offers.append((task, worker.worker_id, decision.accepted))
+                    offers.append((task, worker.worker_id, decision.accepted))
                     if decision.accepted:
                         n_accepted += 1
-                        result.n_completed += 1
                         result.completed_task_ids.add(task.task_id)
                         result.detours_km.append(decision.detour_km)
                         if watch and task.task_id in arrival_at:
@@ -593,13 +602,15 @@ class ServeEngine:
                         # speed) plus the current window.
                         off_route = decision.detour_km / worker.speed_km_per_min
                         busy_until[worker.worker_id] = t + cfg.batch_window + off_route
-                    else:
-                        n_rejected += 1
-                        result.n_rejections += 1
-                        if watch or dlog is not None:
-                            offered_ids.add(task.task_id)
-                if offers is not None:
-                    self._record_offers(offers, snapshots, t, monitor, dlog, warm_tier)
+                    elif watch:
+                        offered_ids.add(task.task_id)
+                n_rejected = len(plan) - n_accepted
+                result.n_assignments += len(plan)
+                result.n_completed += n_accepted
+                result.n_rejections += n_rejected
+                self._record_offers(
+                    offers, snapshots, t, outcome_listener, monitor, dlog, warm_tier
+                )
                 obs.counter("serve.assignments", len(plan))
                 obs.counter("serve.accepted", n_accepted)
                 obs.counter("serve.rejections", n_rejected)
@@ -620,22 +631,19 @@ class ServeEngine:
                     result.n_early_batches += 1
                     obs.counter("serve.batches.early")
 
-        def preposition(t: float) -> None:
+        def preposition(t: float, available: list[Worker]) -> None:
             """Move idle workers toward predicted demand gaps.
 
-            Runs after each batch: workers left idle (not busy at
-            ``t``) are offered to the forecast runtime's gap planner;
-            accepted moves splice the relocation into the worker's
-            routine, so later snapshots, acceptance decisions, and
-            check-outs all see the repositioned worker.
+            Runs after each batch: the batch's available workers still
+            idle (its accepted ones are busy now) are offered to the
+            forecast runtime's gap planner; accepted moves splice the
+            relocation into the worker's routine, so later snapshots,
+            acceptance decisions, and check-outs all see the
+            repositioned worker.
             """
             from repro.forecast.dispatch import relocated_worker
 
-            idle = [
-                worker_by_id[w_id]
-                for w_id in sorted(online, key=self._worker_pos.__getitem__)
-                if busy_until.get(w_id, -1.0) <= t
-            ]
+            idle = [w for w in available if busy_until.get(w.worker_id, -1.0) <= t]
             moves = fruntime.plan_moves(t, idle, pending)
             for move in moves:
                 moved = relocated_worker(worker_by_id[move.worker_id], move)
@@ -664,55 +672,44 @@ class ServeEngine:
                         fruntime.observe_arrival(task, event.time)
                     # Dead on arrival: a task released before the horizon
                     # whose deadline or cancellation window already passed
-                    # expires without an assignment attempt.
-                    if task.deadline < event.time or (
+                    # ends without an assignment attempt.
+                    if task.deadline < event.time:
+                        lose(task, REASON_DEAD_ON_ARRIVAL, event.time)
+                    elif (
                         cfg.assignment_window is not None
                         and event.time > task.release_time + cfg.assignment_window
                     ):
-                        result.n_expired += 1
-                        obs.counter("serve.expired")
-                        if watch:
-                            obs.counter(labelled("serve.task.expired", phase="pending"))
-                        if dlog is not None:
-                            dlog.dead_on_arrival(
-                                task, event.time, cancelled=task.deadline >= event.time
-                            )
+                        lose(task, REASON_CANCELLED_ON_ARRIVAL, event.time)
                     else:
+                        # Deadline-aware shedding: into a full queue, the
+                        # task with the least slack goes (ties: the arrival).
+                        victim = None
                         if cfg.max_pending is not None and len(pending) >= cfg.max_pending:
-                            victim = shed_for(task)
-                            if victim.task_id != task.task_id:
-                                del pending[victim.task_id]
-                                pending[task.task_id] = task
-                            result.n_shed += 1
-                            obs.counter("serve.shed.tasks")
-                            if watch:
-                                obs.counter(labelled(
-                                    "serve.shed.tasks",
-                                    reason="queue_full"
-                                    if victim.task_id == task.task_id
-                                    else "deadline_slack",
-                                ))
-                            if dlog is not None:
-                                if victim.task_id == task.task_id:
-                                    dlog.shed_on_arrival(task, event.time)
-                                else:
-                                    dlog.admitted(task, event.time)
-                                    dlog.displaced(victim.task_id, event.time)
+                            victim = min([task, *pending.values()], key=lambda x: x.deadline)
+                        if victim is task:
+                            lose(task, REASON_SHED_QUEUE_FULL, event.time)
                         else:
                             pending[task.task_id] = task
                             if dlog is not None:
                                 dlog.admitted(task, event.time)
-                        if watch and task.task_id in pending:
-                            arrival_at[task.task_id] = event.time
+                            if victim is not None:
+                                lose(victim, REASON_SHED_DEADLINE_SLACK, event.time)
+                            if watch:
+                                arrival_at[task.task_id] = event.time
                         if trigger.should_fire_early(event.time, last_batch, pending):
                             tick_generation += 1
                             queue.push(BatchTick(time=event.time, generation=tick_generation))
                 elif isinstance(event, BatchTick):
                     if event.generation == tick_generation:
                         early = event.time - last_batch < cfg.batch_window - 1e-9
-                        run_batch(event.time, early=early)
+                        available = [
+                            worker_by_id[w_id]
+                            for w_id in sorted(online, key=self._worker_pos.__getitem__)
+                            if busy_until.get(w_id, -1.0) <= event.time
+                        ]
+                        run_batch(event.time, early, available)
                         if fruntime is not None and cfg.forecast.prepositioning:
-                            preposition(event.time)
+                            preposition(event.time, available)
                         tick_generation += 1
                         queue.push(
                             BatchTick(
@@ -720,43 +717,18 @@ class ServeEngine:
                             )
                         )
                     # else: superseded by an early fire
-                elif isinstance(event, TaskDeadline):
-                    if event.task_id in pending:
-                        del pending[event.task_id]
-                        result.n_expired += 1
-                        obs.counter("serve.expired")
-                        if watch:
-                            obs.counter(labelled(
-                                "serve.task.expired",
-                                phase="assigned"
-                                if event.task_id in offered_ids
-                                else "pending",
-                            ))
-                        if dlog is not None:
-                            dlog.expired(event.task_id, event.time)
-                elif isinstance(event, TaskCancel):
-                    if event.task_id in pending:
-                        del pending[event.task_id]
-                        result.n_expired += 1
-                        obs.counter("serve.cancelled")
-                        if dlog is not None:
-                            dlog.cancelled(event.task_id, event.time)
+                elif isinstance(event, (TaskDeadline, TaskCancel)) and event.task_id in pending:
+                    deadline = isinstance(event, TaskDeadline)
+                    reason = REASON_EXPIRED_DEADLINE if deadline else REASON_CANCELLED
+                    lose(pending[event.task_id], reason, event.time)
                 elif isinstance(event, WorkerCheckIn):
                     online[event.worker.worker_id] = event.worker
                 elif isinstance(event, WorkerCheckOut):
                     online.pop(event.worker_id, None)
 
-            # Tasks still pending at the horizon's end count as expired.
-            if (watch or dlog is not None) and pending:
-                for task_id in pending:
-                    if watch:
-                        obs.counter(labelled(
-                            "serve.task.expired",
-                            phase="assigned" if task_id in offered_ids else "pending",
-                        ))
-                    if dlog is not None:
-                        dlog.expired(task_id, t_end, horizon=True)
-            result.n_expired += len(pending)
+            # Tasks still pending at the horizon's end expire there.
+            for task in list(pending.values()):
+                lose(task, REASON_EXPIRED_HORIZON, t_end)
             if dlog is not None:
                 result.n_decisions = len(dlog.records)
             result.cache_hits = cache.stats.hits

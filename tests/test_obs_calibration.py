@@ -1,7 +1,7 @@
-"""Calibration monitoring: reliability bins, Brier score, drift detectors.
+"""Calibration monitoring: reliability bins, Brier score, drift detector.
 
-Everything here is deterministic by construction — the detectors are
-pure functions of the sample sequence, so a synthetic outcome stream
+Everything here is deterministic by construction — the detector is a
+pure function of the sample sequence, so a synthetic outcome stream
 trips (or does not trip) the alarm reproducibly.
 """
 
@@ -21,7 +21,6 @@ from repro.assignment.ppi import PPIConfig
 from repro.obs import (
     CalibrationConfig,
     CalibrationMonitor,
-    EwmaDetector,
     PageHinkley,
 )
 
@@ -39,10 +38,7 @@ class TestConfig:
             ({"n_bins": 0}, "bin"),
             ({"ph_delta": -1.0}, "non-negative"),
             ({"min_samples": 0}, "positive"),
-            ({"detector": "cusum"}, "detector"),
             ({"ph_threshold": 0.0}, "threshold"),
-            ({"ewma_alpha": 0.0}, "alpha"),
-            ({"ewma_alpha": 1.5}, "alpha"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -51,7 +47,6 @@ class TestConfig:
 
     def test_make_detector_dispatch(self):
         assert isinstance(CalibrationConfig().make_detector(), PageHinkley)
-        assert isinstance(CalibrationConfig(detector="ewma").make_detector(), EwmaDetector)
 
 
 def test_batched_beliefs_equal_per_pair():
@@ -135,19 +130,6 @@ class TestPageHinkley:
         ph.reset()
         assert ph.statistic == 0.0
         assert not ph.update(0.1)
-
-
-class TestEwma:
-    def test_stationary_signal_never_alarms(self):
-        det = EwmaDetector(alpha=0.2, threshold=0.3)
-        assert not any(det.update(0.4) for _ in range(200))
-
-    def test_shift_alarms_and_statistic_positive(self):
-        det = EwmaDetector(alpha=0.3, threshold=0.3)
-        for _ in range(50):
-            det.update(0.1)
-        assert any(det.update(1.0) for _ in range(50))
-        assert det.statistic > 0.3
 
 
 def feed(monitor: CalibrationMonitor, outcomes, t0: float = 0.0):

@@ -417,3 +417,118 @@ class TestDecisionLogUnit:
         log = DecisionLog()
         counts = log.terminal_counts()
         assert counts == {}
+
+
+def final_sample(series_path):
+    from repro.obs.sinks import read_jsonl
+
+    return [r for r in read_jsonl(series_path) if r["type"] == "sample"][-1]
+
+
+def family_total(counters, base):
+    return sum(v for name, v in counters.items() if name.startswith(base + "{"))
+
+
+class TestLifecycleLedgers:
+    """Every lost task reaches the result, the ``serve.*`` counters and
+    the decision log through one path, so the three ledgers agree."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["smoke", "hot-cell-burst", "rush-hour", "worker-churn"]
+    )
+    def test_final_counters_conserve_tasks(self, scenario, tmp_path):
+        from repro.obs.monitor import MonitorConfig
+        from repro.scenarios import PolicySpec, get_scenario, materialize
+        from repro.scenarios.builders import build_engine
+
+        data = materialize(get_scenario(scenario))
+        policy = PolicySpec.from_dict(
+            {
+                "trigger": {"kind": "adaptive", "pending_threshold": 50},
+                "shedding": {"max_pending": 30},
+                "cache": {"ttl": 6.0},
+                "index": {"enabled": True, "cell_km": 2.0},
+            }
+        )
+        series = tmp_path / "run.series.jsonl"
+        engine = build_engine(
+            data.workers,
+            data.provider,
+            policy,
+            monitor=MonitorConfig(cadence=5.0, series_path=str(series)),
+            decisions=DecisionConfig(),
+        )
+        result = engine.run(data.tasks, data.t_start, data.t_end)
+        counters = final_sample(series)["counters"]
+        get = lambda name: counters.get(name, 0.0)
+
+        assert result.n_shed > 0 and result.n_expired > 0
+        assert get("serve.accepted") == result.n_completed
+        assert get("serve.expired") + get("serve.cancelled") == result.n_expired
+        assert get("serve.shed.tasks") == result.n_shed
+        assert family_total(counters, "serve.task.expired") == get("serve.expired")
+        assert family_total(counters, "serve.shed.tasks") == get("serve.shed.tasks")
+        by_terminal = {
+            "completed": get("serve.accepted"),
+            "expired": get("serve.expired"),
+            "cancelled": get("serve.cancelled"),
+            "shed": get("serve.shed.tasks"),
+        }
+        assert {k: v for k, v in by_terminal.items() if v} == (
+            engine.decision_log.terminal_counts()
+        )
+
+
+class TestWarmTier:
+    def test_tier_is_each_batch_worst_solve(self, monkeypatch):
+        """The tier recorded on a batch's accepted offers is the worst
+        tier of that batch's own solves — eviction rounds (every
+        ``keep_rounds``-th batch) included."""
+        import functools
+
+        from repro.dist import component_candidate_assign, shard
+
+        solve = shard.maximum_weight_matching
+        tiers: list[str] = []  # this batch's solve tiers
+
+        def spy(edges, warm=None):
+            before = (warm.cold_solves, warm.warm_solves)
+            out = solve(edges, warm=warm)
+            if warm.cold_solves > before[0]:
+                tiers.append("cold")
+            elif warm.warm_solves > before[1]:
+                tiers.append("warm")
+            else:
+                tiers.append("identical")
+            return out
+
+        monkeypatch.setattr(shard, "maximum_weight_matching", spy)
+        decomposed = component_candidate_assign(ppi_assign, warm_start=True)
+        worst: dict[float, str | None] = {}
+
+        @functools.wraps(decomposed)
+        def assign(tasks, snapshots, t, candidates):
+            tiers.clear()
+            plan = decomposed(tasks, snapshots, t, candidates)
+            worst[t] = next((k for k in ("cold", "warm", "identical") if k in tiers), None)
+            return plan
+
+        # A sparse 45 km city: many small components, so eviction rounds
+        # drop states that carried solve counts.
+        cfg = StreamConfig(n_workers=200, n_tasks=400, t_end=60.0, seed=1,
+                           width_km=45.0, height_km=45.0)
+        tasks, workers = make_task_stream(cfg), make_worker_fleet(cfg)
+        engine = ServeEngine(
+            workers,
+            DeadReckoningProvider(seed=1),
+            ServeConfig(batch_window=1.0, use_index=True, decisions=DecisionConfig()),
+            assign_fn=ppi_assign,
+            candidate_assign_fn=assign,
+        )
+        engine.run(tasks, 0.0, 60.0)
+        assert len(worst) >= 16
+        completed = [r for r in engine.decision_log.records if r["terminal"] == "completed"]
+        eviction_rounds = list(worst)[15::8]  # worst is filled in round order
+        assert {r["assigned_t"] for r in completed} & set(eviction_rounds)
+        for rec in completed:
+            assert rec["warm_tier"] == worst[rec["assigned_t"]], rec["assigned_t"]
