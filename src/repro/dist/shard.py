@@ -153,13 +153,14 @@ def make_shards(
 def same_track(a, b) -> bool:
     """Whether two predicted-point arrays are the same shared buffer.
 
-    The prediction cache hands out ``dataclasses.replace`` copies whose
-    ``predicted_xy`` is a fresh *view* of the cached array (the entity's
-    ``__post_init__`` reshapes), so object identity misses; the data
-    pointer plus shape doesn't.  Sound as a version check only while a
-    reference to ``a`` is retained (the buffer can't be freed and its
-    address recycled) and tracks are never mutated in place — both true
-    of every snapshot producer in the repo.
+    A prediction-cache hit (:meth:`WorkerSnapshot.with_location`) shares
+    the cached ``predicted_xy`` object itself, so the identity test
+    answers it.  A snapshot rebuilt through ``WorkerSnapshot.__init__``
+    holds a fresh *view* (``__post_init__`` reshapes), which the data
+    pointer plus shape still recognises.  Sound as a version check only
+    while a reference to ``a`` is retained (the buffer can't be freed
+    and its address recycled) and tracks are never mutated in place —
+    both true of every snapshot producer in the repo.
     """
     if a is b:
         return True

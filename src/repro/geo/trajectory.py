@@ -10,6 +10,7 @@ acceptance model and the UB oracle use to reason about where a worker
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -42,11 +43,17 @@ class Trajectory:
     def __init__(self, points: Iterable[TrajectoryPoint]) -> None:
         pts = tuple(points)
         times = [p.time for p in pts]
+        xy = np.array([[p.location.x, p.location.y] for p in pts], dtype=float).reshape(len(pts), 2)
+        if not (np.isfinite(xy).all() and all(map(math.isfinite, times))):
+            bad = next(
+                i for i, p in enumerate(pts) if not all(map(math.isfinite, (p.time, *p.location)))
+            )
+            raise ValueError(f"trajectory sample {bad}: time and coordinates must be finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("trajectory timestamps must be strictly increasing")
         self._points = pts
         self._times = tuple(times)
-        self._xy = np.array([[p.location.x, p.location.y] for p in pts], dtype=float).reshape(len(pts), 2)
+        self._xy = xy
 
     @classmethod
     def from_arrays(cls, xy: np.ndarray, times: Sequence[float]) -> "Trajectory":
@@ -106,9 +113,9 @@ class Trajectory:
         lo = hi - 1
         t0, t1 = self._times[lo], self._times[hi]
         frac = (t - t0) / (t1 - t0)
-        x0, y0 = self._xy[lo]
-        x1, y1 = self._xy[hi]
-        return Point(float(x0 + frac * (x1 - x0)), float(y0 + frac * (y1 - y0)))
+        a = self._points[lo].location
+        b = self._points[hi].location
+        return Point(a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
 
     def slice_time(self, t_from: float, t_to: float) -> "Trajectory":
         """Sub-trajectory of samples with ``t_from <= t <= t_to``.

@@ -11,7 +11,9 @@ Appendix A-B; branching at the final sample is an out-and-back trip.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -46,36 +48,40 @@ def evaluate_acceptance(
     branch options that reach the task before its deadline, the worker
     picks the one with the smallest detour and accepts iff that detour
     is within ``w.d``.
+
+    A routine has about ten samples, so the walk is float arithmetic:
+    each point-to-task distance is computed once and carried to the next
+    segment.  Squares are written ``dx * dx``: ``** 2`` and
+    ``math.hypot`` can round the last bit differently, which moves a
+    detour and with it the run's signature.
     """
     routine = worker.routine
-    # Remaining route: current interpolated position, then future samples.
-    future = [p for p in routine if p.time > current_time]
+    speed = worker.speed_km_per_min
+    deadline = task.deadline
+    tx, ty = task.location.x, task.location.y
     here = routine.position_at(current_time)
-    points = [here] + [p.location for p in future]
-    times = [current_time] + [p.time for p in future]
-
-    tloc = np.array([task.location.x, task.location.y])
-    xy = np.array([[p.x, p.y] for p in points])
-    d_to_task = np.sqrt(((xy - tloc) ** 2).sum(axis=1))
-    arrival = np.asarray(times) + d_to_task / worker.speed_km_per_min
-    reachable = arrival <= task.deadline
+    # Branch point k: position (px, py) at time tk, distance d to the task.
+    px, py, tk = here.x, here.y, current_time
+    dx, dy = px - tx, py - ty
+    d = math.sqrt(dx * dx + dy * dy)
 
     best_detour = math.inf
     best_arrival = math.inf
-    for k in range(len(points)):
-        if not reachable[k]:
-            continue
-        if k + 1 < len(points):
-            seg = float(np.sqrt(((xy[k] - xy[k + 1]) ** 2).sum()))
-            detour = float(d_to_task[k]) + float(
-                np.sqrt(((tloc - xy[k + 1]) ** 2).sum())
-            ) - seg
-        else:
-            detour = 2.0 * float(d_to_task[k])
-        detour = max(detour, 0.0)
-        if detour < best_detour:
-            best_detour = detour
-            best_arrival = float(arrival[k])
+    for sample in islice(routine, bisect_right(routine.times, current_time), None):
+        nx, ny = sample.location.x, sample.location.y
+        dx, dy = nx - tx, ny - ty
+        d_next = math.sqrt(dx * dx + dy * dy)
+        arrival = tk + d / speed
+        if arrival <= deadline:
+            sx, sy = px - nx, py - ny
+            detour = max(d + d_next - math.sqrt(sx * sx + sy * sy), 0.0)
+            if detour < best_detour:
+                best_detour, best_arrival = detour, arrival
+        px, py, tk, d = nx, ny, sample.time, d_next
+    # The last branch point is an out-and-back trip.
+    arrival = tk + d / speed
+    if arrival <= deadline and 2.0 * d < best_detour:
+        best_detour, best_arrival = 2.0 * d, arrival
 
     accepted = best_detour <= worker.detour_budget_km
     return AcceptanceDecision(accepted=accepted, detour_km=best_detour, arrival_time=best_arrival)

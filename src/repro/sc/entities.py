@@ -9,6 +9,7 @@ predicted future points, and the worker's mobility-model matching rate.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,16 @@ class SpatialTask:
     deadline: float
 
     def __post_init__(self) -> None:
+        for name, value in (
+            ("location", self.location.x),
+            ("location", self.location.y),
+            ("release_time", self.release_time),
+            ("deadline", self.deadline),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"task {self.task_id}: {name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.deadline <= self.release_time:
             raise ValueError(f"task {self.task_id}: deadline must follow release")
 
@@ -142,3 +153,20 @@ class WorkerSnapshot:
             raise ValueError("predicted points and times must align")
         if not 0.0 <= self.matching_rate <= 1.0:
             raise ValueError("matching rate must lie in [0, 1]")
+
+    def with_location(self, location: Point) -> "WorkerSnapshot":
+        """This snapshot with ``current_location`` replaced.
+
+        The copy shares the forecast arrays themselves and skips
+        ``__post_init__``: they were validated when this snapshot was
+        built.  A prediction-cache hit is one such copy.
+        """
+        clone = object.__new__(WorkerSnapshot)
+        clone.worker_id = self.worker_id
+        clone.current_location = location
+        clone.predicted_xy = self.predicted_xy
+        clone.predicted_times = self.predicted_times
+        clone.detour_budget_km = self.detour_budget_km
+        clone.speed_km_per_min = self.speed_km_per_min
+        clone.matching_rate = self.matching_rate
+        return clone

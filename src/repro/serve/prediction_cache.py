@@ -19,11 +19,13 @@ behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
+from repro.geo.point import Point
 from repro.sc.entities import Worker, WorkerSnapshot
 from repro.sc.platform import SnapshotProvider
 
@@ -136,14 +138,13 @@ class PredictionCache:
         if self.ttl > 0:
             entry = self._entries.get(key)
             if entry is not None and t - entry.created <= self.ttl + 1e-9:
-                if self._deviated(entry, worker, t):
+                here = worker.last_shared_location(t)
+                if self._deviated(entry.snapshot, here, t):
                     self.stats.invalidations += 1
                     del self._entries[key]
                 else:
                     self.stats.hits += 1
-                    return replace(
-                        entry.snapshot, current_location=worker.last_shared_location(t)
-                    )
+                    return entry.snapshot.with_location(here)
             elif entry is not None:
                 # Expired by TTL; drop silently (counted as a miss below).
                 del self._entries[key]
@@ -158,37 +159,40 @@ class PredictionCache:
         """Explicitly drop one worker's cached snapshot."""
         self._entries.pop(worker_id, None)
 
-    def _deviated(self, entry: _Entry, worker: Worker, t: float) -> bool:
-        """Has the worker's check-in broken from the cached forecast?"""
+    def _deviated(self, snapshot: WorkerSnapshot, here: Point, t: float) -> bool:
+        """Has the check-in ``here`` broken from the cached forecast?"""
         if self.deviation_km is None:
             return False
-        predicted = self._predicted_position(entry.snapshot, t)
+        predicted = self._predicted_position(snapshot, t)
         if predicted is None:
             return False
-        here = worker.last_shared_location(t)
         gap = float(np.hypot(predicted[0] - here.x, predicted[1] - here.y))
         return gap > self.deviation_km
 
     @staticmethod
-    def _predicted_position(snapshot: WorkerSnapshot, t: float) -> np.ndarray | None:
+    def _predicted_position(snapshot: WorkerSnapshot, t: float) -> tuple[float, float] | None:
         """Where the cached forecast says the worker is at time ``t``.
 
         Interpolates between the snapshot's origin (current location at
         creation) and its predicted points; ``None`` when the forecast
-        has no points.
+        has no points.  A forecast has a handful of points, so this is
+        float arithmetic on ``tolist()`` values, which rounds exactly as
+        the elementwise array form.  Times ascend, so ``bisect_left``
+        leaves ``t0 < t <= t1`` even across duplicate timestamps.
         """
-        times = snapshot.predicted_times
-        xy = snapshot.predicted_xy
-        if len(xy) == 0:
+        times = snapshot.predicted_times.tolist()
+        if not times:
             return None
-        origin = np.array([snapshot.current_location.x, snapshot.current_location.y])
-        if t <= times[0]:
-            return origin if t < times[0] else xy[0]
-        idx = int(np.searchsorted(times, t))
-        if idx >= len(times):
-            return xy[-1]
+        if t < times[0]:
+            origin = snapshot.current_location
+            return origin.x, origin.y
+        xy = snapshot.predicted_xy
+        idx = bisect_left(times, t)
+        if idx == 0:
+            return tuple(xy[0].tolist())
+        if idx == len(times):
+            return tuple(xy[-1].tolist())
         t0, t1 = times[idx - 1], times[idx]
-        if t1 <= t0:
-            return xy[idx]
+        (x0, y0), (x1, y1) = xy[idx - 1 : idx + 1].tolist()
         frac = (t - t0) / (t1 - t0)
-        return xy[idx - 1] + frac * (xy[idx] - xy[idx - 1])
+        return x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)

@@ -17,6 +17,21 @@ class TestConstruction:
                 TrajectoryPoint(Point(1, 0), 0.0),
             ])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            TrajectoryPoint(Point(1.0, 0.0), float("nan")),
+            TrajectoryPoint(Point(float("inf"), 0.0), 1.0),
+            TrajectoryPoint(Point(1.0, float("nan")), 1.0),
+            TrajectoryPoint(Point(1.0, 0.0), float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_samples(self, bad):
+        # A NaN time passes the strictly-increasing check, and
+        # ``position_at`` would then answer ``Point(nan, nan)``.
+        with pytest.raises(ValueError, match="sample 1"):
+            Trajectory([TrajectoryPoint(Point(0, 0), 0.0), bad, TrajectoryPoint(Point(2, 0), 2.0)])
+
     def test_from_arrays(self):
         traj = Trajectory.from_arrays(np.array([[0, 0], [1, 1]]), [0.0, 5.0])
         assert len(traj) == 2

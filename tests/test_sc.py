@@ -1,5 +1,7 @@
 """Tests for the spatial crowdsourcing model and the paper's batch loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ class TestEntities:
     def test_task_validates_deadline(self):
         with pytest.raises(ValueError):
             SpatialTask(0, Point(0, 0), release_time=10.0, deadline=5.0)
+
+    @pytest.mark.parametrize(
+        "field, location, release, deadline",
+        [
+            ("location", Point(math.nan, 0.0), 0.0, 5.0),
+            ("location", Point(0.0, math.inf), 0.0, 5.0),
+            ("release_time", Point(0.0, 0.0), -math.inf, 5.0),
+            ("release_time", Point(0.0, 0.0), math.nan, 5.0),
+            ("deadline", Point(0.0, 0.0), 0.0, math.nan),
+            ("deadline", Point(0.0, 0.0), 0.0, math.inf),
+        ],
+    )
+    def test_task_rejects_non_finite_fields(self, field, location, release, deadline):
+        # A NaN deadline passes ``deadline <= release_time`` and would
+        # enter the event heap with a NaN time.
+        with pytest.raises(ValueError, match=f"task 7: {field} must be finite"):
+            SpatialTask(7, location, release_time=release, deadline=deadline)
 
     def test_task_valid_minutes(self):
         t = SpatialTask(0, Point(0, 0), 10.0, 40.0)

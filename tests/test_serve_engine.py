@@ -292,3 +292,47 @@ class TestServeEngine:
         result = ServeResult(n_tasks=0, n_completed=0, n_assignments=0, n_rejections=0, n_expired=0)
         assert result.cache_hit_rate == 0.0
         assert result.candidate_sparsity == 0.0
+
+
+class TestTracedLayers:
+    """The engine calls the acceptance test once per offer and the
+    prediction cache once per available worker per batch, through the
+    names the benchmark's tracer wraps (``bench/trace.py``), so both
+    layers keep their own time instead of folding into the loop's."""
+
+    @pytest.mark.parametrize(
+        "scenario, policy",
+        [
+            ("smoke", "bench-serve-engine"),
+            ("hot-cell-burst", "bench-serve-engine"),
+            ("worker-churn", "adaptive-indexed"),
+            ("smoke", "warm-sharded-2"),
+        ],
+    )
+    def test_one_call_per_offer_and_per_lookup(self, scenario, policy, monkeypatch):
+        import repro.serve.engine as engine_module
+        from repro.scenarios import get_policy, get_scenario, materialize
+        from repro.scenarios.builders import build_engine
+        from repro.serve import PredictionCache
+
+        calls = {"accept": 0, "cache": 0}
+        accept, get = engine_module.evaluate_acceptance, PredictionCache.get
+
+        def counted_accept(*args, **kwargs):
+            calls["accept"] += 1
+            return accept(*args, **kwargs)
+
+        def counted_get(self, *args, **kwargs):
+            calls["cache"] += 1
+            return get(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "evaluate_acceptance", counted_accept)
+        monkeypatch.setattr(PredictionCache, "get", counted_get)
+        data = materialize(get_scenario(scenario))
+        engine = build_engine(data.workers, data.provider, get_policy(policy))
+        result = engine.run(data.tasks, data.t_start, data.t_end)
+
+        assert result.n_assignments > 0
+        assert calls["accept"] == result.n_assignments
+        assert calls["cache"] == sum(b.n_available for b in result.batches)
+        assert calls["cache"] == result.cache_hits + result.cache_misses
