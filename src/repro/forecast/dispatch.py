@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -291,20 +291,11 @@ class ForecastRuntime:
         b = int((t - self.t_start) / self.config.bin_minutes)
         return min(max(b, 0), self.n_bins - 1)
 
-    def _flat_cells(self, xy: np.ndarray, owner: Callable[[int], str]) -> np.ndarray:
-        """Flat grid cell of each ``(x, y)`` row; a non-finite row raises
-        ``ValueError`` naming ``owner(row)`` (the id and location field)."""
-        finite = np.isfinite(xy).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            x, y = xy[k].tolist()
-            raise ValueError(f"{owner(k)} must be finite, got ({x}, {y})")
-        return self.grid.to_flat_cell_array(xy)
-
+    # Locations binned below are finite: ``SpatialTask`` and the worker's
+    # ``Trajectory`` refuse non-finite values, naming the field, when built.
     def observe_arrival(self, task: SpatialTask, t: float) -> None:
-        flat = self._flat_cells(
-            np.array([[task.location.x, task.location.y]], dtype=float),
-            lambda _: f"task {task.task_id} location",
+        flat = self.grid.to_flat_cell_array(
+            np.array([[task.location.x, task.location.y]], dtype=float)
         )[0]
         self.counts[self._bin_of(t), flat] += 1.0
 
@@ -407,16 +398,13 @@ class ForecastRuntime:
         demand = self.predicted_cells(t).copy()
         if pending:
             tasks = list(pending.values())
-            task_cells = self._flat_cells(
-                np.array([(task.location.x, task.location.y) for task in tasks], dtype=float),
-                lambda k: f"task {tasks[k].task_id} location",
+            task_cells = grid.to_flat_cell_array(
+                np.array([(task.location.x, task.location.y) for task in tasks], dtype=float)
             )
             np.add.at(demand, task_cells, 1.0)
         locations = [worker.last_shared_location(t) for worker in idle_workers]
         xy = np.array([(loc.x, loc.y) for loc in locations], dtype=float).reshape(-1, 2)
-        cells = self._flat_cells(
-            xy, lambda k: f"worker {idle_workers[k].worker_id} last shared location"
-        )
+        cells = grid.to_flat_cell_array(xy)
         gaps = demand - np.bincount(cells, minlength=grid.n_cells)
         obs.gauge("forecast.gap", float(np.maximum(gaps, 0.0).sum()))
         targets = [

@@ -111,8 +111,9 @@ class Grid:
 
         The integer sibling of :meth:`to_cell_array`: the same clamp,
         divide and truncate as the scalar form, so every cell equals
-        ``to_cell``'s.  Coordinates must be finite; callers validate
-        them, since a non-finite point has no cell.
+        ``to_cell``'s.  Coordinates must be finite, since a non-finite
+        point has no cell; ``SpatialTask`` and ``Trajectory`` refuse
+        them when built, and callers with other inputs validate them.
         """
         arr = np.asarray(xy, dtype=float).reshape(-1, 2)
         clamped = np.minimum(np.maximum(arr, 0.0), (self.width_km, self.height_km))

@@ -29,6 +29,7 @@ import numpy as np
 from repro import obs
 from repro.meta.learning_task import LearningTask
 from repro.nn import fused
+from repro.nn.losses import loss_weights
 from repro.nn.module import (
     Module,
     apply_gradient_step,
@@ -121,13 +122,15 @@ def adapt(
     fast = resolve_fast_path(fast_path, model)
     obs.counter("maml.inner_loop_steps", inner_steps)
     obs.counter("maml.fused_kernel_invocations" if fast else "maml.tape_invocations", inner_steps)
+    # Full-support steps share one target, so its loss weights are computed once.
+    weights = loss_weights(loss_fn, task.support_y) if fast and support_batch is None else None
     for _ in range(inner_steps):
         if support_batch is not None:
             xb, yb = task.support_batch(support_batch, rng)
         else:
             xb, yb = task.support_x, task.support_y
         if fast:
-            _, grads = fused.loss_and_grads(model, params, xb, yb, loss_fn)
+            _, grads = fused.loss_and_grads(model, params, xb, yb, loss_fn, weights=weights)
         else:
             pred = model.functional_call(params, Tensor(xb))
             loss = loss_fn(pred, Tensor(yb))
@@ -319,10 +322,13 @@ def learning_path(
     params = dict(init) if init is not None else clone_parameters(model)
     params = {k: v.clone(requires_grad=True) for k, v in params.items()}
     fast = resolve_fast_path(fast_path, model)
+    weights = loss_weights(loss_fn, task.support_y) if fast else None
     path: list[np.ndarray] = []
     for _ in range(steps):
         if fast:
-            _, grads = fused.loss_and_grads(model, params, task.support_x, task.support_y, loss_fn)
+            _, grads = fused.loss_and_grads(
+                model, params, task.support_x, task.support_y, loss_fn, weights=weights
+            )
         else:
             pred = model.functional_call(params, Tensor(task.support_x))
             loss = loss_fn(pred, Tensor(task.support_y))

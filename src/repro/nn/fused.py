@@ -33,12 +33,13 @@ end to end, covering both decode modes (teacher forcing and
 autoregressive feedback, where the gradient flows back through the
 emitted points).
 
-Losses stay generic: the loss (including the task assignment-oriented
-weighted MSE of Eqs. 6-7) is evaluated through a *tiny* tape over the
-prediction tensor only (:func:`loss_grad_wrt_pred`), which costs a
-handful of nodes instead of thousands, so any ``LossFn`` the tape path
-accepts works on the fast path with identical values; plain MSE/MAE
-additionally get closed-form gradients.
+Losses stay generic: any other ``LossFn`` the tape path accepts is
+evaluated through a *tiny* tape over the prediction tensor only
+(:func:`loss_grad_wrt_pred`), a handful of nodes instead of thousands,
+with identical values.  Plain MSE/MAE and the task assignment-oriented
+weighted MSE of Eqs. 6-7 get closed forms that are bit-identical to
+that tape; the Eq. 7 weights depend only on the target, so a loop on a
+fixed target passes them in once computed (``weights=``).
 
 Every kernel also runs **stacked**: give the arrays a leading worker
 axis — inputs ``(W, B, T, F)``, parameters ``(W, F, 4H)`` — and numpy's
@@ -61,7 +62,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.losses import mae_loss, mse_loss
+from repro.nn.losses import loss_weights, mae_loss, mse_loss
 from repro.nn.tensor import Tensor
 
 Array = np.ndarray
@@ -145,6 +146,23 @@ def as_param_arrays(params: Mapping[str, "Tensor | Array"]) -> dict[str, Array]:
     return {name: _as_array(value) for name, value in params.items()}
 
 
+def _lstm_weights(params, prefix: str) -> tuple[Array, Array, Array]:
+    """An LSTM layer's ``(w_ih, w_hh, bias)``, unwrapped and gate-permuted."""
+    return (
+        _perm_ifog(_as_array(params[prefix + "w_ih"])),
+        _perm_ifog(_as_array(params[prefix + "w_hh"])),
+        _perm_ifog(_as_array(params[prefix + "bias"])),
+    )
+
+
+def _gru_weights(params, prefix: str) -> tuple[Array, ...]:
+    """A GRU layer's six weight arrays, unwrapped (no permutation needed)."""
+    return tuple(
+        _as_array(params[prefix + name])
+        for name in ("w_ih", "w_hh", "bias", "w_ic", "w_hc", "bias_c")
+    )
+
+
 # ----------------------------------------------------------------------
 # sequence kernels
 # ----------------------------------------------------------------------
@@ -171,10 +189,9 @@ class _LSTMKernel:
     __slots__ = ("w_ih", "w_hh", "bias", "n", "h0", "c0", "state_in",
                  "x", "G", "C", "TC", "OUT", "_factors")
 
-    def __init__(self, params, prefix: str, lead: tuple, steps: int, state=None):
-        self.w_ih = _perm_ifog(_as_array(params[prefix + "w_ih"]))
-        self.w_hh = _perm_ifog(_as_array(params[prefix + "w_hh"]))
-        self.bias = _perm_ifog(_as_array(params[prefix + "bias"]))
+    def __init__(self, weights: tuple, lead: tuple, steps: int, state=None):
+        # ``weights`` is ``(w_ih, w_hh, bias)`` from :func:`_lstm_weights`.
+        self.w_ih, self.w_hh, self.bias = weights
         n = self.w_hh.shape[-2]
         self.n = n
         self.state_in = state is not None
@@ -307,13 +324,10 @@ class _GRUKernel:
     __slots__ = ("w_ih", "w_hh", "bias", "w_ic", "w_hc", "bias_c", "n",
                  "h0", "state_in", "x", "G", "RH", "CAND", "OUT", "_factors")
 
-    def __init__(self, params, prefix: str, lead: tuple, steps: int, state=None):
-        self.w_ih = _as_array(params[prefix + "w_ih"])
-        self.w_hh = _as_array(params[prefix + "w_hh"])
-        self.bias = _as_array(params[prefix + "bias"])
-        self.w_ic = _as_array(params[prefix + "w_ic"])
-        self.w_hc = _as_array(params[prefix + "w_hc"])
-        self.bias_c = _as_array(params[prefix + "bias_c"])
+    def __init__(self, weights: tuple, lead: tuple, steps: int, state=None):
+        # ``weights`` is ``(w_ih, w_hh, bias, w_ic, w_hc, bias_c)`` from
+        # :func:`_gru_weights`.
+        self.w_ih, self.w_hh, self.bias, self.w_ic, self.w_hc, self.bias_c = weights
         n = self.w_hh.shape[-2]
         self.n = n
         self.state_in = state is not None
@@ -424,7 +438,7 @@ def lstm_forward(
     """
     x = np.asarray(x, dtype=np.float64)
     steps = x.shape[-2]
-    kern = _LSTMKernel(params, prefix, x.shape[:-2], steps, state=state)
+    kern = _LSTMKernel(_lstm_weights(params, prefix), x.shape[:-2], steps, state=state)
     xt = _tmaj(x)
     kern.x = xt
     xp = kern.input_proj(xt)
@@ -475,7 +489,7 @@ def gru_forward(
     """Fused :class:`repro.nn.gru.GRU` forward; returns ``(outputs, h_T, cache)``."""
     x = np.asarray(x, dtype=np.float64)
     steps = x.shape[-2]
-    kern = _GRUKernel(params, prefix, x.shape[:-2], steps, state=state)
+    kern = _GRUKernel(_gru_weights(params, prefix), x.shape[:-2], steps, state=state)
     xt = _tmaj(x)
     kern.x = xt
     xp, cp = kern.input_proj(xt)
@@ -525,6 +539,31 @@ def supports(model) -> bool:
     return _model_kind(model) is not None
 
 
+class Seq2SeqWeights:
+    """A seq2seq model's parameters in kernel layout.
+
+    Unwraps a parameter mapping and gate-permutes the LSTM weights (see
+    :func:`_perm_ifog`).  :func:`seq2seq_forward` builds one per call
+    from the mapping it is given, or takes one built earlier: a caller
+    making many passes on fixed weights (an autoregressive rollout)
+    prepares them once.  Valid while the parameters are unchanged.
+    """
+
+    __slots__ = ("kind", "encoder", "decoder", "w_head", "b_head")
+
+    def __init__(self, model, params: Mapping[str, "Tensor | Array"]):
+        kind = _model_kind(model)
+        if kind is None:
+            raise TypeError(f"fused kernels do not support {type(model).__name__}")
+        layer = _lstm_weights if kind == "lstm" else _gru_weights
+        p = as_param_arrays(params)
+        self.kind = kind
+        self.encoder = layer(p, "encoder.")
+        self.decoder = layer(p, "decoder.")
+        self.w_head = p["head.weight"]
+        self.b_head = p.get("head.bias")
+
+
 class Seq2SeqCache:
     """Forward-pass state the seq2seq reverse sweep consumes."""
 
@@ -542,20 +581,19 @@ class Seq2SeqCache:
 
 def seq2seq_forward(
     model,
-    params: Mapping[str, "Tensor | Array"],
+    params: "Mapping[str, Tensor | Array] | Seq2SeqWeights",
     x: Array,
     targets: Array | None = None,
 ) -> tuple[Array, Seq2SeqCache]:
     """Fused encoder-decoder forward; replays ``seq2seq.forward`` exactly.
 
     ``x`` is ``(..., B, seq_in, F)``; parameters may carry matching
-    leading stack dimensions.  ``targets`` enables teacher forcing.
+    leading stack dimensions, and may come prepared as
+    :class:`Seq2SeqWeights`.  ``targets`` enables teacher forcing.
     Returns ``(pred, cache)`` with ``pred`` shaped ``(..., B, seq_out, F)``.
     """
-    kind = _model_kind(model)
-    if kind is None:
-        raise TypeError(f"fused kernels do not support {type(model).__name__}")
-    p = as_param_arrays(params)
+    weights = params if isinstance(params, Seq2SeqWeights) else Seq2SeqWeights(model, params)
+    kind = weights.kind
     x = np.asarray(x, dtype=np.float64)
     if targets is not None:
         targets = np.asarray(targets, dtype=np.float64)
@@ -567,25 +605,25 @@ def seq2seq_forward(
     # Encoder: inputs are all known up front, so both the unroll driver
     # and the kernel can hoist the input projections.
     if kind == "lstm":
-        enc = _LSTMKernel(p, "encoder.", lead, seq_in)
+        enc = _LSTMKernel(weights.encoder, lead, seq_in)
         enc.x = xt
         xp = enc.input_proj(xt)
         h, c = enc.h0, enc.c0
         for t in range(seq_in):
             h, c = enc.step(t, xp[..., t, :, :], h, c)
-        dec = _LSTMKernel(p, "decoder.", lead, seq_out, state=(h, c))
+        dec = _LSTMKernel(weights.decoder, lead, seq_out, state=(h, c))
     else:
-        enc = _GRUKernel(p, "encoder.", lead, seq_in)
+        enc = _GRUKernel(weights.encoder, lead, seq_in)
         enc.x = xt
         xp, cp = enc.input_proj(xt)
         h = enc.h0
         for t in range(seq_in):
             h = enc.step(t, xp[..., t, :, :], cp[..., t, :, :], h)
-        dec = _GRUKernel(p, "decoder.", lead, seq_out, state=h)
+        dec = _GRUKernel(weights.decoder, lead, seq_out, state=h)
 
     # Decoder: autoregressive (or teacher-forced) residual unroll.
-    w_head = p["head.weight"]
-    b_head = p.get("head.bias")
+    w_head = weights.w_head
+    b_head = weights.b_head
     feat = x.shape[-1]
     u_steps = np.empty(lead[:-1] + (seq_out, lead[-1], feat))
     dec.x = u_steps
@@ -680,7 +718,7 @@ def seq2seq_backward(
 
 def seq2seq_predict(
     model,
-    params: Mapping[str, "Tensor | Array"],
+    params: "Mapping[str, Tensor | Array] | Seq2SeqWeights",
     x: Array,
     targets: Array | None = None,
 ) -> Array:
@@ -692,19 +730,24 @@ def seq2seq_predict(
 # ----------------------------------------------------------------------
 # loss coupling and training-step entry points
 # ----------------------------------------------------------------------
-def loss_grad_wrt_pred(loss_fn: LossFn, pred: Array, target: Array) -> tuple[float, Array]:
+def loss_grad_wrt_pred(
+    loss_fn: LossFn, pred: Array, target: Array, weights: Array | None = None
+) -> tuple[float, Array]:
     """Evaluate any tape loss and its gradient w.r.t. the prediction.
 
     Runs the loss through a miniature tape whose only leaf is the
     prediction — a handful of nodes regardless of model size — so the
-    fast path supports every loss the reference path does (plain MSE,
-    MAE, and the task-oriented weighted MSE of Eqs. 6-7) with
+    fast path supports every loss the reference path does with
     bit-identical loss values.
 
-    Plain MSE/MAE are special-cased with their closed-form gradients
-    (bit-identical to the tape: ``mean`` is ``sum * (1/N)``, and scaling
-    by the power-of-two 2 commutes with rounding), skipping even the
-    mini-tape on the most common inner-loop losses.
+    The inner-loop losses skip even the mini-tape with closed forms
+    that replay the tape's arithmetic (``mean`` is ``sum * (1/N)``):
+    plain MSE/MAE, where scaling by the power-of-two 2 commutes with
+    rounding, and the task-oriented weighted MSE of Eqs. 6-7, whose
+    tape gradient is ``g + g`` with ``g = ((1/N) * W) * diff``.  ``weights``
+    are that loss's ``W`` for this ``target``
+    (:func:`repro.nn.losses.loss_weights`), computed here when not
+    given.
     """
     if loss_fn is mse_loss:
         diff = np.asarray(pred, dtype=np.float64) - target
@@ -714,6 +757,15 @@ def loss_grad_wrt_pred(loss_fn: LossFn, pred: Array, target: Array) -> tuple[flo
         diff = np.asarray(pred, dtype=np.float64) - target
         inv = 1.0 / diff.size
         return float(np.abs(diff).sum() * inv), np.sign(diff) * inv
+    if weights is None:
+        weights = loss_weights(loss_fn, target)
+    if weights is not None:
+        diff = np.asarray(pred, dtype=np.float64) - target
+        inv = 1.0 / diff.size
+        sq = diff * diff
+        sq *= weights
+        g = (inv * weights) * diff
+        return float(sq.sum() * inv), g + g
     pred_t = Tensor(pred, requires_grad=True)
     loss = loss_fn(pred_t, Tensor(np.asarray(target, dtype=np.float64)))
     if loss.size != 1:
@@ -730,17 +782,20 @@ def loss_and_grads(
     y: Array,
     loss_fn: LossFn,
     teacher_forcing: bool = False,
+    weights: Array | None = None,
 ) -> tuple[float, dict[str, Array]]:
     """One fused training step: loss value plus named parameter gradients.
 
     Drop-in replacement for ``functional_call`` + ``grad_of`` on a
     supported seq2seq model: same loss, same gradients (to float
-    round-off), no tape.
+    round-off), no tape.  ``weights`` passes the loss's per-point
+    weights for ``y`` through to :func:`loss_grad_wrt_pred`, for loops
+    that step on one fixed target.
     """
     arrs = as_param_arrays(params)
     y_arr = np.asarray(y, dtype=np.float64)
     pred, cache = seq2seq_forward(model, arrs, x, targets=y_arr if teacher_forcing else None)
-    loss_val, dpred = loss_grad_wrt_pred(loss_fn, pred, y_arr)
+    loss_val, dpred = loss_grad_wrt_pred(loss_fn, pred, y_arr, weights)
     grads = seq2seq_backward(model, arrs, cache, dpred)
     return loss_val, grads
 

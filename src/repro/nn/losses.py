@@ -13,6 +13,8 @@ where ``rho_t`` is the expected task count per unit disc of radius
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -71,12 +73,12 @@ class TaskDensityWeighter:
         delta: float = 0.5,
     ) -> None:
         tasks = np.asarray(historical_tasks_xy, dtype=float).reshape(-1, 2)
-        if d_q <= 0:
-            raise ValueError("d_q must be positive")
+        if not (math.isfinite(d_q) and d_q > 0):
+            raise ValueError(f"d_q must be finite and positive, got {d_q!r}")
         if not 0.0 < kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+            raise ValueError(f"kappa must lie in (0, 1), got {kappa!r}")
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {delta!r}")
         self.d_q = float(d_q)
         self.kappa = float(kappa)
         self.delta = float(delta)
@@ -110,8 +112,8 @@ class TaskDensityWeighter:
         w = self.kappa * counts / self.rho_t + self.delta
         return w.reshape(lead_shape)
 
-    def loss(self, pred: Tensor, target: Tensor) -> Tensor:
-        """The full task assignment-oriented loss on normalised targets.
+    def point_weights(self, target_xy: np.ndarray) -> np.ndarray:
+        """Eq. 6's weight for each point of an ``(..., 2)`` target array.
 
         Weights are computed at the *ground-truth* locations (the task
         distribution around where the worker actually goes), matching
@@ -120,12 +122,33 @@ class TaskDensityWeighter:
         comparable with plain MSE — the comparison should isolate the
         *relative* re-weighting, not a global step-size change.
         """
-        target = Tensor.ensure(target)
-        w = self.weights(target.numpy())
+        w = self.weights(target_xy)
         mean = float(w.mean())
         if mean > 0:
             w = w / mean
-        return weighted_mse_loss(pred, target, w)
+        return w
+
+    def loss(self, pred: Tensor, target: Tensor) -> Tensor:
+        """The full task assignment-oriented loss on normalised targets.
+
+        This tape evaluation is the reference; the fused training path
+        replays it in closed form (:func:`repro.nn.fused.loss_grad_wrt_pred`).
+        """
+        target = Tensor.ensure(target)
+        return weighted_mse_loss(pred, target, self.point_weights(target.numpy()))
+
+
+def loss_weights(loss_fn, target: np.ndarray) -> np.ndarray | None:
+    """The per-coordinate weights ``loss_fn`` applies against ``target``.
+
+    For the task-oriented loss (:meth:`TaskDensityWeighter.loss`) this
+    is ``f_w`` per target point broadcast over x/y, shaped ``(..., 1)``;
+    for an unweighted loss it is ``None``.  ``f_w`` depends only on the
+    target, so a loop stepping on one fixed target computes it once.
+    """
+    if getattr(loss_fn, "__func__", None) is TaskDensityWeighter.loss:
+        return loss_fn.__self__.point_weights(target)[..., None]
+    return None
 
 
 def make_loss(name: str, weighter: TaskDensityWeighter | None = None):

@@ -96,7 +96,15 @@ class LSTMEncoderDecoder(Module):
         Runs the fused tape-free forward (:mod:`repro.nn.fused`); the
         operation order matches :meth:`forward` exactly.
         """
-        return _fused_predict(self, x)
+        return self.predictor()(x)
+
+    def predictor(self):
+        """:meth:`predict` on the current weights, prepared once.
+
+        For many calls on fixed weights (an autoregressive rollout);
+        the returned function does not see later weight updates.
+        """
+        return _fused_predictor(self)
 
 
 class GRUEncoderDecoder(Module):
@@ -165,19 +173,37 @@ class GRUEncoderDecoder(Module):
         Runs the fused tape-free forward (:mod:`repro.nn.fused`); the
         operation order matches :meth:`forward` exactly.
         """
-        return _fused_predict(self, x)
+        return self.predictor()(x)
+
+    def predictor(self):
+        """:meth:`predict` on the current weights, prepared once.
+
+        For many calls on fixed weights (an autoregressive rollout);
+        the returned function does not see later weight updates.
+        """
+        return _fused_predictor(self)
 
 
-def _fused_predict(model: Module, x: np.ndarray) -> np.ndarray:
-    """Shared tape-free inference path for both encoder-decoders."""
+def _fused_predictor(model: Module):
+    """Shared tape-free inference path for both encoder-decoders.
+
+    Unwraps (and, for the LSTM, gate-permutes) the weights once; the
+    returned function maps a window ``(seq_in, F)`` or a batch of them
+    to the predicted points.
+    """
     from repro.nn import fused  # deferred: fused dispatches on these classes
 
-    arr = np.asarray(x, dtype=float)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[None, :, :]
-    result = fused.seq2seq_predict(model, dict(model.named_parameters()), arr)
-    return result[0] if squeeze else result
+    weights = fused.Seq2SeqWeights(model, dict(model.named_parameters()))
+
+    def predict(x: np.ndarray) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        squeeze = arr.ndim == 2
+        if squeeze:
+            arr = arr[None, :, :]
+        result = fused.seq2seq_predict(model, weights, arr)
+        return result[0] if squeeze else result
+
+    return predict
 
 
 def make_mobility_model(

@@ -8,6 +8,7 @@ the hyper-parameters Section IV fixes (2-minute batch window,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -91,6 +92,16 @@ class PredictionConfig:
             raise ValueError("cell must be 'lstm' or 'gru'")
         if self.fine_tune_optimizer not in ("sgd", "adam"):
             raise ValueError("fine_tune_optimizer must be 'sgd' or 'adam'")
+        for name in ("loss_d_q_km", "loss_delta", "fine_tune_lr", "probe_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 < self.loss_kappa < 1.0:
+            raise ValueError(f"loss_kappa must lie in (0, 1), got {self.loss_kappa!r}")
+        for name, least in (("fine_tune_steps", 0), ("probe_steps", 1), ("hidden_size", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
         if self.dist is not None:
             check_meta_backend(self.dist)
 

@@ -27,13 +27,15 @@ def rollout(model, recent_norm: np.ndarray, horizon_points: int, seq_out: int) -
     ``recent_norm`` is the ``(seq_in, 2)`` normalised input window;
     each model call emits ``seq_out`` points which are appended to the
     window for the next call.  Calls run the model's tape-free fused
-    forward (``model.predict``), which replays the tape's operation order
-    and so gives bit-identical points.
+    forward on weights prepared once per rollout (``model.predictor()``),
+    which replays the tape's operation order and so gives bit-identical
+    points.
     """
+    predict = model.predictor()
     window = np.asarray(recent_norm, dtype=float).copy()
     out: list[np.ndarray] = []
     while sum(len(o) for o in out) < horizon_points:
-        pred = model.predict(window)
+        pred = predict(window)
         out.append(pred)
         window = np.concatenate([window, pred])[-len(recent_norm) :]
     return np.concatenate(out)[:horizon_points]

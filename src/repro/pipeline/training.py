@@ -21,7 +21,7 @@ from repro.meta.gtmc import gtmc_cluster, kmeans_multilevel_cluster
 from repro.meta.learning_task import LearningTask
 from repro.meta.maml import adapt, learning_path, meta_train
 from repro.meta.taml import TAMLConfig, taml_train
-from repro.nn.losses import TaskDensityWeighter, make_loss
+from repro.nn.losses import TaskDensityWeighter, loss_weights, make_loss
 from repro.nn.module import Module
 from repro.nn.seq2seq import make_mobility_model
 from repro.nn.tensor import Tensor
@@ -298,9 +298,13 @@ def fine_tune(
     optimizer = Adam(model.parameters(), lr=config.fine_tune_lr)
     if resolve_fast_path(config.maml.fast_path, model):
         own = dict(model.named_parameters())
+        # Every step fits the same support target, so its loss weights are computed once.
+        weights = loss_weights(loss_fn, task.support_y)
         for _ in range(config.fine_tune_steps):
             optimizer.zero_grad()
-            _, grads = fused.loss_and_grads(model, own, task.support_x, task.support_y, loss_fn)
+            _, grads = fused.loss_and_grads(
+                model, own, task.support_x, task.support_y, loss_fn, weights=weights
+            )
             for name, param in own.items():
                 param.grad = grads[name]
             optimizer.step()

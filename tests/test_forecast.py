@@ -516,25 +516,12 @@ class TestBatchedPlannerMatchesPerPair:
         assert [m.cell for m in moves] == [(0, 0)]
 
 
-def unchecked_task(task_id, x, y, release, valid=10.0):
-    """A task built past ``SpatialTask``'s own finiteness check."""
-    made = object.__new__(SpatialTask)
-    for name, value in (
-        ("task_id", task_id),
-        ("location", Point(x, y)),
-        ("release_time", release),
-        ("deadline", release + valid),
-    ):
-        object.__setattr__(made, name, value)
-    return made
-
-
 class TestNonFiniteLocations:
-    """The planner's own guard names the owner of a non-finite location.
+    """A non-finite location never reaches the planner.
 
-    ``SpatialTask`` and ``Trajectory`` refuse non-finite fields at
-    construction, so these inputs reach the planner only past those
-    checks: an unchecked task, and a shared location patched in.
+    ``SpatialTask`` and the worker's ``Trajectory`` refuse it when
+    built, naming the id and field, so the planner bins only finite
+    locations and keeps no guard of its own.
     """
 
     BAD = [math.nan, math.inf, -math.inf]
@@ -546,26 +533,28 @@ class TestNonFiniteLocations:
 
     @pytest.mark.parametrize("bad", BAD)
     def test_arrival_names_the_task(self, bad):
-        with pytest.raises(ValueError, match="task 7 location must be finite"):
-            self.runtime().observe_arrival(unchecked_task(7, bad, 3.0, 1.0), 1.0)
+        runtime = self.runtime()
+        with pytest.raises(ValueError, match="task 7: location must be finite"):
+            runtime.observe_arrival(task(7, bad, 3.0, 1.0), 1.0)
+        assert not runtime.counts.any()
 
     @pytest.mark.parametrize("bad", BAD)
     def test_queued_task_names_the_task(self, bad):
-        pending = {0: task(0, 1.0, 1.0, 0.0), 3: unchecked_task(3, 2.0, bad, 0.0)}
-        with pytest.raises(ValueError, match="task 3 location must be finite"):
-            self.runtime().plan_moves(1.0, [standing_worker(0, 1.0, 1.0)], pending)
+        runtime = self.runtime()
+        with pytest.raises(ValueError, match="task 3: location must be finite"):
+            pending = {0: task(0, 1.0, 1.0, 0.0), 3: task(3, 2.0, bad, 0.0)}
+            runtime.plan_moves(1.0, [standing_worker(0, 1.0, 1.0)], pending)
+        assert runtime.n_prepositioned == 0
 
     @pytest.mark.parametrize("bad", BAD)
-    def test_idle_worker_names_the_worker(self, bad, monkeypatch):
-        shared = Worker.last_shared_location
-        monkeypatch.setattr(
-            Worker,
-            "last_shared_location",
-            lambda w, t: Point(bad, 2.0) if w.worker_id == 5 else shared(w, t),
-        )
-        workers = [standing_worker(0, 1.0, 1.0), standing_worker(5, 1.0, 2.0)]
-        with pytest.raises(ValueError, match="worker 5 last shared location must be finite"):
-            self.runtime().plan_moves(1.0, workers, {})
+    def test_idle_worker_names_the_worker(self, bad):
+        runtime = self.runtime()
+        with pytest.raises(
+            ValueError, match="trajectory sample 0: time and coordinates must be finite"
+        ):
+            workers = [standing_worker(0, 1.0, 1.0), standing_worker(5, bad, 2.0)]
+            runtime.plan_moves(1.0, workers, {})
+        assert runtime.n_prepositioned == 0
 
 
 class TestStreamHorizonValidation:

@@ -93,6 +93,21 @@ class TestTaskDensityWeighter:
         with pytest.raises(ValueError):
             TaskDensityWeighter(np.zeros((1, 2)), delta=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d_q", float("nan")),
+            ("d_q", float("inf")),
+            ("kappa", float("nan")),
+            ("kappa", float("inf")),
+            ("delta", float("nan")),
+            ("delta", float("inf")),
+        ],
+    )
+    def test_non_finite_parameter_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TaskDensityWeighter(np.zeros((1, 2)), **{field: value})
+
     def test_empty_corpus_gives_constant_delta(self):
         w = TaskDensityWeighter(np.zeros((0, 2)), d_q=1.0, kappa=0.5, delta=0.7)
         vals = w.weights(np.random.default_rng(2).normal(size=(10, 2)))

@@ -75,6 +75,34 @@ class TestConfigs:
         with pytest.raises(ValueError):
             PredictionConfig(seq_in=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("loss_d_q_km", float("nan")),
+            ("loss_d_q_km", -1.0),
+            ("loss_d_q_km", float("inf")),
+            ("loss_delta", float("nan")),
+            ("loss_delta", 0.0),
+            ("loss_kappa", 2.0),
+            ("loss_kappa", float("nan")),
+            ("fine_tune_lr", float("nan")),
+            ("fine_tune_lr", -1.0),
+            ("probe_lr", float("inf")),
+            ("probe_lr", 0.0),
+            ("fine_tune_steps", -3),
+            ("probe_steps", 0),
+            ("hidden_size", 0),
+        ],
+    )
+    def test_bad_training_knob_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PredictionConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            PredictionConfig.from_dict({field: value})
+
+    def test_training_knob_edges_accepted(self):
+        PredictionConfig(fine_tune_steps=0, probe_steps=1, hidden_size=1, loss_kappa=0.99)
+
     def test_assignment_config_validates(self):
         with pytest.raises(ValueError):
             AssignmentConfig(batch_window=0.0)
