@@ -13,7 +13,7 @@ import numpy as np
 from bench_fig7_tasks_porto import TASK_COUNTS
 from common import default_assignment_config, write_result
 from conftest import _default_spec
-from figures import render_figure, run_sweep
+from figures import render_figure, run_sweep, running_times
 from repro.assignment.ggpso import GGPSOConfig
 from repro.pipeline import make_workload2
 from repro.pipeline.experiment import run_assignment
@@ -33,6 +33,7 @@ def test_fig10_task_count_sweep_gowalla(benchmark, predictors_w2):
     write_result(
         "fig10_tasks_gowalla",
         render_figure("Figure 10 (workload 2)", "# of spatial tasks", TASK_COUNTS, panels),
+        metrics=running_times(TASK_COUNTS, panels),
     )
 
     completion = panels["completion_ratio"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bench_fig8_validtime_porto import VALID_INTERVALS
 from common import default_assignment_config, write_result
 from conftest import _default_spec
-from figures import render_figure, run_sweep
+from figures import render_figure, run_sweep, running_times
 from repro.pipeline import make_workload2
 from repro.pipeline.experiment import run_assignment
 
@@ -25,6 +25,7 @@ def test_fig11_valid_time_sweep_gowalla(benchmark, predictors_w2):
     write_result(
         "fig11_validtime_gowalla",
         render_figure("Figure 11 (workload 2)", "valid time (units)", labels, panels),
+        metrics=running_times(labels, panels),
     )
 
     completion = panels["completion_ratio"]

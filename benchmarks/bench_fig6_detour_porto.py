@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from common import default_assignment_config, scaled, write_result
 from conftest import _default_spec
-from figures import render_figure, run_sweep
+from figures import render_figure, run_sweep, running_times
 from repro.pipeline import make_workload1
 from repro.pipeline.experiment import run_assignment
 
@@ -26,6 +26,7 @@ def test_fig6_detour_sweep(benchmark, predictors_w1):
     write_result(
         "fig6_detour_porto",
         render_figure("Figure 6 (workload 1)", "detour d (km)", DETOURS_KM, panels),
+        metrics=running_times(DETOURS_KM, panels),
     )
 
     completion = panels["completion_ratio"]

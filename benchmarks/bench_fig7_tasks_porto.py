@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from common import scaled, write_result
 from conftest import _default_spec
-from figures import render_figure, run_sweep
+from figures import render_figure, run_sweep, running_times
 from repro.assignment.ggpso import GGPSOConfig
 from repro.pipeline import make_workload1
 
@@ -31,6 +31,7 @@ def test_fig7_task_count_sweep(benchmark, predictors_w1):
     write_result(
         "fig7_tasks_porto",
         render_figure("Figure 7 (workload 1)", "# of spatial tasks", TASK_COUNTS, panels),
+        metrics=running_times(TASK_COUNTS, panels),
     )
 
     completion = panels["completion_ratio"]

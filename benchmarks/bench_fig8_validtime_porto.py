@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from common import write_result
 from conftest import _default_spec
-from figures import render_figure, run_sweep
+from figures import render_figure, run_sweep, running_times
 from repro.pipeline import make_workload1
 
 VALID_INTERVALS = ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0), (5.0, 6.0))
@@ -26,6 +26,7 @@ def test_fig8_valid_time_sweep(benchmark, predictors_w1):
     write_result(
         "fig8_validtime_porto",
         render_figure("Figure 8 (workload 1)", "valid time (units)", labels, panels),
+        metrics=running_times(labels, panels),
     )
 
     completion = panels["completion_ratio"]

@@ -12,7 +12,7 @@ import numpy as np
 from bench_fig6_detour_porto import DETOURS_KM
 from common import default_assignment_config, write_result
 from conftest import _default_spec
-from figures import render_figure, run_sweep
+from figures import render_figure, run_sweep, running_times
 from repro.pipeline import make_workload2
 from repro.pipeline.experiment import run_assignment
 
@@ -26,6 +26,7 @@ def test_fig9_detour_sweep_gowalla(benchmark, predictors_w2):
     write_result(
         "fig9_detour_gowalla",
         render_figure("Figure 9 (workload 2)", "detour d (km)", DETOURS_KM, panels),
+        metrics=running_times(DETOURS_KM, panels),
     )
 
     completion = panels["completion_ratio"]

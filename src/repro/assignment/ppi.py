@@ -15,18 +15,25 @@ single global KM *when trajectories are exact* — the point of the paper
 is that under uncertain predictions, spending reliable workers on
 reliable pairs first lowers the rejection rate (Section III-D,
 Discussion).
+
+Each pair is tested in float arithmetic, in one walk over the worker's
+predicted points, which are read once per call.  The walk computes
+``d = sqrt(dx * dx + dy * dy)``: numpy's ``** 2`` is that product, its
+two-element row sum is that addition, and both square roots round
+correctly, so ``|B|``, min B and the nearest distance equal what
+:func:`~repro.assignment.matching_rate.feasible_prediction_points` (the
+reference definition of ``B``) and the numpy ``min`` give.  Stage 3 reads
+the nearest distance the same walk kept instead of measuring again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, sqrt
 from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.assignment.hungarian import maximum_weight_matching
-from repro.assignment.matching_rate import feasible_prediction_points, theorem2_bound
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 
@@ -77,6 +84,26 @@ class _Candidate:
     min_b: float  # min distance in B (inf when B is empty)
 
 
+def _stage2_order(cand: _Candidate) -> float:
+    """Stage 2's descending sort key: the score, with empty B below every score."""
+    return cand.score if cand.min_b != inf else -1.0
+
+
+#: One worker's forecast as floats, read once per call: ``(worker_id,
+#: predicted points as [x, y] lists, detour budget / 2, speed, MR)``.
+_Forecast = tuple[int, list, float, float, float]
+
+
+def _forecast(worker: WorkerSnapshot) -> _Forecast:
+    return (
+        worker.worker_id,
+        worker.predicted_xy.tolist(),
+        worker.detour_budget_km / 2.0,
+        worker.speed_km_per_min,
+        worker.matching_rate,
+    )
+
+
 #: A sparse candidate graph: ``task_id -> worker ids to consider``, in
 #: the priority order the dense path would have visited them (snapshot
 #: order).  Pairs absent from the graph are never matched, so builders
@@ -112,40 +139,75 @@ def ppi_assign(
     if not tasks or not workers:
         return plan
 
-    # ------------------------------------------------------------------
-    # Stage 1 (lines 1-12): certain pairs straight to KM.
-    # ------------------------------------------------------------------
-    stage1_edges: list[tuple[int, int, float]] = []
-    deferred: list[_Candidate] = []
     task_by_id = {t.task_id: t for t in tasks}
     worker_by_id = {w.worker_id: w for w in workers}
 
-    def workers_for(task: SpatialTask) -> Sequence[WorkerSnapshot] | Iterator[WorkerSnapshot]:
-        if candidates is None:
-            return workers
-        return (worker_by_id[w_id] for w_id in candidates.get(task.task_id, ()))
+    every_worker = [w.worker_id for w in workers]
 
+    def worker_ids_for(task: SpatialTask) -> Sequence[int]:
+        if candidates is None:
+            return every_worker
+        return candidates.get(task.task_id, ())
+
+    # Read on first use: a sparse graph may name few of the workers.
+    forecasts: dict[int, _Forecast] = {}
+
+    def forecasts_for(task: SpatialTask) -> Iterator[_Forecast]:
+        for w_id in worker_ids_for(task):
+            forecast = forecasts.get(w_id)
+            if forecast is None:
+                forecast = forecasts[w_id] = _forecast(worker_by_id[w_id])
+            yield forecast
+
+    a = cfg.a
+    eps_weight = cfg.eps_weight
     assigned_tasks: set[int] = set()
     assigned_workers: set[int] = set()
 
+    # ------------------------------------------------------------------
+    # Stage 1 (lines 1-12): certain pairs straight to KM.  The same walk
+    # over each pair's predicted points keeps the nearest distance for
+    # stage 3, for the pairs stage 3 could match (nearest <= bound).
+    # ------------------------------------------------------------------
+    stage1_edges: list[tuple[int, int, float]] = []
+    deferred: list[_Candidate] = []
+    nearest_by_pair: dict[tuple[int, int], float] = {}
+
     with obs.span("ppi.stage1", tasks=len(tasks), workers=len(workers)) as s1:
         for task in tasks:
-            tloc = np.array([task.location.x, task.location.y])
-            for worker in workers_for(task):
-                bound = theorem2_bound(
-                    worker.detour_budget_km, task.deadline, current_time, worker.speed_km_per_min
-                )
-                if bound <= 0 or len(worker.predicted_xy) == 0:
+            t_id = task.task_id
+            tx = task.location.x
+            ty = task.location.y
+            time_left = task.deadline - current_time
+            for w_id, points, half_budget, speed, mr in forecasts_for(task):
+                # theorem2_bound's min(d/2, d^t), for fields the snapshot validated.
+                reach = speed * time_left
+                bound = reach if reach < half_budget else half_budget
+                if bound <= 0 or not points:
                     continue
-                b_set = feasible_prediction_points(worker.predicted_xy, tloc, cfg.a, bound)
-                score = len(b_set) * worker.matching_rate
-                min_b = float(b_set.min()) if len(b_set) else np.inf
+                # feasible_prediction_points' B, one point at a time.
+                b_size = 0
+                min_b = inf
+                nearest = inf
+                for px, py in points:
+                    dx = px - tx
+                    dy = py - ty
+                    d = sqrt(dx * dx + dy * dy)
+                    if d < nearest or d != d:
+                        # A NaN point makes the nearest distance NaN, as
+                        # numpy's min does, so stage 3 skips the pair.
+                        nearest = d
+                    if d + a <= bound:
+                        b_size += 1
+                        if d < min_b:
+                            min_b = d
+                score = b_size * mr
                 if score >= 1.0:
-                    stage1_edges.append((task.task_id, worker.worker_id, 1.0 / (min_b + cfg.eps_weight)))
+                    stage1_edges.append((t_id, w_id, 1.0 / (min_b + eps_weight)))
                 else:
-                    deferred.append(
-                        _Candidate(task_id=task.task_id, worker_id=worker.worker_id, score=score, min_b=min_b)
-                    )
+                    deferred.append(_Candidate(task_id=t_id, worker_id=w_id, score=score, min_b=min_b))
+                if nearest <= bound:
+                    nearest_by_pair[t_id, w_id] = nearest
 
         for t_id, w_id, weight in solve(stage1_edges):
             plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=1))
@@ -160,7 +222,10 @@ def ppi_assign(
     # ------------------------------------------------------------------
     with obs.span("ppi.stage2", deferred=len(deferred)) as s2:
         stage2_before = len(plan)
-        deferred.sort(key=lambda c: c.score, reverse=True)
+        # Every pair with a non-empty B goes to stage 2, MR = 0 included:
+        # at equal score, non-empty B sorts first, so the empty-B pairs
+        # form the tail.
+        deferred.sort(key=_stage2_order, reverse=True)
         chunk: list[tuple[int, int, float]] = []
 
         def flush_chunk() -> None:
@@ -176,12 +241,12 @@ def ppi_assign(
             chunk.clear()
 
         for cand in deferred:
-            if not np.isfinite(cand.min_b):
-                # Sorted descending: every later candidate also has empty B.
+            if cand.min_b == inf:
+                # Sorted: every later candidate also has empty B.
                 break
             if cand.task_id in assigned_tasks or cand.worker_id in assigned_workers:
                 continue
-            chunk.append((cand.task_id, cand.worker_id, 1.0 / (cand.min_b + cfg.eps_weight)))
+            chunk.append((cand.task_id, cand.worker_id, 1.0 / (cand.min_b + eps_weight)))
             if len(chunk) >= cfg.epsilon:
                 flush_chunk()
         flush_chunk()
@@ -190,29 +255,22 @@ def ppi_assign(
         s2.set(assigned=stage2_assigned)
 
     # ------------------------------------------------------------------
-    # Stage 3 (lines 28-34): remaining pairs by plain predicted proximity.
+    # Stage 3 (lines 28-34): remaining pairs by plain predicted proximity,
+    # on the nearest distances stage 1 kept.
     # ------------------------------------------------------------------
     with obs.span("ppi.stage3") as s3:
         stage3_before = len(plan)
         stage3_edges: list[tuple[int, int, float]] = []
         for task in tasks:
-            if task.task_id in assigned_tasks:
+            t_id = task.task_id
+            if t_id in assigned_tasks:
                 continue
-            tloc = np.array([task.location.x, task.location.y])
-            for worker in workers_for(task):
-                if worker.worker_id in assigned_workers:
+            for w_id in worker_ids_for(task):
+                if w_id in assigned_workers:
                     continue
-                if len(worker.predicted_xy) == 0:
-                    continue
-                bound = theorem2_bound(
-                    worker.detour_budget_km, task.deadline, current_time, worker.speed_km_per_min
-                )
-                if bound <= 0:
-                    continue
-                dists = np.sqrt(((worker.predicted_xy - tloc) ** 2).sum(axis=1))
-                dis_min = float(dists.min())
-                if dis_min <= bound:
-                    stage3_edges.append((task.task_id, worker.worker_id, 1.0 / (dis_min + cfg.eps_weight)))
+                nearest = nearest_by_pair.get((t_id, w_id))
+                if nearest is not None:
+                    stage3_edges.append((t_id, w_id, 1.0 / (nearest + eps_weight)))
         for t_id, w_id, weight in solve(stage3_edges):
             plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=3))
             assigned_tasks.add(t_id)

@@ -18,6 +18,18 @@ from repro.geo.point import Point
 from repro.geo.trajectory import Trajectory
 
 
+def _check_budget_and_speed(worker_id: int, detour_budget_km: float, speed_km_per_min: float) -> None:
+    """Refuse a budget or speed no route can be scored with, naming the worker."""
+    if not (math.isfinite(detour_budget_km) and detour_budget_km >= 0):
+        raise ValueError(
+            f"worker {worker_id}: detour_budget_km must be finite and non-negative, got {detour_budget_km}"
+        )
+    if not (math.isfinite(speed_km_per_min) and speed_km_per_min > 0):
+        raise ValueError(
+            f"worker {worker_id}: speed_km_per_min must be finite and positive, got {speed_km_per_min}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class SpatialTask:
     """Definition 1: a target location with a deadline.
@@ -77,10 +89,7 @@ class Worker:
     available_until: float | None = None
 
     def __post_init__(self) -> None:
-        if self.detour_budget_km < 0:
-            raise ValueError("detour budget must be non-negative")
-        if self.speed_km_per_min <= 0:
-            raise ValueError("speed must be positive")
+        _check_budget_and_speed(self.worker_id, self.detour_budget_km, self.speed_km_per_min)
         if (
             self.available_from is not None
             and self.available_until is not None
@@ -153,6 +162,7 @@ class WorkerSnapshot:
             raise ValueError("predicted points and times must align")
         if not 0.0 <= self.matching_rate <= 1.0:
             raise ValueError("matching rate must lie in [0, 1]")
+        _check_budget_and_speed(self.worker_id, self.detour_budget_km, self.speed_km_per_min)
 
     def with_location(self, location: Point) -> "WorkerSnapshot":
         """This snapshot with ``current_location`` replaced.

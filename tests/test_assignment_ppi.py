@@ -121,6 +121,17 @@ class TestPPI:
         plan = ppi_assign(tasks, workers, 0.0, config=PPIConfig(a=0.3, epsilon=1))
         assert len(plan) == 5
 
+    @pytest.mark.parametrize("order", ["far_first", "near_first"])
+    def test_zero_mr_pair_with_feasible_points_goes_to_stage_two(self, order):
+        """|B| * MR is 0 both for an MR = 0 worker with a non-empty B and
+        for a worker with an empty B; only the first belongs in stage 2,
+        whichever order the snapshots come in."""
+        near = snapshot(8, [[0.5, 0.0]], mr=0.0)  # B = {0.5}: 0.5 + 0.3 <= 2
+        far = snapshot(3, [[1.9, 0.0]], mr=0.5)  # B empty, nearest 1.9 <= 2
+        workers = [far, near] if order == "far_first" else [near, far]
+        plan = ppi_assign([task(1, 0.0, 0.0)], workers, 0.0, config=PPIConfig(a=0.3))
+        assert [(p.task_id, p.worker_id, p.stage) for p in plan] == [(1, 8, 2)]
+
     def test_expired_task_skipped(self):
         workers = [snapshot(0, [[1.0, 0.0]], mr=0.9)]
         expired = task(0, 1.0, 0.0, release=0.0, deadline=5.0)

@@ -68,6 +68,49 @@ class TestEntities:
         with pytest.raises(ValueError):
             WorkerSnapshot(0, Point(0, 0), np.zeros((1, 2)), np.zeros(1), 4.0, 1.0, 1.5)
 
+    BAD_BUDGETS = [math.nan, math.inf, -math.inf, -1.0, -1e-12]
+    BAD_SPEEDS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_worker_rejects_bad_budget_naming_the_worker(self, budget):
+        with pytest.raises(
+            ValueError, match=r"worker 5: detour_budget_km must be finite and non-negative, got "
+        ):
+            Worker(5, straight_trajectory(t1=100.0), detour_budget_km=budget, speed_km_per_min=1.0)
+
+    @pytest.mark.parametrize("speed", BAD_SPEEDS)
+    def test_worker_rejects_bad_speed_naming_the_worker(self, speed):
+        with pytest.raises(
+            ValueError, match=r"worker 5: speed_km_per_min must be finite and positive, got "
+        ):
+            Worker(5, straight_trajectory(t1=100.0), detour_budget_km=4.0, speed_km_per_min=speed)
+
+    def test_worker_error_shows_the_value(self):
+        routine = straight_trajectory(t1=100.0)
+        with pytest.raises(ValueError) as speed_error:
+            Worker(5, routine, detour_budget_km=4.0, speed_km_per_min=math.nan)
+        assert str(speed_error.value) == "worker 5: speed_km_per_min must be finite and positive, got nan"
+        # The budget is checked first.
+        with pytest.raises(ValueError) as budget_error:
+            Worker(5, routine, detour_budget_km=-1.0, speed_km_per_min=math.nan)
+        assert str(budget_error.value) == "worker 5: detour_budget_km must be finite and non-negative, got -1.0"
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_snapshot_rejects_bad_budget_naming_the_worker(self, budget):
+        # A NaN budget used to pass and make every pair infeasible.
+        with pytest.raises(
+            ValueError, match=r"worker 9: detour_budget_km must be finite and non-negative, got "
+        ):
+            WorkerSnapshot(9, Point(0, 0), np.zeros((1, 2)), np.ones(1), budget, 1.0, 0.5)
+
+    @pytest.mark.parametrize("speed", BAD_SPEEDS)
+    def test_snapshot_rejects_bad_speed_naming_the_worker(self, speed):
+        # Speed 0 used to fail only inside PPI's Theorem 2 bound.
+        with pytest.raises(
+            ValueError, match=r"worker 9: speed_km_per_min must be finite and positive, got "
+        ):
+            WorkerSnapshot(9, Point(0, 0), np.zeros((1, 2)), np.ones(1), 4.0, speed, 0.5)
+
 
 class TestAcceptance:
     def test_accepts_task_on_route(self):
