@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_table5_seq_porto import ALGORITHMS, SEQ_IN_VALUES, SEQ_OUT_VALUES
+from bench_table5_seq_porto import ALGORITHMS, SEQ_IN_VALUES, SEQ_OUT_VALUES, training_seconds
 from common import fewshot_prediction_config, scaled, write_result
 from repro.eval.report import format_table
 from repro.pipeline import WorkloadSpec, make_workload2
@@ -46,14 +46,16 @@ def table7_results():
 def test_table7_seq_sweep_gowalla(benchmark, table7_results):
     rows = []
     for (kind, value), per_algo in table7_results.items():
-        for metric in ("RMSE", "MAE", "MR", "TT"):
+        for metric in ("RMSE", "MAE", "MR"):
             rows.append([f"{kind}={value}", metric] + [per_algo[a][metric] for a in ALGORITHMS])
     text = format_table(
         "Table VII - effect of seq_in / seq_out on workload 2",
         ["setting", "metric", *ALGORITHMS],
         rows,
     )
-    write_result("table7_seq_gowalla", text)
+    write_result(
+        "table7_seq_gowalla", text, metrics={"training_seconds": training_seconds(table7_results)}
+    )
 
     base = table7_results[("seq_in", 5)]
     assert base["gttaml"]["RMSE"] <= base["maml"]["RMSE"] * 1.05, (

@@ -38,7 +38,7 @@ def main() -> None:
     )
     predictor = train_predictor(learning, workload.city, config, workload.historical_tasks_xy)
     assignment = AssignmentConfig()
-    ppi_cfg = PPIConfig(a=assignment.ppi_a_km, epsilon=assignment.ppi_epsilon)
+    ppi_cfg = PPIConfig(a=predictor.config.mr_threshold_km, epsilon=assignment.ppi_epsilon)
 
     def assign_fn(tasks, snapshots, t):
         return ppi_assign(tasks, snapshots, t, config=ppi_cfg)

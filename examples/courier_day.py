@@ -40,7 +40,7 @@ def main() -> None:
     assignment = AssignmentConfig()
     provider = PredictiveSnapshotProvider(predictor, assignment)
     stage_counter: Counter[int] = Counter()
-    ppi_cfg = PPIConfig(a=assignment.ppi_a_km, epsilon=assignment.ppi_epsilon)
+    ppi_cfg = PPIConfig(a=predictor.config.mr_threshold_km, epsilon=assignment.ppi_epsilon)
 
     def counting_ppi(tasks, snapshots, t):
         plan = ppi_assign(tasks, snapshots, t, config=ppi_cfg)

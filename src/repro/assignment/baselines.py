@@ -1,8 +1,9 @@
 """Baseline assignment algorithms: KM, UB, and LB (Section IV-A).
 
 * ``km_assign`` builds the bipartite graph the way PPI's third stage
-  does (plain predicted proximity under the Theorem 2 radius) and
-  solves one global KM matching.  With the MSE-trained predictor this
+  does (plain predicted proximity under the Theorem 2 radius, from
+  :func:`~repro.assignment.matching_rate.pair_scan`) and solves one
+  global KM matching.  With the MSE-trained predictor this
   is the paper's ``KM-loss``; with the task-oriented loss it is ``KM``.
 * ``upper_bound_assign`` is the oracle: it checks constraints against
   the worker's *real* future trajectory and weights edges by the
@@ -14,12 +15,13 @@
 
 from __future__ import annotations
 
+from math import inf
 from typing import Sequence
 
 import numpy as np
 
 from repro.assignment.hungarian import maximum_weight_matching
-from repro.assignment.matching_rate import theorem2_bound
+from repro.assignment.matching_rate import pair_scan, theorem2_bound
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.assignment.ppi import CandidateGraph, Matcher
 from repro.sc.entities import SpatialTask, WorkerSnapshot
@@ -55,26 +57,14 @@ def km_assign(
     that radius yields the identical matching.  ``matcher`` substitutes
     the solver (see :data:`repro.assignment.ppi.Matcher`).
     """
-    worker_by_id = {w.worker_id: w for w in workers}
-    edges: list[tuple[int, int, float]] = []
-    for task in tasks:
-        tloc = np.array([task.location.x, task.location.y])
-        pool = (
-            workers
-            if candidates is None
-            else (worker_by_id[w_id] for w_id in candidates.get(task.task_id, ()))
+    # KM reads only the nearest distance, so the threshold ``a`` of |B| is moot.
+    edges = [
+        (t_id, w_id, 1.0 / (nearest + _EPS))
+        for t_id, w_id, _mr, _b_size, _min_b, nearest in pair_scan(
+            tasks, workers, current_time, 0.0, candidates
         )
-        for worker in pool:
-            if len(worker.predicted_xy) == 0:
-                continue
-            bound = theorem2_bound(
-                worker.detour_budget_km, task.deadline, current_time, worker.speed_km_per_min
-            )
-            if bound <= 0:
-                continue
-            dis_min = float(np.sqrt(((worker.predicted_xy - tloc) ** 2).sum(axis=1)).min())
-            if dis_min <= bound:
-                edges.append((task.task_id, worker.worker_id, 1.0 / (dis_min + _EPS)))
+        if nearest != inf
+    ]
     return _solve(edges, matcher=matcher)
 
 

@@ -15,11 +15,12 @@ slowest algorithm in the experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Sequence
 
 import numpy as np
 
-from repro.assignment.matching_rate import theorem2_bound
+from repro.assignment.matching_rate import pair_scan
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 
@@ -56,19 +57,12 @@ def _utility_matrix(
 ) -> np.ndarray:
     """Per-pair utility: reciprocal predicted distance, 0 if infeasible."""
     util = np.zeros((len(tasks), len(workers)))
-    for i, task in enumerate(tasks):
-        tloc = np.array([task.location.x, task.location.y])
-        for j, worker in enumerate(workers):
-            if len(worker.predicted_xy) == 0:
-                continue
-            bound = theorem2_bound(
-                worker.detour_budget_km, task.deadline, current_time, worker.speed_km_per_min
-            )
-            if bound <= 0:
-                continue
-            dis_min = float(np.sqrt(((worker.predicted_xy - tloc) ** 2).sum(axis=1)).min())
-            if dis_min <= bound:
-                util[i, j] = 1.0 / (dis_min + _EPS)
+    row = {t.task_id: i for i, t in enumerate(tasks)}
+    col = {w.worker_id: j for j, w in enumerate(workers)}
+    # Only the nearest distance is read, so the threshold ``a`` of |B| is moot.
+    for t_id, w_id, _mr, _b_size, _min_b, nearest in pair_scan(tasks, workers, current_time, 0.0):
+        if nearest != inf:
+            util[row[t_id], col[w_id]] = 1.0 / (nearest + _EPS)
     return util
 
 

@@ -9,7 +9,15 @@ violating the detour or deadline constraint with probability ``MR``.
 
 from __future__ import annotations
 
+from math import inf, sqrt
+from typing import Iterator, Mapping, Sequence
+
 import numpy as np
+
+from repro.sc.entities import SpatialTask, WorkerSnapshot
+
+#: One tested pair: ``(task_id, worker_id, MR, |B|, min B, nearest)``.
+PairScan = tuple[int, int, float, int, float, float]
 
 
 def matching_rate(real_xy: np.ndarray, pred_xy: np.ndarray, a: float) -> float:
@@ -93,77 +101,79 @@ def completion_probability(b_size: int, mr: float) -> float:
     return 1.0 - (1.0 - mr) ** b_size
 
 
+def pair_scan(
+    tasks: Sequence[SpatialTask],
+    workers: Sequence[WorkerSnapshot],
+    current_time: float,
+    a: float,
+    candidates: Mapping[int, Sequence[int]] | None = None,
+) -> Iterator[PairScan]:
+    """Algorithm 4's pair test (lines 2-7): the one PPI, KM, GGPSO and
+    the serving beliefs share.
+
+    Visits the tasks in order and, for each, its ``candidates`` entry
+    (every worker in snapshot order when ``candidates`` is None), reading
+    each worker's forecast once per call as floats.  A pair with a
+    positive Theorem 2 bound and a non-empty track yields ``(task_id,
+    worker_id, MR, |B|, min B, nearest)``: ``min B`` is inf when ``B`` is
+    empty, and ``nearest`` is inf when the nearest point lies beyond the
+    bound or is NaN.  The walk computes ``d = sqrt(dx * dx + dy * dy)``,
+    which is what numpy's ``** 2``, two-element row sum and square root
+    give, so every value equals :func:`theorem2_bound`'s,
+    :func:`feasible_prediction_points`' and a numpy ``min``'s.
+    """
+    worker_by_id = {w.worker_id: w for w in workers}
+    every_worker = [w.worker_id for w in workers]
+    # Read on first use: a sparse graph may name few of the workers.
+    forecasts: dict[int, tuple[list, float, float, float]] = {}
+    for task in tasks:
+        t_id = task.task_id
+        tx = task.location.x
+        ty = task.location.y
+        time_left = task.deadline - current_time
+        for w_id in every_worker if candidates is None else candidates.get(t_id, ()):
+            forecast = forecasts.get(w_id)
+            if forecast is None:
+                worker = worker_by_id[w_id]
+                forecast = forecasts[w_id] = (
+                    worker.predicted_xy.tolist(),
+                    worker.detour_budget_km / 2.0,
+                    worker.speed_km_per_min,
+                    worker.matching_rate,
+                )
+            points, half_budget, speed, mr = forecast
+            # theorem2_bound's min(d/2, d^t), for fields the snapshot validated.
+            reach = speed * time_left
+            bound = reach if reach < half_budget else half_budget
+            if bound <= 0 or not points:
+                continue
+            b_size = 0
+            min_b = inf
+            nearest = inf
+            for px, py in points:
+                dx = px - tx
+                dy = py - ty
+                d = sqrt(dx * dx + dy * dy)
+                if d < nearest or d != d:
+                    # A NaN point makes the nearest distance NaN, as
+                    # numpy's min does, and NaN fails ``<= bound``.
+                    nearest = d
+                if d + a <= bound:
+                    b_size += 1
+                    if d < min_b:
+                        min_b = d
+            yield t_id, w_id, mr, b_size, min_b, nearest if nearest <= bound else inf
+
+
 def pair_completion_probability(snapshot, task, current_time: float, a: float = 0.3) -> float:
     """The completion probability the platform believes for one pair.
 
-    The outcome hook behind online calibration monitoring
-    (:mod:`repro.obs.calibration`): given the worker snapshot the
-    assignment actually saw and the task it proposed, reconstruct the
-    Theorem 2 score — ``1 - (1 - MR)^|B|`` over the feasible predicted
-    points within the ``min(d/2, d^t)`` radius — so each accept/reject
-    outcome can be scored against what the predictor promised.
-
-    ``snapshot`` needs the :class:`repro.sc.entities.WorkerSnapshot`
-    fields (``predicted_xy``, ``matching_rate``, ``detour_budget_km``,
-    ``speed_km_per_min``); ``task`` needs ``location`` and ``deadline``.
-    Returns 0 for pairs with no feasible point (stage-3 proximity
-    assignments carry no Theorem 2 mass).
+    ``1 - (1 - MR)^|B|`` over the ``B`` PPI matched on
+    (:func:`pair_scan`), so online calibration (:mod:`repro.obs.calibration`)
+    and the decision log score each accept/reject outcome against what
+    the predictor promised.  0 for a pair with no feasible point
+    (stage-3 proximity assignments carry no Theorem 2 mass).
     """
-    pred = snapshot.predicted_xy
-    if len(pred) == 0:
-        return 0.0
-    # Inlined theorem2_bound / feasible_prediction_points: this runs per
-    # proposed pair inside the serving loop, so skip re-validation.  The
-    # test is PPI's own ``dis + a <= bound``, so |B| is the one PPI
-    # matched on, points on the radius included.
-    bound = min(
-        snapshot.detour_budget_km / 2.0,
-        snapshot.speed_km_per_min * (task.deadline - current_time),
-    )
-    if bound <= 0:
-        return 0.0
-    dx = pred[:, 0] - task.location.x
-    dy = pred[:, 1] - task.location.y
-    b_size = int(np.count_nonzero(np.sqrt(dx * dx + dy * dy) + a <= bound))
-    return 1.0 - (1.0 - snapshot.matching_rate) ** b_size
-
-
-def pair_completion_probabilities(
-    snapshots, tasks, current_time: float, a: float = 0.3
-) -> list[float]:
-    """:func:`pair_completion_probability` for many pairs in one pass.
-
-    ``snapshots[i]`` and ``tasks[i]`` form pair ``i``.  Every predicted
-    point of every pair is tested in one numpy expression — the same
-    arithmetic as the per-pair form, so each result is bit-identical to
-    ``pair_completion_probability(snapshots[i], tasks[i], current_time, a)``.
-    """
-    probs = [0.0] * len(tasks)
-    live: list[int] = []
-    blocks: list[np.ndarray] = []
-    rows: list[tuple[float, float, float]] = []
-    for i, (snapshot, task) in enumerate(zip(snapshots, tasks)):
-        pred = snapshot.predicted_xy
-        if len(pred) == 0:
-            continue
-        bound = min(
-            snapshot.detour_budget_km / 2.0,
-            snapshot.speed_km_per_min * (task.deadline - current_time),
-        )
-        if bound <= 0:
-            continue
-        live.append(i)
-        blocks.append(pred)
-        rows.append((task.location.x, task.location.y, bound))
-    if not live:
-        return probs
-    pair = np.repeat(np.arange(len(live)), [len(block) for block in blocks])
-    per_point = np.array(rows)[pair]
-    pred = np.concatenate(blocks)
-    dx = pred[:, 0] - per_point[:, 0]
-    dy = pred[:, 1] - per_point[:, 1]
-    inside = np.sqrt(dx * dx + dy * dy) + a <= per_point[:, 2]
-    b_sizes = np.bincount(pair[inside], minlength=len(live)).tolist()
-    for i, b_size in zip(live, b_sizes):
-        probs[i] = 1.0 - (1.0 - snapshots[i].matching_rate) ** b_size
-    return probs
+    for _t_id, _w_id, mr, b_size, _min_b, _nearest in pair_scan([task], [snapshot], current_time, a):
+        return 1.0 - (1.0 - mr) ** b_size
+    return 0.0

@@ -16,24 +16,21 @@ is that under uncertain predictions, spending reliable workers on
 reliable pairs first lowers the rejection rate (Section III-D,
 Discussion).
 
-Each pair is tested in float arithmetic, in one walk over the worker's
-predicted points, which are read once per call.  The walk computes
-``d = sqrt(dx * dx + dy * dy)``: numpy's ``** 2`` is that product, its
-two-element row sum is that addition, and both square roots round
-correctly, so ``|B|``, min B and the nearest distance equal what
-:func:`~repro.assignment.matching_rate.feasible_prediction_points` (the
-reference definition of ``B``) and the numpy ``min`` give.  Stage 3 reads
-the nearest distance the same walk kept instead of measuring again.
+Every pair is tested once, by
+:func:`~repro.assignment.matching_rate.pair_scan`, which yields ``|B|``,
+min B and the nearest distance; stage 3 reads the nearest distances
+stage 1 kept instead of walking the pairs again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
-from typing import Callable, Iterator, Mapping, Sequence
+from math import inf
+from typing import Callable, Mapping, Sequence
 
 from repro import obs
 from repro.assignment.hungarian import maximum_weight_matching
+from repro.assignment.matching_rate import pair_scan
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 
@@ -89,21 +86,6 @@ def _stage2_order(cand: _Candidate) -> float:
     return cand.score if cand.min_b != inf else -1.0
 
 
-#: One worker's forecast as floats, read once per call: ``(worker_id,
-#: predicted points as [x, y] lists, detour budget / 2, speed, MR)``.
-_Forecast = tuple[int, list, float, float, float]
-
-
-def _forecast(worker: WorkerSnapshot) -> _Forecast:
-    return (
-        worker.worker_id,
-        worker.predicted_xy.tolist(),
-        worker.detour_budget_km / 2.0,
-        worker.speed_km_per_min,
-        worker.matching_rate,
-    )
-
-
 #: A sparse candidate graph: ``task_id -> worker ids to consider``, in
 #: the priority order the dense path would have visited them (snapshot
 #: order).  Pairs absent from the graph are never matched, so builders
@@ -139,75 +121,30 @@ def ppi_assign(
     if not tasks or not workers:
         return plan
 
-    task_by_id = {t.task_id: t for t in tasks}
-    worker_by_id = {w.worker_id: w for w in workers}
-
-    every_worker = [w.worker_id for w in workers]
-
-    def worker_ids_for(task: SpatialTask) -> Sequence[int]:
-        if candidates is None:
-            return every_worker
-        return candidates.get(task.task_id, ())
-
-    # Read on first use: a sparse graph may name few of the workers.
-    forecasts: dict[int, _Forecast] = {}
-
-    def forecasts_for(task: SpatialTask) -> Iterator[_Forecast]:
-        for w_id in worker_ids_for(task):
-            forecast = forecasts.get(w_id)
-            if forecast is None:
-                forecast = forecasts[w_id] = _forecast(worker_by_id[w_id])
-            yield forecast
-
-    a = cfg.a
     eps_weight = cfg.eps_weight
     assigned_tasks: set[int] = set()
     assigned_workers: set[int] = set()
 
     # ------------------------------------------------------------------
-    # Stage 1 (lines 1-12): certain pairs straight to KM.  The same walk
-    # over each pair's predicted points keeps the nearest distance for
-    # stage 3, for the pairs stage 3 could match (nearest <= bound).
+    # Stage 1 (lines 1-12): certain pairs straight to KM.  The scan's
+    # nearest distance is kept for stage 3, for the pairs stage 3 could
+    # match (nearest <= bound).
     # ------------------------------------------------------------------
     stage1_edges: list[tuple[int, int, float]] = []
     deferred: list[_Candidate] = []
     nearest_by_pair: dict[tuple[int, int], float] = {}
 
     with obs.span("ppi.stage1", tasks=len(tasks), workers=len(workers)) as s1:
-        for task in tasks:
-            t_id = task.task_id
-            tx = task.location.x
-            ty = task.location.y
-            time_left = task.deadline - current_time
-            for w_id, points, half_budget, speed, mr in forecasts_for(task):
-                # theorem2_bound's min(d/2, d^t), for fields the snapshot validated.
-                reach = speed * time_left
-                bound = reach if reach < half_budget else half_budget
-                if bound <= 0 or not points:
-                    continue
-                # feasible_prediction_points' B, one point at a time.
-                b_size = 0
-                min_b = inf
-                nearest = inf
-                for px, py in points:
-                    dx = px - tx
-                    dy = py - ty
-                    d = sqrt(dx * dx + dy * dy)
-                    if d < nearest or d != d:
-                        # A NaN point makes the nearest distance NaN, as
-                        # numpy's min does, so stage 3 skips the pair.
-                        nearest = d
-                    if d + a <= bound:
-                        b_size += 1
-                        if d < min_b:
-                            min_b = d
-                score = b_size * mr
-                if score >= 1.0:
-                    stage1_edges.append((t_id, w_id, 1.0 / (min_b + eps_weight)))
-                else:
-                    deferred.append(_Candidate(task_id=t_id, worker_id=w_id, score=score, min_b=min_b))
-                if nearest <= bound:
-                    nearest_by_pair[t_id, w_id] = nearest
+        for t_id, w_id, mr, b_size, min_b, nearest in pair_scan(
+            tasks, workers, current_time, cfg.a, candidates
+        ):
+            score = b_size * mr
+            if score >= 1.0:
+                stage1_edges.append((t_id, w_id, 1.0 / (min_b + eps_weight)))
+            else:
+                deferred.append(_Candidate(task_id=t_id, worker_id=w_id, score=score, min_b=min_b))
+            if nearest != inf:
+                nearest_by_pair[t_id, w_id] = nearest
 
         for t_id, w_id, weight in solve(stage1_edges):
             plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=1))
@@ -256,21 +193,15 @@ def ppi_assign(
 
     # ------------------------------------------------------------------
     # Stage 3 (lines 28-34): remaining pairs by plain predicted proximity,
-    # on the nearest distances stage 1 kept.
+    # on the nearest distances stage 1 kept, in its task-then-worker order.
     # ------------------------------------------------------------------
     with obs.span("ppi.stage3") as s3:
         stage3_before = len(plan)
-        stage3_edges: list[tuple[int, int, float]] = []
-        for task in tasks:
-            t_id = task.task_id
-            if t_id in assigned_tasks:
-                continue
-            for w_id in worker_ids_for(task):
-                if w_id in assigned_workers:
-                    continue
-                nearest = nearest_by_pair.get((t_id, w_id))
-                if nearest is not None:
-                    stage3_edges.append((t_id, w_id, 1.0 / (nearest + eps_weight)))
+        stage3_edges = [
+            (t_id, w_id, 1.0 / (nearest + eps_weight))
+            for (t_id, w_id), nearest in nearest_by_pair.items()
+            if t_id not in assigned_tasks and w_id not in assigned_workers
+        ]
         for t_id, w_id, weight in solve(stage3_edges):
             plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=3))
             assigned_tasks.add(t_id)
@@ -280,6 +211,6 @@ def ppi_assign(
         s3.set(candidates=len(stage3_edges), assigned=stage3_assigned)
 
     # Sanity: the plan only references known ids.
-    assert plan.task_ids() <= set(task_by_id)
-    assert plan.worker_ids() <= set(worker_by_id)
+    assert plan.task_ids() <= {t.task_id for t in tasks}
+    assert plan.worker_ids() <= {w.worker_id for w in workers}
     return plan

@@ -134,13 +134,14 @@ class AssignmentConfig:
     paper's [3, 4]-unit valid times, 6 points cover every reachable
     deadline.  ``assignment_window`` is how long a requester waits for
     a match before cancelling (see
-    :class:`repro.serve.engine.ServeConfig`).
+    :class:`repro.serve.engine.ServeConfig`).  PPI's threshold ``a`` is
+    not set here: it is the predictor's ``mr_threshold_km``, the one MR
+    was measured at, without which Theorem 2 does not hold.
     """
 
     batch_window: float = 2.0
     horizon_points: int = 6
     ppi_epsilon: int = 8
-    ppi_a_km: float = 0.3
     assignment_window: float | None = 6.0
 
     def __post_init__(self) -> None:

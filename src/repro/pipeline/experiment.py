@@ -153,7 +153,8 @@ def run_assignment(
             raise ValueError(f"algorithm '{algorithm}' needs a trained predictor")
         provider = PredictiveSnapshotProvider(predictor, cfg, sample_step=sample_step)
         if algorithm in ("ppi", "ppi_loss"):
-            ppi_cfg = PPIConfig(a=cfg.ppi_a_km, epsilon=cfg.ppi_epsilon)
+            # Theorem 2 holds for B at the threshold MR was measured at (Def. 7).
+            ppi_cfg = PPIConfig(a=predictor.config.mr_threshold_km, epsilon=cfg.ppi_epsilon)
             # Looks ppi_assign up at call time, so tracers can patch it here.
             assign_fn = lambda tasks, snaps, t: ppi_assign(tasks, snaps, t, config=ppi_cfg)
         elif algorithm in ("km", "km_loss"):

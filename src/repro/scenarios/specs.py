@@ -125,6 +125,10 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.algorithm not in ("ppi", "km"):
             raise ValueError("algorithm must be 'ppi' or 'km'")
+        # Sharding turns the index on itself; one shard without it would
+        # run the dense assign function and never read the warm state.
+        if self.dist.warm_start and self.dist.shards == 1 and not self.serve.use_index:
+            raise ValueError("policy.dist.warm_start: needs index.enabled on a single shard")
 
     @classmethod
     def from_dict(cls, data: Mapping, owner: str = "policy") -> "PolicySpec":

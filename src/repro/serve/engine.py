@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # import cycle: forecast.dispatch imports serve.triggers
     from repro.forecast.dispatch import ForecastConfig
 
 from repro import obs
-from repro.assignment.matching_rate import pair_completion_probabilities
+from repro.assignment.matching_rate import pair_completion_probability
 from repro.assignment.plan import AssignmentPlan
 from repro.obs.decisions import (
     REASON_CANCELLED,
@@ -364,28 +364,19 @@ class ServeEngine:
 
         ``offers`` holds each plan pair's task, worker id and acceptance,
         in plan order.  The believed completion probability is computed
-        only where it is read — every offer under calibration, accepted
-        offers for the decision log — in one batched pass.
+        only where it is read: every offer under calibration, accepted
+        offers for the decision log.
         """
         calibrate = monitor is not None and monitor.calibration is not None
         if outcome_listener is None and not calibrate and dlog is None:
             return
-        scored = [i for i, o in enumerate(offers) if calibrate or (dlog is not None and o[2])]
         snap_by_worker = {s.worker_id: s for s in snapshots}
-        beliefs = dict(
-            zip(
-                scored,
-                pair_completion_probabilities(
-                    [snap_by_worker[offers[i][1]] for i in scored],
-                    [offers[i][0] for i in scored],
-                    t,
-                ),
-            )
-        )
-        for i, (task, worker_id, accepted) in enumerate(offers):
+        for task, worker_id, accepted in offers:
+            believed = None
+            if calibrate or (dlog is not None and accepted):
+                believed = pair_completion_probability(snap_by_worker[worker_id], task, t)
             if outcome_listener is not None:
                 outcome_listener(task.task_id, worker_id, accepted, t)
-            believed = beliefs.get(i)
             if calibrate:
                 monitor.observe_outcome(believed, accepted, t)
             if dlog is not None:

@@ -95,6 +95,15 @@ class TestCommands:
             ])
         assert not (tmp_path / "spools").exists()
 
+    def test_serve_sim_warm_start_needs_the_index(self):
+        # Without the index one shard runs the dense assign function,
+        # which never reads the warm state.
+        with pytest.raises(ValueError, match="dist.warm_start"):
+            main([
+                "serve-sim", "--n-workers", "10", "--n-tasks", "20", "--horizon", "10",
+                "--warm-start",
+            ])
+
     def test_serve_sim_json_and_trace(self, capsys, tmp_path):
         import json
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.assignment.matching_rate import (
     feasible_prediction_points,
-    pair_completion_probabilities,
     pair_completion_probability,
 )
 from repro.geo.point import Point
@@ -49,33 +48,6 @@ class TestConfig:
         assert isinstance(CalibrationConfig().make_detector(), PageHinkley)
 
 
-def test_batched_beliefs_equal_per_pair():
-    """The engine scores a plan's offers in one pass; every belief must
-    equal the per-pair one bit for bit — empty tracks, expired tasks
-    and points on the radius edge included."""
-    rng = np.random.default_rng(4)
-    snaps, tasks = [], []
-    for i in range(200):
-        pts = np.round(rng.uniform(0.0, 6.0, size=(int(rng.integers(0, 5)), 2)), 1)
-        snaps.append(
-            WorkerSnapshot(
-                worker_id=i,
-                current_location=Point(0.0, 0.0),
-                predicted_xy=pts,
-                predicted_times=10.0 * np.arange(1, len(pts) + 1),
-                detour_budget_km=float(rng.choice([0.0, 0.6, 2.6, rng.uniform(0.5, 8.0)])),
-                speed_km_per_min=float(rng.uniform(0.1, 1.0)),
-                matching_rate=float(rng.uniform(0.0, 1.0)),
-            )
-        )
-        x, y = np.round(rng.uniform(0.0, 6.0, size=2), 1)
-        tasks.append(SpatialTask(i, Point(float(x), float(y)), 0.0, float(rng.uniform(1.0, 30.0))))
-    want = [pair_completion_probability(s, task, 2.0) for s, task in zip(snaps, tasks)]
-    assert pair_completion_probabilities(snaps, tasks, 2.0) == want
-    assert any(0.0 < p < 1.0 for p in want) and 0.0 in want
-    assert pair_completion_probabilities([], [], 2.0) == []
-
-
 def test_beliefs_count_the_points_ppi_counts():
     """|B| behind a belief is PPI's ``dis + a <= bound`` set, including
     predicted points placed exactly on the Theorem 2 radius."""
@@ -101,7 +73,6 @@ def test_beliefs_count_the_points_ppi_counts():
         want.append(1.0 - 0.5 ** len(b_set))
     assert 0.0 in want and 0.5 in want  # the radius really splits the points
     assert [pair_completion_probability(s, t, 2.0, a) for s, t in zip(snaps, tasks)] == want
-    assert pair_completion_probabilities(snaps, tasks, 2.0, a) == want
 
 
 class TestPageHinkley:

@@ -248,6 +248,25 @@ class TestRunAssignment:
         assert 0.0 <= m.rejection_ratio <= 1.0
         assert result.n_completed + result.n_expired == result.n_tasks
 
+    def test_ppi_matches_at_the_predictor_threshold(self, trained, small_workload_module, monkeypatch):
+        """Theorem 2 holds for B at the ``a`` MR was measured at (Def. 7),
+        so PPI takes ``a`` from the predictor's config."""
+        from dataclasses import replace
+
+        import repro.pipeline.experiment as experiment
+        from repro.assignment.plan import AssignmentPlan
+
+        seen = set()
+
+        def spy(tasks, snaps, t, config):
+            seen.add(config.a)
+            return AssignmentPlan()
+
+        monkeypatch.setattr(experiment, "ppi_assign", spy)
+        predictor = replace(trained, config=replace(trained.config, mr_threshold_km=0.45))
+        run_assignment(small_workload_module, "ppi", AssignmentConfig(batch_window=10.0), predictor=predictor)
+        assert seen == {0.45}
+
     def test_ggpso_runs(self, trained, small_workload_module):
         from repro.assignment.ggpso import GGPSOConfig
 
@@ -300,6 +319,12 @@ class TestConfigFromDict:
             ExperimentConfig.from_dict({"prediction": {"seq_inn": 3}})
         with pytest.raises(ValueError, match="predicton"):
             ExperimentConfig.from_dict({"predicton": {}})
+
+    def test_ppi_a_km_is_not_a_key(self):
+        # PPI's threshold is prediction.mr_threshold_km; a second copy
+        # in the assignment block fails at load, naming itself.
+        with pytest.raises(ValueError, match="ppi_a_km"):
+            ExperimentConfig.from_dict({"assignment": {"ppi_a_km": 0.3}})
 
     def test_value_validation_still_runs(self):
         import pytest

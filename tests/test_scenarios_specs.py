@@ -164,6 +164,13 @@ class TestLoadTimeValidation:
             PolicySpec.from_dict(doc)
         assert path in str(exc.value)
 
+    def test_single_shard_warm_start_needs_the_index(self):
+        with pytest.raises(ValueError, match="policy.dist.warm_start"):
+            PolicySpec.from_dict({"dist": {"warm_start": True}})
+        # The index, or a second shard (which turns it on), is enough.
+        PolicySpec.from_dict({"dist": {"warm_start": True}, "index": {"enabled": True}})
+        PolicySpec.from_dict({"dist": {"warm_start": True, "shards": 2}})
+
     def test_engine_reason_is_kept(self):
         with pytest.raises(ValueError, match="batch window must be positive"):
             PolicySpec.from_dict({"trigger": {"window": -1}})
