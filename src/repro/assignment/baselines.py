@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.assignment.hungarian import maximum_weight_matching
+from repro.assignment.hungarian import Matcher, maximum_weight_matching, solve_matching
 from repro.assignment.matching_rate import pair_scan, theorem2_bound
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
-from repro.assignment.ppi import CandidateGraph, Matcher
+from repro.assignment.ppi import CandidateGraph
 from repro.sc.entities import SpatialTask, WorkerSnapshot
 
 _EPS = 1e-6
@@ -32,11 +32,11 @@ _EPS = 1e-6
 def _solve(
     edges: list[tuple[int, int, float]],
     stage: int = 0,
-    matcher: "Matcher | None" = None,
+    matcher: Matcher | None = None,
 ) -> AssignmentPlan:
     solve = matcher if matcher is not None else maximum_weight_matching
     plan = AssignmentPlan()
-    for t_id, w_id, weight in solve(edges):
+    for t_id, w_id, weight in solve_matching(edges, solve):
         plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=stage))
     return plan
 
@@ -55,7 +55,7 @@ def km_assign(
     (``None`` means every pair).  Because the dense path already prunes
     pairs beyond the Theorem 2 radius, any candidate graph covering
     that radius yields the identical matching.  ``matcher`` substitutes
-    the solver (see :data:`repro.assignment.ppi.Matcher`).
+    the solver (see :data:`repro.assignment.hungarian.Matcher`).
     """
     # KM reads only the nearest distance, so the threshold ``a`` of |B| is moot.
     edges = [

@@ -26,6 +26,11 @@ successive serve batches share most of their candidate graph — so
   with generic float weights, the same caveat
   :class:`repro.dist.shard.ComponentMatcher` already carries.
 
+PPI and ``km_assign`` reach the matcher through :func:`solve_matching`,
+which answers the empty list and the star forest — every vertex on one
+side in a single edge, which is most of PPI's stage-2 chunks — in
+closed form, and hands every other list to the solver.
+
 Correctness is cross-validated against
 ``scipy.optimize.linear_sum_assignment`` in the test suite; scipy is
 never used at runtime.
@@ -35,7 +40,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import inf
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -376,3 +382,56 @@ def maximum_weight_matching(
         warm.zero_ok = allow_zero_weight
         warm.matching = list(chosen)
     return chosen
+
+
+#: A max-weight bipartite matcher over ``(left, right, weight)`` edges.
+#: Must reproduce :func:`maximum_weight_matching`'s contract: a matching
+#: of maximum total weight, emitted in ascending left-id order.  The
+#: default is the dense Hungarian solver; :mod:`repro.dist.shard`
+#: substitutes a connected-component decomposition that solves each
+#: component independently (exact whenever the optimum is unique, which
+#: generic float weights make the ordinary case).
+Matcher = Callable[[Sequence[tuple[int, int, float]]], list[tuple[int, int, float]]]
+
+
+def solve_matching(
+    edges: Sequence[tuple[int, int, float]],
+    matcher: Matcher = maximum_weight_matching,
+) -> list[tuple[int, int, float]]:
+    """``matcher(edges)``, without the solve when the optimum is known.
+
+    An empty list matches nothing.  When every right id (or every left
+    id) is distinct, the graph is a forest of stars and its
+    maximum-weight matching is each centre's heaviest edge; those edges
+    are returned with non-positive weights dropped, in ascending left-id
+    order, exactly as :func:`maximum_weight_matching` emits them, and
+    counted in ``km.solves``.  A centre whose heaviest weight is tied
+    has two optima, a weight that is negative or not finite is left to
+    the matcher's own handling, and any other graph needs a real solve:
+    those lists go to ``matcher`` unchanged.
+    """
+    if not edges:
+        return []
+    n = len(edges)
+    if len({e[1] for e in edges}) == n:
+        side = 0
+    elif len({e[0] for e in edges}) == n:
+        side = 1
+    else:
+        return matcher(edges)
+    best: dict = {}
+    ties: dict = {}
+    for edge in edges:
+        w = edge[2]
+        if not 0.0 <= w < inf:
+            return matcher(edges)
+        centre = edge[side]
+        held = best.get(centre)
+        if held is None or w > held[2]:
+            best[centre] = edge
+        elif w == held[2]:
+            ties[centre] = w
+    if any(best[centre][2] == w for centre, w in ties.items()):
+        return matcher(edges)
+    obs.counter("km.solves")
+    return sorted((left, right, float(w)) for left, right, w in best.values() if w > 0.0)

@@ -19,29 +19,23 @@ Discussion).
 Every pair is tested once, by
 :func:`~repro.assignment.matching_rate.pair_scan`, which yields ``|B|``,
 min B and the nearest distance; stage 3 reads the nearest distances
-stage 1 kept instead of walking the pairs again.
+stage 1 kept instead of walking the pairs again.  Every "call KM" goes
+through :func:`~repro.assignment.hungarian.solve_matching`: most stage-2
+chunks are star forests (each worker in one edge), whose optimum is
+each task's heaviest edge and needs no solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import obs
-from repro.assignment.hungarian import maximum_weight_matching
+from repro.assignment.hungarian import Matcher, maximum_weight_matching, solve_matching
 from repro.assignment.matching_rate import pair_scan
 from repro.assignment.plan import AssignmentPair, AssignmentPlan
 from repro.sc.entities import SpatialTask, WorkerSnapshot
-
-#: A max-weight bipartite matcher over ``(left, right, weight)`` edges.
-#: Must reproduce :func:`maximum_weight_matching`'s contract: a matching
-#: of maximum total weight, emitted in ascending left-id order.  The
-#: default is the dense Hungarian solver; :mod:`repro.dist.shard`
-#: substitutes a connected-component decomposition that solves each
-#: component independently (exact whenever the optimum is unique, which
-#: generic float weights make the ordinary case).
-Matcher = Callable[[Sequence[tuple[int, int, float]]], list[tuple[int, int, float]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,9 +105,11 @@ def ppi_assign(
     pair within the Theorem 2 radius, the plan is identical to the
     dense one — only the pairs PPI would have discarded anyway are
     skipped.  ``matcher`` substitutes the KM solver for every matching
-    call (see :data:`Matcher`); the stage-2 control flow (score
-    ordering, epsilon chunking) stays on this code path regardless,
-    because it is order-sensitive and must run globally.
+    call that needs a solve (see :data:`Matcher`; empty and star-forest
+    edge lists are answered by :func:`solve_matching`); the stage-2
+    control flow (score ordering, epsilon chunking) stays on this code
+    path regardless, because it is order-sensitive and must run
+    globally.
     """
     cfg = config if config is not None else PPIConfig()
     solve = matcher if matcher is not None else maximum_weight_matching
@@ -146,7 +142,7 @@ def ppi_assign(
             if nearest != inf:
                 nearest_by_pair[t_id, w_id] = nearest
 
-        for t_id, w_id, weight in solve(stage1_edges):
+        for t_id, w_id, weight in solve_matching(stage1_edges, solve):
             plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=1))
             assigned_tasks.add(t_id)
             assigned_workers.add(w_id)
@@ -169,7 +165,7 @@ def ppi_assign(
             if not chunk:
                 return
             obs.counter("ppi.stage2.chunks")
-            for t_id, w_id, weight in solve(chunk):
+            for t_id, w_id, weight in solve_matching(chunk, solve):
                 if t_id in assigned_tasks or w_id in assigned_workers:
                     continue
                 plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=2))
@@ -202,7 +198,7 @@ def ppi_assign(
             for (t_id, w_id), nearest in nearest_by_pair.items()
             if t_id not in assigned_tasks and w_id not in assigned_workers
         ]
-        for t_id, w_id, weight in solve(stage3_edges):
+        for t_id, w_id, weight in solve_matching(stage3_edges, solve):
             plan.add(AssignmentPair(task_id=t_id, worker_id=w_id, score=weight, stage=3))
             assigned_tasks.add(t_id)
             assigned_workers.add(w_id)

@@ -454,7 +454,7 @@ class WarmMatchCache:
 
 @dataclass
 class ComponentMatcher:
-    """A drop-in :data:`repro.assignment.ppi.Matcher` that decomposes.
+    """A drop-in :data:`repro.assignment.hungarian.Matcher` that decomposes.
 
     Solves each connected component with the dense Hungarian solver and
     merges the results back into ascending left-id order, the exact

@@ -166,8 +166,10 @@ class TestStreamParity:
         assert result_signature(warmed) == result_signature(cold)
 
     def test_warm_cache_actually_engages(self):
+        # Dense enough that some of PPI's edge lists are not star forests
+        # and so reach the matcher (``solve_matching`` answers the rest).
         fn = component_candidate_assign(ppi_assign, warm_start=True)
-        stream = StreamConfig(n_workers=20, n_tasks=60, t_end=40.0, seed=1)
+        stream = StreamConfig(n_workers=40, n_tasks=120, t_end=40.0, seed=1)
         engine = ServeEngine(
             make_worker_fleet(stream),
             DeadReckoningProvider(seed=1),
@@ -187,4 +189,5 @@ class TestStreamParity:
         want = ref.run(tasks, 0.0, 40.0)
         assert result_signature(got) == result_signature(want)
         cache = fn.warm_cache
+        assert sum(cache.tier_counts().values()) > 0  # the matcher ran
         assert cache.identical_hits > 0 or cache.rows_reaugmented < cache.rows_total
