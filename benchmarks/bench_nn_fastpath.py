@@ -29,12 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.meta.maml import _named_grads
 from repro.nn import fused
 from repro.nn.losses import mse_loss
 from repro.nn.module import apply_gradient_step
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, grad_of
 from repro.obs.metrics import Histogram
 
 OUTPUT = Path(__file__).parent.parent / "BENCH_nn_fastpath.json"
@@ -49,6 +48,12 @@ SHAPES = {
 }
 
 HEADLINE = "pipeline_default"
+
+
+def _tape_grads(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """The tape reference's gradient dict: ``grad_of`` per named parameter."""
+    names = list(params)
+    return dict(zip(names, grad_of(loss, (params[n] for n in names))))
 
 
 def _time(fn, repeats: int, warmup: int = 3) -> Histogram:
@@ -87,7 +92,7 @@ def bench_shape(hidden: int, seq_out: int, batch: int, repeats: int) -> dict:
     def tape_step():
         params = {k: v.clone(requires_grad=True) for k, v in own.items()}
         pred = model.functional_call(params, Tensor(x))
-        grads = _named_grads(mse_loss(pred, Tensor(y)), params)
+        grads = _tape_grads(mse_loss(pred, Tensor(y)), params)
         apply_gradient_step(params, grads, lr)
 
     def fused_step():

@@ -47,12 +47,11 @@ from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import adapt, resolve_fast_path
+from repro.meta.maml import adapt, require_fused
 from repro.nn import fused
-from repro.nn.losses import mse_loss
-from repro.nn.module import apply_gradient_step, clone_parameters
+from repro.nn.losses import loss_weights, mse_loss
+from repro.nn.module import apply_gradient_step
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor
 from repro.obs import NOOP, JsonlSink, get_recorder
 from repro.obs.dist import list_spools
 from repro.serve import (
@@ -89,23 +88,17 @@ MAX_DIST_OVERHEAD_PCT = 10.0
 MAX_DECISIONS_OVERHEAD_PCT = 10.0
 
 
-def _plain_adapt(model, task, loss_fn, inner_lr, inner_steps, support_batch, rng, fast_path):
+def _plain_adapt(model, task, loss_fn, inner_lr, inner_steps, support_batch, rng):
     """``maml.adapt`` with the observability calls stripped (control arm)."""
-    params = {k: v.clone(requires_grad=True) for k, v in clone_parameters(model).items()}
-    fast = resolve_fast_path(fast_path, model)
+    require_fused(model, "adapt")
+    params = {k: v.clone() for k, v in model.named_parameters()}
+    weights = loss_weights(loss_fn, task.support_y) if support_batch is None else None
     for _ in range(inner_steps):
         if support_batch is not None:
             xb, yb = task.support_batch(support_batch, rng)
         else:
             xb, yb = task.support_x, task.support_y
-        if fast:
-            _, grads = fused.loss_and_grads(model, params, xb, yb, loss_fn)
-        else:
-            pred = model.functional_call(params, Tensor(xb))
-            loss = loss_fn(pred, Tensor(yb))
-            from repro.meta.maml import _named_grads
-
-            grads = _named_grads(loss, params)
+        _, grads = fused.loss_and_grads(model, params, xb, yb, loss_fn, weights=weights)
         params = apply_gradient_step(params, grads, inner_lr)
     return params
 
@@ -125,12 +118,12 @@ def _time_adapts(fn, model, task, calls: int, samples: int, warmup: int = 2) -> 
     """Best-of-``samples`` wall time of ``calls`` adapt calls, in seconds."""
     rng = np.random.default_rng(7)
     for _ in range(warmup):
-        fn(model, task, mse_loss, INNER_LR, INNER_STEPS, None, rng, "auto")
+        fn(model, task, mse_loss, INNER_LR, INNER_STEPS, None, rng)
     best = float("inf")
     for _ in range(samples):
         start = time.perf_counter()
         for _ in range(calls):
-            fn(model, task, mse_loss, INNER_LR, INNER_STEPS, None, rng, "auto")
+            fn(model, task, mse_loss, INNER_LR, INNER_STEPS, None, rng)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -147,7 +140,7 @@ def run(calls: int = 40, samples: int = 12) -> dict:
     )
     task = _make_task(rng)
 
-    def shipped(model, task, loss_fn, inner_lr, inner_steps, support_batch, rng, fast_path):
+    def shipped(model, task, loss_fn, inner_lr, inner_steps, support_batch, rng):
         return adapt(
             model,
             task,
@@ -156,7 +149,6 @@ def run(calls: int = 40, samples: int = 12) -> dict:
             inner_steps=inner_steps,
             support_batch=support_batch,
             rng=rng,
-            fast_path=fast_path,
         )
 
     # Interleave the arms so slow host drift hits both equally.

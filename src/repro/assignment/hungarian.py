@@ -321,8 +321,9 @@ def maximum_weight_matching(
 
     This is "call the KM algorithm on ``M_c``" from Algorithm 4: the
     candidate pairs form a bipartite graph; vertices may stay
-    unmatched.  Weights must be non-negative (PPI uses ``1 / minB`` and
-    reciprocal detours, both positive).
+    unmatched.  Weights must be finite and non-negative (PPI uses
+    ``1 / minB`` and reciprocal detours, both positive); any other
+    weight, NaN included, raises :class:`ValueError` naming its edge.
 
     Returns the chosen ``(left, right, weight)`` edges.  Edges of zero
     weight are dropped unless ``allow_zero_weight`` — an unmatched
@@ -349,8 +350,12 @@ def maximum_weight_matching(
             warm.zero_ok = allow_zero_weight
             warm.matching = []
         return []
-    if any(e.weight < 0 for e in normalized):
-        raise ValueError("edge weights must be non-negative")
+    for e in normalized:
+        if not 0.0 <= e.weight < inf:
+            raise ValueError(
+                f"edge ({e.left}, {e.right}) has weight {e.weight}; "
+                "weights must be finite and non-negative"
+            )
 
     lefts = sorted({e.left for e in normalized})
     rights = sorted({e.right for e in normalized})

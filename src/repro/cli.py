@@ -14,6 +14,7 @@ Examples::
     python -m repro.cli serve-report run.series.jsonl
     python -m repro.cli serve-sim --shards 4 --shard-servers --trace run.trace.jsonl
     python -m repro.cli trace-report run.trace.jsonl --distributed
+    python -m repro.cli collect-results
 
 The CLI drives the same pipeline as the benches, at whatever scale the
 flags request.  ``--trace PATH`` records the run as a JSONL span trace
@@ -27,8 +28,10 @@ timeline with a per-round straggler and critical-path breakdown.
 ``serve-sim --monitor PATH`` samples the engine's metrics on a cadence
 into a JSONL time series (optionally exposing OpenMetrics via
 ``--openmetrics`` / ``--monitor-port``) and ``serve-report`` renders it
-as a per-phase dashboard.  ``--json`` switches every subcommand's stdout to one
-machine-readable JSON document.
+as a per-phase dashboard.  ``collect-results`` rebuilds
+``benchmarks/RESULTS.md`` from the paper benches' artefacts.  ``--json``
+switches every subcommand's stdout to one machine-readable JSON
+document.
 """
 
 from __future__ import annotations
@@ -53,8 +56,11 @@ from repro.pipeline import (
     train_predictor,
 )
 from repro.pipeline.workloads import WORKLOADS
+from repro.tools import collect_results
 
 PREDICTION_ALGORITHMS = ("maml", "ctml", "gttaml", "gttaml_gt")
+#: The paper benches' text artefacts, which ``collect-results`` stitches.
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,6 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_diff.add_argument("run_b", help="comparison: decision log, manifest, or run directory")
     run_diff.add_argument("--json", action="store_true",
                           help="emit the transition table as JSON")
+
+    collect = sub.add_parser(
+        "collect-results",
+        help="assemble benchmarks/results/*.txt into benchmarks/RESULTS.md",
+    )
+    collect.add_argument("--results-dir", type=Path, default=RESULTS_DIR)
+    collect.add_argument("--output", type=Path, default=None,
+                         help="default: RESULTS.md beside the results directory")
+    collect.add_argument("--json", action="store_true", help="emit a JSON summary instead of text")
 
     return parser
 
@@ -892,6 +907,17 @@ def cmd_run_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_collect_results(args: argparse.Namespace) -> int:
+    reporter = Reporter(json_mode=args.json)
+    output = args.output if args.output is not None else args.results_dir.parent / "RESULTS.md"
+    included = collect_results(args.results_dir, output)
+    reporter.add("output", str(output))
+    reporter.add("included", included)
+    reporter.line(f"wrote {output} with {len(included)} result blocks")
+    reporter.finish()
+    return 0
+
+
 COMMANDS = {
     "predict": cmd_predict,
     "assign": cmd_assign,
@@ -903,6 +929,7 @@ COMMANDS = {
     "scenarios-report": cmd_scenarios_report,
     "explain": cmd_explain,
     "run-diff": cmd_run_diff,
+    "collect-results": cmd_collect_results,
 }
 
 

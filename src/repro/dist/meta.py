@@ -59,13 +59,15 @@ from repro.meta.learning_task import LearningTask
 from repro.meta.maml import (
     LossFn,
     MAMLConfig,
-    _query_windows,
+    draw_support,
+    meta_step,
     meta_train,
-    resolve_fast_path,
+    query_windows,
+    require_fused,
+    sample_meta_batch,
 )
 from repro.meta.taml import TAMLConfig
 from repro.meta.task_tree import LearningTaskTree
-from repro.nn import fused
 from repro.nn.module import Module
 
 
@@ -127,9 +129,11 @@ def dist_taml_train(
     cfg = config if config is not None else TAMLConfig()
     dcfg = dist if dist is not None else DistConfig()
     check_meta_backend(dcfg)
+    model = model_factory()
+    require_fused(model, "dist_taml_train")
     rng = rng if rng is not None else np.random.default_rng(0)
     if tree.theta is None:
-        tree.theta = model_factory().state_dict()
+        tree.theta = model.state_dict()
     maml_cfg = cfg.maml
     leaves = tree.leaves()
     leaf_rngs = rng.spawn(len(leaves))
@@ -146,7 +150,7 @@ def dist_taml_train(
             gang_width = dcfg.workers if isinstance(resolved, SerialBackend) else 1
             if gang_width > 1:
                 results = _gang_train_leaves(
-                    model_factory, leaves, maml_cfg, loss_fn, tree.theta, leaf_rngs, gang_width
+                    model, model_factory, leaves, maml_cfg, loss_fn, tree.theta, leaf_rngs, gang_width
                 )
             else:
                 jobs = [
@@ -200,6 +204,7 @@ def _fold(node: LearningTaskTree, tree_rate: float, leaf_losses: Mapping[int, fl
 # gang executor: lockstep fused meta-training across leaves
 # ----------------------------------------------------------------------
 def _gang_train_leaves(
+    model: Module,
     model_factory: Callable[[], Module],
     leaves: Sequence[LearningTaskTree],
     cfg: MAMLConfig,
@@ -210,20 +215,17 @@ def _gang_train_leaves(
 ) -> list[tuple[dict[str, np.ndarray], list[float]]]:
     """Train all leaves, ganging eligible ones ``width`` at a time.
 
-    Eligible = the fused kernels cover the model and the leaf's tasks
-    share one ``(seq_in, seq_out)`` shape, so every meta-iteration of
-    the per-leaf reference takes the batched fused path the gang
-    mirrors.  Ineligible leaves fall back to the per-leaf reference —
-    same results, no stacking.
+    Eligible = the leaf's tasks share one ``(seq_in, seq_out)`` shape,
+    so every meta-iteration of the per-leaf reference is one
+    :func:`~repro.meta.maml.meta_step`, which the gang mirrors.
+    Ineligible leaves fall back to the per-leaf reference — same
+    results, no stacking.
     """
-    model = model_factory()
-    fast = resolve_fast_path(cfg.fast_path, model)
     results: list[tuple[dict[str, np.ndarray], list[float]] | None] = [None] * len(leaves)
 
     eligible: list[int] = []
     for i, leaf in enumerate(leaves):
-        uniform = len({(t.seq_in, t.seq_out) for t in leaf.cluster}) == 1
-        if fast and uniform:
+        if len({(t.seq_in, t.seq_out) for t in leaf.cluster}) == 1:
             eligible.append(i)
         else:
             results[i] = run_leaf_job(
@@ -263,11 +265,12 @@ def _train_gang(
 ) -> list[tuple[dict[str, np.ndarray], list[float]]]:
     """Lockstep meta-training of one gang of leaf clusters.
 
-    Mirrors ``meta_train``'s fused path exactly, per member: the member
-    RNG draws the task choice then the task-major support batches, and
-    the stacked arrays are the member's ``replicate_params`` blocks
-    concatenated — so each member slice of every kernel call carries
-    the very operands the per-leaf path would have used.
+    Mirrors ``meta_train`` exactly, per member: the member RNG draws the
+    task choice then the task-major support batches, and each group of
+    members whose windows agree in shape runs one shared
+    :func:`~repro.meta.maml.meta_step` — so each member slice of every
+    kernel call carries the very operands the per-leaf path would have
+    used.
     """
     n = len(gang_tasks)
     thetas = [{k: np.array(v, copy=True) for k, v in root_theta.items()} for _ in range(n)]
@@ -275,76 +278,32 @@ def _train_gang(
 
     for _ in range(cfg.iterations):
         # Per-member sampling, exactly the per-leaf RNG consumption order.
-        batch_sizes: list[int] = []
-        drawn_all: list[list[list[tuple[np.ndarray, np.ndarray]]]] = []
-        queries_all: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        sigs: list[tuple] = []
+        draws: list[list[list[tuple[np.ndarray, np.ndarray]]]] = []
+        queries: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        groups: dict[tuple, list[int]] = {}
         for g in range(n):
-            tasks = gang_tasks[g]
-            b = min(cfg.meta_batch, len(tasks))
-            chosen = rngs[g].choice(len(tasks), size=b, replace=False)
-            batch_tasks = [tasks[int(idx)] for idx in chosen]
-            drawn = [
-                [task.support_batch(cfg.support_batch, rngs[g]) for _ in range(cfg.inner_steps)]
-                for task in batch_tasks
-            ]
-            queries = [_query_windows(task) for task in batch_tasks]
-            batch_sizes.append(b)
-            drawn_all.append(drawn)
-            queries_all.append(queries)
+            batch_tasks = sample_meta_batch(gang_tasks[g], cfg, rngs[g])
+            draws.append(draw_support(batch_tasks, cfg, rngs[g]))
+            queries.append([query_windows(task) for task in batch_tasks])
             # Stacking is only bitwise-safe between members whose window
             # shapes agree position for position (identical padding and
             # identical loss dispatch); the signature captures that.
-            sigs.append(
-                (
-                    tuple(
-                        tuple((x.shape, y.shape) for (x, y) in task_draws)
-                        for task_draws in drawn
-                    ),
-                    tuple((qx.shape, qy.shape) for (qx, qy) in queries),
-                )
+            sig = (
+                tuple(tuple((x.shape, y.shape) for (x, y) in task) for task in draws[g]),
+                tuple((qx.shape, qy.shape) for (qx, qy) in queries[g]),
             )
-
-        groups: dict[tuple, list[int]] = {}
-        for g in range(n):
-            groups.setdefault(sigs[g], []).append(g)
+            groups.setdefault(sig, []).append(g)
 
         for members in groups.values():
-            stacked = {
-                name: np.concatenate(
-                    [
-                        np.repeat(thetas[g][name][None, ...], batch_sizes[g], axis=0)
-                        for g in members
-                    ],
-                    axis=0,
-                )
-                for name in root_theta
-            }
-            for step in range(cfg.inner_steps):
-                xs = [drawn_all[g][t][step][0] for g in members for t in range(batch_sizes[g])]
-                ys = [drawn_all[g][t][step][1] for g in members for t in range(batch_sizes[g])]
-                _, grads = fused.batched_loss_and_grads(model, stacked, xs, ys, loss_fn)
-                for name in stacked:
-                    stacked[name] -= cfg.inner_lr * grads[name]
-
-            qxs = [q[0] for g in members for q in queries_all[g]]
-            qys = [q[1] for g in members for q in queries_all[g]]
-            query_losses, q_grads = fused.batched_loss_and_grads(model, stacked, qxs, qys, loss_fn)
-
-            offset = 0
-            for g in members:
-                b = batch_sizes[g]
-                block = slice(offset, offset + b)
-                offset += b
-                if cfg.outer == "fomaml":
-                    update = {name: q_grads[name][block].sum(axis=0) for name in q_grads}
-                else:  # reptile
-                    update = {
-                        name: (thetas[g][name][None, ...] - stacked[name][block]).sum(axis=0)
-                        for name in stacked
-                    }
-                for name, arr in thetas[g].items():
-                    np.subtract(arr, cfg.meta_lr * update[name] / b, out=arr)
-                histories[g].append(float(np.mean(query_losses[block])))
+            losses = meta_step(
+                model,
+                [thetas[g] for g in members],
+                [draws[g] for g in members],
+                [queries[g] for g in members],
+                cfg,
+                loss_fn,
+            )
+            for g, loss in zip(members, losses):
+                histories[g].append(loss)
 
     return [(thetas[g], histories[g]) for g in range(n)]

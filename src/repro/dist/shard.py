@@ -362,6 +362,10 @@ def connected_components(edges: Sequence[Edge]) -> list[list[Edge]]:
     return list(by_root.values())
 
 
+#: The per-state solve counters a :class:`WarmMatchCache` totals.
+_STATE_COUNTS = ("identical_hits", "warm_solves", "cold_solves", "rows_reaugmented", "rows_total")
+
+
 @dataclass
 class WarmMatchCache:
     """Per-component :class:`WarmStartState` pool for a streaming matcher.
@@ -373,7 +377,9 @@ class WarmMatchCache:
     stable while a component keeps any of its tasks.  A wrong reuse is
     harmless (the warm state is a pure accelerator, exactness lives in
     the state's own edge check), so the key only has to be *usually*
-    right.  Entries untouched for ``keep_rounds`` batches are dropped.
+    right.  Entries untouched for ``keep_rounds`` batches are dropped;
+    their solve counts carry over into retired totals, so every count
+    below covers the whole run.
     """
 
     keep_rounds: int = 8
@@ -382,13 +388,14 @@ class WarmMatchCache:
     _round: int = 0
     _calls: int = 0
     _round_start: dict = field(default_factory=dict)
+    _retired: dict = field(default_factory=lambda: dict.fromkeys(_STATE_COUNTS, 0))
 
     def begin_round(self) -> None:
         """Start a new batch: reset the call counter, evict stale states.
 
         The tier counts are snapshotted after eviction, so
         :meth:`round_tier` compares this round's solves against the
-        states that survive it.
+        counts the run had before it.
         """
         self._round += 1
         self._calls = 0
@@ -396,8 +403,10 @@ class WarmMatchCache:
             floor = self._round - self.keep_rounds
             stale = [k for k, used in self._last_used.items() if used < floor]
             for k in stale:
-                del self._states[k]
+                state = self._states.pop(k)
                 del self._last_used[k]
+                for name in _STATE_COUNTS:
+                    self._retired[name] += getattr(state, name)
         self._round_start = self.tier_counts()
 
     def next_call(self) -> int:
@@ -413,26 +422,28 @@ class WarmMatchCache:
         self._last_used[key] = self._round
         return state
 
+    def _total(self, name: str) -> int:
+        return self._retired[name] + sum(getattr(s, name) for s in self._states.values())
+
     @property
     def identical_hits(self) -> int:
-        return sum(s.identical_hits for s in self._states.values())
+        return self._total("identical_hits")
 
     @property
     def rows_reaugmented(self) -> int:
-        return sum(s.rows_reaugmented for s in self._states.values())
+        return self._total("rows_reaugmented")
 
     @property
     def rows_total(self) -> int:
-        return sum(s.rows_total for s in self._states.values())
+        return self._total("rows_total")
 
     def tier_counts(self) -> dict[str, int]:
-        """Solve counts per warm-start tier, summed over the live states."""
-        counts = {"identical": 0, "warm": 0, "cold": 0}
-        for state in self._states.values():
-            counts["identical"] += state.identical_hits
-            counts["warm"] += state.warm_solves
-            counts["cold"] += state.cold_solves
-        return counts
+        """Solve counts per warm-start tier over the whole run."""
+        return {
+            "identical": self._total("identical_hits"),
+            "warm": self._total("warm_solves"),
+            "cold": self._total("cold_solves"),
+        }
 
     def round_tier(self) -> str | None:
         """The worst warm-start tier a solve of the current round hit.

@@ -19,12 +19,13 @@ from repro.meta.ctml import CTMLConfig, ctml_train
 from repro.meta.features import build_factor_embeddings, build_similarity_matrices
 from repro.meta.gtmc import gtmc_cluster, kmeans_multilevel_cluster
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import adapt, learning_path, meta_train
+from repro.meta.maml import adapt, learning_path, meta_train, require_fused
 from repro.meta.taml import TAMLConfig, taml_train
+from repro.nn import fused
 from repro.nn.losses import TaskDensityWeighter, loss_weights, make_loss
 from repro.nn.module import Module
+from repro.nn.optim import Adam
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor
 from repro.assignment.matching_rate import matching_rate
 from repro.pipeline.config import PredictionConfig
 
@@ -272,11 +273,10 @@ def fine_tune(
     ``"sgd"`` reuses the MAML inner loop (the few-shot regime where
     meta-initialisation quality shows); ``"adam"`` trains the worker's
     personal model to convergence for the online assignment stage.
-    Both honour ``config.maml.fast_path`` — adaptation is the per-worker
-    hot path as workers churn, so it runs on the fused BPTT kernels
-    whenever the model supports them.  Returns the adapted state dict;
+    Both run on the fused BPTT kernels.  Returns the adapted state dict;
     the model is left loaded with it.
     """
+    require_fused(model, "fine_tune")
     if config.fine_tune_optimizer == "sgd":
         adapted = adapt(
             model,
@@ -285,34 +285,22 @@ def fine_tune(
             inner_lr=config.fine_tune_lr,
             inner_steps=config.fine_tune_steps,
             rng=rng,
-            fast_path=config.maml.fast_path,
         )
         params = {name: t.data.copy() for name, t in adapted.items()}
         model.load_state_dict(params)
         return params
 
-    from repro.meta.maml import resolve_fast_path
-    from repro.nn import fused
-    from repro.nn.optim import Adam
-
     optimizer = Adam(model.parameters(), lr=config.fine_tune_lr)
-    if resolve_fast_path(config.maml.fast_path, model):
-        own = dict(model.named_parameters())
-        # Every step fits the same support target, so its loss weights are computed once.
-        weights = loss_weights(loss_fn, task.support_y)
-        for _ in range(config.fine_tune_steps):
-            optimizer.zero_grad()
-            _, grads = fused.loss_and_grads(
-                model, own, task.support_x, task.support_y, loss_fn, weights=weights
-            )
-            for name, param in own.items():
-                param.grad = grads[name]
-            optimizer.step()
-        return model.state_dict()
-    x, y = Tensor(task.support_x), Tensor(task.support_y)
+    own = dict(model.named_parameters())
+    # Every step fits the same support target, so its loss weights are computed once.
+    weights = loss_weights(loss_fn, task.support_y)
     for _ in range(config.fine_tune_steps):
         optimizer.zero_grad()
-        loss_fn(model(x), y).backward()
+        _, grads = fused.loss_and_grads(
+            model, own, task.support_x, task.support_y, loss_fn, weights=weights
+        )
+        for name, param in own.items():
+            param.grad = grads[name]
         optimizer.step()
     return model.state_dict()
 

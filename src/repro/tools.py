@@ -1,9 +1,9 @@
 """Maintenance utilities shared across the repo's tooling layers.
 
-``python -m repro.tools collect-results`` stitches every
-``benchmarks/results/*.txt`` artefact into ``benchmarks/RESULTS.md`` in
-the experiment order of DESIGN.md §4, so a full bench run leaves a
-single reviewable document.
+:func:`collect_results` (``python -m repro.cli collect-results``)
+stitches every ``benchmarks/results/*.txt`` artefact into
+``benchmarks/RESULTS.md`` in the experiment order of DESIGN.md §4, so a
+full bench run leaves a single reviewable document.
 
 :func:`check_keys` / :func:`dataclass_from_mapping` are the one shared
 gate through which every mapping-shaped config (scenario specs, policy
@@ -15,13 +15,9 @@ dataclass constructor three frames down.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
-
-from repro.obs import Reporter
 
 T = TypeVar("T")
 
@@ -103,27 +99,3 @@ def collect_results(results_dir: Path, output: Path) -> list[str]:
         blocks.append("```\n")
     output.write_text("\n".join(blocks))
     return ordered
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.tools")
-    sub = parser.add_subparsers(dest="command", required=True)
-    collect = sub.add_parser("collect-results", help="assemble benchmarks/results into RESULTS.md")
-    default_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-    collect.add_argument("--results-dir", type=Path, default=default_dir)
-    collect.add_argument("--output", type=Path, default=None)
-    collect.add_argument("--json", action="store_true", help="emit a JSON summary instead of text")
-    args = parser.parse_args(argv)
-
-    reporter = Reporter(json_mode=args.json)
-    output = args.output if args.output is not None else args.results_dir.parent / "RESULTS.md"
-    included = collect_results(args.results_dir, output)
-    reporter.add("output", str(output))
-    reporter.add("included", included)
-    reporter.line(f"wrote {output} with {len(included)} result blocks")
-    reporter.finish()
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

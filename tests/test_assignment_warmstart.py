@@ -8,12 +8,14 @@ float weights give.  The stream test drives the full serving engine for
 deviation invalidations) and compares ``result_signature``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.assignment.hungarian import Edge, WarmStartState, maximum_weight_matching
 from repro.assignment.ppi import ppi_assign
-from repro.dist import WarmMatchCache, component_candidate_assign
+from repro.dist import WarmMatchCache, component_candidate_assign, shard
 from repro.serve import (
     DeadReckoningProvider,
     ServeConfig,
@@ -191,3 +193,23 @@ class TestStreamParity:
         cache = fn.warm_cache
         assert sum(cache.tier_counts().values()) > 0  # the matcher ran
         assert cache.identical_hits > 0 or cache.rows_reaugmented < cache.rows_total
+
+    def test_tier_counts_cover_evicted_states(self):
+        """Whole-run tier counts keep the solves of evicted states: one
+        tier per solve the component matcher ran.  This stream evicts
+        stale states, which used to drop 14 of its 41 solves."""
+        fn = component_candidate_assign(ppi_assign, warm_start=True)
+        stream = StreamConfig(n_workers=60, n_tasks=240, t_end=40.0, seed=1)
+        engine = ServeEngine(
+            make_worker_fleet(stream),
+            DeadReckoningProvider(seed=1),
+            ServeConfig(batch_window=1.0, use_index=True, cache_ttl=5.0),
+            assign_fn=ppi_assign,
+            candidate_assign_fn=fn,
+        )
+        with mock.patch.object(shard, "maximum_weight_matching", wraps=maximum_weight_matching) as solver:
+            engine.run(make_task_stream(stream), 0.0, 40.0)
+        cache = fn.warm_cache
+        assert solver.call_count > 0
+        assert sum(cache.tier_counts().values()) == solver.call_count
+        assert cache.identical_hits == cache.tier_counts()["identical"]

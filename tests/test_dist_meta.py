@@ -7,15 +7,17 @@ the reference; gangs of 2 and 4 (stacked fused passes) and a real
 process pool must reproduce it exactly.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.dist import DistConfig, SerialBackend, dist_taml_train
+from repro.dist.meta import run_leaf_job
 from repro.meta.learning_task import LearningTask
 from repro.meta.maml import MAMLConfig
 from repro.meta.taml import TAMLConfig, taml_train
 from repro.meta.task_tree import LearningTaskTree
-from repro.nn.layers import MLP
 from repro.nn.losses import mse_loss
 from repro.pipeline.training import MobilityModelFactory
 
@@ -106,40 +108,35 @@ class TestBitIdenticalReduction:
 
 
 class TestFallbacks:
-    def test_non_fused_model_gang_falls_back_identically(self):
-        """MLPs have no fused kernels: the gang executor must run the
-        per-leaf path and still be bit-identical to workers=1."""
+    def test_mixed_shape_leaf_falls_back_identically(self):
+        """A leaf whose own tasks mix window shapes cannot gang: the gang
+        executor must run it through the per-leaf path and still be
+        bit-identical to workers=1."""
 
-        def mlp_tree():
-            def lin(worker_id, seed, n=14):
-                rng = np.random.default_rng(seed)
-                x = rng.uniform(-1, 1, size=(n, 1, 2))
-                y = 2.0 * x
-                return LearningTask(worker_id, x[:-4], y[:-4], x[-4:], y[-4:])
-
-            g1 = [lin(i, seed=i) for i in range(3)]
-            g2 = [lin(i + 10, seed=i + 50) for i in range(3)]
+        def tree():
+            g1 = [traj_task(i, seed=i, seq_in=SEQ_IN + (i % 2)) for i in range(3)]
+            g2 = [traj_task(i + 10, seed=i + 50) for i in range(3)]
             root = LearningTaskTree(cluster=g1 + g2)
             root.add_child(LearningTaskTree(cluster=g1))
             root.add_child(LearningTaskTree(cluster=g2))
             return root
 
-        def mlp_factory():
-            return MLP([2, 6, 2], np.random.default_rng(1))
-
         results = {}
         for workers in (1, 3):
-            tree = mlp_tree()
-            dist_taml_train(
-                tree,
-                mlp_factory,
-                mse_loss,
-                config=TAMLConfig(maml=MAML),
-                dist=DistConfig(workers=workers),
-                rng=np.random.default_rng(5),
-            )
-            results[workers] = [node.theta for node in tree.iter_nodes()]
-        assert_trees_identical(results[1], results[3], "mlp-gang")
+            t = tree()
+            with mock.patch("repro.dist.meta.run_leaf_job", wraps=run_leaf_job) as per_leaf:
+                dist_taml_train(
+                    t,
+                    FACTORY,
+                    mse_loss,
+                    config=TAMLConfig(maml=MAML),
+                    dist=DistConfig(workers=workers),
+                    rng=np.random.default_rng(5),
+                )
+            results[workers] = [node.theta for node in t.iter_nodes()]
+            # workers=1 runs both leaves per leaf; the gang only the mixed one.
+            assert per_leaf.call_count == (2 if workers == 1 else 1)
+        assert_trees_identical(results[1], results[3], "mixed-leaf-gang")
 
     def test_mixed_shape_leaves_stay_identical(self):
         """Leaves whose window shapes differ cannot share a stacked

@@ -1,25 +1,32 @@
-"""Fast path vs reference tape: the meta-training stack must produce the
-same numbers either way.
+"""The fused training engine against an autograd-tape reference.
 
-``fast_path=True`` and ``fast_path=False`` runs are compared end-to-end
-through ``adapt``, ``meta_train`` (both outer updates, batched and
-sequential inner loops), ``taml_train``, and ``fine_tune``.  The two
-engines share no backward code, so agreement here is a strong check on
-both.
+The meta-training stack runs only on the fused BPTT kernels.  This file
+keeps the tape as the reference: a small re-implementation of the
+inner loop, the meta-iteration and fine-tuning built from
+``functional_call`` + ``grad_of`` (and ``.backward()`` for Adam), fed
+the same RNG draws.  ``adapt``, ``meta_train`` (both outer updates,
+stacked and sequential meta-batches), ``taml_train`` and ``fine_tune``
+must agree with it.  The two engines share no backward code, so
+agreement here is a strong check on both.
 """
 
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.dist import dist_taml_train
+from repro.meta.ctml import CTMLConfig, ctml_train
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import MAMLConfig, adapt, meta_train, resolve_fast_path
+from repro.meta.maml import MAMLConfig, adapt, evaluate_adapted, learning_path, meta_train
 from repro.meta.taml import TAMLConfig, taml_train
 from repro.meta.task_tree import LearningTaskTree
 from repro.nn.layers import MLP
 from repro.nn.losses import TaskDensityWeighter, mse_loss
+from repro.nn.module import apply_gradient_step, clone_parameters
+from repro.nn.optim import Adam
 from repro.nn.seq2seq import make_mobility_model
+from repro.nn.tensor import Tensor, grad_of
 from repro.pipeline.config import PredictionConfig
 from repro.pipeline.training import fine_tune
 
@@ -48,18 +55,76 @@ def assert_state_dicts_close(a, b):
         np.testing.assert_allclose(a[name], b[name], rtol=RTOL, atol=ATOL, err_msg=name)
 
 
-class TestResolve:
-    def test_true_on_unsupported_model_raises(self):
-        with pytest.raises(ValueError):
-            resolve_fast_path(True, MLP([2, 4, 2], np.random.default_rng(0)))
+def data_of(params):
+    return {k: v.data for k, v in params.items()}
 
-    def test_auto_falls_back_on_unsupported_model(self):
-        assert resolve_fast_path("auto", MLP([2, 4, 2], np.random.default_rng(0))) is False
-        assert resolve_fast_path("auto", fresh_model()) is True
 
-    def test_config_validates_setting(self):
-        with pytest.raises(ValueError):
-            MAMLConfig(fast_path="yes")
+# ----------------------------------------------------------------------
+# The tape reference: Algorithm 3 and fine-tuning on the autograd tape.
+
+
+def tape_loss_and_grads(model, params, x, y, loss_fn):
+    loss = loss_fn(model.functional_call(params, Tensor(x)), Tensor(y))
+    names = list(params)
+    return float(loss.item()), dict(zip(names, grad_of(loss, [params[n] for n in names])))
+
+
+def tape_adapt(model, task, loss_fn, inner_lr, inner_steps, support_batch=None, rng=None):
+    params = clone_parameters(model)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    for _ in range(inner_steps):
+        if support_batch is not None:
+            xb, yb = task.support_batch(support_batch, rng)
+        else:
+            xb, yb = task.support_x, task.support_y
+        _, grads = tape_loss_and_grads(model, params, xb, yb, loss_fn)
+        params = apply_gradient_step(params, grads, inner_lr)
+    return params
+
+
+def tape_meta_train(model, tasks, config, loss_fn, rng=None):
+    """Task-by-task Algorithm 3: the same draws, in the same order."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    own = dict(model.named_parameters())
+    history = []
+    for _ in range(config.iterations):
+        size = min(config.meta_batch, len(tasks))
+        chosen = rng.choice(len(tasks), size=size, replace=False)
+        accum = {name: np.zeros_like(p.data) for name, p in own.items()}
+        losses = []
+        for idx in chosen:
+            task = tasks[int(idx)]
+            adapted = tape_adapt(
+                model, task, loss_fn, config.inner_lr, config.inner_steps, config.support_batch, rng
+            )
+            qx, qy = (task.query_x, task.query_y) if len(task.query_x) else (task.support_x, task.support_y)
+            loss, grads = tape_loss_and_grads(model, adapted, qx, qy, loss_fn)
+            losses.append(loss)
+            for name in accum:
+                if config.outer == "fomaml":
+                    accum[name] += grads[name]
+                else:
+                    accum[name] += own[name].data - adapted[name].data
+        for name, p in own.items():
+            p.data -= config.meta_lr * accum[name] / size
+        history.append(float(np.mean(losses)))
+    return history
+
+
+def tape_fine_tune(model, task, loss_fn, config, rng):
+    if config.fine_tune_optimizer == "sgd":
+        adapted = tape_adapt(model, task, loss_fn, config.fine_tune_lr, config.fine_tune_steps, rng=rng)
+        return {k: v.data.copy() for k, v in adapted.items()}
+    optimizer = Adam(model.parameters(), lr=config.fine_tune_lr)
+    x, y = Tensor(task.support_x), Tensor(task.support_y)
+    for _ in range(config.fine_tune_steps):
+        optimizer.zero_grad()
+        loss_fn(model(x), y).backward()
+        optimizer.step()
+    return model.state_dict()
+
+
+# ----------------------------------------------------------------------
 
 
 class TestAdaptEquivalence:
@@ -71,13 +136,9 @@ class TestAdaptEquivalence:
     def test_adapt_matches_tape(self, loss_fn):
         task = traj_task(0, seed=5)
         model = fresh_model()
-        fast = adapt(model, task, loss_fn, inner_lr=0.05, inner_steps=4,
-                     rng=np.random.default_rng(1), fast_path=True)
-        tape = adapt(model, task, loss_fn, inner_lr=0.05, inner_steps=4,
-                     rng=np.random.default_rng(1), fast_path=False)
-        assert_state_dicts_close(
-            {k: v.data for k, v in fast.items()}, {k: v.data for k, v in tape.items()}
-        )
+        fast = adapt(model, task, loss_fn, inner_lr=0.05, inner_steps=4, rng=np.random.default_rng(1))
+        tape = tape_adapt(model, task, loss_fn, inner_lr=0.05, inner_steps=4, rng=np.random.default_rng(1))
+        assert_state_dicts_close(data_of(fast), data_of(tape))
 
     def test_adapt_with_support_subsampling_matches(self):
         """support_batch < n draws from the rng; both engines must
@@ -85,30 +146,28 @@ class TestAdaptEquivalence:
         task = traj_task(0, seed=6, n=30)
         model = fresh_model()
         kwargs = dict(inner_lr=0.05, inner_steps=3, support_batch=8)
-        fast = adapt(model, task, mse_loss, rng=np.random.default_rng(2), fast_path=True, **kwargs)
-        tape = adapt(model, task, mse_loss, rng=np.random.default_rng(2), fast_path=False, **kwargs)
-        assert_state_dicts_close(
-            {k: v.data for k, v in fast.items()}, {k: v.data for k, v in tape.items()}
-        )
+        fast = adapt(model, task, mse_loss, rng=np.random.default_rng(2), **kwargs)
+        tape = tape_adapt(model, task, mse_loss, rng=np.random.default_rng(2), **kwargs)
+        assert_state_dicts_close(data_of(fast), data_of(tape))
 
 
 class TestMetaTrainEquivalence:
-    def _run(self, tasks, outer, fast_path, support_batch=8):
+    def _run(self, train, tasks, outer, support_batch=8):
         model = fresh_model()
         config = MAMLConfig(
             meta_lr=0.1, inner_lr=0.05, inner_steps=2, meta_batch=3,
-            iterations=6, support_batch=support_batch, outer=outer, fast_path=fast_path,
+            iterations=6, support_batch=support_batch, outer=outer,
         )
-        history = meta_train(model, tasks, config, mse_loss, rng=np.random.default_rng(3))
+        history = train(model, tasks, config, mse_loss, rng=np.random.default_rng(3))
         return model.state_dict(), history
 
     @pytest.mark.parametrize("outer", ["fomaml", "reptile"])
     def test_batched_matches_tape(self, outer):
-        """Homogeneous shapes: fast path stacks all sampled workers into
-        one padded pass; result must equal the tape run."""
+        """Homogeneous shapes: every sampled worker adapts in one
+        stacked padded pass; the result must equal the tape run."""
         tasks = [traj_task(i, seed=10 + i, n=14 + 2 * i) for i in range(5)]
-        fast_state, fast_hist = self._run(tasks, outer, fast_path=True)
-        tape_state, tape_hist = self._run(tasks, outer, fast_path=False)
+        fast_state, fast_hist = self._run(meta_train, tasks, outer)
+        tape_state, tape_hist = self._run(tape_meta_train, tasks, outer)
         assert_state_dicts_close(fast_state, tape_state)
         np.testing.assert_allclose(fast_hist, tape_hist, rtol=RTOL, atol=ATOL)
 
@@ -116,8 +175,8 @@ class TestMetaTrainEquivalence:
         """Mixed seq_in disables stacking; the sequential fused loop
         must still agree with the tape."""
         tasks = [traj_task(i, seed=20 + i, seq_in=4 + (i % 2)) for i in range(4)]
-        fast_state, fast_hist = self._run(tasks, "fomaml", fast_path=True)
-        tape_state, tape_hist = self._run(tasks, "fomaml", fast_path=False)
+        fast_state, fast_hist = self._run(meta_train, tasks, "fomaml")
+        tape_state, tape_hist = self._run(tape_meta_train, tasks, "fomaml")
         assert_state_dicts_close(fast_state, tape_state)
         np.testing.assert_allclose(fast_hist, tape_hist, rtol=RTOL, atol=ATOL)
 
@@ -132,33 +191,62 @@ class TestTAMLEquivalence:
         return root
 
     def test_tree_training_matches_tape(self):
-        maml = MAMLConfig(meta_lr=0.1, inner_lr=0.05, inner_steps=2, meta_batch=2,
-                          iterations=4, support_batch=8)
-        states = {}
-        for fast in (True, False):
-            tree = self._tree()
-            cfg = TAMLConfig(maml=replace(maml, fast_path=fast))
-            taml_train(tree, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
-            states[fast] = [node.theta for node in tree.iter_nodes()]
-        for fast_theta, tape_theta in zip(states[True], states[False]):
-            assert_state_dicts_close(fast_theta, tape_theta)
+        """The tree recursion with its leaves trained on the tape."""
+        cfg = TAMLConfig(maml=MAMLConfig(meta_lr=0.1, inner_lr=0.05, inner_steps=2,
+                                         meta_batch=2, iterations=4, support_batch=8))
+        fast, tape = self._tree(), self._tree()
+        taml_train(fast, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
+        with mock.patch("repro.meta.taml.meta_train", tape_meta_train):
+            taml_train(tape, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
+        for fast_node, tape_node in zip(fast.iter_nodes(), tape.iter_nodes()):
+            assert_state_dicts_close(fast_node.theta, tape_node.theta)
 
 
 class TestFineTuneEquivalence:
-    def _config(self, optimizer, fast_path):
-        return PredictionConfig(
-            seq_in=SEQ_IN, seq_out=SEQ_OUT, hidden_size=6,
-            fine_tune_steps=5, fine_tune_lr=0.05, fine_tune_optimizer=optimizer,
-            maml=MAMLConfig(fast_path=fast_path),
-        )
-
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_fine_tune_matches_tape(self, optimizer):
         task = traj_task(0, seed=50)
-        states = {}
-        for fast in (True, False):
-            model = fresh_model()
-            states[fast] = fine_tune(
-                model, task, mse_loss, self._config(optimizer, fast), np.random.default_rng(9)
-            )
-        assert_state_dicts_close(states[True], states[False])
+        config = PredictionConfig(
+            seq_in=SEQ_IN, seq_out=SEQ_OUT, hidden_size=6,
+            fine_tune_steps=5, fine_tune_lr=0.05, fine_tune_optimizer=optimizer,
+        )
+        fast = fine_tune(fresh_model(), task, mse_loss, config, np.random.default_rng(9))
+        tape = tape_fine_tune(fresh_model(), task, mse_loss, config, np.random.default_rng(9))
+        assert_state_dicts_close(fast, tape)
+
+
+class TestOneEngine:
+    """Every training entry takes a mobility model and names any other."""
+
+    @staticmethod
+    def _mlp():
+        return MLP([2, 4, 2], np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["adapt", "evaluate_adapted", "learning_path", "meta_train", "fine_tune",
+         "taml_train", "ctml_train", "dist_taml_train"],
+    )
+    def test_entry_rejects_a_model_without_fused_kernels(self, entry):
+        task = traj_task(0, seed=1)
+        tasks = [task, traj_task(1, seed=2)]
+        tree = LearningTaskTree(cluster=tasks)
+        calls = {
+            "adapt": lambda: adapt(self._mlp(), task, mse_loss, inner_lr=0.1, inner_steps=1),
+            "evaluate_adapted": lambda: evaluate_adapted(
+                self._mlp(), clone_parameters(self._mlp()), task.query_x, task.query_y, mse_loss
+            ),
+            "learning_path": lambda: learning_path(self._mlp(), task, mse_loss, 0.1, 2),
+            "meta_train": lambda: meta_train(self._mlp(), tasks, MAMLConfig(iterations=1), mse_loss),
+            "fine_tune": lambda: fine_tune(
+                self._mlp(), task, mse_loss, PredictionConfig(), np.random.default_rng(0)
+            ),
+            "taml_train": lambda: taml_train(tree, self._mlp, mse_loss),
+            "ctml_train": lambda: ctml_train(
+                tasks, {t.worker_id: np.ones((2, 3)) for t in tasks}, self._mlp, mse_loss,
+                CTMLConfig(n_clusters=2),
+            ),
+            "dist_taml_train": lambda: dist_taml_train(tree, self._mlp, mse_loss),
+        }
+        with pytest.raises(ValueError, match="got MLP$"):
+            calls[entry]()

@@ -8,14 +8,18 @@ from repro.meta.learning_task import LearningTask
 from repro.meta.maml import MAMLConfig
 from repro.meta.task_tree import LearningTaskTree
 from repro.meta.taml import TAMLConfig, initialize_from_tree, place_learning_task, taml_train
-from repro.nn.layers import MLP
 from repro.nn.losses import mse_loss
+from repro.nn.seq2seq import make_mobility_model
 
 
-def linear_task(worker_id, scale, seed=0, n=16):
+def linear_task(worker_id, scale, seed=0, n=16, seq_in=3):
+    """A walk along heading ``scale * (0.1, 0.05)``: (n, seq_in, 2)
+    windows, each target the next point.  Groups of one scale share a
+    heading and a location cluster around ``scale * 10``."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, size=(n, 1, 2))
-    y = x * scale
+    start = rng.uniform(-1, 1, size=(n, 1, 2))
+    path = start + np.arange(seq_in + 1)[None, :, None] * (scale * np.array([0.1, 0.05]))
+    x, y = path[:, :seq_in], path[:, seq_in:]
     half = max(n - 4, 1)
     return LearningTask(
         worker_id,
@@ -28,7 +32,7 @@ def linear_task(worker_id, scale, seed=0, n=16):
 
 
 def factory():
-    return MLP([2, 8, 2], np.random.default_rng(42))
+    return make_mobility_model("lstm", hidden_size=8, rng=np.random.default_rng(42))
 
 
 def small_maml():

@@ -29,7 +29,7 @@ def roundtrip(obj):
 
 class TestConfigs:
     def test_maml_config(self):
-        cfg = MAMLConfig(meta_lr=0.2, inner_steps=5, outer="reptile", fast_path=True)
+        cfg = MAMLConfig(meta_lr=0.2, inner_steps=5, outer="reptile")
         assert roundtrip(cfg) == cfg
 
     def test_taml_config(self):

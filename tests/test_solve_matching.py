@@ -199,17 +199,26 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_weights_are_the_solvers_to_handle(self, bad):
-        # The solver raises on a negative or infinite weight and treats a
-        # NaN as zero; either way the list reaches it.
-        def outcome(fn):
-            try:
-                return fn([(0, 1, 1.0), (0, 2, bad)])
-            except ValueError as exc:
-                return type(exc)
-
+        # The solver rejects a negative, infinite or NaN weight; the list
+        # reaches it, so the closed form never hides a bad weight.
         spy = Spy()
-        assert outcome(lambda edges: solve_matching(edges, spy)) == outcome(maximum_weight_matching)
+        with pytest.raises(ValueError, match=r"edge \(0, 2\)"):
+            solve_matching([(0, 1, 1.0), (0, 2, bad)], spy)
         assert len(spy.calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("allow_zero_weight", [False, True])
+    def test_solver_names_a_non_finite_or_negative_edge(self, bad, allow_zero_weight):
+        # A NaN used to fold into a zero weight and match as (0, 1, 0.0).
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight"):
+            maximum_weight_matching([(0, 1, bad)], allow_zero_weight=allow_zero_weight)
+        with pytest.raises(ValueError, match=r"edge \(3, 4\) has weight"):
+            maximum_weight_matching([(0, 1, 1.0), (3, 4, bad)], allow_zero_weight=allow_zero_weight)
+
+    def test_negative_zero_is_a_zero_weight(self):
+        assert maximum_weight_matching([(0, 1, -0.0)]) == []
+        assert maximum_weight_matching([(0, 1, -0.0)], allow_zero_weight=True) == [(0, 1, 0.0)]
+        assert solve_matching([(0, 1, -0.0), (0, 2, 1.0)]) == [(0, 2, 1.0)]
 
     def test_closed_form_counts_as_a_solve(self):
         sink = MemorySink()

@@ -1,10 +1,14 @@
 """Tests for the results collector."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.tools import RESULT_ORDER, collect_results, main
+from repro.cli import main
+from repro.tools import RESULT_ORDER, collect_results
 
 
 @pytest.fixture
@@ -37,11 +41,25 @@ class TestCollect:
             collect_results(tmp_path / "nope", tmp_path / "out.md")
 
     def test_cli_main(self, results_dir, tmp_path, capsys):
+        """``collect-results`` is a subcommand of the package CLI."""
         out = tmp_path / "OUT.md"
         code = main(["collect-results", "--results-dir", str(results_dir), "--output", str(out)])
         assert code == 0
         assert out.exists()
         assert "3 result blocks" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_without_runtime_warnings(self, results_dir, tmp_path):
+        """``-m repro.cli`` imports cleanly under ``-W error::RuntimeWarning``."""
+        out = tmp_path / "OUT.md"
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli", "collect-results",
+             "--results-dir", str(results_dir), "--output", str(out)],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert "## custom_extra" in out.read_text()
 
     def test_order_constant_is_unique(self):
         assert len(set(RESULT_ORDER)) == len(RESULT_ORDER)
