@@ -1,21 +1,20 @@
-"""Benchmark: the repro.dist parallel execution layer.
+"""Benchmark: lockstep meta-training and sharded assignment.
 
 Two arms, both parity-asserted before any timing is reported:
 
-* ``meta_gang`` (the guard shape) — leaf-parallel TAML meta-training
-  via :func:`repro.dist.dist_taml_train`.  The same tree is trained
-  with ``workers=1`` (one fused pass per leaf) and with a gang width
-  of 4 (four leaves stacked into one fused BPTT pass on the serial
-  backend).  Both runs must produce **bit-identical** parameters on
-  every tree node (``np.array_equal``, not ``allclose``); only then is
-  the serial/gang wall-clock ratio recorded.  The gang speedup comes
-  from batching model evaluations, not from extra cores, so the ratio
-  is stable on single-CPU hosts — it is the quantity
-  ``benchmarks/check_regression.py`` guards (floor: 2x minus
-  tolerance).  A process-pool run is also measured and recorded
-  honestly next to ``available_cpus()`` — on a single-core container
-  the pool adds overhead rather than speed, which is exactly what the
-  JSON should say.
+* ``meta_lockstep`` (the guard shape) — TAML meta-training of a tree of
+  16 leaf clusters.  :func:`repro.meta.taml.taml_train` trains every
+  leaf in one lockstep call, stacking the leaves whose windows agree in
+  shape into one fused BPTT pass.  The reference, kept in this script,
+  trains the leaves one after another: one one-cluster
+  :func:`repro.meta.maml.meta_train` call per leaf, in leaf order,
+  sharing one generator, then the bottom-up fold.  Both must produce
+  **bit-identical** parameters on every tree node and the same loss
+  (``==``, not ``allclose``); only then are the two timed, in
+  alternating repeats, and the ratio of their median wall times
+  recorded.  The speedup comes from batching model evaluations, not
+  from extra cores, so the ratio is stable on single-CPU hosts — it is
+  the quantity ``benchmarks/check_regression.py`` guards.
 
 * ``shard_batch`` — one loaded assignment round (candidate build +
   PPI) executed dense and executed as K=4 spatial stripes merged by
@@ -51,16 +50,14 @@ from common import write_result  # noqa: E402
 from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.dist import (  # noqa: E402
     ComponentMatcher,
-    DistConfig,
     ShardPlanner,
     ShardStats,
     available_cpus,
-    dist_taml_train,
     sharded_build_candidates,
 )
 from repro.meta.learning_task import LearningTask  # noqa: E402
-from repro.meta.maml import MAMLConfig  # noqa: E402
-from repro.meta.taml import TAMLConfig  # noqa: E402
+from repro.meta.maml import MAMLConfig, meta_train  # noqa: E402
+from repro.meta.taml import TAMLConfig, taml_train  # noqa: E402
 from repro.meta.task_tree import LearningTaskTree  # noqa: E402
 from repro.nn.losses import mse_loss  # noqa: E402
 from repro.pipeline.training import MobilityModelFactory  # noqa: E402
@@ -69,15 +66,15 @@ from repro.serve import build_candidates  # noqa: E402
 
 OUTPUT = Path(__file__).parent.parent / "BENCH_dist.json"
 
-GUARD = "meta_gang"
+GUARD = "meta_lockstep"
 SHARD_ARM = "shard_batch"
 
-# The guard shape: enough leaves for the gang to amortise per-pass
-# overhead, windows sized so one serial run finishes in seconds.  The
-# gang's win is fixed-cost amortisation, so a small hidden state and a
-# small per-leaf meta-batch (lots of passes, little arithmetic each)
-# are the regime where leaf stacking pays — the per-leaf settings of
-# the few-shot tables, not the converged ones.
+# The guard shape: enough leaves for stacking to amortise per-pass
+# overhead, windows sized so one per-leaf run finishes in about a
+# second.  Stacking wins by fixed-cost amortisation, so a small hidden
+# state and a small per-leaf meta-batch (lots of passes, little
+# arithmetic each) are the regime where it pays — the per-leaf settings
+# of the few-shot tables, not the converged ones.
 META_SPEC = {
     "n_leaves": 16,
     "tasks_per_leaf": 4,
@@ -85,8 +82,7 @@ META_SPEC = {
     "seq_in": 5,
     "seq_out": 2,
     "hidden_size": 8,
-    "gang_width": 4,
-    "repeats": 3,
+    "repeats": 7,
     "maml": MAMLConfig(
         meta_lr=0.1,
         inner_lr=0.05,
@@ -136,34 +132,48 @@ def build_tree(spec: dict) -> LearningTaskTree:
     return root
 
 
-def train_once(spec: dict, dist: DistConfig) -> tuple[float, float, list[dict]]:
+def per_leaf_taml(
+    node: LearningTaskTree, factory, cfg: TAMLConfig, rng: np.random.Generator
+) -> float:
+    """The per-leaf reference: Algorithm 2 as a recursion, one
+    one-cluster ``meta_train`` per leaf sharing ``rng``, then the fold."""
+    if node.is_leaf:
+        model = factory()
+        model.load_state_dict(node.theta)
+        history = meta_train(model, node.cluster, cfg.maml, mse_loss, rng=rng)
+        node.theta = model.state_dict()
+        return history[-1]
+    losses = []
+    for child in node.children:
+        child.theta = {k: v.copy() for k, v in node.theta.items()}
+        losses.append(per_leaf_taml(child, factory, cfg, rng))
+    mean_child = {
+        key: np.mean([child.theta[key] for child in node.children], axis=0)
+        for key in node.theta
+    }
+    node.theta = {
+        key: node.theta[key] + cfg.tree_rate * (mean_child[key] - node.theta[key])
+        for key in node.theta
+    }
+    return float(np.mean(losses))
+
+
+def train_once(spec: dict, lockstep: bool) -> tuple[float, float, list[dict]]:
     """One full meta-training; returns (seconds, loss, all node thetas)."""
     tree = build_tree(spec)
     factory = MobilityModelFactory(
         cell="lstm", hidden_size=spec["hidden_size"], seq_out=spec["seq_out"], seed=42
     )
+    tree.theta = factory().state_dict()
+    cfg = TAMLConfig(maml=spec["maml"])
+    rng = np.random.default_rng(SEED)
     started = time.perf_counter()
-    loss = dist_taml_train(
-        tree,
-        factory,
-        mse_loss,
-        config=TAMLConfig(maml=spec["maml"]),
-        dist=dist,
-        rng=np.random.default_rng(SEED),
-    )
+    if lockstep:
+        loss = taml_train(tree, factory, mse_loss, cfg, rng=rng)
+    else:
+        loss = per_leaf_taml(tree, factory, cfg, rng)
     elapsed = time.perf_counter() - started
     return elapsed, loss, [node.theta for node in tree.iter_nodes()]
-
-
-def time_meta(spec: dict, dist: DistConfig, repeats: int) -> tuple[float, float, list[dict]]:
-    """Best-of-N; every run rebuilds the tree and reseeds, so all N are
-    the same training and the returned thetas represent each of them."""
-    best = float("inf")
-    loss, thetas = float("nan"), []
-    for _ in range(repeats):
-        elapsed, loss, thetas = train_once(spec, dist)
-        best = min(best, elapsed)
-    return best, loss, thetas
 
 
 def assert_trees_identical(ref: list[dict], got: list[dict], context: str) -> None:
@@ -176,26 +186,20 @@ def assert_trees_identical(ref: list[dict], got: list[dict], context: str) -> No
 
 
 def bench_meta(spec: dict) -> dict:
-    repeats = spec["repeats"]
-    serial_s, serial_loss, serial_thetas = time_meta(spec, DistConfig(workers=1), repeats)
-    gang_s, gang_loss, gang_thetas = time_meta(
-        spec, DistConfig(workers=spec["gang_width"]), repeats
-    )
-
     # Parity first: the ratio of two different trainings means nothing.
-    assert_trees_identical(serial_thetas, gang_thetas, f"gang-{spec['gang_width']}")
-    if gang_loss != serial_loss:
-        raise AssertionError("gang loss differs from serial loss")
+    _, per_leaf_loss, per_leaf_thetas = train_once(spec, lockstep=False)
+    _, lockstep_loss, lockstep_thetas = train_once(spec, lockstep=True)
+    assert_trees_identical(per_leaf_thetas, lockstep_thetas, "lockstep")
+    if lockstep_loss != per_leaf_loss:
+        raise AssertionError("lockstep loss differs from the per-leaf loss")
 
-    # The process pool is recorded, not guarded: on a single-core host
-    # it pays fork+pickle overhead for no extra arithmetic.
-    pool_workers = min(2, max(available_cpus(), 1))
-    pool_s, pool_loss, pool_thetas = time_meta(
-        spec, DistConfig(backend="process", workers=pool_workers), 1
-    )
-    assert_trees_identical(serial_thetas, pool_thetas, f"process-{pool_workers}")
-    if pool_loss != serial_loss:
-        raise AssertionError("process-pool loss differs from serial loss")
+    # Alternating repeats, so host drift lands on both arms alike.
+    per_leaf_runs, lockstep_runs = [], []
+    for _ in range(spec["repeats"]):
+        per_leaf_runs.append(train_once(spec, lockstep=False)[0])
+        lockstep_runs.append(train_once(spec, lockstep=True)[0])
+    per_leaf_s = float(np.median(per_leaf_runs))
+    lockstep_s = float(np.median(lockstep_runs))
 
     maml = spec["maml"]
     return {
@@ -206,19 +210,17 @@ def bench_meta(spec: dict) -> dict:
         "iterations": maml.iterations,
         "meta_batch": maml.meta_batch,
         "inner_steps": maml.inner_steps,
-        "gang_width": spec["gang_width"],
+        "repeats": spec["repeats"],
         "available_cpus": available_cpus(),
         "timings_s": {
-            "serial_worker1": serial_s,
-            f"gang{spec['gang_width']}": gang_s,
-            f"process_pool{pool_workers}": pool_s,
+            "per_leaf_median": per_leaf_s,
+            "lockstep_median": lockstep_s,
+            "per_leaf_runs": per_leaf_runs,
+            "lockstep_runs": lockstep_runs,
         },
-        "speedup": {
-            "meta_training": serial_s / gang_s,
-            "process_pool": serial_s / pool_s,
-        },
+        "speedup": {"meta_training": per_leaf_s / lockstep_s},
         "bit_identical": True,
-        "final_loss": serial_loss,
+        "final_loss": lockstep_loss,
     }
 
 
@@ -327,22 +329,18 @@ def main() -> None:
 
     meta = result["shapes"][GUARD]
     t = meta["timings_s"]
-    gang_key = f"gang{meta['gang_width']}"
-    pool_key = next(k for k in t if k.startswith("process_pool"))
     lines = [
-        f"{GUARD:12s} {meta['n_leaves']} leaves x {meta['tasks_per_leaf']} tasks"
-        f"  serial {t['serial_worker1']:7.2f} s"
-        f" | {gang_key} {t[gang_key]:7.2f} s"
-        f" | speedup {meta['speedup']['meta_training']:5.2f}x (bit-identical)",
-        f"{'':12s} {pool_key} {t[pool_key]:7.2f} s"
-        f" on {meta['available_cpus']} cpu(s)"
-        f" | speedup {meta['speedup']['process_pool']:5.2f}x (recorded, not guarded)",
+        f"{GUARD:13s} {meta['n_leaves']} leaves x {meta['tasks_per_leaf']} tasks"
+        f"  per-leaf {t['per_leaf_median']:6.2f} s"
+        f" | lockstep {t['lockstep_median']:6.2f} s"
+        f" | speedup {meta['speedup']['meta_training']:5.2f}x"
+        f" (medians of {meta['repeats']} alternating runs, bit-identical)",
     ]
     if SHARD_ARM in result["shapes"]:
         shard = result["shapes"][SHARD_ARM]
         st = shard["timings_s"]
         lines.append(
-            f"{SHARD_ARM:12s} {shard['n_workers']}w x {shard['n_tasks']}t, K={shard['shards']}"
+            f"{SHARD_ARM:13s} {shard['n_workers']}w x {shard['n_tasks']}t, K={shard['shards']}"
             f"  dense {st['dense']:6.3f} s"
             f" | cold {st['sharded_cold']:6.3f} s"
             f" ({shard['sharding_cold_overhead_pct']:+5.1f}%)"
@@ -357,7 +355,6 @@ def main() -> None:
         "\n".join(lines),
         metrics={
             "guard_speedup": meta["speedup"]["meta_training"],
-            "process_pool_speedup": meta["speedup"]["process_pool"],
             "available_cpus": meta["available_cpus"],
         },
     )

@@ -106,7 +106,7 @@ def bench_shape(hidden: int, seq_out: int, batch: int, repeats: int) -> dict:
     ys = [rng.normal(size=(batch, seq_out, COMMON["features"])) for _ in range(workers)]
 
     def batched_step():
-        stacked = fused.replicate_params(own, workers)
+        stacked = {k: np.repeat(v.data[None, ...], workers, axis=0) for k, v in own.items()}
         _, grads = fused.batched_loss_and_grads(model, stacked, xs, ys, mse_loss)
         for name in stacked:
             stacked[name] -= lr * grads[name]

@@ -189,7 +189,6 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
         dist=DistConfig(
             backend="shard_server",
             shards=DIST_SHAPE["shards"],
-            workers=2,
             spool_dir=str(Path(tmp) / "spools") if traced else None,
         ),
     )

@@ -15,7 +15,7 @@ modes cover every row:
 * ``ratio`` (``serve_bench``, ``dist_bench``, ``scale_bench``) —
   re-runs the bench's guard shape only and compares one speedup ratio
   against the committed baseline (dense/sparse batch assignment,
-  serial/gang meta-training, cold/warm matcher solve).  Each bench
+  per-leaf/lockstep meta-training, cold/warm matcher solve).  Each bench
   asserts its own exactness invariants (plan parity, bit-identical
   parameters) before reporting any ratio;
 * ``bar`` (``monitor_bench``, ``dist_obs_bench``) — re-runs an
@@ -265,7 +265,7 @@ GUARDS = [
         failure_title="dist meta-training speedup regressed",
         mode="ratio",
         # The shard arm asserts its own steady-state overhead ceiling
-        # whenever the full bench runs; the guard re-runs only the gang.
+        # whenever the full bench runs; the guard re-runs only the meta arm.
         measure=lambda baseline: bench_dist.run(include_shard=False),
         baseline=bench_dist.OUTPUT,
         bench_script="bench_dist.py",

@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--algorithm", choices=PREDICTION_ALGORITHMS, default="gttaml")
     predict.add_argument("--loss", choices=("mse", "task_oriented"), default="mse")
     predict.add_argument("--iterations", type=int, default=15)
-    predict.add_argument("--backend", choices=("serial", "process"), default="serial",
-                         help="where repro.dist fans out leaf meta-training")
-    predict.add_argument("--dist-workers", type=int, default=1,
-                         help="parallel workers (pool size, or gang width on the serial "
-                              "backend); >1 routes gttaml training through repro.dist")
 
     assign = sub.add_parser("assign", help="simulate one assignment algorithm over a day")
     add_workload_flags(assign)
@@ -334,19 +329,11 @@ def _spec(args: argparse.Namespace) -> WorkloadSpec:
 
 
 def _prediction_config(args: argparse.Namespace, loss: str, algorithm: str) -> PredictionConfig:
-    backend = getattr(args, "backend", "serial")
-    dist_workers = getattr(args, "dist_workers", 1)
-    dist = None
-    if backend != "serial" or dist_workers > 1:
-        from repro.dist import DistConfig
-
-        dist = DistConfig(backend=backend, workers=dist_workers)
     return PredictionConfig(
         algorithm=algorithm,
         loss=loss,
         seed=args.seed,
         maml=MAMLConfig(iterations=args.iterations, meta_batch=4, inner_steps=2),
-        dist=dist,
     )
 
 

@@ -1,11 +1,7 @@
-"""repro.dist — sharded parallel execution for training and serving.
+"""repro.dist — sharded parallel execution for serving.
 
-Three arms, one invariant (see ``docs/DISTRIBUTED.md``):
+Two arms, one invariant (see ``docs/DISTRIBUTED.md``):
 
-* **parallel meta-training** (:mod:`repro.dist.meta`) — leaf clusters of
-  the GTMC learning-task tree train independently (every leaf starts
-  from the root parameters) and reduce in leaf order, so merged
-  parameters are bit-identical at any worker count;
 * **sharded assignment** (:mod:`repro.dist.shard`) — x-stripe grid
   shards with a Theorem-2 halo rebuild the dense candidate graph
   exactly, and connected-component matching reproduces the global KM
@@ -14,12 +10,13 @@ Three arms, one invariant (see ``docs/DISTRIBUTED.md``):
   subclass that swaps in the sharded candidate build and stripe-stamped
   decision records without touching the event loop.
 
-Meta-training runs on a :class:`~repro.dist.backend.Backend` — serial
-by default (zero behavior change), or a ``multiprocessing`` pool —
-and sharded serving runs serial or on long-lived shard servers
+Sharded serving runs serial or on long-lived shard servers
 (:mod:`repro.dist.server`), whose per-shard telemetry spools are the
-only cross-process telemetry; the parity tests swap backends and
-compare outputs exactly.
+only cross-process telemetry; the parity tests swap transports and
+compare outputs exactly.  Scenario sweeps fan their cells across a
+:class:`~repro.dist.backend.ProcessBackend`.  Meta-training is not
+here: TAML trains all its leaf clusters in one lockstep pass
+(:func:`repro.meta.maml.meta_train_clusters`).
 """
 
 from repro.dist.backend import (
@@ -31,7 +28,6 @@ from repro.dist.backend import (
     available_cpus,
     resolve_backend,
 )
-from repro.dist.meta import LeafJob, dist_taml_train, run_leaf_job
 from repro.dist.serve import ShardedEngine, component_candidate_assign
 from repro.dist.server import ShardServerError, ShardServerHandle, serve_shard
 from repro.dist.shard import (
@@ -50,7 +46,6 @@ __all__ = [
     "Backend",
     "ComponentMatcher",
     "DistConfig",
-    "LeafJob",
     "ProcessBackend",
     "SerialBackend",
     "ShardLayout",
@@ -65,10 +60,8 @@ __all__ = [
     "available_cpus",
     "component_candidate_assign",
     "connected_components",
-    "dist_taml_train",
     "make_shards",
     "resolve_backend",
-    "run_leaf_job",
     "serve_shard",
     "sharded_build_candidates",
 ]

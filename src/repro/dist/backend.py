@@ -1,21 +1,19 @@
 """Execution backends: where `repro.dist` runs its work.
 
 A :class:`Backend` is deliberately tiny — one ordered map over picklable
-payloads — because every parity guarantee of the fan-out entry points
-(meta-training leaves, sweep cells) rests on the same invariant: *the
-work is a pure function of its payload, and the reduction consumes
-results in payload order*.  Under that invariant the serial backend and
-a process pool are interchangeable bit for bit, so those entry points
-are tested by swapping backends and comparing outputs exactly.
+payloads — because the parity guarantee of the fan-out entry point
+(sweep cells) rests on one invariant: *the work is a pure function of
+its payload, and the reduction consumes results in payload order*.
+Under that invariant the serial backend and a process pool are
+interchangeable bit for bit, so sweeps are tested by swapping backends
+and comparing outputs exactly.
 
 ``SerialBackend`` runs jobs inline (the default everywhere: zero new
-processes, zero behavior change for existing entry points).
-``ProcessBackend`` fans jobs across a ``multiprocessing`` pool;
-``Pool.map`` already returns results in submission order, which is the
-ordered-reduction half of the invariant.  Payload purity is the caller's
-half — the job functions in :mod:`repro.dist.meta` and
-:mod:`repro.scenarios.sweep` take explicit seeded RNGs and frozen
-configs, never ambient state.
+processes).  ``ProcessBackend`` fans jobs across a ``multiprocessing``
+pool; ``Pool.map`` already returns results in submission order, which
+is the ordered-reduction half of the invariant.  Payload purity is the
+caller's half — the cell function of :mod:`repro.scenarios.sweep`
+takes explicit seeds and frozen specs, never ambient state.
 
 ``ShardServerBackend`` is not an ordered map: it owns one long-lived,
 stateful server per stripe that only :class:`repro.dist.serve.ShardedEngine`
@@ -41,28 +39,18 @@ START_METHODS = ("fork", "spawn", "forkserver")
 
 @dataclass(frozen=True, slots=True)
 class DistConfig:
-    """Knobs of the parallel execution layer.
+    """Knobs of sharded serving (:class:`repro.dist.serve.ShardedEngine`).
 
     Attributes
     ----------
     backend:
-        ``"serial"`` (inline, the default), ``"process"``
-        (multiprocessing pool, for meta-training and sweep cells), or
+        ``"serial"`` (every shard inline, the default) or
         ``"shard_server"`` (one long-lived stateful process per shard,
-        for :class:`repro.dist.serve.ShardedEngine` only, see
-        :mod:`repro.dist.server`).
-    workers:
-        Degree of parallelism.  On the process backend this is the pool
-        size; on the serial backend it is the *gang width* of the
-        batched meta-training executor (how many leaf clusters adapt in
-        one stacked BPTT pass) — the same knob, because both paths
-        partition work identically and are bit-identical (see
-        ``docs/DISTRIBUTED.md``).  Shard servers ignore it: their
-        parallelism is the shard count.
+        see :mod:`repro.dist.server`).
     shards:
         Spatial shard count for candidate generation / serving.
     start_method:
-        ``multiprocessing`` start method for the process backend.
+        ``multiprocessing`` start method for the shard servers.
     warm_start:
         Carry :class:`repro.assignment.hungarian.WarmStartState` across
         batches in the matcher (see :mod:`repro.dist.shard`).
@@ -77,7 +65,6 @@ class DistConfig:
     """
 
     backend: str = "serial"
-    workers: int = 1
     shards: int = 1
     start_method: str = "fork"
     warm_start: bool = False
@@ -85,10 +72,10 @@ class DistConfig:
     spool_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "process", "shard_server"):
-            raise ValueError("backend must be 'serial', 'process', or 'shard_server'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if self.backend not in ("serial", "shard_server"):
+            raise ValueError(
+                f"DistConfig.backend must be 'serial' or 'shard_server', got {self.backend!r}"
+            )
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.start_method not in START_METHODS:
@@ -253,19 +240,16 @@ class ShardServerBackend:
 def resolve_backend(config: DistConfig | None) -> Backend | ShardServerBackend:
     """Build the backend a :class:`DistConfig` asks for.
 
-    ``None`` and the default config both resolve to the serial backend —
-    the zero-surprise path every existing entry point keeps.
+    ``None`` and the default config both resolve to the serial backend.
     """
     if config is None or config.backend == "serial":
         return SerialBackend()
-    if config.backend == "shard_server":
-        return ShardServerBackend(
-            config.shards,
-            config.start_method,
-            log_dir=config.server_log_dir,
-            spool_dir=config.spool_dir,
-        )
-    return ProcessBackend(config.workers, config.start_method)
+    return ShardServerBackend(
+        config.shards,
+        config.start_method,
+        log_dir=config.server_log_dir,
+        spool_dir=config.spool_dir,
+    )
 
 
 def available_cpus() -> int:

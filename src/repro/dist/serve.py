@@ -130,11 +130,6 @@ class ShardedEngine(ServeEngine):
             candidate_assign_fn=candidate_assign_fn,
         )
         self.dist = dist if dist is not None else DistConfig()
-        if self.dist.backend == "process":
-            raise ValueError(
-                "DistConfig.backend 'process' does not serve a ShardedEngine; "
-                "use 'serial' or 'shard_server'"
-            )
         self.backend = resolve_backend(self.dist)
         #: One :class:`ShardStats` per batch of the latest run, in batch order.
         self.batch_stats: list[ShardStats] = []

@@ -17,7 +17,7 @@ import numpy as np
 from repro.cluster.soft_kmeans import soft_kmeans
 from repro.meta.features import distribution_embedding, path_embedding
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import LossFn, MAMLConfig, meta_train
+from repro.meta.maml import LossFn, MAMLConfig, meta_train, meta_train_clusters
 from repro.nn.module import Module
 
 
@@ -136,16 +136,22 @@ def ctml_train(
     meta_train(base, list(tasks), base_cfg, loss_fn, rng=rng)
     base_state = base.state_dict()
 
-    initializations: list[dict[str, np.ndarray]] = []
+    # Every non-empty cluster meta-trains from the base, all in one
+    # lockstep call; an empty cluster keeps the base.
     n_clusters = clustering.centers.shape[0]
-    cluster_cfg = replace(cfg.maml, iterations=cfg.maml.iterations)
-    for c in range(n_clusters):
-        members = [t for t, lab in zip(tasks, clustering.labels) if lab == c]
-        model = model_factory()
-        model.load_state_dict(base_state)
-        if members:
-            meta_train(model, members, cluster_cfg, loss_fn, rng=rng)
-        initializations.append(model.state_dict())
+    members = [
+        [t for t, lab in zip(tasks, clustering.labels) if lab == c] for c in range(n_clusters)
+    ]
+    initializations = [{k: v.copy() for k, v in base_state.items()} for _ in members]
+    trained = [c for c, group in enumerate(members) if group]
+    meta_train_clusters(
+        base,
+        [members[c] for c in trained],
+        [initializations[c] for c in trained],
+        cfg.maml,
+        loss_fn,
+        rng,
+    )
 
     responsibilities = {
         t.worker_id: clustering.responsibilities[i] for i, t in enumerate(tasks)

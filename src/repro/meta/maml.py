@@ -10,11 +10,12 @@ available for the ablation benches (``outer="reptile"``).
 Every forward/backward runs on the fused BPTT kernels of
 :mod:`repro.nn.fused`, which cover the seq2seq mobility models that
 :func:`repro.nn.seq2seq.make_mobility_model` builds; each public entry
-rejects any other model type (see ``DESIGN.md`` §8).  A meta-batch whose
-tasks share one window shape adapts in one stacked
-``(workers, batch, time, features)`` pass (:func:`meta_step`, which the
-gang executor of :mod:`repro.dist.meta` shares); a mixed-shape
-meta-batch adapts task by task.
+rejects any other model type (see ``DESIGN.md`` §8).  Several clusters
+meta-train in lockstep (:func:`meta_train_clusters`, which TAML and CTML
+call once for all their clusters): every iteration, the meta-batches
+whose windows share one shape adapt in one stacked
+``(workers, batch, time, features)`` pass (:func:`meta_step`); a
+mixed-shape meta-batch adapts task by task.
 """
 
 from __future__ import annotations
@@ -136,58 +137,104 @@ def meta_train(
     """Run Algorithm 3 in place on ``model``; returns per-iteration
     average query losses (the ``L^avg`` the tree propagates).
 
-    A meta-batch whose sampled tasks share one ``(seq_in, seq_out)``
-    runs as one :func:`meta_step`: all sampled workers adapt together
-    through batched GEMMs.  A mixed-shape meta-batch adapts task by task.
+    This is :func:`meta_train_clusters` with one cluster.
     """
-    require_fused(model, "meta_train")
-    if not tasks:
-        raise ValueError("meta_train needs at least one learning task")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    history: list[float] = []
     theta = {name: p.data for name, p in model.named_parameters()}
-
-    with obs.span("maml.meta_train", tasks=len(tasks), iterations=config.iterations):
-        for _ in range(config.iterations):
-            batch_tasks = sample_meta_batch(tasks, config, rng)
-            obs.counter("maml.meta_iterations")
-            if len({(t.seq_in, t.seq_out) for t in batch_tasks}) == 1:
-                obs.counter("maml.batched_iterations")
-                draws = draw_support(batch_tasks, config, rng)
-                queries = [query_windows(task) for task in batch_tasks]
-                (loss,) = meta_step(model, [theta], [draws], [queries], config, loss_fn)
-            else:
-                obs.counter("maml.sequential_iterations")
-                loss = _meta_step_sequential(model, batch_tasks, config, loss_fn, rng, theta)
-            history.append(loss)
-            obs.histogram("maml.query_loss", loss)
+    (history,) = meta_train_clusters(model, [tasks], [theta], config, loss_fn, rng)
     return history
 
 
-def sample_meta_batch(
-    tasks: Sequence[LearningTask], config: MAMLConfig, rng: np.random.Generator
-) -> list[LearningTask]:
-    """The ``m`` tasks of one meta-iteration, drawn without replacement."""
-    chosen = rng.choice(len(tasks), size=min(config.meta_batch, len(tasks)), replace=False)
-    return [tasks[int(idx)] for idx in chosen]
+def meta_train_clusters(
+    model: Module,
+    clusters: Sequence[Sequence[LearningTask]],
+    thetas: Sequence[dict[str, np.ndarray]],
+    config: MAMLConfig,
+    loss_fn: LossFn,
+    rng: np.random.Generator | None = None,
+) -> list[list[float]]:
+    """Run Algorithm 3 on every cluster in lockstep, cluster ``c`` from
+    ``thetas[c]``, which takes its updates in place.  Returns each
+    cluster's per-iteration average query losses.
 
-
-def draw_support(
-    batch_tasks: Sequence[LearningTask], config: MAMLConfig, rng: np.random.Generator
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Every inner step's support batch, drawn task-major: the order in
-    which :func:`adapt` draws them task by task."""
-    return [
-        [task.support_batch(config.support_batch, rng) for _ in range(config.inner_steps)]
-        for task in batch_tasks
+    No draw depends on a parameter: the task choice and the support
+    batches read only cluster sizes.  So every cluster's whole schedule
+    is drawn from ``rng`` up front, in cluster order, which is the
+    order one :func:`meta_train` call per cluster consumes.  Each
+    iteration then runs every group of clusters whose drawn windows
+    agree in shape, position for position, as one :func:`meta_step`.
+    The fused kernels are slice-stable, so each cluster's numbers equal
+    its own one-cluster run bit for bit.  A meta-batch that mixes
+    ``(seq_in, seq_out)`` adapts task by task.
+    """
+    require_fused(model, "meta_train")
+    if any(len(tasks) == 0 for tasks in clusters):
+        raise ValueError("meta_train needs at least one learning task per cluster")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    schedules = [
+        [_draw_iteration(tasks, config, rng) for _ in range(config.iterations)]
+        for tasks in clusters
     ]
+    histories: list[list[float]] = [[] for _ in clusters]
+
+    with obs.span(
+        "maml.meta_train",
+        clusters=len(clusters),
+        tasks=sum(len(tasks) for tasks in clusters),
+        iterations=config.iterations,
+    ):
+        for it in range(config.iterations):
+            obs.counter("maml.meta_iterations", len(clusters))
+            groups: dict[tuple, list[int]] = {}
+            for c, schedule in enumerate(schedules):
+                draws, queries = schedule[it]
+                if len({(x.shape[1:], y.shape[1:]) for x, y in queries}) > 1:
+                    obs.counter("maml.sequential_iterations")
+                    loss = _meta_step_sequential(model, thetas[c], draws, queries, config, loss_fn)
+                    histories[c].append(loss)
+                    obs.histogram("maml.query_loss", loss)
+                    continue
+                # Stacking is bitwise-safe only between clusters whose
+                # windows agree position for position: identical padding
+                # and identical loss dispatch.
+                signature = (
+                    tuple(tuple((x.shape, y.shape) for x, y in task) for task in draws),
+                    tuple((qx.shape, qy.shape) for qx, qy in queries),
+                )
+                groups.setdefault(signature, []).append(c)
+            for members in groups.values():
+                obs.counter("maml.batched_iterations", len(members))
+                losses = meta_step(
+                    model,
+                    [thetas[c] for c in members],
+                    [schedules[c][it][0] for c in members],
+                    [schedules[c][it][1] for c in members],
+                    config,
+                    loss_fn,
+                )
+                for c, loss in zip(members, losses):
+                    histories[c].append(loss)
+                    obs.histogram("maml.query_loss", loss)
+    return histories
 
 
-def query_windows(task: LearningTask) -> tuple[np.ndarray, np.ndarray]:
-    """Query windows, falling back to the support set for degenerate tasks."""
-    if len(task.query_x) == 0:
-        return task.support_x, task.support_y
-    return task.query_x, task.query_y
+def _draw_iteration(
+    tasks: Sequence[LearningTask], config: MAMLConfig, rng: np.random.Generator
+) -> tuple[list[SupportDraws], list[tuple[np.ndarray, np.ndarray]]]:
+    """One meta-iteration's draws: ``m`` tasks without replacement, then
+    every inner step's support batch, task-major (the order in which
+    :func:`adapt` draws them task by task), plus the query windows."""
+    chosen = rng.choice(len(tasks), size=min(config.meta_batch, len(tasks)), replace=False)
+    batch = [tasks[int(idx)] for idx in chosen]
+    draws = [
+        [task.support_batch(config.support_batch, rng) for _ in range(config.inner_steps)]
+        for task in batch
+    ]
+    # Degenerate tasks without query windows are scored on their support set.
+    queries = [
+        (task.query_x, task.query_y) if len(task.query_x) else (task.support_x, task.support_y)
+        for task in batch
+    ]
+    return draws, queries
 
 
 def meta_step(
@@ -201,7 +248,7 @@ def meta_step(
     """One meta-iteration of several initialisations as stacked fused passes.
 
     Member ``g`` owns ``thetas[g]``, its sampled tasks' pre-drawn
-    support batches ``draws[g]`` (task-major, see :func:`draw_support`)
+    support batches ``draws[g]`` (task-major, see :func:`_draw_iteration`)
     and their query windows ``queries[g]``; every member's windows must
     share one shape.  Each task gets a replica of its member's theta;
     the inner loop adapts all replicas per step through one
@@ -250,38 +297,35 @@ def meta_step(
 
 def _meta_step_sequential(
     model: Module,
-    batch_tasks: Sequence[LearningTask],
+    theta: dict[str, np.ndarray],
+    draws: Sequence[SupportDraws],
+    queries: Sequence[tuple[np.ndarray, np.ndarray]],
     config: MAMLConfig,
     loss_fn: LossFn,
-    rng: np.random.Generator,
-    theta: Mapping[str, np.ndarray],
 ) -> float:
-    """One meta-iteration task by task, for a mixed-shape meta-batch.
+    """One meta-iteration task by task, for a mixed-shape meta-batch,
+    from its pre-drawn support batches.
 
     Updates ``theta`` in place and returns the mean query loss.
     """
+    obs.counter("maml.inner_loop_steps", config.inner_steps * len(draws))
+    obs.counter("maml.fused_kernel_invocations", config.inner_steps * len(draws))
     accum = {name: np.zeros_like(arr) for name, arr in theta.items()}
     query_losses: list[float] = []
-    for task in batch_tasks:
-        adapted = adapt(
-            model,
-            task,
-            loss_fn,
-            inner_lr=config.inner_lr,
-            inner_steps=config.inner_steps,
-            support_batch=config.support_batch,
-            rng=rng,
-        )
-        qx, qy = query_windows(task)
+    for task_draws, (qx, qy) in zip(draws, queries):
+        adapted = theta
+        for xb, yb in task_draws:
+            _, grads = fused.loss_and_grads(model, adapted, xb, yb, loss_fn)
+            adapted = {name: arr - config.inner_lr * grads[name] for name, arr in adapted.items()}
         loss_val, grads = fused.loss_and_grads(model, adapted, qx, qy, loss_fn)
         query_losses.append(loss_val)
         for name in accum:
             if config.outer == "fomaml":
                 accum[name] += grads[name]
             else:  # reptile: move toward the adapted parameters
-                accum[name] += theta[name] - adapted[name].data
+                accum[name] += theta[name] - adapted[name]
     for name, arr in theta.items():
-        np.subtract(arr, config.meta_lr * accum[name] / len(batch_tasks), out=arr)
+        np.subtract(arr, config.meta_lr * accum[name] / len(draws), out=arr)
     return float(np.mean(query_losses))
 
 

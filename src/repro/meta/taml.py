@@ -1,12 +1,13 @@
 """Task Adaptive Meta-learning over the learning task tree (Algorithm 2).
 
-Recursive training: leaves run Meta-Training (Algorithm 3) and interior
-nodes fold their children's results upward — each node's ``theta``
-starts from its parent's and, after the children train, the parent
-takes an aggregation step along the children's average direction
-(line 6: ``theta <- theta - alpha * grad(L^avg)``; with first-order
-semantics the realised child updates *are* the accumulated negative
-gradients, so the parent steps toward the mean child parameters).
+Leaves run Meta-Training (Algorithm 3) and interior nodes fold their
+children's results upward.  Each node's ``theta`` starts from its
+parent's, so every leaf starts from the root's; after the children
+train, the parent takes an aggregation step along the children's
+average direction (line 6: ``theta <- theta - alpha * grad(L^avg)``;
+with first-order semantics the realised child updates *are* the
+accumulated negative gradients, so the parent steps toward the mean
+child parameters).
 
 Also implements newcomer placement: a depth-first post-order traversal
 that initialises a new worker's model from the most similar node
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro import obs
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import LossFn, MAMLConfig, meta_train
+from repro.meta.maml import LossFn, MAMLConfig, meta_train_clusters
 from repro.meta.task_tree import LearningTaskTree
 from repro.nn.module import Module
 
@@ -54,58 +55,59 @@ def taml_train(
 ) -> float:
     """Train the whole tree in place; returns the root's average loss.
 
-    Every node ends with a populated ``theta`` state dict.  Leaves are
-    meta-trained from their parent's initialisation; interior nodes
-    aggregate children bottom-up.
+    Every node ends with a populated ``theta`` state dict.  Each interior
+    node hands its ``theta`` to its children before they train, so every
+    leaf starts Meta-Training from the root's; all leaves therefore train
+    in one lockstep call (:func:`repro.meta.maml.meta_train_clusters`,
+    in leaf order), and the interior nodes then fold bottom-up.
     """
     cfg = config if config is not None else TAMLConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
+    model = model_factory()
     if tree.theta is None:
         # Root initialisation: a fresh model seeds theta_0.
-        tree.theta = model_factory().state_dict()
+        tree.theta = model.state_dict()
+    root_theta = tree.theta
+    leaves = tree.leaves()
     with obs.span("taml.train", nodes=tree.n_nodes(), depth=tree.depth()):
         obs.gauge("taml.tree_depth", tree.depth())
         obs.gauge("taml.tree_nodes", tree.n_nodes())
-        return _train_node(tree, model_factory, loss_fn, cfg, rng)
+        thetas = [{k: v.copy() for k, v in root_theta.items()} for _ in leaves]
+        histories = meta_train_clusters(
+            model, [leaf.cluster for leaf in leaves], thetas, cfg.maml, loss_fn, rng
+        )
+        obs.counter("taml.leaves_trained", len(leaves))
+        leaf_losses: dict[int, float] = {}
+        for leaf, theta, history in zip(leaves, thetas, histories):
+            leaf.theta = theta
+            leaf_losses[id(leaf)] = history[-1]
+            obs.histogram("taml.leaf_loss", history[-1])
+        return _fold(tree, root_theta, cfg.tree_rate, leaf_losses)
 
 
-def _train_node(
+def _fold(
     node: LearningTaskTree,
-    model_factory: Callable[[], Module],
-    loss_fn: LossFn,
-    cfg: TAMLConfig,
-    rng: np.random.Generator,
-    depth: int = 0,
+    root_theta: Mapping[str, np.ndarray],
+    tree_rate: float,
+    leaf_losses: Mapping[int, float],
 ) -> float:
-    assert node.theta is not None
+    """Algorithm 2's bottom-up aggregation; returns the node's average loss.
+
+    Line 6 steps an interior node, which still holds the root's
+    ``theta``, toward its children's mean parameters.
+    """
     if node.is_leaf:
-        with obs.span("taml.leaf", depth=depth, tasks=len(node.cluster)):
-            obs.counter("taml.leaves_trained")
-            model = model_factory()
-            model.load_state_dict(node.theta)
-            history = meta_train(model, node.cluster, cfg.maml, loss_fn, rng=rng)
-            node.theta = model.state_dict()
-            loss = history[-1] if history else 0.0
-            obs.histogram("taml.leaf_loss", loss)
-            return loss
-
-    losses: list[float] = []
-    with obs.span("taml.interior", depth=depth, children=len(node.children)):
-        for child in node.children:
-            child.theta = {k: v.copy() for k, v in node.theta.items()}
-            losses.append(_train_node(child, model_factory, loss_fn, cfg, rng, depth + 1))
-        avg_loss = float(np.mean(losses))
-
-    # Line 6: step the node toward the children's mean parameters.
+        return leaf_losses[id(node)]
+    losses = [_fold(child, root_theta, tree_rate, leaf_losses) for child in node.children]
     mean_child = {
         key: np.mean([child.theta[key] for child in node.children], axis=0)
-        for key in node.theta
+        for key in root_theta
     }
     node.theta = {
-        key: node.theta[key] + cfg.tree_rate * (mean_child[key] - node.theta[key])
-        for key in node.theta
+        key: root_theta[key] + tree_rate * (mean_child[key] - root_theta[key])
+        for key in root_theta
     }
-    return avg_loss
+    return float(np.mean(losses))
 
 
 def place_learning_task(

@@ -803,26 +803,6 @@ def loss_and_grads(
 # ----------------------------------------------------------------------
 # stacked multi-worker helpers (the batched meta-training fast path)
 # ----------------------------------------------------------------------
-def replicate_params(params: Mapping[str, "Tensor | Array"], count: int) -> dict[str, Array]:
-    """Stack ``count`` copies of a parameter dict along a new worker axis."""
-    if count < 1:
-        raise ValueError("need at least one worker")
-    return {name: np.repeat(_as_array(p)[None, ...], count, axis=0) for name, p in params.items()}
-
-
-def stack_param_dicts(dicts: Sequence[Mapping[str, "Tensor | Array"]]) -> dict[str, Array]:
-    """Stack per-worker parameter dicts along a new leading worker axis."""
-    if not dicts:
-        raise ValueError("need at least one parameter dict")
-    keys = list(dicts[0])
-    return {name: np.stack([_as_array(d[name]) for d in dicts]) for name in keys}
-
-
-def unstack_param_dict(stacked: Mapping[str, Array], index: int) -> dict[str, Array]:
-    """Copy one worker's slice out of a stacked parameter dict."""
-    return {name: np.array(arr[index], copy=True) for name, arr in stacked.items()}
-
-
 def pad_and_stack(arrays: Sequence[Array]) -> tuple[Array, list[int]]:
     """Zero-pad ragged per-worker window sets into one stacked array.
 

@@ -15,7 +15,7 @@ the :func:`recording` context manager::
             ...
         print(rec.metrics.snapshot())
 
-Span names are dotted lowercase paths (``taml.leaf``, ``ppi.stage2``);
+Span names are dotted lowercase paths (``taml.train``, ``ppi.stage2``);
 attributes are small JSON-able values.  Span stacks are thread-local
 (each thread nests its own spans; ids stay globally unique and sink
 emission is serialised), but processes never share a recorder: a

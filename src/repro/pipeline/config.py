@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.dist.backend import DistConfig
-from repro.dist.meta import check_meta_backend
 from repro.meta.gtmc import GTMCConfig
 from repro.meta.maml import MAMLConfig
 from repro.tools import check_keys, dataclass_from_mapping
@@ -43,16 +41,6 @@ class PredictionConfig:
         Inner steps used to record learning paths for ``Sim_l``.
     mr_threshold_km:
         The matching-rate distance threshold ``a`` (Def. 7).
-    dist:
-        Parallel-execution knobs (:class:`repro.dist.backend.DistConfig`)
-        for the tree-structured meta-training fan-out.  ``None`` (the
-        default) keeps the legacy serial path byte for byte; any
-        non-``None`` value routes ``gttaml``/``gttaml_gt`` training
-        through :func:`repro.dist.meta.dist_taml_train`, whose result is
-        bit-identical at every worker count (but uses its own per-leaf
-        RNG schedule, so it differs numerically from the legacy path).
-        Its backend is ``"serial"`` or ``"process"``; shard servers
-        serve only the sharded engine.
     """
 
     algorithm: str = "gttaml"
@@ -74,7 +62,6 @@ class PredictionConfig:
     loss_d_q_km: float = 1.0
     loss_kappa: float = 0.5
     loss_delta: float = 0.5
-    dist: DistConfig | None = None
 
     _ALGORITHMS = ("maml", "ctml", "gttaml", "gttaml_gt")
     _LOSSES = ("mse", "task_oriented")
@@ -102,22 +89,16 @@ class PredictionConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
-        if self.dist is not None:
-            check_meta_backend(self.dist)
 
     @classmethod
     def from_dict(cls, data: Mapping, owner: str = "prediction") -> "PredictionConfig":
         """Build from a plain mapping; unknown keys fail naming themselves.
 
-        Nested blocks (``maml``, ``gtmc``, ``dist``) may be given as
-        mappings and are validated against their own config dataclasses.
+        Nested blocks (``maml``, ``gtmc``) may be given as mappings and
+        are validated against their own config dataclasses.
         """
         data = dict(data)
-        for name, block_cls in (
-            ("maml", MAMLConfig),
-            ("gtmc", GTMCConfig),
-            ("dist", DistConfig),
-        ):
+        for name, block_cls in (("maml", MAMLConfig), ("gtmc", GTMCConfig)):
             if isinstance(data.get(name), Mapping):
                 data[name] = dataclass_from_mapping(
                     block_cls, data[name], owner=f"{owner}.{name}"

@@ -217,14 +217,7 @@ def train_predictor(
                     tree = kmeans_multilevel_cluster(tasks, embeddings, sims, gtmc_cfg, rng=rng)
             with obs.span("training.meta_train", algorithm=config.algorithm):
                 taml_cfg = TAMLConfig(maml=config.maml)
-                if config.dist is not None:
-                    from repro.dist.meta import dist_taml_train
-
-                    final_loss = dist_taml_train(
-                        tree, factory, loss_fn, config=taml_cfg, dist=config.dist, rng=rng
-                    )
-                else:
-                    final_loss = taml_train(tree, factory, loss_fn, taml_cfg, rng=rng)
+                final_loss = taml_train(tree, factory, loss_fn, taml_cfg, rng=rng)
             history = [final_loss]
             leaf_theta = {
                 t.worker_id: leaf.theta for leaf in tree.leaves() for t in leaf.cluster

@@ -31,14 +31,13 @@ class TestDistConfig:
     def test_defaults_are_serial_noop(self):
         cfg = DistConfig()
         assert cfg.backend == "serial"
-        assert cfg.workers == 1
         assert cfg.shards == 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"backend": "threads"},
-            {"workers": 0},
+            {"backend": "process"},
             {"shards": 0},
             {"start_method": "magic"},
         ],
@@ -48,7 +47,7 @@ class TestDistConfig:
             DistConfig(**kwargs)
 
     def test_picklable(self):
-        cfg = DistConfig(backend="process", workers=2)
+        cfg = DistConfig(backend="shard_server", shards=2)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
@@ -56,12 +55,6 @@ class TestResolve:
     def test_none_and_serial_resolve_serial(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend(DistConfig()), SerialBackend)
-
-    def test_process_config_resolves_pool(self):
-        backend = resolve_backend(DistConfig(backend="process", workers=2))
-        assert isinstance(backend, ProcessBackend)
-        assert backend.workers == 2
-        backend.close()
 
     def test_backends_satisfy_protocol(self):
         assert isinstance(SerialBackend(), Backend)

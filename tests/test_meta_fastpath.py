@@ -5,17 +5,15 @@ keeps the tape as the reference: a small re-implementation of the
 inner loop, the meta-iteration and fine-tuning built from
 ``functional_call`` + ``grad_of`` (and ``.backward()`` for Adam), fed
 the same RNG draws.  ``adapt``, ``meta_train`` (both outer updates,
-stacked and sequential meta-batches), ``taml_train`` and ``fine_tune``
+stacked and sequential meta-batches), ``taml_train`` (against a
+per-leaf recursion over the tape ``meta_train``) and ``fine_tune``
 must agree with it.  The two engines share no backward code, so
 agreement here is a strong check on both.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from repro.dist import dist_taml_train
 from repro.meta.ctml import CTMLConfig, ctml_train
 from repro.meta.learning_task import LearningTask
 from repro.meta.maml import MAMLConfig, adapt, evaluate_adapted, learning_path, meta_train
@@ -111,6 +109,24 @@ def tape_meta_train(model, tasks, config, loss_fn, rng=None):
     return history
 
 
+def tape_taml(node, cfg, loss_fn, rng):
+    """Algorithm 2 as a recursion, each leaf on :func:`tape_meta_train`."""
+    if node.is_leaf:
+        model = fresh_model()
+        model.load_state_dict(node.theta)
+        history = tape_meta_train(model, node.cluster, cfg.maml, loss_fn, rng=rng)
+        node.theta = model.state_dict()
+        return history[-1]
+    losses = []
+    for child in node.children:
+        child.theta = {k: v.copy() for k, v in node.theta.items()}
+        losses.append(tape_taml(child, cfg, loss_fn, rng))
+    for key in node.theta:
+        mean_child = np.mean([child.theta[key] for child in node.children], axis=0)
+        node.theta[key] = node.theta[key] + cfg.tree_rate * (mean_child - node.theta[key])
+    return float(np.mean(losses))
+
+
 def tape_fine_tune(model, task, loss_fn, config, rng):
     if config.fine_tune_optimizer == "sgd":
         adapted = tape_adapt(model, task, loss_fn, config.fine_tune_lr, config.fine_tune_steps, rng=rng)
@@ -191,13 +207,14 @@ class TestTAMLEquivalence:
         return root
 
     def test_tree_training_matches_tape(self):
-        """The tree recursion with its leaves trained on the tape."""
+        """Lockstep leaves against a per-leaf recursion on the tape."""
         cfg = TAMLConfig(maml=MAMLConfig(meta_lr=0.1, inner_lr=0.05, inner_steps=2,
                                          meta_batch=2, iterations=4, support_batch=8))
         fast, tape = self._tree(), self._tree()
-        taml_train(fast, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
-        with mock.patch("repro.meta.taml.meta_train", tape_meta_train):
-            taml_train(tape, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
+        fast_loss = taml_train(fast, fresh_model, mse_loss, cfg, rng=np.random.default_rng(7))
+        tape.theta = fresh_model().state_dict()
+        tape_loss = tape_taml(tape, cfg, mse_loss, np.random.default_rng(7))
+        np.testing.assert_allclose(fast_loss, tape_loss, rtol=RTOL, atol=ATOL)
         for fast_node, tape_node in zip(fast.iter_nodes(), tape.iter_nodes()):
             assert_state_dicts_close(fast_node.theta, tape_node.theta)
 
@@ -225,7 +242,7 @@ class TestOneEngine:
     @pytest.mark.parametrize(
         "entry",
         ["adapt", "evaluate_adapted", "learning_path", "meta_train", "fine_tune",
-         "taml_train", "ctml_train", "dist_taml_train"],
+         "taml_train", "ctml_train"],
     )
     def test_entry_rejects_a_model_without_fused_kernels(self, entry):
         task = traj_task(0, seed=1)
@@ -246,7 +263,6 @@ class TestOneEngine:
                 tasks, {t.worker_id: np.ones((2, 3)) for t in tasks}, self._mlp, mse_loss,
                 CTMLConfig(n_clusters=2),
             ),
-            "dist_taml_train": lambda: dist_taml_train(tree, self._mlp, mse_loss),
         }
         with pytest.raises(ValueError, match="got MLP$"):
             calls[entry]()

@@ -182,7 +182,7 @@ class TestBatchedKernels:
         for w in range(len(counts)):
             base = fused.as_param_arrays(dict(model.named_parameters()))
             per_worker.append({k: v + 0.01 * w for k, v in base.items()})
-        stacked = fused.stack_param_dicts(per_worker)
+        stacked = {name: np.stack([p[name] for p in per_worker]) for name in per_worker[0]}
 
         losses, grads = fused.batched_loss_and_grads(
             model, stacked, xs, ys, mse_loss, teacher_forcing=teacher_forcing
@@ -198,17 +198,25 @@ class TestBatchedKernels:
                     err_msg=f"worker {w} {name}",
                 )
 
-    def test_replicate_and_unstack_roundtrip(self):
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_slices_do_not_depend_on_stack_width(self, cell):
+        """Lockstep meta-training stacks clusters whose windows agree in
+        shape: a worker's slice must be bit-identical whether it shares
+        the pass with one worker or with three."""
         rng = np.random.default_rng(37)
-        model = make_mobility_model("lstm", hidden_size=3, seq_out=1, rng=rng)
-        params = dict(model.named_parameters())
-        stacked = fused.replicate_params(params, 4)
-        for name, p in params.items():
-            assert stacked[name].shape == (4,) + p.data.shape
-        slice2 = fused.unstack_param_dict(stacked, 2)
-        for name, p in params.items():
-            np.testing.assert_array_equal(slice2[name], p.data)
-            assert slice2[name] is not stacked[name]  # an owned copy
+        model = make_mobility_model(cell, hidden_size=3, seq_out=1, rng=rng)
+        base = fused.as_param_arrays(dict(model.named_parameters()))
+        xs = [rng.normal(size=(6, 4, 2)) for _ in range(4)]
+        ys = [rng.normal(size=(6, 1, 2)) for _ in range(4)]
+        wide = {name: np.repeat(p[None, ...], 4, axis=0) for name, p in base.items()}
+        narrow = {name: np.repeat(p[None, ...], 2, axis=0) for name, p in base.items()}
+        wide_losses, wide_grads = fused.batched_loss_and_grads(model, wide, xs, ys, mse_loss)
+        narrow_losses, narrow_grads = fused.batched_loss_and_grads(
+            model, narrow, xs[2:], ys[2:], mse_loss
+        )
+        assert wide_losses[2:] == narrow_losses
+        for name in base:
+            assert np.array_equal(wide_grads[name][2:], narrow_grads[name]), name
 
     def test_pad_and_stack_validation(self):
         with pytest.raises(ValueError):

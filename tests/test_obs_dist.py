@@ -70,7 +70,7 @@ def run_sharded(tasks, workers, seed, shards=2, spool_dir=None, provider=None,
         ServeConfig(),
         assign_fn=ppi_assign,
         candidate_assign_fn=component_candidate_assign(ppi_assign),
-        dist=DistConfig(backend=backend, shards=shards, workers=2,
+        dist=DistConfig(backend=backend, shards=shards,
                         spool_dir=None if spool_dir is None else str(spool_dir)),
     )
     if provider is not None and hasattr(provider, "engine"):
@@ -287,10 +287,9 @@ class TestDisabledPathParity:
         assert tap.sent and all(len(frame) == 3 for frame in tap.sent)
 
     def test_config_validation(self):
-        # Only shard servers spool, so any other backend rejects a spool dir.
-        for backend in ("serial", "process"):
-            with pytest.raises(ValueError, match="spool_dir"):
-                DistConfig(backend=backend, spool_dir="x")
+        # Only shard servers spool, so the serial backend rejects a spool dir.
+        with pytest.raises(ValueError, match="spool_dir"):
+            DistConfig(backend="serial", spool_dir="x")
         assert DistConfig().spool_dir is None
         assert DistConfig(backend="shard_server", spool_dir="x").spool_dir == "x"
 

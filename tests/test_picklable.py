@@ -1,22 +1,22 @@
-"""Pickling round-trips for everything a repro.dist payload carries.
+"""Pickling round-trips for the configs, models and losses.
 
-The process backend ships jobs through ``multiprocessing``; under the
-``spawn`` start method every payload attribute must survive
+Shard servers and sweep cells cross process boundaries; under the
+``spawn`` start method what they carry must survive
 ``pickle.dumps``/``loads``.  These tests pin that property for the
 configs, the model factory, the models themselves (whose parameters are
 autograd ``Tensor`` objects carrying unpicklable backward closures —
-pickling detaches them), and the composed :class:`LeafJob` payload.
+pickling detaches them), the losses and the learning tasks.
 """
 
 import pickle
 
 import numpy as np
 
-from repro.dist import DistConfig, LeafJob, run_leaf_job
+from repro.dist import DistConfig
 from repro.meta.learning_task import LearningTask
 from repro.meta.maml import MAMLConfig
 from repro.meta.taml import TAMLConfig
-from repro.nn.losses import TaskDensityWeighter, make_loss, mse_loss
+from repro.nn.losses import TaskDensityWeighter, make_loss
 from repro.nn.seq2seq import make_mobility_model
 from repro.nn.tensor import Tensor
 from repro.pipeline.config import PredictionConfig
@@ -37,11 +37,7 @@ class TestConfigs:
         assert roundtrip(cfg) == cfg
 
     def test_dist_config(self):
-        cfg = DistConfig(backend="process", workers=3, shards=2, start_method="spawn")
-        assert roundtrip(cfg) == cfg
-
-    def test_prediction_config_with_dist(self):
-        cfg = PredictionConfig(dist=DistConfig(workers=2))
+        cfg = DistConfig(backend="shard_server", shards=2, start_method="spawn")
         assert roundtrip(cfg) == cfg
 
 
@@ -105,22 +101,6 @@ class TestLossesAndJobs:
         pred = Tensor(np.zeros((2, 1, 2)))
         target = Tensor(np.array([[[0.1, 0.2]], [[0.8, 0.9]]]))
         assert back(pred, target).data == loss(pred, target).data
-
-    def test_leaf_job_roundtrips_and_runs(self):
-        job = LeafJob(
-            factory=MobilityModelFactory(hidden_size=4, seed=3),
-            tasks=(self._task(0, 0), self._task(1, 1)),
-            config=MAMLConfig(iterations=2, meta_batch=2, inner_steps=1, support_batch=4),
-            loss_fn=mse_loss,
-            theta=MobilityModelFactory(hidden_size=4, seed=3)().state_dict(),
-            rng=np.random.default_rng(11),
-        )
-        shipped = roundtrip(job)  # before running: the run consumes job.rng
-        direct_theta, direct_hist = run_leaf_job(job)
-        shipped_theta, shipped_hist = run_leaf_job(shipped)
-        assert direct_hist == shipped_hist
-        for name in direct_theta:
-            assert np.array_equal(direct_theta[name], shipped_theta[name])
 
     def test_learning_task_roundtrips(self):
         task = self._task(5, 2)

@@ -326,6 +326,14 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="ppi_a_km"):
             ExperimentConfig.from_dict({"assignment": {"ppi_a_km": 0.3}})
 
+    def test_dist_is_not_a_key(self):
+        # Meta-training has one engine and no execution knob; a dist
+        # block in the prediction config fails at load, naming itself.
+        with pytest.raises(ValueError, match="unknown key 'dist' in prediction"):
+            PredictionConfig.from_dict({"dist": {"backend": "serial"}})
+        with pytest.raises(ValueError, match="unknown key 'dist' in prediction"):
+            ExperimentConfig.from_dict({"prediction": {"dist": {}}})
+
     def test_value_validation_still_runs(self):
         import pytest
 
