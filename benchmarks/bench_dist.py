@@ -26,9 +26,11 @@ Two arms, both parity-asserted before any timing is reported:
   :class:`repro.dist.ShardStats` per repeat, so the stripe layout is
   recomputed from scratch) and ``sharded_steady`` (one persistent
   planner carries the stripe layout across calls, the regime a
-  long-lived serving process is actually in).  The steady
-  overhead over dense is asserted ≤ ``MAX_STEADY_OVERHEAD_PCT`` — the
-  planner exists precisely to kill the former +25% serial tax.
+  long-lived serving process is actually in).  The three are timed in
+  alternating repeats and the steady overhead over dense — the ratio
+  of their median wall times — is asserted ≤
+  ``MAX_STEADY_OVERHEAD_PCT``: the planner exists precisely to kill the
+  former +25% serial tax.
 
 Writes ``BENCH_dist.json`` at the repo root and a manifest under
 ``benchmarks/results/``.
@@ -36,6 +38,7 @@ Writes ``BENCH_dist.json`` at the repo root and a manifest under
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -45,14 +48,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import write_result  # noqa: E402
+from common import available_cpus, write_result  # noqa: E402
 
 from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.dist import (  # noqa: E402
     ComponentMatcher,
     ShardPlanner,
     ShardStats,
-    available_cpus,
     sharded_build_candidates,
 )
 from repro.meta.learning_task import LearningTask  # noqa: E402
@@ -99,7 +101,7 @@ SHARD_SPEC = {
     "scenario": "bench-dist-shard",
     "shards": 4,
     "cell_km": 2.0,
-    "repeats": 3,
+    "repeats": 7,
 }
 
 SEED = 7
@@ -239,46 +241,51 @@ def bench_shard(spec: dict) -> dict:
     tasks, snapshots, t = batch_state(spec)
     cell_km, k, repeats = spec["cell_km"], spec["shards"], spec["repeats"]
 
-    dense_s = float("inf")
-    dense_plan = None
-    for _ in range(repeats):
-        started = time.perf_counter()
+    def dense():
         graph = build_candidates(tasks, snapshots, t, cell_km=cell_km)
-        dense_plan = ppi_assign(tasks, snapshots, t, graph)
-        dense_s = min(dense_s, time.perf_counter() - started)
+        return ppi_assign(tasks, snapshots, t, graph)
 
-    # Cold: a fresh planner per call, so the layout is recomputed
-    # (kept for an honest before/after record).
-    cold_s = float("inf")
-    cold_plan = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        graph = sharded_build_candidates(
-            tasks, snapshots, t, ShardPlanner(shards=k, cell_km=cell_km), stats=ShardStats()
-        )
-        cold_plan = ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
-        cold_s = min(cold_s, time.perf_counter() - started)
+    def cold():
+        # A fresh planner per call, so the layout is recomputed (kept
+        # for an honest before/after record).
+        planner = ShardPlanner(shards=k, cell_km=cell_km)
+        graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=ShardStats())
+        return ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
 
     # Steady state: one planner lives across calls, as it does inside a
-    # long-running ShardedEngine.  The unmeasured warm-up call builds
-    # the sticky layout; the timed repeats then pay only the per-batch
-    # halo pass.
+    # long-running ShardedEngine.  The parity call below builds the
+    # sticky layout; the timed repeats then pay only the per-batch halo
+    # pass.
     planner = ShardPlanner(shards=k, cell_km=cell_km)
-    graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=ShardStats())
-    ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
-    steady_s = float("inf")
-    steady_plan = None
     stats = ShardStats()
-    for _ in range(repeats):
-        stats = ShardStats()
-        started = time.perf_counter()
-        graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=stats)
-        steady_plan = ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
-        steady_s = min(steady_s, time.perf_counter() - started)
 
-    for name, plan in (("cold sharded", cold_plan), ("steady sharded", steady_plan)):
-        if plan_tuples(plan) != plan_tuples(dense_plan):
+    def steady():
+        nonlocal stats
+        stats = ShardStats()
+        graph = sharded_build_candidates(tasks, snapshots, t, planner, stats=stats)
+        return ppi_assign(tasks, snapshots, t, graph, matcher=ComponentMatcher())
+
+    arms = {"dense": dense, "sharded_cold": cold, "sharded_steady": steady}
+    # Parity first: an overhead between two different plans means nothing.
+    plans = {name: plan_tuples(arm()) for name, arm in arms.items()}
+    for name in ("sharded_cold", "sharded_steady"):
+        if plans[name] != plans["dense"]:
             raise AssertionError(f"{name} plan diverged from dense plan")
+
+    # Alternating repeats, so host drift lands on every arm alike; each
+    # call starts from a collected heap, so no arm pays a full
+    # collection of the garbage another arm left behind.
+    runs: dict[str, list[float]] = {name: [] for name in arms}
+    for _ in range(repeats):
+        for name, arm in arms.items():
+            gc.collect()
+            started = time.perf_counter()
+            arm()
+            runs[name].append(time.perf_counter() - started)
+    medians = {name: float(np.median(times)) for name, times in runs.items()}
+    dense_s, cold_s, steady_s = (
+        medians["dense"], medians["sharded_cold"], medians["sharded_steady"]
+    )
 
     steady_overhead = 100.0 * (steady_s - dense_s) / dense_s
     if steady_overhead > MAX_STEADY_OVERHEAD_PCT:
@@ -295,10 +302,10 @@ def bench_shard(spec: dict) -> dict:
         "width_km": params["width_km"],
         "shards": k,
         "cell_km": cell_km,
+        "repeats": repeats,
         "timings_s": {
-            "dense": dense_s,
-            "sharded_cold": cold_s,
-            "sharded_steady": steady_s,
+            **medians,
+            **{f"{name}_runs": times for name, times in runs.items()},
         },
         "sharding_overhead_pct": steady_overhead,
         "sharding_cold_overhead_pct": 100.0 * (cold_s - dense_s) / dense_s,
@@ -348,7 +355,7 @@ def main() -> None:
             f" ({shard['sharding_overhead_pct']:+5.1f}%,"
             f" limit +{shard['max_steady_overhead_pct']:.0f}%)"
             f" | boundary workers {shard['n_boundary_workers']}"
-            f" (plans identical)"
+            f" (medians of {shard['repeats']} alternating runs, plans identical)"
         )
     write_result(
         "dist",

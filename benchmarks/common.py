@@ -45,6 +45,14 @@ def scaled(base: int, minimum: int = 1) -> int:
     return max(int(round(base * bench_scale())), minimum)
 
 
+def available_cpus() -> int:
+    """Usable CPU count (affinity-aware where the platform exposes it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def write_result(name: str, text: str, metrics: dict | None = None) -> Path:
     """Persist a rendered table/series and echo it to stdout.
 

@@ -236,11 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "values); repeatable, cells are the cross product")
     s_run.add_argument("--out", metavar="DIR", default=None,
                        help="write one run manifest per cell into DIR")
-    s_run.add_argument("--cell-backend", choices=("serial", "process"), default="serial",
-                       help="where grid cells execute (process fans out over a pool, "
-                            "bit-identical to serial)")
-    s_run.add_argument("--cell-workers", type=int, default=2,
-                       help="pool size for --cell-backend process")
+    s_run.add_argument("--cell-workers", type=int, default=1,
+                       help="run grid cells on a pool of N forked processes "
+                            "(1 runs them inline; results are bit-identical)")
     s_run.add_argument("--decisions", action="store_true",
                        help="write one decision log per cell next to its manifest "
                             "(needs --out); run-diff / scenarios-report join them")
@@ -632,7 +630,6 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
         spec,
         out_dir=args.out,
         extra_sweep=extra_sweep,
-        cell_backend=args.cell_backend,
         cell_workers=args.cell_workers,
         argv=getattr(args, "_argv", []),
         decisions=args.decisions,

@@ -10,26 +10,24 @@ Two arms, one invariant (see ``docs/DISTRIBUTED.md``):
   subclass that swaps in the sharded candidate build and stripe-stamped
   decision records without touching the event loop.
 
-Sharded serving runs serial or on long-lived shard servers
-(:mod:`repro.dist.server`), whose per-shard telemetry spools are the
-only cross-process telemetry; the parity tests swap transports and
-compare outputs exactly.  Scenario sweeps fan their cells across a
-:class:`~repro.dist.backend.ProcessBackend`.  Meta-training is not
-here: TAML trains all its leaf clusters in one lockstep pass
+A :class:`~repro.dist.serve.DistConfig` picks the transport: serial
+(in process) or long-lived shard servers (:mod:`repro.dist.server`),
+which the engine owns as its ``backend`` and whose per-shard telemetry
+spools are the only cross-process telemetry; the parity tests swap
+transports and compare outputs exactly.  Nothing else here runs in
+another process: scenario sweeps own their cell pool
+(:func:`repro.scenarios.sweep.run_sweep`), and TAML trains all its leaf
+clusters in one lockstep pass
 (:func:`repro.meta.maml.meta_train_clusters`).
 """
 
-from repro.dist.backend import (
-    Backend,
-    DistConfig,
-    ProcessBackend,
-    SerialBackend,
+from repro.dist.serve import DistConfig, ShardedEngine, component_candidate_assign
+from repro.dist.server import (
     ShardServerBackend,
-    available_cpus,
-    resolve_backend,
+    ShardServerError,
+    ShardServerHandle,
+    serve_shard,
 )
-from repro.dist.serve import ShardedEngine, component_candidate_assign
-from repro.dist.server import ShardServerError, ShardServerHandle, serve_shard
 from repro.dist.shard import (
     ComponentMatcher,
     ShardLayout,
@@ -43,11 +41,8 @@ from repro.dist.shard import (
 )
 
 __all__ = [
-    "Backend",
     "ComponentMatcher",
     "DistConfig",
-    "ProcessBackend",
-    "SerialBackend",
     "ShardLayout",
     "ShardPlanner",
     "ShardServerBackend",
@@ -57,11 +52,9 @@ __all__ = [
     "ShardStats",
     "ShardedEngine",
     "WarmMatchCache",
-    "available_cpus",
     "component_candidate_assign",
     "connected_components",
     "make_shards",
-    "resolve_backend",
     "serve_shard",
     "sharded_build_candidates",
 ]

@@ -6,7 +6,7 @@ untouched and overrides exactly two hooks:
 
 * ``_build_candidates`` — each batch's candidate graph is built stripe
   by stripe on long-lived shard servers (``DistConfig.backend =
-  "shard_server"``) or, on the serial backend, once in process by
+  "shard_server"``) or, on the serial transport, once in process by
   :func:`repro.dist.shard.sharded_build_candidates` with the same
   per-stripe accounting.  Either way it provably equals the dense
   graph, so every downstream plan — and therefore
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro import obs
@@ -43,8 +43,7 @@ from repro.obs.dist import (
 )
 from repro.obs.metrics import labelled
 from repro.assignment.plan import AssignmentPlan
-from repro.dist.backend import DistConfig, ShardServerBackend, resolve_backend
-from repro.dist.server import batch_step, encode_snapshot, encode_task
+from repro.dist.server import ShardServerBackend, batch_step, encode_snapshot, encode_task
 from repro.dist.shard import (
     ComponentMatcher,
     ShardLayout,
@@ -59,6 +58,67 @@ from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.platform import AssignFn, SnapshotProvider
 from repro.serve.engine import CandidateAssignFn, ServeConfig, ServeEngine, ServeResult
 from repro.serve.spatial_index import latest_horizon
+
+
+#: ``multiprocessing`` start methods a shard server accepts.  ``spawn``
+#: re-imports the code in each server and therefore requires every
+#: payload to be picklable — the property ``tests/test_picklable.py``
+#: pins down; ``fork`` (POSIX default) is cheaper to start.
+START_METHODS = ("fork", "spawn", "forkserver")
+
+
+@dataclass(frozen=True, slots=True)
+class DistConfig:
+    """Knobs of sharded serving (:class:`ShardedEngine`).
+
+    A policy document's ``dist`` block sets ``backend``, ``shards`` and
+    ``warm_start`` (see :mod:`repro.scenarios.specs`); the rest are
+    per-run settings.
+
+    Attributes
+    ----------
+    backend:
+        ``"serial"`` (every shard inline, the default) or
+        ``"shard_server"`` (one long-lived stateful process per shard,
+        see :mod:`repro.dist.server`).
+    shards:
+        Spatial shard count for candidate generation / serving.
+    start_method:
+        ``multiprocessing`` start method for the shard servers.
+    warm_start:
+        Carry :class:`repro.assignment.hungarian.WarmStartState` across
+        batches in the matcher (see :mod:`repro.dist.shard`).
+    server_log_dir:
+        Where shard servers append their JSONL replay logs; ``None``
+        keeps the logs in coordinator memory.
+    spool_dir:
+        Where shard servers spool their telemetry while the coordinator
+        traces (see :mod:`repro.obs.dist`); ``None`` (the default) keeps
+        the servers telemetry-free.  Only the ``"shard_server"`` backend
+        spools, so any other backend rejects it.
+    """
+
+    backend: str = "serial"
+    shards: int = 1
+    start_method: str = "fork"
+    warm_start: bool = False
+    server_log_dir: str | None = None
+    spool_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.backend not in ("serial", "shard_server"):
+            raise ValueError(
+                f"DistConfig.backend must be 'serial' or 'shard_server', got {self.backend!r}"
+            )
+        if self.shards < 1:
+            raise ValueError("shards must be at least 1")
+        if self.start_method not in START_METHODS:
+            raise ValueError(f"start_method must be one of {START_METHODS}")
+        if self.spool_dir is not None and self.backend != "shard_server":
+            raise ValueError(
+                f"spool_dir needs backend 'shard_server' (got {self.backend!r}): "
+                "only shard servers spool telemetry"
+            )
 
 
 def component_candidate_assign(
@@ -106,8 +166,8 @@ class ShardedEngine(ServeEngine):
     and a ``candidate_assign_fn`` is therefore required.  ``dist``
     controls both the stripe count and where stripe builds run:
     ``"serial"`` (in process, the parity reference) or
-    ``"shard_server"``.  The engine owns the backend it resolves from
-    ``dist``; :meth:`close` releases it.
+    ``"shard_server"``.  On the latter the engine owns its shard
+    servers (:attr:`backend`) and :meth:`close` stops them.
     """
 
     def __init__(
@@ -130,7 +190,16 @@ class ShardedEngine(ServeEngine):
             candidate_assign_fn=candidate_assign_fn,
         )
         self.dist = dist if dist is not None else DistConfig()
-        self.backend = resolve_backend(self.dist)
+        #: The shard servers on the ``shard_server`` transport, ``None``
+        #: on the serial one.
+        self.backend: ShardServerBackend | None = None
+        if self.dist.backend == "shard_server":
+            self.backend = ShardServerBackend(
+                self.dist.shards,
+                self.dist.start_method,
+                log_dir=self.dist.server_log_dir,
+                spool_dir=self.dist.spool_dir,
+            )
         #: One :class:`ShardStats` per batch of the latest run, in batch order.
         self.batch_stats: list[ShardStats] = []
         self._planner = ShardPlanner(
@@ -174,7 +243,7 @@ class ShardedEngine(ServeEngine):
         t: float,
     ) -> dict[int, list[int]]:
         stats = ShardStats()
-        if isinstance(self.backend, ShardServerBackend):
+        if self.backend is not None:
             graph = self._server_build(batch_tasks, snapshots, t, stats)
         else:
             graph = sharded_build_candidates(
@@ -261,10 +330,9 @@ class ShardedEngine(ServeEngine):
                         }
                     )
 
-            backend = self.backend
             with obs.span(SOLVE_SPAN, shards=n_shards):
                 solve_started = time.perf_counter()
-                graphs = batch_step(backend.handles[:n_shards], deltas, builds)
+                graphs = batch_step(self.backend.handles[:n_shards], deltas, builds)
                 solve_seconds = time.perf_counter() - solve_started
 
             with obs.span(MERGE_SPAN):
@@ -343,5 +411,6 @@ class ShardedEngine(ServeEngine):
         return sum(s.n_boundary_workers for s in self.batch_stats)
 
     def close(self) -> None:
-        """Release the backend (stops any shard servers)."""
-        self.backend.close()
+        """Stop the shard servers, if any (safe to call twice)."""
+        if self.backend is not None:
+            self.backend.close()

@@ -28,7 +28,7 @@ state dict:
   busy seconds;
 * ``reset`` / ``ping`` / ``crash`` — lifecycle and test hooks.
 
-When the coordinator's :class:`~repro.dist.backend.DistConfig` sets a
+When the coordinator's :class:`~repro.dist.serve.DistConfig` sets a
 ``spool_dir``, each server lazily installs a
 :class:`~repro.obs.dist.WorkerTelemetry` on the first traced frame it
 sees and records one span per command, parented (via the propagated
@@ -431,6 +431,64 @@ def scatter(
         handle.recv_async(token, command, payload)
         for handle, token, (command, payload) in zip(handles, tokens, requests)
     ]
+
+
+class ShardServerBackend:
+    """``shards`` long-lived stateful server processes (one per stripe).
+
+    The pool of handles :class:`repro.dist.serve.ShardedEngine` feeds
+    with per-batch deltas.  Servers spawn lazily on first use and
+    survive across batches; a crashed server is respawned and its state
+    rebuilt by replaying the append-only JSONL command log (one
+    ``shard-{id}.jsonl`` per server under ``log_dir``, when given).
+    With a ``spool_dir`` each server spools its telemetry there while
+    the coordinator traces.
+    """
+
+    def __init__(
+        self,
+        shards: int,
+        start_method: str = "fork",
+        log_dir: str | None = None,
+        spool_dir: str | None = None,
+    ) -> None:
+        if shards < 1:
+            raise ValueError("need at least one shard server")
+        multiprocessing.get_context(start_method)  # unknown methods fail here
+        for directory in (log_dir, spool_dir):
+            if directory is not None:
+                os.makedirs(directory, exist_ok=True)
+        self.handles = [
+            ShardServerHandle(
+                shard_id=s,
+                start_method=start_method,
+                log_path=(
+                    os.path.join(log_dir, f"shard-{s}.jsonl")
+                    if log_dir is not None
+                    else None
+                ),
+                spool_dir=spool_dir,
+            )
+            for s in range(shards)
+        ]
+
+    def scatter_commands(self, requests: Sequence[tuple[str, Any]]) -> list[Any]:
+        """One ``(command, payload)`` per server, replies in shard order."""
+        return scatter(self.handles, requests)
+
+    @property
+    def total_restarts(self) -> int:
+        return sum(h.restarts for h in self.handles)
+
+    def close(self) -> None:
+        for handle in self.handles:
+            handle.close()
+
+    def __enter__(self) -> "ShardServerBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def batch_step(

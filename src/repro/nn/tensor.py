@@ -89,8 +89,8 @@ class Tensor:
         The tape (``_backward`` closures and parent links) cannot cross
         a process boundary; values, gradients, and the leaf flag can.
         A round-tripped tensor therefore behaves like a freshly created
-        leaf carrying the same data — which is all the multiprocessing
-        backends ship (parameters in, parameters out).
+        leaf carrying the same data — which is all a process boundary
+        needs to carry (parameters in, parameters out).
         """
         return (self.data, self.grad, self.requires_grad, self.name)
 

@@ -96,8 +96,8 @@ class MobilityModelFactory:
     """Deterministic, *picklable* mobility-model factory.
 
     A module-level class rather than a closure so the factory can ride
-    a ``multiprocessing`` payload to a pool worker (the ``repro.dist``
-    backends ship it alongside each leaf's learning tasks).  Calling it
+    a ``multiprocessing`` payload to another process (``spawn`` pickles
+    everything it ships).  Calling it
     always builds the same freshly initialised model: the RNG is
     re-seeded per call.
     """

@@ -10,7 +10,6 @@ leaves one comparable run manifest per cell.  See ``docs/SCENARIOS.md``.
 
 from repro.scenarios.builders import (
     assign_fn,
-    build_dist_config,
     build_engine,
     build_serve_config,
     policy_from_args,
@@ -38,7 +37,6 @@ from repro.scenarios.report import (
     rows_from_manifests,
 )
 from repro.scenarios.specs import (
-    DistSpec,
     PolicySpec,
     RunSpec,
     ScenarioSpec,
@@ -61,7 +59,6 @@ __all__ = [
     "BUILTIN_POLICIES",
     "BUILTIN_SCENARIOS",
     "Cell",
-    "DistSpec",
     "GENERATORS",
     "GeneratorEntry",
     "PolicySpec",
@@ -69,7 +66,6 @@ __all__ = [
     "ScenarioData",
     "ScenarioSpec",
     "assign_fn",
-    "build_dist_config",
     "build_engine",
     "build_serve_config",
     "decision_diff_tables",

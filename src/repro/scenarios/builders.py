@@ -2,8 +2,9 @@
 
 Everything that turns a :class:`~repro.scenarios.specs.PolicySpec` into
 runnable machinery lives here: the run's ``ServeConfig`` (the policy's
-own, plus the per-run monitor and decision-log sinks), ``DistConfig``
-construction, assignment-function selection, and engine assembly
+own, plus the per-run monitor and decision-log sinks), the sharded
+engine's ``DistConfig`` (the policy's, plus the per-run telemetry
+spool), assignment-function selection, and engine assembly
 (serial :class:`~repro.serve.ServeEngine` or sharded
 :class:`~repro.dist.ShardedEngine`).  ``repro.cli serve-sim``, the
 ``scenarios run`` sweep runner, and the benches all build through these
@@ -43,44 +44,29 @@ def build_serve_config(policy: PolicySpec, monitor=None, decisions=None) -> Serv
     return replace(policy.serve, monitor=monitor, decisions=decisions)
 
 
-def build_dist_config(policy: PolicySpec, spool_dir=None):
-    """The :class:`repro.dist.DistConfig` of a sharded policy, else None.
-
-    ``spool_dir`` is where shard servers spool telemetry while a trace
-    is active (``shard_server`` policies only).
-    """
-    if policy.dist.shards <= 1:
-        return None
-    from repro.dist import DistConfig
-
-    return DistConfig(
-        backend=policy.dist.backend,
-        shards=policy.dist.shards,
-        warm_start=policy.dist.warm_start,
-        spool_dir=spool_dir,
-    )
-
-
 def build_engine(
     workers, provider, policy: PolicySpec, monitor=None, spool_dir=None, decisions=None
 ):
     """Assemble the engine a policy asks for.
 
     Returns a :class:`ServeEngine` for single-shard policies and a
-    :class:`repro.dist.ShardedEngine` when ``policy.dist.shards > 1``
-    (the caller owns ``engine.close()``).  Warm-started single-shard
-    policies route through the component matcher, mirroring the sharded
-    path so ``warm_start`` means the same thing at every shard count.
+    :class:`repro.dist.ShardedEngine` running ``policy.dist`` when
+    ``policy.dist.shards > 1`` (the caller owns ``engine.close()``).
+    ``spool_dir`` is where shard servers spool telemetry while a trace
+    is active (``shard_server`` policies only).  Warm-started
+    single-shard policies route through the component matcher,
+    mirroring the sharded path so ``warm_start`` means the same thing at
+    every shard count.
     """
     assign = assign_fn(policy.algorithm)
     config = build_serve_config(policy, monitor=monitor, decisions=decisions)
-    dist = build_dist_config(policy, spool_dir=spool_dir)
+    sharded = policy.dist.shards > 1
     candidate_fn = assign
-    if dist is not None or policy.dist.warm_start:
+    if sharded or policy.dist.warm_start:
         from repro.dist import component_candidate_assign
 
         candidate_fn = component_candidate_assign(assign, warm_start=policy.dist.warm_start)
-    if dist is not None:
+    if sharded:
         from repro.dist import ShardedEngine
 
         return ShardedEngine(
@@ -89,7 +75,7 @@ def build_engine(
             config,
             assign_fn=assign,
             candidate_assign_fn=candidate_fn,
-            dist=dist,
+            dist=replace(policy.dist, spool_dir=spool_dir),
         )
     return ServeEngine(
         workers,

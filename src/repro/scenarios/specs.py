@@ -9,9 +9,9 @@ trigger, shedding, cache, spatial index, forecasting, assignment
 algorithm, backend/shards — as one document that loads straight into
 the engine's own :class:`~repro.serve.ServeConfig` (whose ``forecast``
 holds a :class:`~repro.forecast.dispatch.ForecastConfig`) plus a
-:class:`DistSpec`.  The engine configs own every serving default and
-every value check; the document only renames their fields (see
-:data:`SERVE_KEYS` and :data:`FORECAST_KEYS`).
+:class:`~repro.dist.DistConfig`.  The engine configs own every serving
+default and every value check; the document only renames their fields
+(see :data:`SERVE_KEYS`, :data:`FORECAST_KEYS` and :data:`DIST_KEYS`).
 
 Specs load from YAML or JSON (one mapping), dump back to plain dicts,
 and round-trip exactly: ``load(dump(spec)) == spec``.  Every block is
@@ -24,10 +24,11 @@ its document path (``policy.trigger.window``) and the engine's reason.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
+from repro.dist import DistConfig
 from repro.forecast.dispatch import ForecastConfig
 from repro.serve.engine import ServeConfig
 from repro.tools import check_keys
@@ -70,6 +71,10 @@ FORECAST_KEYS = (
     "cooldown_minutes",
 )
 
+#: The :class:`DistConfig` fields a policy's ``dist`` block sets (same
+#: names); the server log, telemetry spool and start method are per run.
+DIST_KEYS = ("backend", "shards", "warm_start")
+
 
 def _block(data: Mapping, name: str, allowed, owner: str) -> Mapping:
     """One nested policy block, key-checked; missing or null → empty."""
@@ -95,32 +100,19 @@ def _apply(config, updates, owner: str):
 
 
 @dataclass(frozen=True)
-class DistSpec:
-    """Where per-shard work runs (see :class:`repro.dist.DistConfig`)."""
-
-    backend: str = "serial"
-    shards: int = 1
-    warm_start: bool = False
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("serial", "shard_server"):
-            raise ValueError("dist backend must be 'serial' or 'shard_server'")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
-
-
-@dataclass(frozen=True)
 class PolicySpec:
     """One serving policy: algorithm + the engine's config + sharding.
 
     ``serve`` is the :class:`ServeConfig` the engine runs with (minus
-    the per-run ``monitor``/``decisions`` sinks the builders add), so a
-    policy carries no defaults or checks of its own.
+    the per-run ``monitor``/``decisions`` sinks the builders add) and
+    ``dist`` the :class:`DistConfig` a sharded engine runs with (minus
+    the per-run ``spool_dir``), so a policy carries no defaults or
+    checks of its own.
     """
 
     algorithm: str = "ppi"
     serve: ServeConfig = field(default_factory=ServeConfig)
-    dist: DistSpec = field(default_factory=DistSpec)
+    dist: DistConfig = field(default_factory=DistConfig)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("ppi", "km"):
@@ -153,11 +145,15 @@ class PolicySpec:
                 for key, attr in keys.items()
                 if key in block
             ]
-        dist = _block(data, "dist", [f.name for f in fields(DistSpec)], owner)
+        block = _block(data, "dist", DIST_KEYS, owner)
         return cls(
             algorithm=data.get("algorithm", cls.algorithm),
             serve=_apply(serve, updates, owner),
-            dist=DistSpec(**dist),
+            dist=_apply(
+                DistConfig(),
+                [(f"dist.{key}", key, block[key]) for key in DIST_KEYS if key in block],
+                owner,
+            ),
         )
 
     def to_dict(self) -> dict:
@@ -170,7 +166,7 @@ class PolicySpec:
                 name: {key: getattr(serve, attr) for key, attr in keys.items()}
                 for name, keys in SERVE_KEYS.items()
             },
-            "dist": {f.name: getattr(self.dist, f.name) for f in fields(DistSpec)},
+            "dist": {key: getattr(self.dist, key) for key in DIST_KEYS},
             "forecast": {
                 "enabled": serve.forecast is not None,
                 **{key: getattr(forecast, key) for key in FORECAST_KEYS},

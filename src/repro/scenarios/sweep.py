@@ -10,9 +10,9 @@ through :func:`repro.scenarios.builders.run_scenario`, and writes one
 ``signature_digest`` — the comparability contract: two cells with equal
 digests produced byte-identical assignment outcomes.
 
-Cells are pure functions of their payload, so they fan out over the
-repro.dist backends unchanged: ``--cell-backend process`` runs the grid
-on a pool with bit-identical results to serial.
+Cells are pure functions of their payload, so ``--cell-workers N`` runs
+the grid on a pool of N forked processes with bit-identical results to
+the inline run.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import multiprocessing
 import re
 import time
 from dataclasses import dataclass
@@ -127,7 +128,7 @@ def decisions_path(out_dir: str | Path, cell_index: int, label: str) -> Path:
 
 
 def run_cell(payload: dict) -> dict:
-    """Run one grid cell; pure payload → summary (backend-safe).
+    """Run one grid cell; pure payload → summary (pool-safe).
 
     The payload is plain data (spec document + identity + out dir), so
     the same function runs inline or shipped to a pooled process with
@@ -192,20 +193,22 @@ def run_sweep(
     spec: RunSpec,
     out_dir: str | Path | None = None,
     extra_sweep: Mapping | None = None,
-    cell_backend: str = "serial",
     cell_workers: int = 1,
     argv: Sequence[str] | None = None,
     decisions: bool = False,
 ) -> list[dict]:
     """Execute every cell of a spec's grid; summaries in grid order.
 
-    ``cell_backend='process'`` fans cells over a
-    :class:`repro.dist.ProcessBackend` pool; results are identical to
-    serial because cells are pure (:meth:`Backend.map_ordered`'s
-    contract).  ``decisions`` gives every cell a decision log next to
-    its manifest (requires ``out_dir``), linked through the manifest's
-    ``artifacts`` field so ``run-diff`` can join any two cells.
+    ``cell_workers=1`` runs the cells inline; more fans them over a
+    ``fork`` pool of that many processes, one cell per task.  Results
+    are identical to the inline run because cells are pure and
+    ``Pool.map`` returns them in payload order.  ``decisions`` gives
+    every cell a decision log next to its manifest (requires
+    ``out_dir``), linked through the manifest's ``artifacts`` field so
+    ``run-diff`` can join any two cells.
     """
+    if cell_workers < 1:
+        raise ValueError(f"cell_workers must be at least 1, got {cell_workers}")
     cells = expand_cells(spec, extra_sweep)
     if decisions and out_dir is None:
         raise ValueError("decision logs need an output directory (--out)")
@@ -224,11 +227,11 @@ def run_sweep(
         }
         for cell in cells
     ]
-    if cell_backend == "process" and len(payloads) > 1:
-        from repro.dist import ProcessBackend
-
-        with ProcessBackend(cell_workers) as backend:
-            return backend.map_ordered(run_cell, payloads)
-    if cell_backend not in ("serial", "process"):
-        raise ValueError("cell backend must be 'serial' or 'process'")
-    return [run_cell(p) for p in payloads]
+    if cell_workers == 1 or len(payloads) == 1:
+        return [run_cell(p) for p in payloads]
+    pool = multiprocessing.get_context("fork").Pool(cell_workers)
+    try:
+        return pool.map(run_cell, payloads, chunksize=1)
+    finally:
+        pool.close()
+        pool.join()

@@ -128,13 +128,12 @@ class TestScenariosParser:
         args = build_parser().parse_args([
             "scenarios", "run", "--scenario", "smoke", "--policy", "indexed",
             "--sweep", "scenario.seed=1,2", "--sweep", "policy.cache.ttl=0,6",
-            "--out", "sweep-out", "--cell-backend", "process",
-            "--cell-workers", "3",
+            "--out", "sweep-out", "--cell-workers", "3",
         ])
         assert args.scenarios_command == "run"
         assert args.scenario == "smoke" and args.policy == "indexed"
         assert args.sweep == ["scenario.seed=1,2", "policy.cache.ttl=0,6"]
-        assert args.cell_backend == "process" and args.cell_workers == 3
+        assert args.cell_workers == 3
 
     def test_run_shares_serve_policy_flags(self):
         args = build_parser().parse_args([

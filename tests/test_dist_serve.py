@@ -116,10 +116,8 @@ class TestShardedEngineBehavior:
         from repro import obs
         from repro.obs.recorder import MetricsRecorder
         from repro.scenarios import build_engine, get_policy, get_scenario, materialize
-        from repro.scenarios.specs import DistSpec
-
         data = materialize(get_scenario("smoke"))
-        policy = replace(get_policy("indexed"), dist=DistSpec(shards=2))
+        policy = replace(get_policy("indexed"), dist=DistConfig(shards=2))
         engine = build_engine(data.workers, data.provider, policy)
         runs = []
         try:

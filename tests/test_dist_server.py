@@ -205,12 +205,21 @@ class TestShardServerHandle:
 
 
 class TestShardServerBackend:
-    def test_distconfig_resolves_shard_servers(self):
-        from repro.dist import resolve_backend
-
-        backend = resolve_backend(DistConfig(backend="shard_server", shards=2))
-        assert isinstance(backend, ShardServerBackend)
-        backend.close()
+    def test_shard_server_engine_owns_its_servers(self):
+        _, workers = scenario(0)
+        engine = ShardedEngine(
+            workers,
+            DeadReckoningProvider(seed=0),
+            ServeConfig(),
+            assign_fn=ppi_assign,
+            candidate_assign_fn=component_candidate_assign(ppi_assign),
+            dist=DistConfig(backend="shard_server", shards=2),
+        )
+        try:
+            assert isinstance(engine.backend, ShardServerBackend)
+            assert len(engine.backend.handles) == 2
+        finally:
+            engine.close()
 
     def test_distconfig_rejects_unknown_backend(self):
         with pytest.raises(ValueError):

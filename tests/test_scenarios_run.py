@@ -9,7 +9,6 @@ constructor path the benches and CLI used before the registry existed.
 from repro.assignment.ppi import ppi_assign
 from repro.scenarios import (
     PolicySpec,
-    build_dist_config,
     build_engine,
     build_serve_config,
     get_policy,
@@ -91,10 +90,14 @@ class TestBuilders:
         assert config.min_trigger_interval == ADAPTIVE.serve.min_trigger_interval
 
     def test_dist_config_only_when_sharded(self):
-        assert build_dist_config(ADAPTIVE) is None
+        data = materialize(SMOKE)
+        assert type(build_engine(data.workers, data.provider, ADAPTIVE)) is ServeEngine
         sharded = get_policy("sharded-2")
-        dist = build_dist_config(sharded)
-        assert dist is not None and dist.shards == 2
+        engine = build_engine(data.workers, data.provider, sharded)
+        try:
+            assert engine.dist == sharded.dist and engine.dist.shards == 2
+        finally:
+            engine.close()
 
     def test_engine_kind_follows_shards(self):
         from repro.dist import ShardedEngine

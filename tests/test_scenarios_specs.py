@@ -9,7 +9,6 @@ from repro.forecast.dispatch import ForecastConfig
 from repro.scenarios import (
     BUILTIN_POLICIES,
     BUILTIN_SCENARIOS,
-    DistSpec,
     PolicySpec,
     RunSpec,
     ScenarioSpec,
@@ -66,15 +65,17 @@ class TestRoundTrip:
     def test_json_file_round_trip(self, tmp_path):
         spec = RunSpec.from_dict(FULL_DOC)
         path = tmp_path / "spec.json"
-        dump_spec(spec, path)
+        document = dump_spec(spec, path)
         assert load_spec(path) == spec
+        assert dump_spec(load_spec(path)) == document
 
     def test_yaml_file_round_trip(self, tmp_path):
         pytest.importorskip("yaml")
         spec = RunSpec.from_dict(FULL_DOC)
         path = tmp_path / "spec.yaml"
-        dump_spec(spec, path)
+        document = dump_spec(spec, path)
         assert load_spec(path) == spec
+        assert dump_spec(load_spec(path)) == document
 
 
 class TestValidation:
@@ -108,11 +109,12 @@ class TestValidation:
         assert "policy.trigger.kind" in str(exc.value)
 
     def test_bad_dist_backend(self):
-        with pytest.raises(ValueError, match="serial"):
-            DistSpec(backend="carrier-pigeon")
-        # The per-call pool does not serve a sharded engine.
+        with pytest.raises(ValueError, match="serial") as exc:
+            PolicySpec.from_dict({"dist": {"backend": "carrier-pigeon"}})
+        assert "policy.dist.backend" in str(exc.value)
+        # There is no process pool behind a sharded engine.
         with pytest.raises(ValueError, match="shard_server"):
-            DistSpec(backend="process")
+            PolicySpec.from_dict({"dist": {"backend": "process"}})
 
     def test_dist_workers_key_rejected(self):
         with pytest.raises(ValueError) as exc:
@@ -152,11 +154,13 @@ class TestLoadTimeValidation:
             ({"shedding": {"max_pending": 0}}, "policy.shedding.max_pending"),
             ({"forecast": {"enabled": True, "max_moves": 0}}, "policy.forecast.max_moves"),
             ({"trigger": {"kind": "forecast"}}, "policy.trigger.kind"),
+            ({"dist": {"shards": 0}}, "policy.dist.shards"),
         ],
         ids=[
             "window-negative", "window-string", "ttl-negative", "ttl-null",
             "cell-zero", "max-candidates-zero", "max-pending-zero",
             "forecast-max-moves-zero", "forecast-trigger-without-block",
+            "shards-zero",
         ],
     )
     def test_bad_value_names_document_path(self, doc, path):

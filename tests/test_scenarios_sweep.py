@@ -141,18 +141,13 @@ class TestRunSweep:
             s["signature_digest"] for s in summaries
         ]
 
-    def test_process_cell_backend_matches_serial(self, sweep_out):
+    def test_pooled_cells_write_the_same_manifests(self, sweep_out, tmp_path):
         _, serial = sweep_out
-        pooled = run_sweep(
-            sweep_spec(), cell_backend="process", cell_workers=2
-        )
-        assert [s["signature_digest"] for s in pooled] == [
-            s["signature_digest"] for s in serial
-        ]
-
-    def test_unknown_cell_backend_rejected(self):
-        with pytest.raises(ValueError, match="cell backend"):
-            run_sweep(sweep_spec(), cell_backend="quantum")
+        pooled = run_sweep(sweep_spec(), out_dir=tmp_path / "pooled", cell_workers=2)
+        digests = [s["signature_digest"] for s in serial]
+        assert [s["signature_digest"] for s in pooled] == digests
+        manifests = load_cell_manifests(tmp_path / "pooled")
+        assert [m.metrics["signature_digest"] for m in manifests] == digests
 
 
 class TestReport:
