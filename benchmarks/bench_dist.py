@@ -164,7 +164,7 @@ def train_once(spec: dict, lockstep: bool) -> tuple[float, float, list[dict]]:
     """One full meta-training; returns (seconds, loss, all node thetas)."""
     tree = build_tree(spec)
     factory = MobilityModelFactory(
-        cell="lstm", hidden_size=spec["hidden_size"], seq_out=spec["seq_out"], seed=42
+        hidden_size=spec["hidden_size"], seq_out=spec["seq_out"], seed=42
     )
     tree.theta = factory().state_dict()
     cfg = TAMLConfig(maml=spec["maml"])

@@ -82,7 +82,7 @@ def _phase(timings: Histogram) -> dict:
 def bench_shape(hidden: int, seq_out: int, batch: int, repeats: int) -> dict:
     rng = np.random.default_rng(0)
     model = make_mobility_model(
-        "lstm", input_size=COMMON["features"], hidden_size=hidden, seq_out=seq_out, rng=rng,
+        input_size=COMMON["features"], hidden_size=hidden, seq_out=seq_out, rng=rng,
     )
     x = rng.normal(size=(batch, COMMON["seq_in"], COMMON["features"]))
     y = rng.normal(size=(batch, seq_out, COMMON["features"]))

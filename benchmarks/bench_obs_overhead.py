@@ -132,7 +132,6 @@ def run(calls: int = 40, samples: int = 12) -> dict:
     assert get_recorder() is NOOP, "bench must run with the no-op recorder installed"
     rng = np.random.default_rng(0)
     model = make_mobility_model(
-        "lstm",
         input_size=SHAPE["features"],
         hidden_size=SHAPE["hidden"],
         seq_out=SHAPE["seq_out"],

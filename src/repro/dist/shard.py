@@ -64,7 +64,12 @@ from repro import obs
 from repro.obs.metrics import labelled
 from repro.assignment.hungarian import WarmStartState, maximum_weight_matching
 from repro.sc.entities import SpatialTask, WorkerSnapshot
-from repro.serve.spatial_index import build_candidates, latest_horizon, predicted_points
+from repro.serve.spatial_index import (
+    PredictedPoints,
+    candidates_from_points,
+    latest_horizon,
+    predicted_points,
+)
 
 Edge = tuple[int, int, float]
 
@@ -266,18 +271,26 @@ class ShardPlanner:
         Snapshots the dense path skips (no predicted points, zero
         radius) join nothing, exactly as the dense pass skips them.
         """
-        members: list[list[int]] = [[] for _ in layout.specs]
-        points = predicted_points(snapshots, horizon)
-        if points is None:
-            return members
-        x = points.xy[:, 0]
-        bounds = np.asarray(layout.boundaries, dtype=float)
-        first = np.searchsorted(bounds, np.floor((x - points.radius) / layout.cell_km), "left")
-        last = np.searchsorted(bounds, np.floor((x + points.radius) / layout.cell_km), "left")
-        for shard_id in range(len(members)):
-            touched = (first <= shard_id) & (last >= shard_id)
-            members[shard_id] = np.unique(points.owner[touched]).tolist()
+        return stripe_members(layout, predicted_points(snapshots, horizon))
+
+
+def stripe_members(layout: ShardLayout, points: PredictedPoints | None) -> list[list[int]]:
+    """:meth:`ShardPlanner.memberships` on already stacked predicted points."""
+    members: list[list[int]] = [[] for _ in layout.specs]
+    if points is None:
         return members
+    x = points.xy[:, 0]
+    bounds = np.asarray(layout.boundaries, dtype=float)
+    first = np.searchsorted(bounds, np.floor((x - points.radius) / layout.cell_km), "left")
+    last = np.searchsorted(bounds, np.floor((x + points.radius) / layout.cell_km), "left")
+    for shard_id in range(len(members)):
+        owner = points.owner[(first <= shard_id) & (last >= shard_id)]
+        # Owners are non-decreasing (points stack in snapshot order), so
+        # dropping repeats needs no sort.
+        keep = np.ones(len(owner), dtype=bool)
+        keep[1:] = owner[1:] != owner[:-1]
+        members[shard_id] = owner[keep].tolist()
+    return members
 
 
 def sharded_build_candidates(
@@ -290,7 +303,7 @@ def sharded_build_candidates(
 ) -> dict[int, list[int]]:
     """The dense candidate graph, accounted stripe by stripe.
 
-    One :func:`build_candidates` over the global task index: a single
+    One candidate build over the global task index: a single
     process executing every stripe would only re-query each boundary
     worker's halo once per stripe it touches.  The result equals the
     union of the per-stripe builds a shard server runs — a task's hits
@@ -306,11 +319,10 @@ def sharded_build_candidates(
     layout = planner.layout_for(tasks)
     if layout is None:
         return {}
-    horizon = latest_horizon(tasks, current_time)
-    merged = build_candidates(
-        tasks, snapshots, current_time,
-        cell_km=layout.cell_km, max_candidates=max_candidates, horizon=horizon,
-    )
+    # The candidate build and the halo accounting read the same stacked
+    # predicted points, so they are stacked once.
+    points = predicted_points(snapshots, latest_horizon(tasks, current_time))
+    merged = candidates_from_points(tasks, snapshots, points, layout.cell_km, max_candidates)
     obs.histogram("dist.merge.seconds", 0.0)
     if stats is not None:
         tasks_per_shard = [0] * len(layout)
@@ -319,7 +331,7 @@ def sharded_build_candidates(
             owner = layout.shard_for_x(task.location.x)
             tasks_per_shard[owner] += 1
             pairs[owner] += len(merged.get(task.task_id, ()))
-        members = planner.memberships(layout, snapshots, horizon)
+        members = stripe_members(layout, points)
         fill_shard_stats(stats, tasks_per_shard, members, pairs, 0.0)
     return merged
 

@@ -12,7 +12,8 @@ direction asks for:
 * :mod:`repro.forecast.models` — one ``DemandForecaster`` protocol
   over three interchangeable predictors: an EWMA baseline, a
   seasonal-naive baseline, and a seq2seq forecaster on the existing
-  :mod:`repro.nn` LSTM/GRU stack (fused fast path eligible);
+  :mod:`repro.nn` LSTM encoder-decoder, trained and run on the fused
+  kernels;
 * :mod:`repro.forecast.dispatch` — the proactive policy: a
   ``ForecastTrigger`` that pulls a batch forward when predicted demand
   exceeds a threshold (composing with the serve trigger protocol) and

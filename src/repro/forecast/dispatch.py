@@ -86,7 +86,6 @@ class ForecastConfig:
     height_km: float | None = None
     alpha: float = 0.4
     period_bins: int | None = None
-    seq_cell: str = "lstm"
     seq_hidden: int = 24
     seq_epochs: int = 60
     seq_lr: float = 2e-2
@@ -140,7 +139,6 @@ class ForecastConfig:
             )
         return make_forecaster(
             "seq2seq",
-            cell=self.seq_cell,
             hidden_size=self.seq_hidden,
             seq_in=self.history_bins,
             seq_out=self.horizon_bins,

@@ -9,10 +9,11 @@ Three interchangeable predictors of the next bins of a
 * :class:`SeasonalNaiveForecaster` — repeats the value one season ago
   per cell (rush-hour waves repeat), falling back to the last bin when
   history is shorter than a season;
-* :class:`Seq2SeqForecaster` — the :mod:`repro.nn` LSTM/GRU
+* :class:`Seq2SeqForecaster` — the :mod:`repro.nn` LSTM
   encoder-decoder regressing the next ``seq_out`` bins of the busiest
-  cells from the last ``seq_in`` (fused tape-free inference), with the
-  EWMA carrying the quiet cells it does not model.
+  cells from the last ``seq_in`` (trained and run on the fused
+  tape-free kernels), with the EWMA carrying the quiet cells it does
+  not model.
 
 ``predict(history, steps)`` is pure: the same history always yields
 the same forecast, so engine runs that share a seed stay bit-identical.
@@ -115,10 +116,10 @@ class Seq2SeqForecaster:
     well-conditioned at any arrival rate.  Cells outside the selection
     are forecast by an embedded EWMA, so the full ``(steps, n_cells)``
     contract holds.  Training and inference are seeded and
-    deterministic; ``predict`` runs the fused tape-free path.
+    deterministic; ``fit`` steps Adam on the fused BPTT gradients
+    (teacher-forced MSE) and ``predict`` runs the fused forward.
     """
 
-    cell: str = "lstm"
     hidden_size: int = 24
     seq_in: int = 6
     seq_out: int = 1
@@ -144,7 +145,7 @@ class Seq2SeqForecaster:
         return self._model is not None
 
     def fit(self, series: DemandSeries) -> "Seq2SeqForecaster":
-        from repro.nn import Adam, Tensor, mse_loss
+        from repro.nn import Adam, fused, mse_loss
         from repro.nn.seq2seq import make_mobility_model
 
         active = series.active_cells(top_k=self.top_cells)
@@ -159,7 +160,6 @@ class Seq2SeqForecaster:
         x, y = demand_windows(sub / self._scale, self.seq_in, self.seq_out)
         rng = np.random.default_rng(self.seed)
         model = make_mobility_model(
-            self.cell,
             input_size=int(active.size),
             hidden_size=self.hidden_size,
             seq_out=self.seq_out,
@@ -167,11 +167,14 @@ class Seq2SeqForecaster:
         )
         if len(x):
             optimizer = Adam(model.parameters(), lr=self.lr)
-            tx, ty = Tensor(x), Tensor(y)
+            own = dict(model.named_parameters())
             for _ in range(self.epochs):
                 optimizer.zero_grad()
-                loss = mse_loss(model.forward(tx, targets=ty), ty)
-                loss.backward()
+                _, grads = fused.loss_and_grads(
+                    model, own, x, y, mse_loss, teacher_forcing=True
+                )
+                for name, param in own.items():
+                    param.grad = grads[name]
                 optimizer.step()
         self._model = model
         self._active = active

@@ -8,7 +8,7 @@ adapted parameters (first-order MAML); a Reptile-style outer update is
 available for the ablation benches (``outer="reptile"``).
 
 Every forward/backward runs on the fused BPTT kernels of
-:mod:`repro.nn.fused`, which cover the seq2seq mobility models that
+:mod:`repro.nn.fused`, which cover the LSTM encoder-decoder that
 :func:`repro.nn.seq2seq.make_mobility_model` builds; each public entry
 rejects any other model type (see ``DESIGN.md`` §8).  Several clusters
 meta-train in lockstep (:func:`meta_train_clusters`, which TAML and CTML
@@ -68,8 +68,8 @@ def require_fused(model: Module, entry: str) -> None:
     """Reject a model the fused kernels do not cover, naming its class."""
     if not fused.supports(model):
         raise ValueError(
-            f"{entry} trains the seq2seq mobility models of make_mobility_model "
-            f"(LSTM or GRU encoder-decoder); got {type(model).__name__}"
+            f"{entry} trains the LSTM encoder-decoder of make_mobility_model; "
+            f"got {type(model).__name__}"
         )
 
 

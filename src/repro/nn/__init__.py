@@ -2,8 +2,12 @@
 
 Implemented from scratch because the reproduction environment has no
 deep-learning framework; see ``DESIGN.md`` §3 for the substitution
-rationale.  The engine is first-order (no double backprop), which is
-all the first-order MAML stack requires.
+rationale.  The one recurrent model is the LSTM encoder-decoder of
+:mod:`repro.nn.seq2seq`, and the fused BPTT kernels of
+:mod:`repro.nn.fused` are the one path that trains it.  The autograd
+tape is first-order (no double backprop); it is the reference the
+kernels are tested against and evaluates the losses that have no
+closed form.
 """
 
 from repro.nn.tensor import Tensor, concat, stack, grad_of
@@ -13,15 +17,12 @@ from repro.nn.module import (
     ParamContext,
     clone_parameters,
     apply_gradient_step,
-    flatten_parameters,
     flatten_gradients,
-    average_state_dicts,
 )
 from repro.nn.layers import Linear, MLP
 from repro.nn.lstm import LSTM, LSTMCell
-from repro.nn.seq2seq import LSTMEncoderDecoder, GRUEncoderDecoder, make_mobility_model
-from repro.nn.gru import GRU, GRUCell
-from repro.nn.optim import SGD, Adam, Optimizer, clip_gradients
+from repro.nn.seq2seq import LSTMEncoderDecoder, make_mobility_model
+from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.losses import (
     mse_loss,
     mae_loss,
@@ -41,22 +42,16 @@ __all__ = [
     "ParamContext",
     "clone_parameters",
     "apply_gradient_step",
-    "flatten_parameters",
     "flatten_gradients",
-    "average_state_dicts",
     "Linear",
     "MLP",
     "LSTM",
     "LSTMCell",
     "LSTMEncoderDecoder",
-    "GRUEncoderDecoder",
     "make_mobility_model",
-    "GRU",
-    "GRUCell",
     "SGD",
     "Adam",
     "Optimizer",
-    "clip_gradients",
     "mse_loss",
     "mae_loss",
     "weighted_mse_loss",

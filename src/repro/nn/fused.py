@@ -63,6 +63,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.nn.losses import loss_weights, mae_loss, mse_loss
+from repro.nn.seq2seq import LSTMEncoderDecoder
 from repro.nn.tensor import Tensor
 
 Array = np.ndarray
@@ -154,13 +155,6 @@ def _lstm_weights(params, prefix: str) -> tuple[Array, Array, Array]:
         _perm_ifog(_as_array(params[prefix + "bias"])),
     )
 
-
-def _gru_weights(params, prefix: str) -> tuple[Array, ...]:
-    """A GRU layer's six weight arrays, unwrapped (no permutation needed)."""
-    return tuple(
-        _as_array(params[prefix + name])
-        for name in ("w_ih", "w_hh", "bias", "w_ic", "w_hc", "bias_c")
-    )
 
 
 # ----------------------------------------------------------------------
@@ -306,124 +300,8 @@ class _LSTMKernel:
         return _proj(self.G, _mT(self.w_ih))
 
 
-class _GRUKernel:
-    """One GRU unroll (gate order ``[r, z]``: both sigmoids, already one
-    contiguous block, so no column permutation is needed).
-
-    ``h' = z h + (1 - z) n`` with ``n = tanh(x W_ic + (r h) W_hc + b_c)``:
-
-        dz = dh' (h - n)      dn = dh' (1 - z)     dh += dh' z
-        dn_pre = dn (1 - n^2) d(rh) = dn_pre W_hc^T
-        dr = d(rh) h          dh += d(rh) r
-
-    As in :class:`_LSTMKernel`, the activation-jacobian factors are
-    precomputed over the whole sequence; the candidate stack is
-    overwritten in place by ``dn_pre`` during the sweep.
-    """
-
-    __slots__ = ("w_ih", "w_hh", "bias", "w_ic", "w_hc", "bias_c", "n",
-                 "h0", "state_in", "x", "G", "RH", "CAND", "OUT", "_factors")
-
-    def __init__(self, weights: tuple, lead: tuple, steps: int, state=None):
-        # ``weights`` is ``(w_ih, w_hh, bias, w_ic, w_hc, bias_c)`` from
-        # :func:`_gru_weights`.
-        self.w_ih, self.w_hh, self.bias, self.w_ic, self.w_hc, self.bias_c = weights
-        n = self.w_hh.shape[-2]
-        self.n = n
-        self.state_in = state is not None
-        self.h0 = state if state is not None else np.zeros(lead + (n,))
-        stack = lead[:-1] + (steps, lead[-1])
-        self.x = None  # time-major inputs (..., T, B, F); set by the driver
-        self.G = np.empty(stack + (2 * n,))  # [r, z] gates, then dgates
-        self.RH = np.empty(stack + (n,))     # r * h_prev
-        self.CAND = np.empty(stack + (n,))   # candidate, then dn_pre
-        self.OUT = np.empty(stack + (n,))    # hidden state
-        self._factors = None
-
-    def input_proj(self, x: Array) -> tuple[Array, Array]:
-        return _proj(x, self.w_ih), _proj(x, self.w_ic)
-
-    def step(self, t: int, xp_t: Array, cp_t: Array, h: Array) -> Array:
-        """One forward step; ``xp_t``/``cp_t`` are the two input
-        projections ``x_t @ w_ih`` and ``x_t @ w_ic`` (biases pending)."""
-        n = self.n
-        g = self.G[..., t, :, :]
-        np.add(xp_t, h @ self.w_hh, out=g)
-        g += self.bias[..., None, :]
-        _sigmoid_(g)
-        r = g[..., :n]
-        z = g[..., n:]
-        rh = self.RH[..., t, :, :]
-        np.multiply(r, h, out=rh)
-        pre = self.CAND[..., t, :, :]
-        np.add(cp_t, rh @ self.w_hc, out=pre)
-        pre += self.bias_c[..., None, :]
-        np.tanh(pre, out=pre)  # pre is now the candidate
-        h_new = self.OUT[..., t, :, :]
-        np.multiply(z, h, out=h_new)
-        h_new += (1.0 - z) * pre
-        return h_new
-
-    def prepare_backward(self) -> None:
-        n = self.n
-        G, CAND = self.G, self.CAND
-        r = G[..., :n]
-        z = G[..., n:]
-        hp = np.empty_like(self.OUT)  # h_{t-1} aligned with step t
-        hp[..., 0, :, :] = self.h0
-        hp[..., 1:, :, :] = self.OUT[..., :-1, :, :]
-        omz = np.subtract(1.0, z)
-        f_pre = np.multiply(CAND, CAND)  # (1 - z)(1 - n^2): dn_pre per unit dh
-        np.subtract(1.0, f_pre, out=f_pre)
-        f_pre *= omz
-        f_z = np.subtract(hp, CAND)  # (h_prev - n) z (1 - z): z-gate jacobian
-        f_z *= z
-        f_z *= omz
-        f_r = np.subtract(1.0, r)  # h_prev r (1 - r): r-gate jacobian per unit d(rh)
-        f_r *= r
-        f_r *= hp
-        self._factors = (f_pre, f_z, f_r, hp)
-
-    def back_step(self, t: int, dh: Array) -> tuple[Array, Array, Array]:
-        """Reverse of step ``t``; returns ``(dgates_t, dn_pre_t, dh_partial)``.
-
-        The caller finishes the carry with
-        ``dh_prev = dh_partial + dgates @ w_hh^T``.
-        """
-        n = self.n
-        f_pre, f_z, f_r, _ = self._factors
-        g = self.G[..., t, :, :]
-        r = g[..., :n]
-        z = g[..., n:]
-        dpre = self.CAND[..., t, :, :]
-        np.multiply(dh, f_pre[..., t, :, :], out=dpre)
-        drh = dpre @ _mT(self.w_hc)
-        dh_partial = dh * z    # read z before overwriting it
-        dh_partial += drh * r  # read r before overwriting it
-        np.multiply(drh, f_r[..., t, :, :], out=r)
-        np.multiply(dh, f_z[..., t, :, :], out=z)
-        return g, dpre, dh_partial
-
-    def grads(self, out: dict[str, Array], prefix: str) -> dict[str, Array]:
-        DG, DP = self.G, self.CAND
-        hp = self._factors[3]
-        dg_flat = _flatten_tb(DG)
-        dp_flat = _flatten_tb(DP)
-        x_flat_t = _mT(_flatten_tb(self.x))
-        out[prefix + "w_ih"] = x_flat_t @ dg_flat
-        out[prefix + "w_hh"] = _mT(_flatten_tb(hp)) @ dg_flat
-        out[prefix + "bias"] = DG.sum(axis=(-3, -2))
-        out[prefix + "w_ic"] = x_flat_t @ dp_flat
-        out[prefix + "w_hc"] = _mT(_flatten_tb(self.RH)) @ dp_flat
-        out[prefix + "bias_c"] = DP.sum(axis=(-3, -2))
-        return out
-
-    def dx(self) -> Array:
-        return _proj(self.CAND, _mT(self.w_ic)) + _proj(self.G, _mT(self.w_ih))
-
-
 # ----------------------------------------------------------------------
-# full-sequence layer kernels (the LSTM / GRU modules)
+# full-sequence layer kernels (the LSTM module)
 # ----------------------------------------------------------------------
 def lstm_forward(
     x: Array,
@@ -480,63 +358,12 @@ def lstm_backward(
     return _tmaj(kern.dx()), (dh, dc), grads
 
 
-def gru_forward(
-    x: Array,
-    params: Mapping[str, Array],
-    prefix: str = "cell.",
-    state: Array | None = None,
-) -> tuple[Array, Array, _GRUKernel]:
-    """Fused :class:`repro.nn.gru.GRU` forward; returns ``(outputs, h_T, cache)``."""
-    x = np.asarray(x, dtype=np.float64)
-    steps = x.shape[-2]
-    kern = _GRUKernel(_gru_weights(params, prefix), x.shape[:-2], steps, state=state)
-    xt = _tmaj(x)
-    kern.x = xt
-    xp, cp = kern.input_proj(xt)
-    h = kern.h0
-    for t in range(steps):
-        h = kern.step(t, xp[..., t, :, :], cp[..., t, :, :], h)
-    return _tmaj(kern.OUT), h, kern
-
-
-def gru_backward(
-    cache: _GRUKernel,
-    params: Mapping[str, Array],
-    d_outputs: Array | None = None,
-    d_state: Array | None = None,
-    prefix: str = "cell.",
-) -> tuple[Array, Array, dict[str, Array]]:
-    """Reverse sweep matching :func:`gru_forward`; returns ``(dx, dh_0, grads)``."""
-    kern = cache
-    dh = np.asarray(d_state, dtype=np.float64) if d_state is not None else np.zeros(kern.h0.shape)
-    if d_outputs is not None:
-        d_outputs = _tmaj(np.asarray(d_outputs, dtype=np.float64))
-    kern.prepare_backward()
-    for t in range(kern.OUT.shape[-3] - 1, -1, -1):
-        if d_outputs is not None:
-            dh = dh + d_outputs[..., t, :, :]
-        dgates, _, dh_partial = kern.back_step(t, dh)
-        dh = dh_partial + dgates @ _mT(kern.w_hh)
-    grads = kern.grads({}, prefix)
-    return _tmaj(kern.dx()), dh, grads
-
-
 # ----------------------------------------------------------------------
 # seq2seq encoder-decoder kernels
 # ----------------------------------------------------------------------
-def _model_kind(model) -> str | None:
-    from repro.nn.seq2seq import GRUEncoderDecoder, LSTMEncoderDecoder
-
-    if isinstance(model, LSTMEncoderDecoder):
-        return "lstm"
-    if isinstance(model, GRUEncoderDecoder):
-        return "gru"
-    return None
-
-
 def supports(model) -> bool:
     """Whether the fused seq2seq kernels cover this model type."""
-    return _model_kind(model) is not None
+    return isinstance(model, LSTMEncoderDecoder)
 
 
 class Seq2SeqWeights:
@@ -549,17 +376,14 @@ class Seq2SeqWeights:
     prepares them once.  Valid while the parameters are unchanged.
     """
 
-    __slots__ = ("kind", "encoder", "decoder", "w_head", "b_head")
+    __slots__ = ("encoder", "decoder", "w_head", "b_head")
 
     def __init__(self, model, params: Mapping[str, "Tensor | Array"]):
-        kind = _model_kind(model)
-        if kind is None:
+        if not supports(model):
             raise TypeError(f"fused kernels do not support {type(model).__name__}")
-        layer = _lstm_weights if kind == "lstm" else _gru_weights
         p = as_param_arrays(params)
-        self.kind = kind
-        self.encoder = layer(p, "encoder.")
-        self.decoder = layer(p, "decoder.")
+        self.encoder = _lstm_weights(p, "encoder.")
+        self.decoder = _lstm_weights(p, "decoder.")
         self.w_head = p["head.weight"]
         self.b_head = p.get("head.bias")
 
@@ -567,10 +391,9 @@ class Seq2SeqWeights:
 class Seq2SeqCache:
     """Forward-pass state the seq2seq reverse sweep consumes."""
 
-    __slots__ = ("kind", "enc", "dec", "teacher_forcing", "seq_out", "w_head", "has_bias")
+    __slots__ = ("enc", "dec", "teacher_forcing", "seq_out", "w_head", "has_bias")
 
-    def __init__(self, kind, enc, dec, teacher_forcing, seq_out, w_head, has_bias):
-        self.kind = kind
+    def __init__(self, enc, dec, teacher_forcing, seq_out, w_head, has_bias):
         self.enc = enc
         self.dec = dec
         self.teacher_forcing = teacher_forcing
@@ -593,7 +416,6 @@ def seq2seq_forward(
     Returns ``(pred, cache)`` with ``pred`` shaped ``(..., B, seq_out, F)``.
     """
     weights = params if isinstance(params, Seq2SeqWeights) else Seq2SeqWeights(model, params)
-    kind = weights.kind
     x = np.asarray(x, dtype=np.float64)
     if targets is not None:
         targets = np.asarray(targets, dtype=np.float64)
@@ -603,23 +425,14 @@ def seq2seq_forward(
     xt = _tmaj(x)
 
     # Encoder: inputs are all known up front, so both the unroll driver
-    # and the kernel can hoist the input projections.
-    if kind == "lstm":
-        enc = _LSTMKernel(weights.encoder, lead, seq_in)
-        enc.x = xt
-        xp = enc.input_proj(xt)
-        h, c = enc.h0, enc.c0
-        for t in range(seq_in):
-            h, c = enc.step(t, xp[..., t, :, :], h, c)
-        dec = _LSTMKernel(weights.decoder, lead, seq_out, state=(h, c))
-    else:
-        enc = _GRUKernel(weights.encoder, lead, seq_in)
-        enc.x = xt
-        xp, cp = enc.input_proj(xt)
-        h = enc.h0
-        for t in range(seq_in):
-            h = enc.step(t, xp[..., t, :, :], cp[..., t, :, :], h)
-        dec = _GRUKernel(weights.decoder, lead, seq_out, state=h)
+    # and the kernel can hoist the input projection.
+    enc = _LSTMKernel(weights.encoder, lead, seq_in)
+    enc.x = xt
+    xp = enc.input_proj(xt)
+    h, c = enc.h0, enc.c0
+    for t in range(seq_in):
+        h, c = enc.step(t, xp[..., t, :, :], h, c)
+    dec = _LSTMKernel(weights.decoder, lead, seq_out, state=(h, c))
 
     # Decoder: autoregressive (or teacher-forced) residual unroll.
     w_head = weights.w_head
@@ -631,10 +444,7 @@ def seq2seq_forward(
     u = x[..., seq_in - 1, :]
     for t in range(seq_out):
         u_steps[..., t, :, :] = u
-        if kind == "lstm":
-            h, c = dec.step(t, u @ dec.w_ih, h, c)
-        else:
-            h = dec.step(t, u @ dec.w_ih, u @ dec.w_ic, h)
+        h, c = dec.step(t, u @ dec.w_ih, h, c)
         delta = h @ w_head
         if b_head is not None:
             delta += b_head[..., None, :]
@@ -644,9 +454,7 @@ def seq2seq_forward(
             u = targets[..., t, :]
         else:
             u = point
-    return pred, Seq2SeqCache(
-        kind, enc, dec, targets is not None, seq_out, w_head, b_head is not None
-    )
+    return pred, Seq2SeqCache(enc, dec, targets is not None, seq_out, w_head, b_head is not None)
 
 
 def seq2seq_backward(
@@ -663,7 +471,6 @@ def seq2seq_backward(
     during the sweep.  Returns parameter gradients keyed like
     ``model.named_parameters()``.
     """
-    kind = cache.kind
     enc, dec = cache.enc, cache.dec
     w_head_t = _mT(cache.w_head)
     autoregressive = not cache.teacher_forcing
@@ -681,19 +488,13 @@ def seq2seq_backward(
         else:
             np.add(dpred[..., t, :], du, out=dp)
         dh = dp @ w_head_t if dh is None else dh + dp @ w_head_t
-        if kind == "lstm":
-            dgates, dc = dec.back_step(t, dh, dc)
-            dh = dgates @ _mT(dec.w_hh)
-            if autoregressive and t > 0:
-                # Residual head: the point is (input + delta), so the
-                # carry into the previous step's point is dp plus the
-                # cell-input term.
-                du = dp + dgates @ _mT(dec.w_ih)
-        else:
-            dgates, dpre, dh_partial = dec.back_step(t, dh)
-            dh = dh_partial + dgates @ _mT(dec.w_hh)
-            if autoregressive and t > 0:
-                du = dp + dpre @ _mT(dec.w_ic) + dgates @ _mT(dec.w_ih)
+        dgates, dc = dec.back_step(t, dh, dc)
+        dh = dgates @ _mT(dec.w_hh)
+        if autoregressive and t > 0:
+            # Residual head: the point is (input + delta), so the
+            # carry into the previous step's point is dp plus the
+            # cell-input term.
+            du = dp + dgates @ _mT(dec.w_ih)
 
     grads: dict[str, Array] = {}
     dph_flat = _flatten_tb(_tmaj(dph))
@@ -706,12 +507,8 @@ def seq2seq_backward(
     # inputs are data, so only the state carry flows back — no dx.
     enc.prepare_backward()
     for t in range(enc.OUT.shape[-3] - 1, -1, -1):
-        if kind == "lstm":
-            dgates, dc = enc.back_step(t, dh, dc)
-            dh = dgates @ _mT(enc.w_hh)
-        else:
-            dgates, _, dh_partial = enc.back_step(t, dh)
-            dh = dh_partial + dgates @ _mT(enc.w_hh)
+        dgates, dc = enc.back_step(t, dh, dc)
+        dh = dgates @ _mT(enc.w_hh)
     enc.grads(grads, "encoder.")
     return grads
 

@@ -169,35 +169,10 @@ def apply_gradient_step(
     return stepped
 
 
-def flatten_parameters(params: Mapping[str, Tensor] | Module) -> np.ndarray:
-    """Concatenate all parameters into a single flat vector.
-
-    Learning-path similarity (Eq. 2) compares per-step gradient vectors
-    across learning tasks; flattening gives a stable, order-deterministic
-    embedding (names are sorted).
-    """
-    if isinstance(params, Module):
-        items = sorted(params.named_parameters())
-        return np.concatenate([p.data.ravel() for _, p in items]) if items else np.zeros(0)
-    items = sorted(params.items())
-    return np.concatenate([p.data.ravel() for _, p in items]) if items else np.zeros(0)
-
-
 def flatten_gradients(grads: Mapping[str, np.ndarray]) -> np.ndarray:
     """Concatenate named gradients into a flat vector (sorted names)."""
     items = sorted(grads.items())
     return np.concatenate([g.ravel() for _, g in items]) if items else np.zeros(0)
-
-
-def average_state_dicts(states: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Elementwise mean of several state dicts with identical keys."""
-    if not states:
-        raise ValueError("need at least one state dict")
-    keys = set(states[0])
-    for s in states[1:]:
-        if set(s) != keys:
-            raise KeyError("state dicts do not share keys")
-    return {k: np.mean([s[k] for s in states], axis=0) for k in keys}
 
 
 LossFn = Callable[[Tensor, Tensor], Tensor]

@@ -93,22 +93,3 @@ class Adam(Optimizer):
             v_hat = v / b2t
             np.subtract(p.data, self.lr * m_hat / (np.sqrt(v_hat) + self.eps), out=p.data)
 
-
-def clip_gradients(params: Iterable[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  Small recurrent models trained with
-    aggressive meta learning rates occasionally spike; clipping keeps
-    the meta-training loops stable.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    grads = [p.grad for p in params if p.grad is not None]
-    if not grads:
-        return 0.0
-    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads)))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads:
-            g *= scale
-    return total

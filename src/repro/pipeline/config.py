@@ -48,7 +48,6 @@ class PredictionConfig:
     seq_in: int = 5
     seq_out: int = 1
     hidden_size: int = 16
-    cell: str = "lstm"
     fine_tune_steps: int = 40
     fine_tune_lr: float = 0.01
     fine_tune_optimizer: str = "adam"
@@ -75,8 +74,6 @@ class PredictionConfig:
             raise ValueError("sequence lengths must be positive")
         if self.mr_threshold_km < 0:
             raise ValueError("mr_threshold_km must be non-negative")
-        if self.cell not in ("lstm", "gru"):
-            raise ValueError("cell must be 'lstm' or 'gru'")
         if self.fine_tune_optimizer not in ("sgd", "adam"):
             raise ValueError("fine_tune_optimizer must be 'sgd' or 'adam'")
         for name in ("loss_d_q_km", "loss_delta", "fine_tune_lr", "probe_lr"):

@@ -102,7 +102,6 @@ class MobilityModelFactory:
     re-seeded per call.
     """
 
-    cell: str = "lstm"
     input_size: int = 2
     hidden_size: int = 16
     seq_out: int = 1
@@ -111,7 +110,6 @@ class MobilityModelFactory:
     def __call__(self) -> Module:
         rng = np.random.default_rng(self.seed)
         return make_mobility_model(
-            self.cell,
             input_size=self.input_size,
             hidden_size=self.hidden_size,
             seq_out=self.seq_out,
@@ -120,9 +118,8 @@ class MobilityModelFactory:
 
 
 def make_model_factory(config: PredictionConfig) -> MobilityModelFactory:
-    """Deterministic mobility-model factory (LSTM or GRU per config)."""
+    """Deterministic mobility-model factory for ``config``."""
     return MobilityModelFactory(
-        cell=config.cell,
         input_size=2,
         hidden_size=config.hidden_size,
         seq_out=config.seq_out,

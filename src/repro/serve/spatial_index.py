@@ -244,8 +244,25 @@ def build_candidates(
         horizon = latest_horizon(tasks, current_time)
     if not tasks:
         return {}
-    points = predicted_points(snapshots, horizon)
-    if points is None:
+    return candidates_from_points(
+        tasks, snapshots, predicted_points(snapshots, horizon), cell_km, max_candidates
+    )
+
+
+def candidates_from_points(
+    tasks: Sequence[SpatialTask],
+    snapshots: Sequence[WorkerSnapshot],
+    points: PredictedPoints | None,
+    cell_km: float,
+    max_candidates: int | None = None,
+) -> dict[int, list[int]]:
+    """:func:`build_candidates` on the batch's stacked predicted points.
+
+    ``points`` is :func:`predicted_points` of ``snapshots`` at the
+    batch's horizon, so a caller that also needs the points elsewhere
+    (the sharded build's halo accounting) stacks them once.
+    """
+    if not tasks or points is None:
         return {}
 
     task_xy = np.array([(t.location.x, t.location.y) for t in tasks], dtype=float)

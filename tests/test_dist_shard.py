@@ -193,6 +193,34 @@ class TestShardedCandidates:
         assert stats.n_shards == 3
         assert sum(stats.pairs_per_shard) == sum(len(v) for v in merged.values())
 
+    def test_predicted_points_are_stacked_once(self, monkeypatch):
+        """The candidate build and the halo accounting share one stack of
+        the batch's predicted points, and the stats still equal those of
+        the planner's own memberships."""
+        import repro.dist.shard as shard_mod
+        import repro.serve.spatial_index as index_mod
+
+        rng = np.random.default_rng(5)
+        tasks, snaps = random_workload(rng)
+        planner = ShardPlanner(3, cell_km=1.5)
+        layout = planner.layout_for(tasks)
+        members = planner.memberships(layout, snaps, latest_horizon(tasks, 0.0))
+
+        calls = []
+        original = index_mod.predicted_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(index_mod, "predicted_points", counting)
+        monkeypatch.setattr(shard_mod, "predicted_points", counting)
+        stats = ShardStats()
+        merged = sharded_build_candidates(tasks, snaps, 0.0, planner, stats=stats)
+        assert len(calls) == 1
+        assert merged == build_candidates(tasks, snaps, 0.0, cell_km=1.5)
+        assert stats.snapshots_per_shard == [len(m) for m in members]
+
     def test_zero_radius_workers_join_nothing(self):
         tasks = [make_task(0, 0.5, 0.5)]
         dead = make_snapshot(1, [(0.5, 0.5)], detour=0.0)

@@ -44,7 +44,7 @@ def traj_task(worker_id, seed, n=20, seq_in=SEQ_IN, seq_out=SEQ_OUT):
 
 
 def fresh_model(seq_out=SEQ_OUT):
-    return make_mobility_model("lstm", hidden_size=6, seq_out=seq_out, rng=np.random.default_rng(42))
+    return make_mobility_model(hidden_size=6, seq_out=seq_out, rng=np.random.default_rng(42))
 
 
 def assert_state_dicts_close(a, b):

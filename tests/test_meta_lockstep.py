@@ -28,7 +28,7 @@ from repro.pipeline.training import MobilityModelFactory
 
 SEQ_IN, SEQ_OUT = 4, 2
 
-FACTORY = MobilityModelFactory(cell="lstm", hidden_size=6, seq_out=SEQ_OUT, seed=42)
+FACTORY = MobilityModelFactory(hidden_size=6, seq_out=SEQ_OUT, seed=42)
 MAML = MAMLConfig(
     meta_lr=0.1, inner_lr=0.05, inner_steps=2, meta_batch=2, iterations=4, support_batch=8
 )

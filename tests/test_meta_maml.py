@@ -12,7 +12,7 @@ from repro.nn.tensor import Tensor
 
 def tiny_model(seed=42):
     """The smallest mobility model: an LSTM encoder-decoder, hidden 8."""
-    return make_mobility_model("lstm", hidden_size=8, rng=np.random.default_rng(seed))
+    return make_mobility_model(hidden_size=8, rng=np.random.default_rng(seed))
 
 
 def walk_task(worker_id, heading, seed, n=24, seq_in=3):

@@ -32,7 +32,7 @@ def linear_task(worker_id, scale, seed=0, n=16, seq_in=3):
 
 
 def factory():
-    return make_mobility_model("lstm", hidden_size=8, rng=np.random.default_rng(42))
+    return make_mobility_model(hidden_size=8, rng=np.random.default_rng(42))
 
 
 def small_maml():

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.nn import fused
-from repro.nn.gru import GRU
 from repro.nn.lstm import LSTM
 from repro.nn.losses import TaskDensityWeighter, mae_loss, mse_loss
 from repro.nn.seq2seq import make_mobility_model
@@ -42,7 +41,7 @@ def assert_grads_close(fused_grads, tape_grads, rtol=RTOL, atol=ATOL):
 
 
 class TestLayerKernels:
-    """lstm_forward/backward and gru_forward/backward vs the modules."""
+    """lstm_forward/backward vs the module."""
 
     @pytest.mark.parametrize("batch,steps,features,hidden", [(3, 4, 2, 5), (1, 1, 3, 2)])
     def test_lstm_layer_matches_tape(self, batch, steps, features, hidden):
@@ -66,36 +65,15 @@ class TestLayerKernels:
         np.testing.assert_allclose(dx, x_t.grad, rtol=RTOL, atol=ATOL)
         assert_grads_close(grads, {n: p.grad for n, p in layer.named_parameters()})
 
-    @pytest.mark.parametrize("batch,steps,features,hidden", [(3, 4, 2, 5), (2, 6, 1, 3)])
-    def test_gru_layer_matches_tape(self, batch, steps, features, hidden):
-        rng = np.random.default_rng(13)
-        layer = GRU(features, hidden, rng)
-        x = rng.normal(size=(batch, steps, features))
-        w_out = rng.normal(size=(batch, steps, hidden))
-        w_h = rng.normal(size=(batch, hidden))
-
-        x_t = Tensor(x, requires_grad=True)
-        out, h = layer.forward(x_t)
-        loss = (out * Tensor(w_out)).sum() + (h * Tensor(w_h)).sum()
-        loss.backward()
-
-        params = fused.as_param_arrays(dict(layer.named_parameters()))
-        f_out, f_h, caches = fused.gru_forward(x, params)
-        np.testing.assert_allclose(f_out, out.data, rtol=0, atol=0)
-        dx, _, grads = fused.gru_backward(caches, params, d_outputs=w_out, d_state=w_h)
-        np.testing.assert_allclose(dx, x_t.grad, rtol=RTOL, atol=ATOL)
-        assert_grads_close(grads, {n: p.grad for n, p in layer.named_parameters()})
-
 
 class TestSeq2SeqKernels:
     """Fused encoder-decoder loss_and_grads vs the tape, all decode modes."""
 
-    @pytest.mark.parametrize("cell", ["lstm", "gru"])
     @pytest.mark.parametrize("seq_out", [1, 3])
     @pytest.mark.parametrize("teacher_forcing", [False, True])
-    def test_matches_tape(self, cell, seq_out, teacher_forcing):
+    def test_matches_tape(self, seq_out, teacher_forcing):
         rng = np.random.default_rng(17)
-        model = make_mobility_model(cell, hidden_size=7, seq_out=seq_out, rng=rng)
+        model = make_mobility_model(hidden_size=7, seq_out=seq_out, rng=rng)
         x = rng.normal(size=(5, 4, 2))
         y = rng.normal(size=(5, seq_out, 2))
 
@@ -113,7 +91,7 @@ class TestSeq2SeqKernels:
     )
     def test_loss_functions(self, loss_fn):
         rng = np.random.default_rng(19)
-        model = make_mobility_model("lstm", hidden_size=6, seq_out=2, rng=rng)
+        model = make_mobility_model(hidden_size=6, seq_out=2, rng=rng)
         x = rng.uniform(size=(4, 3, 2))
         y = rng.uniform(size=(4, 2, 2))
         ref_loss, ref_grads = tape_loss_and_grads(model, x, y, loss_fn)
@@ -125,7 +103,7 @@ class TestSeq2SeqKernels:
         """Central differences on random parameter entries — independent of
         the tape, catches errors both analytic paths could share."""
         rng = np.random.default_rng(23)
-        model = make_mobility_model("lstm", hidden_size=4, seq_out=2, rng=rng)
+        model = make_mobility_model(hidden_size=4, seq_out=2, rng=rng)
         x = rng.normal(size=(3, 3, 2))
         y = rng.normal(size=(3, 2, 2))
         params = fused.as_param_arrays(dict(model.named_parameters()))
@@ -148,10 +126,9 @@ class TestSeq2SeqKernels:
                 analytic = grads[name].reshape(-1)[idx]
                 assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-7), name
 
-    @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    def test_predict_matches_tape_forward(self, cell):
+    def test_predict_matches_tape_forward(self):
         rng = np.random.default_rng(29)
-        model = make_mobility_model(cell, hidden_size=5, seq_out=3, rng=rng)
+        model = make_mobility_model(hidden_size=5, seq_out=3, rng=rng)
         x = rng.normal(size=(4, 5, 2))
         tape_pred = model.forward(Tensor(x)).data
         fused_pred = fused.seq2seq_predict(model, dict(model.named_parameters()), x)
@@ -161,19 +138,19 @@ class TestSeq2SeqKernels:
         from repro.nn.layers import MLP
 
         rng = np.random.default_rng(1)
-        assert fused.supports(make_mobility_model("lstm", rng=rng))
-        assert fused.supports(make_mobility_model("gru", rng=rng))
+        assert fused.supports(make_mobility_model(rng=rng))
         assert not fused.supports(MLP([2, 4, 2], rng))
+        with pytest.raises(TypeError, match="MLP"):
+            fused.Seq2SeqWeights(MLP([2, 4, 2], rng), {})
 
 
 class TestBatchedKernels:
     """Stacked multi-worker pass vs independent single-worker passes."""
 
-    @pytest.mark.parametrize("cell", ["lstm", "gru"])
     @pytest.mark.parametrize("teacher_forcing", [False, True])
-    def test_ragged_batch_matches_singles(self, cell, teacher_forcing):
+    def test_ragged_batch_matches_singles(self, teacher_forcing):
         rng = np.random.default_rng(31)
-        model = make_mobility_model(cell, hidden_size=5, seq_out=2, rng=rng)
+        model = make_mobility_model(hidden_size=5, seq_out=2, rng=rng)
         counts = [4, 1, 3]  # ragged per-worker window counts
         xs = [rng.normal(size=(n, 3, 2)) for n in counts]
         ys = [rng.normal(size=(n, 2, 2)) for n in counts]
@@ -198,13 +175,12 @@ class TestBatchedKernels:
                     err_msg=f"worker {w} {name}",
                 )
 
-    @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    def test_slices_do_not_depend_on_stack_width(self, cell):
+    def test_slices_do_not_depend_on_stack_width(self):
         """Lockstep meta-training stacks clusters whose windows agree in
         shape: a worker's slice must be bit-identical whether it shares
         the pass with one worker or with three."""
         rng = np.random.default_rng(37)
-        model = make_mobility_model(cell, hidden_size=3, seq_out=1, rng=rng)
+        model = make_mobility_model(hidden_size=3, seq_out=1, rng=rng)
         base = fused.as_param_arrays(dict(model.named_parameters()))
         xs = [rng.normal(size=(6, 4, 2)) for _ in range(4)]
         ys = [rng.normal(size=(6, 1, 2)) for _ in range(4)]

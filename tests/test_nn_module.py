@@ -8,10 +8,8 @@ from repro.nn.module import (
     ParamContext,
     Parameter,
     apply_gradient_step,
-    average_state_dicts,
     clone_parameters,
     flatten_gradients,
-    flatten_parameters,
 )
 from repro.nn.layers import MLP, Linear
 from repro.nn.tensor import Tensor
@@ -108,29 +106,9 @@ class TestParamHelpers:
         stepped = apply_gradient_step(params, {}, lr=1.0)
         assert np.allclose(stepped["w"].data, [1.0])
 
-    def test_flatten_parameters_deterministic_order(self, mlp):
-        v1 = flatten_parameters(mlp)
-        v2 = flatten_parameters(dict(mlp.named_parameters()))
-        assert np.allclose(v1, v2)
-        assert v1.shape == (17,)
-
     def test_flatten_gradients(self):
         g = flatten_gradients({"b": np.ones(2), "a": np.zeros(3)})
         assert np.allclose(g, [0, 0, 0, 1, 1])  # sorted: a then b
-
-    def test_average_state_dicts(self):
-        s1 = {"w": np.zeros(2)}
-        s2 = {"w": np.ones(2) * 2}
-        avg = average_state_dicts([s1, s2])
-        assert np.allclose(avg["w"], 1.0)
-
-    def test_average_state_dicts_key_mismatch(self):
-        with pytest.raises(KeyError):
-            average_state_dicts([{"w": np.zeros(1)}, {"v": np.zeros(1)}])
-
-    def test_average_state_dicts_empty(self):
-        with pytest.raises(ValueError):
-            average_state_dicts([])
 
 
 class TestLinear:

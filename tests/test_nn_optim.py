@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, clip_gradients
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 
 
@@ -82,29 +82,6 @@ class TestAdam:
         quad_loss(p).backward()
         opt.step()
         assert p.data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
-
-
-class TestClipGradients:
-    def test_no_clip_below_threshold(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        (p * 2).sum().backward()
-        norm = clip_gradients([p], max_norm=10.0)
-        assert norm == pytest.approx(2.0)
-        assert np.allclose(p.grad, [2.0])
-
-    def test_clips_above_threshold(self):
-        p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        (p * p).sum().backward()  # grad = (6, 8), norm 10
-        clip_gradients([p], max_norm=5.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(5.0, rel=1e-6)
-
-    def test_handles_missing_grads(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        assert clip_gradients([p], max_norm=1.0) == 0.0
-
-    def test_rejects_bad_norm(self):
-        with pytest.raises(ValueError):
-            clip_gradients([], max_norm=0.0)
 
 
 class TestInPlaceUpdates:

@@ -65,7 +65,7 @@ class TestTensorDetach:
 
 class TestModels:
     def test_factory_roundtrips_and_builds_identically(self):
-        factory = MobilityModelFactory(cell="gru", hidden_size=5, seq_out=2, seed=9)
+        factory = MobilityModelFactory(hidden_size=5, seq_out=2, seed=9)
         clone = roundtrip(factory)
         a, b = factory().state_dict(), clone().state_dict()
         assert set(a) == set(b)
@@ -77,7 +77,7 @@ class TestModels:
         assert roundtrip(factory) == factory
 
     def test_seq2seq_model_roundtrips(self):
-        model = make_mobility_model("lstm", hidden_size=4, seq_out=1, rng=np.random.default_rng(0))
+        model = make_mobility_model(hidden_size=4, seq_out=1, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 5, 2))
         model.predict(x)  # leave some graph state behind
         clone = roundtrip(model)

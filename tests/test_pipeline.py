@@ -334,6 +334,14 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="unknown key 'dist' in prediction"):
             ExperimentConfig.from_dict({"prediction": {"dist": {}}})
 
+    def test_cell_is_not_a_key(self):
+        # The LSTM encoder-decoder is the one mobility model; a cell key
+        # fails at load, naming itself.
+        with pytest.raises(ValueError, match="unknown key 'cell' in prediction"):
+            PredictionConfig.from_dict({"cell": "lstm"})
+        with pytest.raises(ValueError, match="unknown key 'cell' in prediction"):
+            ExperimentConfig.from_dict({"prediction": {"cell": "lstm"}})
+
     def test_value_validation_still_runs(self):
         import pytest
 

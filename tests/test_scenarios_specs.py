@@ -233,7 +233,7 @@ PINNED_SERVE_DEFAULTS = {
 PINNED_FORECAST_DEFAULTS = {
     "model": "ewma", "bin_minutes": 2.0, "history_bins": 6, "horizon_bins": 1,
     "grid_rows": 8, "grid_cols": 8, "width_km": None, "height_km": None,
-    "alpha": 0.4, "period_bins": None, "seq_cell": "lstm", "seq_hidden": 24,
+    "alpha": 0.4, "period_bins": None, "seq_hidden": 24,
     "seq_epochs": 60, "seq_lr": 0.02, "seq_top_cells": 12, "fit_after_bins": 8,
     "demand_threshold": None, "prepositioning": False, "gap_threshold": 1.0,
     "max_moves": 4, "detour_fraction": 0.5, "cooldown_minutes": 4.0, "seed": 0,
