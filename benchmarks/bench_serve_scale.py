@@ -19,12 +19,14 @@ Two arms, both parity-asserted before any timing is reported:
   ratio is what ``benchmarks/check_regression.py -m scale_bench``
   re-checks against this baseline.
 
-* ``serve_scale`` — one steady-state candidate round at 100k workers x
-  20k pending tasks, K=4 stripes, on **long-lived shard servers**
-  (:class:`repro.dist.ShardServerBackend` — stripe state resident in
-  the server processes, a steady round ships only empty deltas and
-  build requests).  The merged graph must equal the serial reference
-  build exactly.  Throughput is reported as events/second (one event =
+* ``serve_scale`` — one candidate round at 100k workers x 20k pending
+  tasks, K=4 stripes, on **long-lived shard servers**
+  (:class:`repro.dist.ShardServerBackend`).  The servers are
+  stateless: a round cuts the batch into one array ``build`` request
+  per stripe (:func:`repro.dist.serve.stripe_build_requests`), sends
+  them concurrently and merges the replies, and the timed window covers
+  all three.  The merged graph must equal the serial reference build
+  exactly.  Throughput is reported as events/second (one event =
   one pending task or one worker check-in entering the round).
 
 Writes ``BENCH_serve_scale.json`` at the repo root and a manifest
@@ -44,8 +46,9 @@ from common import write_result  # noqa: E402
 
 from repro.assignment.ppi import ppi_assign  # noqa: E402
 from repro.dist import ShardPlanner, ShardServerBackend, WarmMatchCache  # noqa: E402
+from repro.dist.serve import stripe_build_requests  # noqa: E402
 from repro.dist.shard import ComponentMatcher  # noqa: E402
-from repro.dist.server import batch_step, encode_snapshot, encode_task  # noqa: E402
+from repro.dist.server import scatter  # noqa: E402
 from repro.scenarios import get_scenario, materialize  # noqa: E402
 from repro.serve import build_candidates  # noqa: E402
 from repro.serve.spatial_index import latest_horizon  # noqa: E402
@@ -184,49 +187,24 @@ def bench_scale(spec: dict) -> dict:
 
     planner = ShardPlanner(shards=k, cell_km=cell)
     layout = planner.layout_for(tasks)
-    members = planner.memberships(layout, snapshots, horizon)
-    tasks_by_shard: list[list] = [[] for _ in layout.specs]
-    for task in tasks:
-        tasks_by_shard[layout.shard_for_x(task.location.x)].append(task)
 
-    # Shard servers: state shipped once, steady rounds send only
-    # empty deltas plus build requests against the resident mirrors.
+    # Stateless shard servers: every round ships each stripe's tasks
+    # and halo points as arrays.  One untimed round spawns the servers.
     server_s = float("inf")
     server_graph: dict = {}
     with ShardServerBackend(shards=k) as backend:
-        bootstrap = [
-            {
-                "tasks_add": [encode_task(task) for task in tasks_by_shard[s]],
-                "snaps_add": [encode_snapshot(snapshots[p]) for p in members[s]],
-            }
-            for s in range(k)
-        ]
-
-        def build_payloads(stripe_members):
-            return [
-                {
-                    "t": t,
-                    "cell_km": cell,
-                    "max_candidates": None,
-                    "horizon": horizon,
-                    "member_ids": [snapshots[p].worker_id for p in stripe_members[s]],
-                }
-                for s in range(k)
-            ]
-
-        batch_step(backend.handles, bootstrap, build_payloads(members))  # off-clock
-        for _ in range(repeats):
+        for repeat in range(repeats + 1):
             started = time.perf_counter()
-            stripe_members = planner.memberships(layout, snapshots, horizon)
-            graphs = batch_step(
-                backend.handles,
-                [{} for _ in range(k)],
-                build_payloads(stripe_members),
+            requests, members, _ = stripe_build_requests(layout, tasks, snapshots, t)
+            graphs = scatter(
+                [backend.handles[s] for s in requests],
+                [("build", request) for request in requests.values()],
             )
             server_graph = {}
             for graph in graphs:
                 server_graph.update(graph)
-            server_s = min(server_s, time.perf_counter() - started)
+            if repeat:
+                server_s = min(server_s, time.perf_counter() - started)
         restarts = backend.total_restarts
     if not graphs_equal(server_graph, reference):
         raise AssertionError("shard-server graph diverged from the serial reference")

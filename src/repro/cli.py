@@ -797,11 +797,10 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
             "metrics": report.metrics,
         }
         if args.distributed:
-            from repro.obs import attribute_rounds, replay_seconds
+            from repro.obs import attribute_rounds
 
             payload["distributed"] = {
                 "spool_dir": spool_dir,
-                "replay_s": replay_seconds(records),
                 "rounds": [
                     {
                         "round": att.round,
@@ -813,7 +812,6 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
                         "straggler": att.straggler,
                         "critical_busy_s": att.critical_busy_s,
                         "shard_busy_s": {str(k): v for k, v in att.shard_busy_s.items()},
-                        "shard_replay_s": {str(k): v for k, v in att.shard_replay_s.items()},
                     }
                     for att in attribute_rounds(records)
                 ],

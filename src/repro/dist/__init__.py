@@ -11,8 +11,8 @@ Two arms, one invariant (see ``docs/DISTRIBUTED.md``):
   decision records without touching the event loop.
 
 A :class:`~repro.dist.serve.DistConfig` picks the transport: serial
-(in process) or long-lived shard servers (:mod:`repro.dist.server`),
-which the engine owns as its ``backend`` and whose per-shard telemetry
+(in process) or long-lived stateless shard servers
+(:mod:`repro.dist.server`), which the engine owns as its ``backend`` and whose per-shard telemetry
 spools are the only cross-process telemetry; the parity tests swap
 transports and compare outputs exactly.  Nothing else here runs in
 another process: scenario sweeps own their cell pool

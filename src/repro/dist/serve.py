@@ -5,8 +5,10 @@ bound, and acceptance bookkeeping of :class:`repro.serve.engine.ServeEngine`
 untouched and overrides exactly two hooks:
 
 * ``_build_candidates`` — each batch's candidate graph is built stripe
-  by stripe on long-lived shard servers (``DistConfig.backend =
-  "shard_server"``) or, on the serial transport, once in process by
+  by stripe on long-lived, stateless shard servers
+  (``DistConfig.backend = "shard_server"``), each sent one array
+  request per batch (:func:`stripe_build_requests`), or, on the serial
+  transport, once in process by
   :func:`repro.dist.shard.sharded_build_candidates` with the same
   per-stripe accounting.  Either way it provably equals the dense
   graph, so every downstream plan — and therefore
@@ -20,9 +22,9 @@ untouched and overrides exactly two hooks:
 
 Boundary workers — snapshots whose halo spans more than one stripe —
 are counted per batch in :attr:`ShardedEngine.batch_stats`; they are the
-reconciliation cost of sharding (the same snapshot is shipped to every
-stripe it can reach, and the merge de-duplicates nothing because task
-ownership is disjoint).
+reconciliation cost of sharding (the same snapshot's points are shipped
+to every stripe they can reach, and the merge de-duplicates nothing
+because task ownership is disjoint).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.obs.decisions import DecisionConfig, DecisionLog
@@ -43,7 +47,7 @@ from repro.obs.dist import (
 )
 from repro.obs.metrics import labelled
 from repro.assignment.plan import AssignmentPlan
-from repro.dist.server import ShardServerBackend, batch_step, encode_snapshot, encode_task
+from repro.dist.server import BuildRequest, ShardServerBackend, scatter
 from repro.dist.shard import (
     ComponentMatcher,
     ShardLayout,
@@ -51,13 +55,19 @@ from repro.dist.shard import (
     ShardStats,
     WarmMatchCache,
     fill_shard_stats,
-    same_track,
     sharded_build_candidates,
+    stripe_members,
+    stripe_ranges,
 )
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.sc.platform import AssignFn, SnapshotProvider
 from repro.serve.engine import CandidateAssignFn, ServeConfig, ServeEngine, ServeResult
-from repro.serve.spatial_index import latest_horizon
+from repro.serve.spatial_index import (
+    PredictedPoints,
+    latest_horizon,
+    predicted_points,
+    task_arrays,
+)
 
 
 #: ``multiprocessing`` start methods a shard server accepts.  ``spawn``
@@ -79,7 +89,7 @@ class DistConfig:
     ----------
     backend:
         ``"serial"`` (every shard inline, the default) or
-        ``"shard_server"`` (one long-lived stateful process per shard,
+        ``"shard_server"`` (one long-lived stateless process per shard,
         see :mod:`repro.dist.server`).
     shards:
         Spatial shard count for candidate generation / serving.
@@ -88,9 +98,6 @@ class DistConfig:
     warm_start:
         Carry :class:`repro.assignment.hungarian.WarmStartState` across
         batches in the matcher (see :mod:`repro.dist.shard`).
-    server_log_dir:
-        Where shard servers append their JSONL replay logs; ``None``
-        keeps the logs in coordinator memory.
     spool_dir:
         Where shard servers spool their telemetry while the coordinator
         traces (see :mod:`repro.obs.dist`); ``None`` (the default) keeps
@@ -102,7 +109,6 @@ class DistConfig:
     shards: int = 1
     start_method: str = "fork"
     warm_start: bool = False
-    server_log_dir: str | None = None
     spool_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -158,6 +164,61 @@ def component_candidate_assign(
     return decomposed
 
 
+def stripe_build_requests(
+    layout: ShardLayout,
+    tasks: Sequence[SpatialTask],
+    snapshots: Sequence[WorkerSnapshot],
+    t: float,
+    max_candidates: int | None = None,
+) -> tuple[dict[int, BuildRequest], list[list[int]], list[int]]:
+    """Cut one batch into shard-server ``build`` requests.
+
+    Returns a :class:`~repro.dist.server.BuildRequest` per stripe that
+    owns tasks and has halo points (stripe id -> request), plus each
+    stripe's halo members and task count for the accounting.  The
+    predicted points are stacked once and each point's stripe range
+    computed once; the halo memberships read the same ranges.  Merging
+    the requests' graphs gives the dense
+    :func:`~repro.serve.spatial_index.build_candidates` graph.
+    """
+    n_shards = len(layout)
+    points = predicted_points(snapshots, latest_horizon(tasks, t))
+    first, last = stripe_ranges(layout, points)
+    members = stripe_members(points, first, last, n_shards)
+
+    task_ids, task_xy = task_arrays(tasks)
+    task_stripe = layout.shards_for_x(task_xy[:, 0])
+    # A task id belongs to the lowest stripe holding one of its rows,
+    # and that stripe's halo reaches up to the highest: a batch
+    # repeating an id across stripes still merges to the dense graph,
+    # which counts the rows as one task.
+    _, id_of_row = np.unique(task_ids, return_inverse=True)
+    id_lo = np.full(len(task_ids), n_shards)
+    id_hi = np.full(len(task_ids), -1)
+    np.minimum.at(id_lo, id_of_row, task_stripe)
+    np.maximum.at(id_hi, id_of_row, task_stripe)
+    owner, reach_hi = id_lo[id_of_row], id_hi[id_of_row]
+
+    worker_ids = np.array([snap.worker_id for snap in snapshots])
+    requests: dict[int, BuildRequest] = {}
+    for s in range(n_shards):
+        rows = np.flatnonzero(owner == s)
+        if not len(rows):
+            continue
+        halo = (first <= reach_hi[rows].max()) & (last >= s)
+        if not halo.any():
+            continue
+        requests[s] = BuildRequest(
+            task_ids[rows],
+            task_xy[rows],
+            PredictedPoints(points.xy[halo], points.owner[halo], points.radius[halo]),
+            worker_ids,
+            layout.cell_km,
+            max_candidates,
+        )
+    return requests, members, np.bincount(task_stripe, minlength=n_shards).tolist()
+
+
 class ShardedEngine(ServeEngine):
     """Route one stream through per-stripe candidate generation.
 
@@ -197,7 +258,6 @@ class ShardedEngine(ServeEngine):
             self.backend = ShardServerBackend(
                 self.dist.shards,
                 self.dist.start_method,
-                log_dir=self.dist.server_log_dir,
                 spool_dir=self.dist.spool_dir,
             )
         #: One :class:`ShardStats` per batch of the latest run, in batch order.
@@ -208,12 +268,6 @@ class ShardedEngine(ServeEngine):
         #: The stripe layout of the latest batch (``None`` before a run's first).
         self._layout: ShardLayout | None = None
         self._task_col: dict[int, int] = {}
-        # Shard-server mirrors: which task ids and which snapshot
-        # versions (predicted-track array identity) each server holds.
-        self._server_tasks: list[set[int]] = [set() for _ in range(self.dist.shards)]
-        self._server_preds: list[dict[int, object]] = [
-            {} for _ in range(self.dist.shards)
-        ]
         #: serving-round index (one per shard-server build).
         self._round = 0
 
@@ -225,8 +279,7 @@ class ShardedEngine(ServeEngine):
         outcome_listener: Callable[[int, int, bool, float], None] | None = None,
     ) -> ServeResult:
         # Stripe attribution and batch accounting are per run; the
-        # planner and the server mirrors persist because they track what
-        # the shard servers hold.
+        # planner's sticky layout persists.
         self.batch_stats = []
         self._layout = None
         cell_km = self.config.index_cell_km
@@ -266,16 +319,8 @@ class ShardedEngine(ServeEngine):
         t: float,
         stats: ShardStats,
     ) -> dict[int, list[int]]:
-        """One batch against the long-lived shard servers.
-
-        The coordinator routes tasks and halo members through the sticky
-        layout, diffs each stripe's working set against the mirror of
-        what its server holds, and ships only the delta — new/expired
-        tasks and snapshots whose predicted track changed (tracked by
-        array identity; the prediction cache shares the array across
-        hits).  One pipelined delta+build round per server per batch.
-        """
-        cfg = self.config
+        """One batch on the shard servers: one ``build`` per active stripe
+        (see :func:`stripe_build_requests`), sent concurrently, merged."""
         round_idx = self._round
         self._round += 1
         with obs.span(ROUND_SPAN, round=round_idx, t=t):
@@ -283,56 +328,16 @@ class ShardedEngine(ServeEngine):
                 layout = self._planner.layout_for(batch_tasks)
                 if layout is None:
                     return {}
-                horizon = latest_horizon(batch_tasks, t)
-                members = self._planner.memberships(layout, snapshots, horizon)
-                n_shards = len(layout)
+                requests, members, tasks_per_shard = stripe_build_requests(
+                    layout, batch_tasks, snapshots, t, self.config.max_candidates
+                )
 
-                owned: list[dict[int, SpatialTask]] = [{} for _ in range(n_shards)]
-                for task in batch_tasks:
-                    owned[layout.shard_for_x(task.location.x)][task.task_id] = task
-
-                deltas: list[dict] = []
-                builds: list[dict] = []
-                for s in range(n_shards):
-                    mirror = self._server_tasks[s]
-                    adds = [
-                        encode_task(task)
-                        for tid, task in owned[s].items()
-                        if tid not in mirror
-                    ]
-                    removes = sorted(mirror - owned[s].keys())
-                    self._server_tasks[s] = set(owned[s])
-
-                    shipped = self._server_preds[s]
-                    snap_adds = []
-                    member_ids = []
-                    for pos in members[s]:
-                        snap = snapshots[pos]
-                        member_ids.append(snap.worker_id)
-                        held = shipped.get(snap.worker_id)
-                        if held is None or not same_track(held, snap.predicted_xy):
-                            snap_adds.append(encode_snapshot(snap))
-                            shipped[snap.worker_id] = snap.predicted_xy
-                    deltas.append(
-                        {
-                            "tasks_add": adds,
-                            "tasks_remove": removes,
-                            "snaps_add": snap_adds,
-                        }
-                    )
-                    builds.append(
-                        {
-                            "t": t,
-                            "cell_km": cfg.index_cell_km,
-                            "max_candidates": cfg.max_candidates,
-                            "horizon": horizon,
-                            "member_ids": member_ids,
-                        }
-                    )
-
-            with obs.span(SOLVE_SPAN, shards=n_shards):
+            with obs.span(SOLVE_SPAN, shards=len(layout)):
                 solve_started = time.perf_counter()
-                graphs = batch_step(self.backend.handles[:n_shards], deltas, builds)
+                graphs = scatter(
+                    [self.backend.handles[s] for s in requests],
+                    [("build", request) for request in requests.values()],
+                )
                 solve_seconds = time.perf_counter() - solve_started
 
             with obs.span(MERGE_SPAN):
@@ -343,13 +348,10 @@ class ShardedEngine(ServeEngine):
                 merge_seconds = time.perf_counter() - started
             obs.histogram("dist.merge.seconds", merge_seconds)
 
-            fill_shard_stats(
-                stats,
-                [len(o) for o in owned],
-                members,
-                [sum(len(v) for v in g.values()) for g in graphs],
-                merge_seconds,
-            )
+            pairs = [0] * len(layout)
+            for s, graph in zip(requests, graphs):
+                pairs[s] = sum(len(v) for v in graph.values())
+            fill_shard_stats(stats, tasks_per_shard, members, pairs, merge_seconds)
             self._flush_telemetry(solve_seconds)
         return merged
 

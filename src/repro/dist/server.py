@@ -1,13 +1,12 @@
-"""Long-lived shard server processes for streaming candidate generation.
+"""Stateless shard server processes for streaming candidate generation.
 
-A shard *server* is a persistent process that owns its stripe's state
-(pending-task mirror and worker snapshots) across batches, so instead
-of shipping a stripe's entire working set — every owned task and every
-halo snapshot — on every batch, the coordinator ships only the
-**deltas**: tasks that arrived or left the stripe, and snapshots whose
-predicted track actually changed (the prediction cache shares the array
-object across hits, so "changed" is an identity check on the
-coordinator).
+A shard *server* is a long-lived process that builds one stripe's
+candidate graph per batch.  It holds no state between requests: each
+``build`` request carries everything the stripe's build reads, as plain
+numpy arrays (:class:`BuildRequest`) — the stripe's owned tasks, the
+predicted points of its halo, and the snapshot worker ids — and the
+server runs the one index pass,
+:func:`repro.serve.spatial_index.candidates_from_points`, on them.
 
 Protocol
 --------
@@ -16,17 +15,13 @@ One duplex ``multiprocessing`` pipe per server.  Requests are
 the :mod:`repro.obs.dist` trace context, appended **only** when the
 coordinator is tracing, so untraced frames stay byte-identical to the
 three-tuple wire format.  Responses are ``(seq, status, result)``.
-Commands are looked up in a fixed registry and run against the server's
-state dict:
+Commands are looked up in a fixed registry:
 
-* ``apply`` — upsert/remove tasks and snapshots (the per-batch delta);
-* ``build`` — run :func:`repro.serve.spatial_index.build_candidates`
-  over the stripe's current state for the member ids given, returning
-  the stripe's candidate graph;
+* ``build`` — the stripe's candidate graph from a :class:`BuildRequest`;
 * ``obs_flush`` — round boundary for the server's telemetry spool:
   flushes buffered spans to disk and returns the round's per-command
   busy seconds;
-* ``reset`` / ``ping`` / ``crash`` — lifecycle and test hooks.
+* ``ping`` / ``crash`` — lifecycle and test hooks.
 
 When the coordinator's :class:`~repro.dist.serve.DistConfig` sets a
 ``spool_dir``, each server lazily installs a
@@ -36,151 +31,73 @@ context) under the coordinator span that issued it.
 
 Crash recovery
 --------------
-Every state-*changing* command is appended to a JSONL log **before** it
-is sent (payloads are JSON-serializable by construction — entities go
-through the codec below).  When the pipe to a server breaks, the handle
-respawns the process, replays the log in order, and retries the request
-that failed; the rebuilt state is exactly the old one because the log is
-the complete sequence of mutations.  The log lives in memory by default
-and in ``log_dir`` (one ``shard-{id}.jsonl`` per server) when durability
-across coordinator restarts matters; the file is written through
-:class:`~repro.obs.sinks.JsonlSink` (flushed per command) and loaded
-with :func:`~repro.obs.sinks.read_jsonl`, so a coordinator killed
-mid-append leaves a truncated final line that the next handle skips —
-that command was logged but never sent.
+Every command is a pure function of its payload, so recovery needs no
+log: when the pipe to a server breaks, the handle respawns the process
+and re-sends the request that failed.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.geo.point import Point
 from repro.obs import dist as obs_dist
-from repro.obs.sinks import JsonlSink, read_jsonl
-from repro.sc.entities import SpatialTask, WorkerSnapshot
-from repro.serve.spatial_index import build_candidates
+from repro.serve.spatial_index import PredictedPoints, candidates_from_points
 
 
 class ShardServerError(RuntimeError):
     """A command failed inside a shard server (the server survives)."""
 
 
-# ----------------------------------------------------------------------
-# JSON codec: entities <-> log-safe dicts
-# ----------------------------------------------------------------------
-def encode_task(task: SpatialTask) -> dict:
-    return {
-        "task_id": task.task_id,
-        "x": task.location.x,
-        "y": task.location.y,
-        "release_time": task.release_time,
-        "deadline": task.deadline,
-    }
+class BuildRequest(NamedTuple):
+    """One stripe's ``build`` payload: the arguments of the index pass."""
 
-
-def decode_task(data: dict) -> SpatialTask:
-    return SpatialTask(
-        task_id=data["task_id"],
-        location=Point(data["x"], data["y"]),
-        release_time=data["release_time"],
-        deadline=data["deadline"],
-    )
-
-
-def encode_snapshot(snap: WorkerSnapshot) -> dict:
-    return {
-        "worker_id": snap.worker_id,
-        "x": snap.current_location.x,
-        "y": snap.current_location.y,
-        "predicted_xy": snap.predicted_xy.tolist(),
-        "predicted_times": snap.predicted_times.tolist(),
-        "detour_budget_km": snap.detour_budget_km,
-        "speed_km_per_min": snap.speed_km_per_min,
-        "matching_rate": snap.matching_rate,
-    }
-
-
-def decode_snapshot(data: dict) -> WorkerSnapshot:
-    return WorkerSnapshot(
-        worker_id=data["worker_id"],
-        current_location=Point(data["x"], data["y"]),
-        predicted_xy=np.asarray(data["predicted_xy"], dtype=float).reshape(-1, 2),
-        predicted_times=np.asarray(data["predicted_times"], dtype=float),
-        detour_budget_km=data["detour_budget_km"],
-        speed_km_per_min=data["speed_km_per_min"],
-        matching_rate=data["matching_rate"],
-    )
+    #: ``(T,)`` ids of the tasks the stripe owns, in batch order.
+    task_ids: np.ndarray
+    #: ``(T, 2)`` their locations.
+    task_xy: np.ndarray
+    #: the predicted points of the stripe's halo, in snapshot order;
+    #: ``owner`` is a position in ``worker_ids``.
+    points: PredictedPoints
+    #: ``(W,)`` the worker id of every snapshot position in the batch.
+    worker_ids: np.ndarray
+    cell_km: float
+    max_candidates: int | None
 
 
 # ----------------------------------------------------------------------
 # server-side command handlers
 # ----------------------------------------------------------------------
-def _cmd_ping(state: dict, payload: Any) -> str:
+def _cmd_ping(payload: Any) -> str:
     return "pong"
 
 
-def _cmd_reset(state: dict, payload: Any) -> None:
-    state["tasks"] = {}
-    state["snaps"] = {}
-
-
-def _cmd_apply(state: dict, payload: dict) -> dict:
-    """Apply one batch's delta to the stripe's mirrored state."""
-    tasks = state.setdefault("tasks", {})
-    snaps = state.setdefault("snaps", {})
-    for encoded in payload.get("tasks_add", ()):
-        task = decode_task(encoded)
-        tasks[task.task_id] = task
-    for task_id in payload.get("tasks_remove", ()):
-        tasks.pop(task_id, None)
-    for encoded in payload.get("snaps_add", ()):
-        snap = decode_snapshot(encoded)
-        snaps[snap.worker_id] = snap
-    for worker_id in payload.get("snaps_remove", ()):
-        snaps.pop(worker_id, None)
-    return {"n_tasks": len(tasks), "n_snaps": len(snaps)}
-
-
-def _cmd_build(state: dict, payload: dict) -> dict[int, list[int]]:
-    """Build this stripe's candidate graph from mirrored state.
-
-    ``member_ids`` arrives in *global snapshot order*, which is what
-    keeps per-task candidate order identical to the dense build after
-    the coordinator merges the stripes.
-    """
-    tasks = state.get("tasks", {})
-    snaps = state.get("snaps", {})
-    members = [snaps[wid] for wid in payload["member_ids"] if wid in snaps]
-    return build_candidates(
-        list(tasks.values()),
-        members,
-        payload["t"],
-        cell_km=payload["cell_km"],
-        max_candidates=payload["max_candidates"],
-        horizon=payload["horizon"],
+def _cmd_build(request: BuildRequest) -> dict[int, list[int]]:
+    """This stripe's candidate graph (per-task worker order is global
+    snapshot order, so the coordinator's merge equals the dense build)."""
+    return candidates_from_points(
+        request.task_ids,
+        request.task_xy,
+        request.points,
+        request.worker_ids,
+        request.cell_km,
+        request.max_candidates,
     )
 
 
-def _cmd_crash(state: dict, payload: Any) -> None:  # pragma: no cover - exits
+def _cmd_crash(payload: Any) -> None:  # pragma: no cover - exits
     os._exit(1)
 
 
-_COMMANDS: dict[str, Callable[[dict, Any], Any]] = {
+_COMMANDS: dict[str, Callable[[Any], Any]] = {
     "ping": _cmd_ping,
-    "reset": _cmd_reset,
-    "apply": _cmd_apply,
     "build": _cmd_build,
     "crash": _cmd_crash,
 }
-
-#: Commands that mutate server state and therefore go in the replay log.
-LOGGED_COMMANDS = frozenset({"apply", "reset"})
 
 
 def serve_shard(conn, shard_id: int, spool_dir: str | None = None) -> None:
@@ -191,7 +108,6 @@ def serve_shard(conn, shard_id: int, spool_dir: str | None = None) -> None:
     spools one span per command.  Untraced frames (and servers without
     a spool directory) run the exact pre-observability dispatch.
     """
-    state: dict = {"tasks": {}, "snaps": {}}
     telemetry: obs_dist.WorkerTelemetry | None = None
     while True:
         try:
@@ -215,14 +131,14 @@ def serve_shard(conn, shard_id: int, spool_dir: str | None = None) -> None:
                     with telemetry.command_span(
                         obs_dist.CMD_SPAN_PREFIX + command, ctx, shard=shard_id
                     ):
-                        result = _COMMANDS[command](state, payload)
+                        result = _COMMANDS[command](payload)
                     telemetry.account(command, time.perf_counter() - started)
             elif command == "obs_flush":
                 result = {"round": None, "pid": os.getpid(), "busy_s": 0.0, "by_command": {}}
             else:
-                result = _COMMANDS[command](state, payload)
+                result = _COMMANDS[command](payload)
             conn.send((seq, "ok", result))
-        except Exception as exc:  # report, don't die: the state survives
+        except Exception as exc:  # report, don't die
             conn.send((seq, "err", f"{type(exc).__name__}: {exc}"))
     if telemetry is not None:
         telemetry.close()
@@ -232,26 +148,23 @@ def serve_shard(conn, shard_id: int, spool_dir: str | None = None) -> None:
 # ----------------------------------------------------------------------
 # coordinator-side handle
 # ----------------------------------------------------------------------
+_PIPE_ERRORS = (BrokenPipeError, EOFError, ConnectionResetError, OSError)
+
+
 class ShardServerHandle:
-    """One shard server: process lifecycle, request pipe, replay log."""
+    """One shard server: process lifecycle and request pipe."""
 
     def __init__(
         self,
         shard_id: int,
         start_method: str = "fork",
-        log_path: str | None = None,
         spool_dir: str | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.start_method = start_method
-        self.log_path = log_path
         #: telemetry spool directory (or None), handed to the server
         #: process at every (re)spawn.
         self.spool_dir = spool_dir
-        #: JSON lines, so in-memory and file-backed replays send the
-        #: same JSON-normalised payloads.
-        self._log: list[str] = []
-        self._sink: JsonlSink | None = None
         self._proc: multiprocessing.Process | None = None
         self._conn = None
         self._seq = 0
@@ -259,10 +172,17 @@ class ShardServerHandle:
         #: epoch never reached the new process and must be re-issued.
         self._epoch = 0
         self.restarts = 0
-        if log_path is not None and os.path.exists(log_path):
-            self._log = [json.dumps(entry) for entry in read_jsonl(log_path)]
 
     # -- lifecycle -----------------------------------------------------
+    def ensure_running(self) -> None:
+        """Spawn the server, or respawn it if it died underneath us."""
+        if self._proc is not None and self._proc.is_alive():
+            return
+        if self._proc is not None:
+            self._respawn()
+        else:
+            self._spawn()
+
     def _spawn(self) -> None:
         ctx = multiprocessing.get_context(self.start_method)
         parent, child = ctx.Pipe()
@@ -273,51 +193,26 @@ class ShardServerHandle:
         child.close()
         self._proc, self._conn = proc, parent
 
-    def ensure_running(self) -> None:
-        """Spawn (or respawn) the server, replaying the log into it.
-
-        Replay also covers the *first* spawn: with a file-backed log
-        from an earlier coordinator, the fresh server starts from the
-        logged state — the durability half of crash recovery.
-        """
-        if self._proc is not None and self._proc.is_alive():
-            return
-        if self._proc is not None:  # died underneath us: count it
-            self.restarts += 1
-            self._epoch += 1
-        self._spawn_and_replay()
-
-    def _respawn_and_replay(self) -> None:
-        """Crash path: new process, then the whole mutation log in order."""
+    def _respawn(self) -> None:
+        """Crash path: count it, then a fresh process on a fresh pipe."""
         self.restarts += 1
         self._epoch += 1
-        self._spawn_and_replay()
-
-    def _spawn_and_replay(self) -> None:
         if self._conn is not None:
             self._conn.close()
         if self._proc is not None:
             self._proc.join(timeout=1.0)
         self._spawn()
-        for line in self._log:
-            entry = json.loads(line)
-            # Replayed mutations are marked in the trace context so the
-            # merged timeline can attribute crash-recovery cost.
-            self._roundtrip(entry["command"], entry["payload"], replay=True)
 
     # -- request/response ----------------------------------------------
-    def _send_frame(self, seq: int, command: str, payload: Any, replay: bool = False) -> None:
+    def _send_frame(self, seq: int, command: str, payload: Any) -> None:
         """One request frame; trace context appended only when tracing."""
-        ctx = obs_dist.current_context(replay=replay)
+        ctx = obs_dist.current_context()
         if ctx is None:
             self._conn.send((seq, command, payload))
         else:
             self._conn.send((seq, command, payload, ctx))
 
-    def _roundtrip(self, command: str, payload: Any, replay: bool = False) -> Any:
-        self._seq += 1
-        seq = self._seq
-        self._send_frame(seq, command, payload, replay=replay)
+    def _receive(self, seq: int) -> Any:
         reply_seq, status, result = self._conn.recv()
         if reply_seq != seq:
             raise ShardServerError(
@@ -327,19 +222,18 @@ class ShardServerHandle:
             raise ShardServerError(f"shard {self.shard_id}: {result}")
         return result
 
+    def _roundtrip(self, command: str, payload: Any) -> Any:
+        self._seq += 1
+        self._send_frame(self._seq, command, payload)
+        return self._receive(self._seq)
+
     def request(self, command: str, payload: Any = None) -> Any:
-        """Run one command, logging mutations and surviving one crash."""
+        """Run one command, surviving one crash by respawn and resend."""
         self.ensure_running()
-        if command in LOGGED_COMMANDS:
-            self._append_log(command, payload)
         try:
             return self._roundtrip(command, payload)
-        except (BrokenPipeError, EOFError, ConnectionResetError, OSError):
-            self._respawn_and_replay()
-            # Logged commands were already replayed from the log; the
-            # rest (builds, pings) are idempotent reads — retry once.
-            if command in LOGGED_COMMANDS:
-                return None
+        except _PIPE_ERRORS:
+            self._respawn()
             return self._roundtrip(command, payload)
 
     def send_async(self, command: str, payload: Any = None) -> tuple[int, int]:
@@ -349,13 +243,11 @@ class ShardServerHandle:
         are recognised as lost and their requests re-issued on receive.
         """
         self.ensure_running()
-        if command in LOGGED_COMMANDS:
-            self._append_log(command, payload)
         self._seq += 1
         try:
             self._send_frame(self._seq, command, payload)
-        except (BrokenPipeError, OSError):
-            self._respawn_and_replay()
+        except _PIPE_ERRORS:
+            self._respawn()
             self._seq += 1
             self._send_frame(self._seq, command, payload)
         return (self._epoch, self._seq)
@@ -363,44 +255,19 @@ class ShardServerHandle:
     def recv_async(self, token: tuple[int, int], command: str, payload: Any = None) -> Any:
         epoch, seq = token
         if epoch != self._epoch:
-            # The server was respawned after this send: mutations were
-            # re-applied from the log, reads must be re-issued.
-            if command in LOGGED_COMMANDS:
-                return None
+            # The server was respawned after this send: re-issue.
             return self._roundtrip(command, payload)
         try:
-            reply_seq, status, result = self._conn.recv()
-        except (EOFError, ConnectionResetError, OSError):
-            self._respawn_and_replay()
-            if command in LOGGED_COMMANDS:
-                return None
+            return self._receive(seq)
+        except _PIPE_ERRORS:
+            self._respawn()
             return self._roundtrip(command, payload)
-        if reply_seq != seq:
-            raise ShardServerError(
-                f"shard {self.shard_id}: reply {reply_seq} for request {seq}"
-            )
-        if status != "ok":
-            raise ShardServerError(f"shard {self.shard_id}: {result}")
-        return result
-
-    def _append_log(self, command: str, payload: Any) -> None:
-        entry = {"command": command, "payload": payload}
-        self._log.append(json.dumps(entry))
-        if self.log_path is not None:
-            if self._sink is None:
-                self._sink = JsonlSink(self.log_path, append=True)
-            self._sink.emit(entry)
-            self._sink.flush()
-
-    @property
-    def log_length(self) -> int:
-        return len(self._log)
 
     def close(self) -> None:
         if self._conn is not None:
             try:
                 self._conn.send(None)
-            except (BrokenPipeError, OSError):
+            except _PIPE_ERRORS:
                 pass
             self._conn.close()
             self._conn = None
@@ -409,9 +276,6 @@ class ShardServerHandle:
             if self._proc.is_alive():  # pragma: no cover - stuck server
                 self._proc.terminate()
             self._proc = None
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
 
 
 def scatter(
@@ -434,41 +298,28 @@ def scatter(
 
 
 class ShardServerBackend:
-    """``shards`` long-lived stateful server processes (one per stripe).
+    """``shards`` long-lived stateless server processes (one per stripe).
 
-    The pool of handles :class:`repro.dist.serve.ShardedEngine` feeds
-    with per-batch deltas.  Servers spawn lazily on first use and
-    survive across batches; a crashed server is respawned and its state
-    rebuilt by replaying the append-only JSONL command log (one
-    ``shard-{id}.jsonl`` per server under ``log_dir``, when given).
-    With a ``spool_dir`` each server spools its telemetry there while
-    the coordinator traces.
+    The pool of handles :class:`repro.dist.serve.ShardedEngine` sends
+    each batch's stripe builds to.  Servers spawn lazily on first use
+    and survive across batches; a crashed server is respawned and its
+    request re-sent.  With a ``spool_dir`` each server spools its
+    telemetry there while the coordinator traces.
     """
 
     def __init__(
         self,
         shards: int,
         start_method: str = "fork",
-        log_dir: str | None = None,
         spool_dir: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard server")
         multiprocessing.get_context(start_method)  # unknown methods fail here
-        for directory in (log_dir, spool_dir):
-            if directory is not None:
-                os.makedirs(directory, exist_ok=True)
+        if spool_dir is not None:
+            os.makedirs(spool_dir, exist_ok=True)
         self.handles = [
-            ShardServerHandle(
-                shard_id=s,
-                start_method=start_method,
-                log_path=(
-                    os.path.join(log_dir, f"shard-{s}.jsonl")
-                    if log_dir is not None
-                    else None
-                ),
-                spool_dir=spool_dir,
-            )
+            ShardServerHandle(shard_id=s, start_method=start_method, spool_dir=spool_dir)
             for s in range(shards)
         ]
 
@@ -489,29 +340,3 @@ class ShardServerBackend:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def batch_step(
-    handles: Sequence[ShardServerHandle],
-    deltas: Sequence[dict],
-    builds: Sequence[dict],
-) -> list[dict[int, list[int]]]:
-    """One serving batch across all servers: delta then build, pipelined.
-
-    Both commands are sent to every server before any reply is awaited,
-    so stripes apply and build concurrently.  A crash anywhere is
-    absorbed by the handle: the delta is already in the replay log and
-    the build is re-issued against the rebuilt state.
-    """
-    apply_tokens = [
-        handle.send_async("apply", delta) for handle, delta in zip(handles, deltas)
-    ]
-    build_tokens = [
-        handle.send_async("build", build) for handle, build in zip(handles, builds)
-    ]
-    for handle, token, delta in zip(handles, apply_tokens, deltas):
-        handle.recv_async(token, "apply", delta)
-    return [
-        handle.recv_async(token, "build", build)
-        for handle, token, build in zip(handles, build_tokens, builds)
-    ]

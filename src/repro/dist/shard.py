@@ -26,10 +26,12 @@ candidate list lives in its owning stripe).  The parity tests pin this.
 
 :class:`ShardPlanner` is the one stripe/halo implementation: it keeps
 a sticky :class:`ShardLayout` and computes every worker's halo in one
-numpy pass per batch.  The stripe builds themselves run on long-lived
-shard servers (:mod:`repro.dist.server`, fed by
-:class:`repro.dist.ShardedEngine`); in one process, :func:`sharded_build_candidates` builds the dense
-graph once and uses the planner only for the per-stripe accounting.
+numpy pass per batch (:func:`stripe_ranges`, :func:`stripe_members`).
+The stripe builds themselves run on stateless shard servers
+(:mod:`repro.dist.server`), each sent its stripe's tasks and halo
+points as arrays (:func:`repro.dist.serve.stripe_build_requests`); in
+one process, :func:`sharded_build_candidates` builds the dense graph
+once and uses the planner only for the per-stripe accounting.
 
 Matching then decomposes by *connected components* of the edge graph:
 stages 1 and 3 of PPI (and all of KM) are global max-weight matchings,
@@ -69,6 +71,7 @@ from repro.serve.spatial_index import (
     candidates_from_points,
     latest_horizon,
     predicted_points,
+    task_arrays,
 )
 
 Edge = tuple[int, int, float]
@@ -155,26 +158,6 @@ def make_shards(
     return shards
 
 
-def same_track(a, b) -> bool:
-    """Whether two predicted-point arrays are the same shared buffer.
-
-    A prediction-cache hit (:meth:`WorkerSnapshot.with_location`) shares
-    the cached ``predicted_xy`` object itself, so the identity test
-    answers it.  A snapshot rebuilt through ``WorkerSnapshot.__init__``
-    holds a fresh *view* (``__post_init__`` reshapes), which the data
-    pointer plus shape still recognises.  Sound as a version check only
-    while a reference to ``a`` is retained (the buffer can't be freed
-    and its address recycled) and tracks are never mutated in place —
-    both true of every snapshot producer in the repo.
-    """
-    if a is b:
-        return True
-    return (
-        a.shape == b.shape
-        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    )
-
-
 @dataclass(frozen=True)
 class ShardLayout:
     """A sticky stripe layout extended to a *total* column→shard map.
@@ -213,6 +196,11 @@ class ShardLayout:
     def shard_for_x(self, x: float) -> int:
         """The stripe owning the cell column of x-coordinate ``x``."""
         return self.shard_for_column(math.floor(x / self.cell_km))
+
+    def shards_for_x(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`shard_for_x` of every x-coordinate in one array pass."""
+        bounds = np.asarray(self.boundaries, dtype=float)
+        return np.searchsorted(bounds, np.floor(x / self.cell_km), "left")
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -267,29 +255,33 @@ class ShardPlanner:
         :func:`~repro.serve.spatial_index.cells_in_radius` range,
         computed for the whole batch at once; stripes are contiguous
         column runs under the layout's total column map, so the point
-        touches stripes ``shard_for_column(cx0) .. shard_for_column(cx1)``.
-        Snapshots the dense path skips (no predicted points, zero
-        radius) join nothing, exactly as the dense pass skips them.
+        touches stripes ``shard_for_column(cx0) .. shard_for_column(cx1)``
+        (:func:`stripe_ranges`).  Snapshots the dense path skips (no
+        predicted points, zero radius) join nothing, exactly as the
+        dense pass skips them.
         """
-        return stripe_members(layout, predicted_points(snapshots, horizon))
+        points = predicted_points(snapshots, horizon)
+        return stripe_members(points, *stripe_ranges(layout, points), len(layout))
 
 
-def stripe_members(layout: ShardLayout, points: PredictedPoints | None) -> list[list[int]]:
-    """:meth:`ShardPlanner.memberships` on already stacked predicted points."""
-    members: list[list[int]] = [[] for _ in layout.specs]
-    if points is None:
-        return members
+def stripe_ranges(layout: ShardLayout, points: PredictedPoints) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last stripe each predicted point's query can reach."""
     x = points.xy[:, 0]
-    bounds = np.asarray(layout.boundaries, dtype=float)
-    first = np.searchsorted(bounds, np.floor((x - points.radius) / layout.cell_km), "left")
-    last = np.searchsorted(bounds, np.floor((x + points.radius) / layout.cell_km), "left")
-    for shard_id in range(len(members)):
+    return layout.shards_for_x(x - points.radius), layout.shards_for_x(x + points.radius)
+
+
+def stripe_members(
+    points: PredictedPoints, first: np.ndarray, last: np.ndarray, n_stripes: int
+) -> list[list[int]]:
+    """Snapshot positions per stripe from the points' :func:`stripe_ranges`."""
+    members: list[list[int]] = []
+    for shard_id in range(n_stripes):
         owner = points.owner[(first <= shard_id) & (last >= shard_id)]
         # Owners are non-decreasing (points stack in snapshot order), so
         # dropping repeats needs no sort.
         keep = np.ones(len(owner), dtype=bool)
         keep[1:] = owner[1:] != owner[:-1]
-        members[shard_id] = owner[keep].tolist()
+        members.append(owner[keep].tolist())
     return members
 
 
@@ -322,7 +314,11 @@ def sharded_build_candidates(
     # The candidate build and the halo accounting read the same stacked
     # predicted points, so they are stacked once.
     points = predicted_points(snapshots, latest_horizon(tasks, current_time))
-    merged = candidates_from_points(tasks, snapshots, points, layout.cell_km, max_candidates)
+    task_ids, task_xy = task_arrays(tasks)
+    worker_ids = [snap.worker_id for snap in snapshots]
+    merged = candidates_from_points(
+        task_ids, task_xy, points, worker_ids, layout.cell_km, max_candidates
+    )
     obs.histogram("dist.merge.seconds", 0.0)
     if stats is not None:
         tasks_per_shard = [0] * len(layout)
@@ -331,7 +327,7 @@ def sharded_build_candidates(
             owner = layout.shard_for_x(task.location.x)
             tasks_per_shard[owner] += 1
             pairs[owner] += len(merged.get(task.task_id, ()))
-        members = stripe_members(layout, points)
+        members = stripe_members(points, *stripe_ranges(layout, points), len(layout))
         fill_shard_stats(stats, tasks_per_shard, members, pairs, 0.0)
     return merged
 

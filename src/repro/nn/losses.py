@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.nn.tensor import Tensor
 
@@ -83,7 +82,13 @@ class TaskDensityWeighter:
         self.kappa = float(kappa)
         self.delta = float(delta)
         self._n_tasks = len(tasks)
-        self._tree = cKDTree(tasks) if self._n_tasks else None
+        self._tree = None
+        if self._n_tasks:
+            # Imported here: scipy is slow to import and only training
+            # with a task corpus needs it.
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(tasks)
         # rho_t: mean number of tasks per unit disc of radius d_q, estimated
         # from the corpus extent so weights are scale-free.
         if self._n_tasks:

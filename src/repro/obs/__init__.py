@@ -49,7 +49,6 @@ from repro.obs.dist import (
     current_context,
     merge_spools,
     render_distributed_report,
-    replay_seconds,
 )
 from repro.obs.format import Reporter
 from repro.obs.manifest import RunManifest, git_sha, manifest_path_for, read_manifest
@@ -118,7 +117,6 @@ __all__ = [
     "current_context",
     "merge_spools",
     "render_distributed_report",
-    "replay_seconds",
     "Reporter",
     "RunManifest",
     "git_sha",

@@ -59,7 +59,7 @@ MERGE_SPAN = "dist.server.merge"
 # ----------------------------------------------------------------------
 # trace context: coordinator -> worker
 # ----------------------------------------------------------------------
-def current_context(replay: bool = False) -> dict | None:
+def current_context() -> dict | None:
     """The active trace context as a wire dict, or ``None`` untraced.
 
     Returns ``None`` unless a :class:`TraceRecorder` is installed, so
@@ -72,14 +72,11 @@ def current_context(replay: bool = False) -> dict | None:
     if trace is None:
         return None
     span = rec.current_span
-    ctx = {
+    return {
         "trace": trace,
         "parent": span.span_id if span is not None else None,
         "sent_unix": time.time(),
     }
-    if replay:
-        ctx["replay"] = True
-    return ctx
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +122,7 @@ class WorkerTelemetry:
 
     def command_span(self, name: str, ctx: dict, **attrs):
         """The span timing one command, parented back to the coordinator."""
-        span = self.recorder.span(
+        return self.recorder.span(
             name,
             round=self.round,
             remote_parent=ctx.get("parent"),
@@ -133,9 +130,6 @@ class WorkerTelemetry:
             recv_unix=time.time(),
             **attrs,
         )
-        if ctx.get("replay"):
-            span.attrs["replay"] = True
-        return span
 
     def account(self, command: str, seconds: float) -> None:
         self.busy_s[command] = self.busy_s.get(command, 0.0) + seconds
@@ -289,8 +283,6 @@ class RoundAttribution:
     merge_s: float = 0.0
     #: per-shard busy seconds inside the solve (worker-reported)
     shard_busy_s: dict[int, float] = field(default_factory=dict)
-    #: per-shard replayed-command seconds (crash-recovery cost)
-    shard_replay_s: dict[int, float] = field(default_factory=dict)
 
     @property
     def straggler(self) -> int | None:
@@ -352,8 +344,7 @@ def attribute_rounds(records: list[dict]) -> list[RoundAttribution]:
             continue
         att = solve_to_round.get(record.get("parent_id"))
         if att is None:
-            # Replay-time and flush commands land outside any solve
-            # window; they show up in replay_seconds(), not per-round.
+            # Flush commands land outside any solve window.
             continue
         attrs = record.get("attrs") or {}
         shard = attrs.get("shard")
@@ -362,21 +353,8 @@ def attribute_rounds(records: list[dict]) -> list[RoundAttribution]:
         shard = int(shard)
         duration = float(record.get("duration_s", 0.0))
         att.shard_busy_s[shard] = att.shard_busy_s.get(shard, 0.0) + duration
-        if attrs.get("replay"):
-            att.shard_replay_s[shard] = att.shard_replay_s.get(shard, 0.0) + duration
 
     return sorted(rounds.values(), key=lambda a: a.round)
-
-
-def replay_seconds(records: list[dict]) -> float:
-    """Total worker time spent re-executing replayed commands."""
-    total = 0.0
-    for record in records:
-        if record.get("type") != "span":
-            continue
-        if (record.get("attrs") or {}).get("replay"):
-            total += float(record.get("duration_s", 0.0))
-    return total
 
 
 def render_distributed_report(records: list[dict], title: str = "distributed rounds") -> str:
@@ -423,7 +401,6 @@ def render_distributed_report(records: list[dict], title: str = "distributed rou
 
     wall = sum(a.wall_s for a in attributions)
     solve = sum(a.solve_s for a in attributions)
-    replay = replay_seconds(records)
     lines += [
         "",
         "critical path",
@@ -432,6 +409,4 @@ def render_distributed_report(records: list[dict], title: str = "distributed rou
         f"solve window: {solve:.4f}s    straggler busy (critical path): {critical:.4f}s",
         f"ipc/scheduling overhead inside solve: {max(solve - critical, 0.0):.4f}s",
     ]
-    if replay > 0.0:
-        lines.append(f"crash-replay re-execution: {replay:.4f}s")
     return "\n".join(lines)

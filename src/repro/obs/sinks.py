@@ -47,10 +47,9 @@ class JsonlSink:
     """Appends records to a JSONL trace file, one object per line.
 
     ``append=True`` opens the file in append mode instead of
-    truncating — the mode per-process telemetry spools and the shard
-    server replay log use, so a process restarted after a crash
-    continues the same file rather than erasing what its predecessor
-    managed to flush.  A predecessor killed mid-write leaves a torn
+    truncating — the mode per-process telemetry spools use, so a
+    process reopening a file continues it rather than erasing what an
+    earlier writer managed to flush.  A predecessor killed mid-write leaves a torn
     last line; appending starts on a fresh line so that only the torn
     record is lost (:func:`read_jsonl` skips it).
     """

@@ -14,8 +14,12 @@ snapshot's predicted points are stacked into one array
 (:func:`predicted_points`), and for each (point, occupied column) pair a
 ``searchsorted`` finds the contiguous run of tasks whose rows fall in
 the point's bounding-box cell range — the cells :func:`cells_in_radius`
-lists.  :class:`UniformGridIndex` is the per-point form of the same
-scan, kept as the reference the tests compare the batched pass against.
+lists.  The pass itself, :func:`candidates_from_points`, reads only
+arrays (task ids and locations, the stacked points, worker ids), so a
+shard server (:mod:`repro.dist.server`) runs the same code on the
+arrays of its stripe.  :class:`UniformGridIndex` is the per-point form
+of the same scan, kept as the reference the tests compare the batched
+pass against.
 
 Exactness: ``min(d/2, d^t) <= d/2``, so querying every predicted point
 with radius ``d/2`` returns a **superset** of the pairs the dense path
@@ -155,13 +159,13 @@ class PredictedPoints(NamedTuple):
 
 def predicted_points(
     snapshots: Sequence[WorkerSnapshot], horizon: float
-) -> PredictedPoints | None:
+) -> PredictedPoints:
     """Stack every eligible snapshot's predicted points for one batch.
 
     A snapshot's radius is ``min(d/2, sp * horizon)``; snapshots with no
     predicted points or a radius ``<= 0`` can reach no task and are
-    skipped.  ``None`` when nothing is left.  A non-finite point or
-    radius raises ``ValueError`` naming the worker: the cell arithmetic
+    skipped, so the stack may be empty.  A non-finite point or radius
+    raises ``ValueError`` naming the worker: the cell arithmetic
     downstream would otherwise place it silently in a bogus cell.
     """
     blocks: list[np.ndarray] = []
@@ -176,11 +180,9 @@ def predicted_points(
         blocks.append(snap.predicted_xy)
         owners.append(pos)
         radii.append(radius)
-    if not blocks:
-        return None
     counts = [len(block) for block in blocks]
     points = PredictedPoints(
-        xy=np.concatenate(blocks),
+        xy=np.concatenate(blocks) if blocks else np.empty((0, 2)),
         owner=np.repeat(np.asarray(owners, dtype=np.intp), counts),
         radius=np.repeat(np.asarray(radii, dtype=float), counts),
     )
@@ -199,6 +201,13 @@ def predicted_points(
             f"point {points.xy[i].tolist()}"
         )
     return points
+
+
+def task_arrays(tasks: Sequence[SpatialTask]) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's task ids and ``(T, 2)`` locations, in batch order."""
+    ids = np.array([t.task_id for t in tasks])
+    xy = np.array([(t.location.x, t.location.y) for t in tasks], dtype=float)
+    return ids, xy.reshape(-1, 2)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,30 +254,38 @@ def build_candidates(
     if not tasks:
         return {}
     return candidates_from_points(
-        tasks, snapshots, predicted_points(snapshots, horizon), cell_km, max_candidates
+        *task_arrays(tasks),
+        predicted_points(snapshots, horizon),
+        [snap.worker_id for snap in snapshots],
+        cell_km,
+        max_candidates,
     )
 
 
 def candidates_from_points(
-    tasks: Sequence[SpatialTask],
-    snapshots: Sequence[WorkerSnapshot],
-    points: PredictedPoints | None,
+    task_ids: np.ndarray,
+    task_xy: np.ndarray,
+    points: PredictedPoints,
+    worker_ids: Sequence[int] | np.ndarray,
     cell_km: float,
     max_candidates: int | None = None,
 ) -> dict[int, list[int]]:
-    """:func:`build_candidates` on the batch's stacked predicted points.
+    """:func:`build_candidates` on plain arrays: the one index pass.
 
-    ``points`` is :func:`predicted_points` of ``snapshots`` at the
-    batch's horizon, so a caller that also needs the points elsewhere
-    (the sharded build's halo accounting) stacks them once.
+    ``task_ids`` and ``task_xy`` are the tasks in batch order (see
+    :func:`task_arrays`); ``points`` are predicted points stacked by
+    :func:`predicted_points` (or any subset of them, in stack order),
+    whose ``owner`` indexes ``worker_ids``, the worker id of every
+    snapshot position.  A caller that also needs the points elsewhere
+    (the sharded build's halo accounting) stacks them once, and a shard
+    server builds its stripe from these arrays alone.
     """
-    if not tasks or points is None:
+    if not len(task_ids) or not len(points.xy):
         return {}
 
-    task_xy = np.array([(t.location.x, t.location.y) for t in tasks], dtype=float)
     if not np.isfinite(task_xy).all():
         bad = int(np.argmax(~np.isfinite(task_xy).all(axis=1)))
-        raise ValueError(f"task {tasks[bad].task_id}: non-finite location")
+        raise ValueError(f"task {task_ids[bad]}: non-finite location")
     # Tasks sorted by (column rank, row rank): each occupied column's
     # tasks form one run, sorted by row inside it.
     task_cell = np.floor(task_xy / cell_km)
@@ -304,7 +321,7 @@ def candidates_from_points(
     dist = dist[keep]
     # Tasks sharing an id count as one, as in a per-id index.
     id_rank: dict[int, int] = {}
-    task_rank = np.array([id_rank.setdefault(t.task_id, len(id_rank)) for t in tasks])
+    task_rank = np.array([id_rank.setdefault(i, len(id_rank)) for i in task_ids.tolist()])
     ident = task_rank[task[keep]]
 
     # The nearest hit per (task, snapshot), in (task, snapshot) order.
@@ -327,12 +344,11 @@ def candidates_from_points(
         ident, owner = ident[kept], owner[kept]
 
     ids = list(id_rank)
-    worker_ids = [snap.worker_id for snap in snapshots]
-    owners = owner.tolist()
+    workers = np.asarray(worker_ids)[owner].tolist()
     bounds = np.flatnonzero(ident[1:] != ident[:-1]) + 1
     starts = [0, *bounds.tolist()]
-    stops = [*bounds.tolist(), len(owners)]
+    stops = [*bounds.tolist(), len(workers)]
     return {
-        ids[rank]: [worker_ids[pos] for pos in owners[a:b]]
+        ids[rank]: workers[a:b]
         for rank, a, b in zip(ident[starts].tolist(), starts, stops)
     }

@@ -1,10 +1,11 @@
-"""Long-lived shard servers: state, crash recovery, and engine parity.
+"""Stateless shard servers: array builds, crash recovery, engine parity.
 
-The contract under test: a shard server fed incremental deltas holds
-exactly the state the coordinator mirrors for it, a crashed server is
-rebuilt bit-identically by replaying the JSONL command log, and a
-serving run that loses servers mid-stream still reproduces the dense
-engine's ``result_signature``.
+The contract under test: a shard server builds its stripe's candidate
+graph from the plain arrays of one ``build`` request, the stripes'
+graphs merge to the dense ``build_candidates`` graph, a crashed server
+is respawned and re-sent the same request, and a serving run that loses
+servers mid-stream still reproduces the dense engine's
+``result_signature``.
 """
 
 import os
@@ -12,23 +13,22 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.dist import (
     DistConfig,
     ShardedEngine,
+    ShardLayout,
+    ShardPlanner,
     ShardServerBackend,
     ShardServerError,
     component_candidate_assign,
+    make_shards,
 )
-from repro.dist.server import (
-    ShardServerHandle,
-    decode_snapshot,
-    decode_task,
-    encode_snapshot,
-    encode_task,
-)
+from repro.dist.serve import stripe_build_requests
+from repro.dist.server import BuildRequest, ShardServerHandle, scatter
 from repro.geo.point import Point
 from repro.obs import MemorySink
 from repro.obs.metrics import labelled
@@ -42,7 +42,12 @@ from repro.serve import (
     make_worker_fleet,
     result_signature,
 )
-from repro.serve.spatial_index import build_candidates
+from repro.serve.spatial_index import (
+    build_candidates,
+    latest_horizon,
+    predicted_points,
+    task_arrays,
+)
 
 
 def sample_task(task_id=0, x=1.0, y=1.0):
@@ -61,62 +66,34 @@ def sample_snapshot(worker_id=0, x=1.5, y=1.5):
     )
 
 
-def build_payload(member_ids, t=0.0, cell_km=1.0, horizon=30.0):
-    return {
-        "t": t,
-        "cell_km": cell_km,
-        "max_candidates": None,
-        "horizon": horizon,
-        "member_ids": member_ids,
-    }
-
-
-class TestCodec:
-    def test_task_roundtrip(self):
-        task = sample_task(7, 3.25, -1.5)
-        assert decode_task(encode_task(task)) == task
-
-    def test_snapshot_roundtrip(self):
-        snap = sample_snapshot(3)
-        back = decode_snapshot(encode_snapshot(snap))
-        assert back.worker_id == snap.worker_id
-        assert back.current_location == snap.current_location
-        np.testing.assert_array_equal(back.predicted_xy, snap.predicted_xy)
-        np.testing.assert_array_equal(back.predicted_times, snap.predicted_times)
-        assert back.matching_rate == snap.matching_rate
+def whole_batch_request(tasks, snaps, t=0.0, cell_km=1.0, max_candidates=None):
+    """One build request holding the whole batch (a one-stripe layout)."""
+    task_ids, task_xy = task_arrays(tasks)
+    return BuildRequest(
+        task_ids,
+        task_xy,
+        predicted_points(snaps, latest_horizon(tasks, t)),
+        np.array([snap.worker_id for snap in snaps]),
+        cell_km,
+        max_candidates,
+    )
 
 
 class TestShardServerHandle:
-    def test_apply_then_build(self):
+    def test_build_from_arrays_equals_dense(self):
+        tasks = [sample_task(0), sample_task(1, 2.2, 1.4)]
+        snaps = [sample_snapshot(0), sample_snapshot(4, 2.0, 2.0)]
         handle = ShardServerHandle(0)
         try:
             assert handle.request("ping") == "pong"
-            handle.request("apply", {
-                "tasks_add": [encode_task(sample_task(0))],
-                "snaps_add": [encode_snapshot(sample_snapshot(0))],
-            })
-            graph = handle.request("build", build_payload([0]))
-            expected = build_candidates(
-                [sample_task(0)], [sample_snapshot(0)], 0.0, horizon=30.0
-            )
-            assert graph == expected
+            graph = handle.request("build", whole_batch_request(tasks, snaps))
         finally:
             handle.close()
-
-    def test_removals_and_reset(self):
-        handle = ShardServerHandle(0)
-        try:
-            state = handle.request("apply", {
-                "tasks_add": [encode_task(sample_task(0)), encode_task(sample_task(1))],
-                "snaps_add": [encode_snapshot(sample_snapshot(0))],
-            })
-            assert state == {"n_tasks": 2, "n_snaps": 1}
-            state = handle.request("apply", {"tasks_remove": [0]})
-            assert state["n_tasks"] == 1
-            handle.request("reset")
-            assert handle.request("build", build_payload([0])) == {}
-        finally:
-            handle.close()
+        assert graph == build_candidates(tasks, snaps, 0.0)
+        assert graph  # non-trivial
+        # Ids come back as plain ints, not numpy scalars.
+        assert all(type(k) is int for k in graph)
+        assert all(type(w) is int for ws in graph.values() for w in ws)
 
     def test_unknown_command_reports_without_dying(self):
         handle = ShardServerHandle(0)
@@ -128,80 +105,129 @@ class TestShardServerHandle:
         finally:
             handle.close()
 
-    def test_crash_respawn_replays_log(self):
+    def test_crash_respawn_resends_the_build(self):
+        request = whole_batch_request([sample_task(0)], [sample_snapshot(0)])
         handle = ShardServerHandle(0)
         try:
-            handle.request("apply", {
-                "tasks_add": [encode_task(sample_task(0))],
-                "snaps_add": [encode_snapshot(sample_snapshot(0))],
-            })
-            before = handle.request("build", build_payload([0]))
-            assert before  # non-trivial state to lose
+            before = handle.request("build", request)
+            assert before
             os.kill(handle._proc.pid, signal.SIGKILL)
             handle._proc.join(timeout=2.0)
-            after = handle.request("build", build_payload([0]))
-            assert after == before
+            assert handle.request("build", request) == before
             assert handle.restarts == 1
+            # A server killed between send and receive is re-sent too.
+            token = handle.send_async("build", request)
+            os.kill(handle._proc.pid, signal.SIGKILL)
+            handle._proc.join(timeout=2.0)
+            assert handle.recv_async(token, "build", request) == before
+            assert handle.restarts == 2
         finally:
             handle.close()
 
-    def test_file_log_survives_a_new_handle(self, tmp_path):
-        """Durability: a fresh handle on the same log file starts its
-        server from the logged state without any new applies."""
-        log = str(tmp_path / "shard-0.jsonl")
-        first = ShardServerHandle(0, log_path=log)
+    def test_spawn_started_server_builds_from_arrays(self):
+        tasks = [sample_task(0), sample_task(1, 2.2, 1.4)]
+        snaps = [sample_snapshot(0), sample_snapshot(4, 2.0, 2.0)]
+        handle = ShardServerHandle(0, start_method="spawn")
         try:
-            first.request("apply", {
-                "tasks_add": [encode_task(sample_task(0))],
-                "snaps_add": [encode_snapshot(sample_snapshot(0))],
-            })
-            expected = first.request("build", build_payload([0]))
+            graph = handle.request("build", whole_batch_request(tasks, snaps, max_candidates=1))
         finally:
-            first.close()
-        second = ShardServerHandle(0, log_path=log)
-        try:
-            assert second.log_length == 1
-            assert second.request("build", build_payload([0])) == expected
-        finally:
-            second.close()
+            handle.close()
+        assert graph == build_candidates(tasks, snaps, 0.0, max_candidates=1)
 
 
-    def test_file_log_survives_a_truncated_tail(self, tmp_path):
-        """A coordinator killed mid-append leaves half a line: a command
-        logged but never sent.  The next handle skips it with a warning,
-        replays the intact commands, and commands it logs afterwards
-        survive the restart after that."""
-        log = tmp_path / "shard-0.jsonl"
-        first = ShardServerHandle(0, log_path=str(log))
-        try:
-            first.request("reset")
-            first.request("apply", {
-                "tasks_add": [encode_task(sample_task(0))],
-                "snaps_add": [encode_snapshot(sample_snapshot(0))],
-            })
-            expected = first.request("build", build_payload([0]))
-        finally:
-            first.close()
-        with log.open("a") as fh:
-            fh.write('{"command": "apply", "payload": {"tasks_add": [{"task_')
-        with pytest.warns(UserWarning, match="truncated"):
-            second = ShardServerHandle(0, log_path=str(log))
-        try:
-            assert second.log_length == 2
-            second.ensure_running()
-            assert second.request("build", build_payload([0])) == expected
-            second.request("apply", {"tasks_add": [encode_task(sample_task(1, 1.2, 1.4))]})
-            expected_after = second.request("build", build_payload([0]))
-        finally:
-            second.close()
-        assert expected_after != expected
-        with pytest.warns(UserWarning, match="truncated"):
-            third = ShardServerHandle(0, log_path=str(log))
-        try:
-            assert third.log_length == 3
-            assert third.request("build", build_payload([0])) == expected_after
-        finally:
-            third.close()
+# ----------------------------------------------------------------------
+# parity property: merged stripe graphs == the dense graph
+# ----------------------------------------------------------------------
+@st.composite
+def sharded_batches(draw):
+    """Random batches under random stripe layouts, with the cases a
+    stripe build must survive: duplicate task ids (across stripes too),
+    stripes owning no tasks, stripes with no halo points, and snapshots
+    with no points or a zero radius."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    extent = draw(st.sampled_from([6.0, 20.0, 40.0]))
+    cell_km = draw(st.sampled_from([0.7, 1.0, 2.5]))
+    n_tasks = draw(st.integers(0, 30))
+    tasks = [
+        SpatialTask(i, Point(*rng.uniform(0.0, extent, 2)), 0.0, float(rng.uniform(0.5, 40.0)))
+        for i in range(n_tasks)
+    ]
+    if n_tasks > 1 and draw(st.booleans()):
+        # Reuse some ids, wherever their rows happen to lie.
+        for i in rng.choice(n_tasks, size=n_tasks // 3, replace=False):
+            tasks[i] = SpatialTask(
+                int(rng.integers(0, n_tasks)), tasks[i].location, 0.0, tasks[i].deadline
+            )
+    snaps = []
+    for w in range(draw(st.integers(0, 15))):
+        n_pts = int(rng.choice([0, 1, 3, 6]))
+        snaps.append(
+            WorkerSnapshot(
+                worker_id=1000 - 3 * w,
+                current_location=Point(0.0, 0.0),
+                predicted_xy=rng.uniform(0.0, extent, size=(n_pts, 2)),
+                predicted_times=10.0 * np.arange(1, n_pts + 1),
+                detour_budget_km=float(rng.choice([0.0, 1.0, rng.uniform(0.5, 10.0)])),
+                speed_km_per_min=float(rng.uniform(0.1, 1.5)),
+                matching_rate=0.5,
+            )
+        )
+    # The layout may come from another batch (a sticky layout), so some
+    # stripes can own no tasks of this one.
+    layout_tasks = tasks
+    if draw(st.booleans()) or not tasks:
+        layout_tasks = [
+            SpatialTask(i, Point(*rng.uniform(0.0, extent, 2)), 0.0, 1.0) for i in range(12)
+        ]
+    specs = make_shards(layout_tasks, draw(st.integers(1, 4)), cell_km)
+    layout = ShardLayout.from_specs(specs, cell_km)
+    max_candidates = draw(st.one_of(st.none(), st.integers(1, 3)))
+    t = draw(st.floats(0.0, 5.0))
+    return tasks, snaps, layout, max_candidates, t
+
+
+@pytest.fixture(scope="module")
+def four_servers():
+    with ShardServerBackend(shards=4) as backend:
+        yield backend
+
+
+class TestMergedServerGraphParity:
+    @settings(max_examples=120, deadline=None)
+    @given(batch=sharded_batches())
+    def test_merged_server_graphs_equal_dense(self, four_servers, batch):
+        tasks, snaps, layout, max_candidates, t = batch
+        requests, members, tasks_per_shard = stripe_build_requests(
+            layout, tasks, snaps, t, max_candidates
+        )
+        graphs = scatter(
+            [four_servers.handles[s] for s in requests],
+            [("build", request) for request in requests.values()],
+        )
+        merged = {}
+        for graph in graphs:
+            assert not merged.keys() & graph.keys()  # each id has one owner
+            merged.update(graph)
+        dense = build_candidates(
+            tasks, snaps, t, cell_km=layout.cell_km, max_candidates=max_candidates
+        )
+        assert merged == dense  # keys, worker lists, AND list order
+        planner = ShardPlanner(len(layout), cell_km=layout.cell_km)
+        assert members == planner.memberships(layout, snaps, latest_horizon(tasks, t))
+        assert sum(tasks_per_shard) == len(tasks)
+
+    def test_empty_stripes_get_no_request(self):
+        """A stripe that owns no tasks, and one whose tasks no halo
+        point reaches, are not sent a build."""
+        tasks = [sample_task(0, 0.5, 0.5), sample_task(1, 9.5, 0.5)]
+        layout = ShardLayout.from_specs(
+            make_shards(tasks + [sample_task(2, 5.5, 0.5)], 3, 1.0), 1.0
+        )
+        snaps = [sample_snapshot(7, 0.5, 0.5)]
+        requests, members, tasks_per_shard = stripe_build_requests(layout, tasks, snaps, 0.0)
+        assert list(requests) == [0]
+        assert tasks_per_shard == [1, 0, 1]
+        assert members == [[0], [0], []]  # stripe 1's halo, but no tasks
 
 
 class TestShardServerBackend:
@@ -293,9 +319,6 @@ class TestShardServerEngineParity:
         ref = result_signature(run_reference(tasks, workers, 6, **kwargs))
         got, engine = run_with_servers(tasks, workers, 6, shards=2, warm_start=True, **kwargs)
         assert result_signature(got) == ref
-        # The delta path must actually skip re-shipping cached tracks.
-        shipped = sum(len(m) for m in engine._server_preds)
-        assert shipped > 0
 
     def test_shard_pair_counters_match_serial_backend(self):
         """Every build path publishes ``dist.shard.pairs{shard=S}``, so
@@ -338,8 +361,8 @@ class TestShardServerEngineParity:
 
     def test_crash_mid_run_replays_to_dense_signature(self):
         """Kill shard 0's process partway through the stream: the
-        respawned server replays its JSONL log and the run's signature
-        still equals the dense engine's."""
+        respawned server is re-sent the batch's build and the run's
+        signature still equals the dense engine's."""
         tasks, workers = scenario(5)
         ref = result_signature(run_reference(tasks, workers, 5))
         provider = _CrashingProvider(DeadReckoningProvider(seed=5), kill_at_call=200)

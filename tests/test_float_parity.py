@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.shard import same_track
 from repro.geo.point import Point
 from repro.geo.trajectory import Trajectory, TrajectoryPoint
 from repro.sc.acceptance import AcceptanceDecision, evaluate_acceptance
@@ -330,7 +329,6 @@ class TestCacheHitParity:
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert hit.predicted_xy is first.predicted_xy
         assert hit.predicted_times is first.predicted_times
-        assert same_track(first.predicted_xy, hit.predicted_xy)
         assert hit.current_location == worker.last_shared_location(3.0)
 
     def test_with_location_copies_every_field(self):

@@ -5,8 +5,8 @@ spools per-process telemetry that merges into *one* timeline — worker
 command spans parented under the coordinator spans that issued them —
 while the untraced path stays byte-identical (3-tuple command frames,
 unchanged ``result_signature``).  Edge cases ride along: truncated and
-empty spools, clock skew, and spans from replayed command logs after a
-crash.
+empty spools, clock skew, and the fresh spool of a server respawned
+after a crash.
 """
 
 import json
@@ -30,7 +30,6 @@ from repro.obs.dist import (
     list_spools,
     merge_spools,
     render_distributed_report,
-    replay_seconds,
 )
 from repro.obs.metrics import labelled, split_labels
 from repro.obs.openmetrics import render_openmetrics
@@ -139,8 +138,7 @@ class TestCurrentContext:
                 ctx = current_context()
                 assert ctx["trace"] == rec.trace_id
                 assert ctx["parent"] == inner.span_id
-                assert "replay" not in ctx
-                assert current_context(replay=True)["replay"] is True
+                assert set(ctx) == {"trace", "parent", "sent_unix"}
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +259,11 @@ class TestDisabledPathParity:
 
     def test_untraced_frames_stay_three_tuples(self):
         """Without a recorder no context is appended — the wire format
-        (and thus replay logs and signatures) is bit-identical."""
-        from repro.dist.server import ShardServerHandle
+        (and thus signatures) is bit-identical."""
+        import numpy as np
+
+        from repro.dist.server import BuildRequest, ShardServerHandle
+        from repro.serve.spatial_index import PredictedPoints
 
         class _Tap:
             def __init__(self, conn):
@@ -280,7 +281,12 @@ class TestDisabledPathParity:
             assert handle.request("ping") == "pong"  # spawn the server
             tap = handle._conn = _Tap(handle._conn)
             assert handle.request("ping") == "pong"
-            handle.request("apply", {"tasks_add": [], "snaps_add": []})
+            empty = BuildRequest(
+                np.zeros(0, dtype=int), np.zeros((0, 2)),
+                PredictedPoints(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0)),
+                np.zeros(0, dtype=int), 1.0, None,
+            )
+            assert handle.request("build", empty) == {}
             handle._conn = tap.conn
         finally:
             handle.close()
@@ -382,7 +388,7 @@ class TestMergeEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# crash recovery: replayed commands are visible in the timeline
+# crash recovery: a respawned server spools afresh
 # ----------------------------------------------------------------------
 class _CrashingProvider:
     """Wraps a snapshot provider; SIGKILLs one shard server mid-run."""
@@ -404,8 +410,8 @@ class _CrashingProvider:
         return self.inner(worker, t)
 
 
-class TestCrashReplayTelemetry:
-    def test_replayed_commands_marked_and_counted(self, tmp_path):
+class TestCrashTelemetry:
+    def test_respawned_server_spools_into_the_same_timeline(self, tmp_path):
         tasks, workers = scenario(5)
         ref = result_signature(run_reference(tasks, workers, 5))
         provider = _CrashingProvider(DeadReckoningProvider(seed=5), kill_at_call=200)
@@ -416,16 +422,10 @@ class TestCrashReplayTelemetry:
         assert engine.backend.total_restarts >= 1
         assert result_signature(result) == ref
         # The respawned pid opened a fresh spool next to the old one.
-        assert len(list_spools(tmp_path)) >= 4
+        shard0 = [p for p in list_spools(tmp_path) if p.name.startswith("spool-shard0-")]
+        assert len(shard0) == 2
         merged = merge_spools(records, tmp_path)
-        replayed = [r for r in merged if r.get("type") == "span"
-                    and (r.get("attrs") or {}).get("replay")]
-        assert replayed, "replayed commands left no marked spans"
-        total_replay = replay_seconds(merged)
-        assert total_replay > 0.0
-        # Replay cost attributed inside rounds (the crash delays that
-        # round's solve) never exceeds the total replay time.
-        attributed = sum(
-            sum(att.shard_replay_s.values()) for att in attribute_rounds(merged)
-        )
-        assert attributed <= total_replay + 1e-9
+        processes = {r["process"] for r in merged
+                     if r.get("type") == "span" and r.get("process", "").startswith("shard0-")}
+        assert len(processes) == 2  # both shard-0 processes built inside rounds
+        assert len(attribute_rounds(merged)) == result.n_batches
