@@ -1,8 +1,8 @@
 """Micro-benchmarks of the from-scratch substrates.
 
 Not a paper table — evidence that the substrates carry their weight:
-the Hungarian solver against scipy, autograd forward/backward on the
-LSTM encoder-decoder, and the Wasserstein estimators.
+the Hungarian solver against scipy, the fused forward/backward training
+step of the LSTM encoder-decoder, and the Wasserstein estimators.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from common import write_result
 from repro.assignment.hungarian import solve_assignment
 from repro.eval.report import format_table
-from repro.nn import LSTMEncoderDecoder, Tensor, grad_of, mse_loss
+from repro.nn import LSTMEncoderDecoder, fused, mse_loss
 from repro.similarity.distribution import sliced_wasserstein, wasserstein_exact_2d
 
 
@@ -38,16 +38,14 @@ def test_micro_hungarian_scipy_reference(benchmark, cost_matrix):
 def test_micro_lstm_forward_backward(benchmark):
     rng = np.random.default_rng(1)
     model = LSTMEncoderDecoder(2, 16, seq_out=1, rng=rng)
-    x = Tensor(rng.normal(size=(32, 5, 2)))
-    y = Tensor(rng.normal(size=(32, 1, 2)))
-    params = list(dict(model.named_parameters()).values())
+    x = rng.normal(size=(32, 5, 2))
+    y = rng.normal(size=(32, 1, 2))
 
     def step():
-        loss = mse_loss(model(x), y)
-        return grad_of(loss, params)
+        return fused.loss_and_grads(model, model.params, x, y, mse_loss)[1]
 
     grads = benchmark(step)
-    assert all(np.isfinite(g).all() for g in grads)
+    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 def test_micro_wasserstein(benchmark):

@@ -25,7 +25,6 @@ from repro.meta.maml import adapt
 from repro.meta.task_tree import LearningTaskTree
 from repro.meta.taml import place_learning_task
 from repro.nn.losses import mse_loss
-from repro.nn.tensor import Tensor
 from repro.pipeline.newcomer import default_newcomer_similarity
 from repro.pipeline.training import make_model_factory, train_predictor
 
@@ -60,10 +59,8 @@ def _newcomer_tasks(city, newcomers, seed=31):
 def _query_rmse_km(model, init_theta, task, city):
     """Few-shot query RMSE (km) after the fixed adaptation budget."""
     model.load_state_dict(dict(init_theta))
-    adapted = adapt(model, task, mse_loss, inner_lr=ADAPT_LR, inner_steps=ADAPT_STEPS)
-    params = {name: t.data.copy() for name, t in adapted.items()}
-    model.load_state_dict(params)
-    pred = model(Tensor(task.query_x)).numpy()
+    model.load_state_dict(adapt(model, task, mse_loss, inner_lr=ADAPT_LR, inner_steps=ADAPT_STEPS))
+    pred = model.predict(task.query_x)
     pred_km = city.grid.denormalize(pred.reshape(-1, 2))
     real_km = city.grid.denormalize(task.query_y.reshape(-1, 2))
     return float(np.sqrt(((pred_km - real_km) ** 2).sum(axis=1).mean()))

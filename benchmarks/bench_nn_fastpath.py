@@ -3,7 +3,8 @@
 Times one inner-loop training step (forward + full BPTT + gradient
 dict + SGD update) of the mobility seq2seq model three ways:
 
-* ``tape``    — the reference path (``functional_call`` + ``grad_of``);
+* ``tape``    — the autograd-tape reference of ``tests/tape.py``
+  (``tape_forward`` + ``grad_of``);
 * ``fused``   — the hand-derived kernels of :mod:`repro.nn.fused`;
 * ``batched`` — one stacked fused pass adapting ``workers`` models at
   once (the meta-training fast path), reported per worker.
@@ -24,6 +25,7 @@ than only to the end-to-end ratio.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -31,12 +33,16 @@ import numpy as np
 
 from repro.nn import fused
 from repro.nn.losses import mse_loss
-from repro.nn.module import apply_gradient_step
+from repro.nn.optim import apply_gradient_step
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor, grad_of
 from repro.obs.metrics import Histogram
 
-OUTPUT = Path(__file__).parent.parent / "BENCH_nn_fastpath.json"
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT))
+
+from tests.tape import Tensor, grad_of, leaves, tape_forward, tape_mse  # noqa: E402
+
+OUTPUT = ROOT / "BENCH_nn_fastpath.json"
 
 COMMON = {"seq_in": 5, "features": 2, "workers": 12, "inner_lr": 0.05}
 
@@ -48,12 +54,6 @@ SHAPES = {
 }
 
 HEADLINE = "pipeline_default"
-
-
-def _tape_grads(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """The tape reference's gradient dict: ``grad_of`` per named parameter."""
-    names = list(params)
-    return dict(zip(names, grad_of(loss, (params[n] for n in names))))
 
 
 def _time(fn, repeats: int, warmup: int = 3) -> Histogram:
@@ -86,17 +86,17 @@ def bench_shape(hidden: int, seq_out: int, batch: int, repeats: int) -> dict:
     )
     x = rng.normal(size=(batch, COMMON["seq_in"], COMMON["features"]))
     y = rng.normal(size=(batch, seq_out, COMMON["features"]))
-    own = dict(model.named_parameters())
+    own = model.params
     lr = COMMON["inner_lr"]
 
     def tape_step():
-        params = {k: v.clone(requires_grad=True) for k, v in own.items()}
-        pred = model.functional_call(params, Tensor(x))
-        grads = _tape_grads(mse_loss(pred, Tensor(y)), params)
-        apply_gradient_step(params, grads, lr)
+        params = leaves(own)
+        pred = tape_forward(params, Tensor(x), seq_out)
+        grads = grad_of(tape_mse(pred, Tensor(y)), params)
+        apply_gradient_step(own, grads, lr)
 
     def fused_step():
-        params = {k: v.data.copy() for k, v in own.items()}
+        params = {k: v.copy() for k, v in own.items()}
         _, grads = fused.loss_and_grads(model, params, x, y, mse_loss)
         for name in params:
             params[name] -= lr * grads[name]
@@ -106,7 +106,7 @@ def bench_shape(hidden: int, seq_out: int, batch: int, repeats: int) -> dict:
     ys = [rng.normal(size=(batch, seq_out, COMMON["features"])) for _ in range(workers)]
 
     def batched_step():
-        stacked = {k: np.repeat(v.data[None, ...], workers, axis=0) for k, v in own.items()}
+        stacked = {k: np.repeat(v[None, ...], workers, axis=0) for k, v in own.items()}
         _, grads = fused.batched_loss_and_grads(model, stacked, xs, ys, mse_loss)
         for name in stacked:
             stacked[name] -= lr * grads[name]

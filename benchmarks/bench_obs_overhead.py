@@ -10,10 +10,11 @@ Three arms, three bars, all written to ``BENCH_obs_overhead.json``:
 * **distributed tracing** — a sharded shard-server serving run with
   full cross-process telemetry (trace-context frames, per-shard JSONL
   spools, round-boundary ``obs_flush``) against the identical untraced
-  run.  Plan parity (``result_signature``) is asserted on every
-  measurement pair — the untraced arm runs the byte-identical 3-tuple
-  wire frames of the pre-observability protocol — and the enabled cost
-  must stay under ``MAX_DIST_OVERHEAD_PCT`` (bar asserted by the
+  run, as the ratio of medians over alternating pairs.  Plan parity
+  (``result_signature``) is asserted on every measurement pair — the
+  untraced arm runs the byte-identical 3-tuple wire frames of the
+  pre-observability protocol — and the enabled cost must stay under
+  ``MAX_DIST_OVERHEAD_PCT`` (bar asserted by the
   ``dist-obs-guard`` in :mod:`benchmarks.check_regression`).
 * **decision log** — the identical serve run with and without
   ``ServeConfig.decisions`` (one provenance record per task appended
@@ -35,6 +36,7 @@ or as an opt-in pytest check (not collected by the default run)::
 
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
 import time
@@ -47,10 +49,10 @@ from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.dist import DistConfig, ShardedEngine, component_candidate_assign
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import adapt, require_fused
+from repro.meta.maml import adapt
 from repro.nn import fused
 from repro.nn.losses import loss_weights, mse_loss
-from repro.nn.module import apply_gradient_step
+from repro.nn.optim import apply_gradient_step
 from repro.nn.seq2seq import make_mobility_model
 from repro.obs import NOOP, JsonlSink, get_recorder
 from repro.obs.dist import list_spools
@@ -90,8 +92,7 @@ MAX_DECISIONS_OVERHEAD_PCT = 10.0
 
 def _plain_adapt(model, task, loss_fn, inner_lr, inner_steps, support_batch, rng):
     """``maml.adapt`` with the observability calls stripped (control arm)."""
-    require_fused(model, "adapt")
-    params = {k: v.clone() for k, v in model.named_parameters()}
+    params = {k: v.copy() for k, v in model.params.items()}
     weights = loss_weights(loss_fn, task.support_y) if support_batch is None else None
     for _ in range(inner_steps):
         if support_batch is not None:
@@ -177,7 +178,9 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
     The timed window covers ``engine.run`` plus (traced arm) recorder
     finalisation — i.e. everything tracing adds per run: context
     frames, spool writes, round flushes, and the merge-ready trace
-    file.  Server shutdown is excluded from both arms alike.
+    file.  Server start-up and shutdown are excluded from both arms
+    alike, and each timed window starts from a collected heap, so no
+    run pays a full collection of the garbage the previous one left.
     """
     engine = ShardedEngine(
         workers,
@@ -192,6 +195,7 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
         ),
     )
     try:
+        gc.collect()
         if traced:
             start = time.perf_counter()
             with obs.recording(JsonlSink(str(Path(tmp) / "run.trace.jsonl"))):
@@ -206,32 +210,39 @@ def _run_dist_once(tasks, workers, traced: bool, tmp: str) -> tuple[float, str]:
     return elapsed, result_signature(result)
 
 
-def run_dist(samples: int = 3) -> dict:
-    """Best-of-``samples`` untraced vs traced sharded serve, interleaved.
+def run_dist(repeats: int = 7) -> dict:
+    """Untraced vs traced sharded serve over ``repeats`` alternating pairs.
 
-    Every untraced/traced pair must produce the identical
+    The overhead is the ratio of the two arms' median wall times: one
+    short run (about a quarter of a second) swings by tens of percent
+    on a shared host, and a best-of-a-few ratio inherits that swing,
+    while the median of alternating runs lets host drift land on both
+    arms alike.  Every untraced/traced pair must produce the identical
     ``result_signature`` — tracing that changed the plan would make the
     timing comparison meaningless (and would be a correctness bug).
     """
     assert get_recorder() is NOOP, "bench must start with the no-op recorder installed"
     tasks, workers = _dist_scenario()
-    best_off = best_on = float("inf")
+    off_runs: list[float] = []
+    on_runs: list[float] = []
     n_spools = 0
-    for _ in range(samples):
+    for _ in range(repeats):
         with tempfile.TemporaryDirectory() as tmp:
             off_s, off_sig = _run_dist_once(tasks, workers, False, tmp)
         with tempfile.TemporaryDirectory() as tmp:
             on_s, on_sig = _run_dist_once(tasks, workers, True, tmp)
             n_spools = len(list_spools(str(Path(tmp) / "spools")))
         assert off_sig == on_sig, "tracing changed the serving plan"
-        best_off = min(best_off, off_s)
-        best_on = min(best_on, on_s)
-    overhead_pct = (best_on / best_off - 1.0) * 100.0
+        off_runs.append(off_s)
+        on_runs.append(on_s)
+    untraced_s = float(np.median(off_runs))
+    traced_s = float(np.median(on_runs))
+    overhead_pct = (traced_s / untraced_s - 1.0) * 100.0
     return {
         "shape": DIST_SHAPE,
-        "samples": samples,
-        "untraced_s": best_off,
-        "traced_s": best_on,
+        "repeats": repeats,
+        "untraced_s": untraced_s,
+        "traced_s": traced_s,
         "overhead_pct": overhead_pct,
         "max_overhead_pct": MAX_DIST_OVERHEAD_PCT,
         "n_spools": n_spools,

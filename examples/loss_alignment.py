@@ -18,16 +18,15 @@ import numpy as np
 
 from repro.data import PortoConfig, build_learning_tasks, generate_porto_workers
 from repro.data.didi import historical_task_locations
-from repro.nn import Adam, LSTMEncoderDecoder, Tensor
+from repro.nn import Adam, LSTMEncoderDecoder, fused
 from repro.nn.losses import TaskDensityWeighter, mse_loss
 
 
 def train(model, x, y, loss_fn, steps=120, lr=0.01):
-    optimizer = Adam(model.parameters(), lr=lr)
+    optimizer = Adam(model.params, lr=lr)
     for _ in range(steps):
-        optimizer.zero_grad()
-        loss_fn(model(x), y).backward()
-        optimizer.step()
+        _, grads = fused.loss_and_grads(model, model.params, x, y, loss_fn)
+        optimizer.step(grads)
     return model
 
 
@@ -47,7 +46,7 @@ def main() -> None:
     dense_wins = 0
     comparisons = 0
     for task in learning:
-        x, y = Tensor(task.support_x), Tensor(task.support_y)
+        x, y = task.support_x, task.support_y
         qx, qy = task.query_x, task.query_y
         if len(qx) < 4:
             continue
@@ -63,7 +62,7 @@ def main() -> None:
             continue
 
         def per_point_error(model):
-            pred = model(Tensor(qx)).numpy().reshape(-1, 2)
+            pred = model.predict(qx).reshape(-1, 2)
             return np.sqrt(((pred - qy.reshape(-1, 2)) ** 2).sum(axis=1))
 
         err_mse = per_point_error(mse_model)

@@ -4,8 +4,9 @@ Prediction-Aware Spatial Crowdsourcing" (ICDE 2025).
 The package implements the TAMP problem end to end:
 
 * :mod:`repro.geo` -- planar geometry, grids, trajectories, detours;
-* :mod:`repro.nn` -- a from-scratch numpy autograd engine with the LSTM
-  encoder-decoder mobility model and the task assignment-oriented loss;
+* :mod:`repro.nn` -- the LSTM encoder-decoder mobility model on
+  from-scratch fused numpy BPTT kernels, and the task
+  assignment-oriented loss;
 * :mod:`repro.cluster` / :mod:`repro.similarity` -- k-means/k-medoids/
   soft k-means, the potential-game engine, and the three learning-task
   similarities;

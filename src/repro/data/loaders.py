@@ -14,7 +14,10 @@ All loaders project latitude/longitude to the planar kilometre frame
 with a local equirectangular projection anchored at the data's centroid
 and emit the same :class:`~repro.sc.entities.Worker` /
 :class:`~repro.sc.entities.SpatialTask` objects the generators do, so
-the whole pipeline runs unchanged on real data.
+the whole pipeline runs unchanged on real data.  A coordinate or time
+that is not a finite number fails at its row, naming the file, the
+line and the field: one ``nan`` latitude would otherwise shift the
+projection's anchor and poison every trajectory.
 """
 
 from __future__ import annotations
@@ -74,13 +77,28 @@ def fit_grid(points_xy: np.ndarray, rows: int = 100, cols: int = 50, margin: flo
     return Grid(width_km=float(width), height_km=float(height), rows=rows, cols=cols), shifted
 
 
-def _parse_polyline(raw: str) -> list[tuple[float, float]]:
+def _finite(raw, where: str, field: str) -> float:
+    """``raw`` as a finite float; anything else fails naming ``where`` and ``field``."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {field} {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {field} must be finite, got {raw!r}")
+    return value
+
+
+def _parse_polyline(raw: str, where: str) -> list[tuple[float, float]]:
     """The Kaggle POLYLINE column: a JSON list of ``[lon, lat]``."""
     try:
         pairs = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed POLYLINE: {raw[:60]}...") from exc
-    return [(float(lat), float(lon)) for lon, lat in pairs]
+        raise ValueError(f"{where}: malformed POLYLINE: {raw[:60]}...") from exc
+    return [
+        (_finite(lat, where, f"POLYLINE point {k} latitude"),
+         _finite(lon, where, f"POLYLINE point {k} longitude"))
+        for k, (lon, lat) in enumerate(pairs)
+    ]
 
 
 def load_porto_csv(
@@ -109,10 +127,12 @@ def load_porto_csv(
         for i, row in enumerate(reader):
             if max_trips is not None and i >= max_trips:
                 break
-            latlon = _parse_polyline(row["POLYLINE"])
+            where = f"{path}:{reader.line_num}"
+            latlon = _parse_polyline(row["POLYLINE"], where)
             if len(latlon) < 2:
                 continue
-            start = datetime.fromtimestamp(int(row["TIMESTAMP"]), tz=timezone.utc)
+            stamp = _finite(row["TIMESTAMP"], where, "TIMESTAMP")
+            start = datetime.fromtimestamp(stamp, tz=timezone.utc)
             day_key = start.strftime("%Y-%m-%d")
             minute0 = start.hour * 60 + start.minute + start.second / 60.0
             for k, pair in enumerate(latlon):
@@ -183,8 +203,13 @@ def load_gowalla_checkins(
             if len(parts) < 4:
                 continue
             user, stamp, lat_s, lon_s = parts[0], parts[1], parts[2], parts[3]
-            when = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
-            lat, lon = float(lat_s), float(lon_s)
+            where = f"{path}:{i + 1}"
+            try:
+                when = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+            except ValueError:
+                raise ValueError(f"{where}: time {stamp!r} is not an ISO timestamp") from None
+            lat = _finite(lat_s, where, "latitude")
+            lon = _finite(lon_s, where, "longitude")
             all_latlon.append((lat, lon))
             minute = when.hour * 60 + when.minute + when.second / 60.0
             per_user_day.setdefault((user, when.strftime("%Y-%m-%d")), []).append((minute, lat, lon))
@@ -251,7 +276,10 @@ def load_didi_orders(
                 break
             if len(row) < 4 or row[0].lower().startswith("order"):
                 continue
-            epoch, lon, lat = float(row[1]), float(row[2]), float(row[3])
+            where = f"{path}:{reader.line_num}"
+            epoch = _finite(row[1], where, "start_epoch")
+            lon = _finite(row[2], where, "pickup_lon")
+            lat = _finite(row[3], where, "pickup_lat")
             when = datetime.fromtimestamp(epoch, tz=timezone.utc)
             minute = when.hour * 60 + when.minute + when.second / 60.0
             x, y = projection.to_xy(lat, lon)

@@ -12,8 +12,7 @@ Three interchangeable predictors of the next bins of a
 * :class:`Seq2SeqForecaster` — the :mod:`repro.nn` LSTM
   encoder-decoder regressing the next ``seq_out`` bins of the busiest
   cells from the last ``seq_in`` (trained and run on the fused
-  tape-free kernels), with the EWMA carrying the quiet cells it does
-  not model.
+  kernels), with the EWMA carrying the quiet cells it does not model.
 
 ``predict(history, steps)`` is pure: the same history always yields
 the same forecast, so engine runs that share a seed stay bit-identical.
@@ -145,8 +144,7 @@ class Seq2SeqForecaster:
         return self._model is not None
 
     def fit(self, series: DemandSeries) -> "Seq2SeqForecaster":
-        from repro.nn import Adam, fused, mse_loss
-        from repro.nn.seq2seq import make_mobility_model
+        from repro.nn import Adam, fused, make_mobility_model, mse_loss
 
         active = series.active_cells(top_k=self.top_cells)
         if active.size == 0:
@@ -166,16 +164,12 @@ class Seq2SeqForecaster:
             rng=rng,
         )
         if len(x):
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            own = dict(model.named_parameters())
+            optimizer = Adam(model.params, lr=self.lr)
             for _ in range(self.epochs):
-                optimizer.zero_grad()
                 _, grads = fused.loss_and_grads(
-                    model, own, x, y, mse_loss, teacher_forcing=True
+                    model, model.params, x, y, mse_loss, teacher_forcing=True
                 )
-                for name, param in own.items():
-                    param.grad = grads[name]
-                optimizer.step()
+                optimizer.step(grads)
         self._model = model
         self._active = active
         return self

@@ -45,10 +45,14 @@ class Trajectory:
         times = [p.time for p in pts]
         xy = np.array([[p.location.x, p.location.y] for p in pts], dtype=float).reshape(len(pts), 2)
         if not (np.isfinite(xy).all() and all(map(math.isfinite, times))):
-            bad = next(
-                i for i, p in enumerate(pts) if not all(map(math.isfinite, (p.time, *p.location)))
-            )
-            raise ValueError(f"trajectory sample {bad}: time and coordinates must be finite")
+            for i, p in enumerate(pts):
+                if not math.isfinite(p.time):
+                    raise ValueError(f"trajectory sample {i}: time must be finite, got {p.time!r}")
+                if not all(map(math.isfinite, p.location)):
+                    raise ValueError(
+                        f"trajectory sample {i}: location must be finite, "
+                        f"got ({p.location.x!r}, {p.location.y!r})"
+                    )
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("trajectory timestamps must be strictly increasing")
         self._points = pts

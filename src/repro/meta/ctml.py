@@ -18,7 +18,7 @@ from repro.cluster.soft_kmeans import soft_kmeans
 from repro.meta.features import distribution_embedding, path_embedding
 from repro.meta.learning_task import LearningTask
 from repro.meta.maml import LossFn, MAMLConfig, meta_train, meta_train_clusters
-from repro.nn.module import Module
+from repro.nn.seq2seq import LSTMEncoderDecoder
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +108,7 @@ def _ctml_embedding(
 def ctml_train(
     tasks: Sequence[LearningTask],
     paths: Mapping[int, np.ndarray],
-    model_factory: Callable[[], Module],
+    model_factory: Callable[[], LSTMEncoderDecoder],
     loss_fn: LossFn,
     config: CTMLConfig | None = None,
     rng: np.random.Generator | None = None,

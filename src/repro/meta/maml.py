@@ -8,9 +8,9 @@ adapted parameters (first-order MAML); a Reptile-style outer update is
 available for the ablation benches (``outer="reptile"``).
 
 Every forward/backward runs on the fused BPTT kernels of
-:mod:`repro.nn.fused`, which cover the LSTM encoder-decoder that
-:func:`repro.nn.seq2seq.make_mobility_model` builds; each public entry
-rejects any other model type (see ``DESIGN.md`` §8).  Several clusters
+:mod:`repro.nn.fused` over the LSTM encoder-decoder that
+:func:`repro.nn.seq2seq.make_mobility_model` builds (see ``DESIGN.md``
+§8); parameter sets are mappings of named arrays.  Several clusters
 meta-train in lockstep (:func:`meta_train_clusters`, which TAML and CTML
 call once for all their clusters): every iteration, the meta-batches
 whose windows share one shape adapt in one stacked
@@ -21,18 +21,16 @@ mixed-shape meta-batch adapts task by task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.meta.learning_task import LearningTask
 from repro.nn import fused
-from repro.nn.losses import loss_weights
-from repro.nn.module import Module, apply_gradient_step, flatten_gradients
-from repro.nn.tensor import Tensor
-
-LossFn = Callable[[Tensor, Tensor], Tensor]
+from repro.nn.losses import LossFn, loss_weights
+from repro.nn.optim import apply_gradient_step, flatten_gradients
+from repro.nn.seq2seq import LSTMEncoderDecoder
 
 #: One task's pre-drawn support batches, one ``(x, y)`` per inner step.
 SupportDraws = Sequence[tuple[np.ndarray, np.ndarray]]
@@ -64,38 +62,30 @@ class MAMLConfig:
             raise ValueError(f"unknown outer update '{self.outer}'")
 
 
-def require_fused(model: Module, entry: str) -> None:
-    """Reject a model the fused kernels do not cover, naming its class."""
-    if not fused.supports(model):
-        raise ValueError(
-            f"{entry} trains the LSTM encoder-decoder of make_mobility_model; "
-            f"got {type(model).__name__}"
-        )
-
-
-def _start_params(model: Module, init: Mapping[str, Tensor] | None) -> dict[str, Tensor]:
+def _start_params(
+    model: LSTMEncoderDecoder, init: Mapping[str, np.ndarray] | None
+) -> dict[str, np.ndarray]:
     """Copies of ``init``, or of the model's own parameters."""
-    source = init if init is not None else dict(model.named_parameters())
-    return {k: v.clone() for k, v in source.items()}
+    source = init if init is not None else model.params
+    return {k: v.copy() for k, v in source.items()}
 
 
 def adapt(
-    model: Module,
+    model: LSTMEncoderDecoder,
     task: LearningTask,
     loss_fn: LossFn,
     inner_lr: float,
     inner_steps: int,
-    init: Mapping[str, Tensor] | None = None,
+    init: Mapping[str, np.ndarray] | None = None,
     support_batch: int | None = None,
     rng: np.random.Generator | None = None,
-) -> dict[str, Tensor]:
+) -> dict[str, np.ndarray]:
     """``k`` inner SGD steps on the task's support set.
 
     Starts from ``init`` (defaults to the model's current parameters)
     and returns the adapted parameter dict; the model itself is never
     mutated.
     """
-    require_fused(model, "adapt")
     params = _start_params(model, init)
     rng = rng if rng is not None else np.random.default_rng(0)
     obs.counter("maml.inner_loop_steps", inner_steps)
@@ -113,22 +103,21 @@ def adapt(
 
 
 def evaluate_adapted(
-    model: Module,
-    params: Mapping[str, Tensor],
+    model: LSTMEncoderDecoder,
+    params: Mapping[str, np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
     loss_fn: LossFn,
 ) -> float:
-    """Loss of a parameter set on given windows (no gradient)."""
-    require_fused(model, "evaluate_adapted")
+    """Loss of a parameter set on given windows."""
     if len(x) == 0:
         return 0.0
     pred = fused.seq2seq_predict(model, params, np.asarray(x, dtype=float))
-    return float(loss_fn(Tensor(pred), Tensor(np.asarray(y, dtype=float))).item())
+    return loss_fn(pred, np.asarray(y, dtype=float))[0]
 
 
 def meta_train(
-    model: Module,
+    model: LSTMEncoderDecoder,
     tasks: Sequence[LearningTask],
     config: MAMLConfig,
     loss_fn: LossFn,
@@ -139,13 +128,12 @@ def meta_train(
 
     This is :func:`meta_train_clusters` with one cluster.
     """
-    theta = {name: p.data for name, p in model.named_parameters()}
-    (history,) = meta_train_clusters(model, [tasks], [theta], config, loss_fn, rng)
+    (history,) = meta_train_clusters(model, [tasks], [model.params], config, loss_fn, rng)
     return history
 
 
 def meta_train_clusters(
-    model: Module,
+    model: LSTMEncoderDecoder,
     clusters: Sequence[Sequence[LearningTask]],
     thetas: Sequence[dict[str, np.ndarray]],
     config: MAMLConfig,
@@ -166,7 +154,6 @@ def meta_train_clusters(
     its own one-cluster run bit for bit.  A meta-batch that mixes
     ``(seq_in, seq_out)`` adapts task by task.
     """
-    require_fused(model, "meta_train")
     if any(len(tasks) == 0 for tasks in clusters):
         raise ValueError("meta_train needs at least one learning task per cluster")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -238,7 +225,7 @@ def _draw_iteration(
 
 
 def meta_step(
-    model: Module,
+    model: LSTMEncoderDecoder,
     thetas: Sequence[Mapping[str, np.ndarray]],
     draws: Sequence[Sequence[SupportDraws]],
     queries: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
@@ -296,7 +283,7 @@ def meta_step(
 
 
 def _meta_step_sequential(
-    model: Module,
+    model: LSTMEncoderDecoder,
     theta: dict[str, np.ndarray],
     draws: Sequence[SupportDraws],
     queries: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -330,12 +317,12 @@ def _meta_step_sequential(
 
 
 def learning_path(
-    model: Module,
+    model: LSTMEncoderDecoder,
     task: LearningTask,
     loss_fn: LossFn,
     inner_lr: float,
     steps: int,
-    init: Mapping[str, Tensor] | None = None,
+    init: Mapping[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The k-step gradient path ``Z^(i)`` of Eq. 2.
 
@@ -344,7 +331,6 @@ def learning_path(
     returns the ``(steps, p)`` matrix of flattened gradients observed
     along the way.
     """
-    require_fused(model, "learning_path")
     if steps < 1:
         raise ValueError("need at least one step")
     params = _start_params(model, init)

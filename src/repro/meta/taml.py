@@ -25,7 +25,7 @@ from repro import obs
 from repro.meta.learning_task import LearningTask
 from repro.meta.maml import LossFn, MAMLConfig, meta_train_clusters
 from repro.meta.task_tree import LearningTaskTree
-from repro.nn.module import Module
+from repro.nn.seq2seq import LSTMEncoderDecoder
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +48,7 @@ class TAMLConfig:
 
 def taml_train(
     tree: LearningTaskTree,
-    model_factory: Callable[[], Module],
+    model_factory: Callable[[], LSTMEncoderDecoder],
     loss_fn: LossFn,
     config: TAMLConfig | None = None,
     rng: np.random.Generator | None = None,
@@ -150,8 +150,8 @@ def _covered_tasks(node: LearningTaskTree) -> list[LearningTask]:
 def initialize_from_tree(
     tree: LearningTaskTree,
     worker_id: int,
-    model_factory: Callable[[], Module],
-) -> Module:
+    model_factory: Callable[[], LSTMEncoderDecoder],
+) -> LSTMEncoderDecoder:
     """Build a model initialised from the leaf containing ``worker_id``.
 
     Falls back to the root initialisation when the worker is unknown

@@ -1,11 +1,11 @@
 """Fused forward+backward (full BPTT) kernels for the recurrent stack.
 
-The autograd tape in :mod:`repro.nn.tensor` is the *reference*
-implementation: every gate of every timestep allocates tape closures,
-so training throughput on the small mobility models is dominated by
-Python/tape overhead rather than numpy FLOPs.  This module removes the
-tape from the hot path with hand-derived kernels built around three
-ideas:
+These hand-derived kernels are the one path that runs and trains the
+LSTM encoder-decoder of :mod:`repro.nn.seq2seq`.  Their reference is
+an autograd tape that lives with the tests (``tests/tape.py``): every
+gate of every timestep allocates tape closures there, so its training
+throughput on the small mobility models is dominated by Python overhead
+rather than numpy FLOPs.  The kernels are built around three ideas:
 
 * **One cached forward, one reverse sweep.**  The forward pass writes
   each step's gate activations into preallocated per-sequence stacks;
@@ -23,23 +23,19 @@ ideas:
   (``(..., T, B, K)``), so the slice a step touches is one contiguous
   block rather than ``B`` scattered rows — on the stacked multi-worker
   path this roughly halves the cost of every in-place ufunc.  LSTM
-  gate columns are additionally permuted from the module layout
+  gate columns are additionally permuted from the parameter layout
   ``[i, f, g, o]`` to ``[i, f, o, g]`` (an involution on the weight
   columns) so the three sigmoid gates form one contiguous block and a
   single activation chain covers them all.
 
-The seq2seq encoder-decoder unroll of :mod:`repro.nn.seq2seq` is fused
-end to end, covering both decode modes (teacher forcing and
-autoregressive feedback, where the gradient flows back through the
-emitted points).
+The encoder-decoder unroll is fused end to end, covering both decode
+modes (teacher forcing and autoregressive feedback, where the gradient
+flows back through the emitted points).
 
-Losses stay generic: any other ``LossFn`` the tape path accepts is
-evaluated through a *tiny* tape over the prediction tensor only
-(:func:`loss_grad_wrt_pred`), a handful of nodes instead of thousands,
-with identical values.  Plain MSE/MAE and the task assignment-oriented
-weighted MSE of Eqs. 6-7 get closed forms that are bit-identical to
-that tape; the Eq. 7 weights depend only on the target, so a loop on a
-fixed target passes them in once computed (``weights=``).
+Every loss (:mod:`repro.nn.losses`) returns its value and ``dL/dpred``
+in closed form; the Eq. 7 weights of the task assignment-oriented loss
+depend only on the target, so a loop on a fixed target passes them in
+once computed (``weights=``).
 
 Every kernel also runs **stacked**: give the arrays a leading worker
 axis — inputs ``(W, B, T, F)``, parameters ``(W, F, 4H)`` — and numpy's
@@ -52,22 +48,19 @@ padded row contribute exactly nothing to any parameter gradient.
 Equivalence with the tape is exact up to floating-point associativity:
 the forward pass replays the tape's operation order (including the
 sigmoid input clamping), and the gradient checks in
-``tests/test_nn_fused.py`` pin both paths together at ``rtol=1e-6``.
+``tests/test_nn_fused.py`` pin the two together at ``rtol=1e-6``.
 See ``DESIGN.md`` §8 for the derivation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.losses import loss_weights, mae_loss, mse_loss
-from repro.nn.seq2seq import LSTMEncoderDecoder
-from repro.nn.tensor import Tensor
+from repro.nn.losses import LossFn, mse_loss, weighted_mse_loss
 
 Array = np.ndarray
-LossFn = Callable[[Tensor, Tensor], Tensor]
 
 # Above this element count, a strided sigmoid runs faster as one strided
 # read + a contiguous in-place chain + one strided write-back; below it,
@@ -77,7 +70,7 @@ _SIGMOID_ALLOC_THRESHOLD = 4096
 
 
 def _sigmoid_(z: Array) -> Array:
-    """In-place sigmoid on ``z``, bit-identical to ``Tensor.sigmoid``.
+    """In-place sigmoid on ``z``, bit-identical to the tape's ``sigmoid``.
 
     The tape clips the input to ``[-60, 60]`` before ``exp``.  The lower
     clamp changes emitted values (``sigmoid(-70) != sigmoid(-60)`` in
@@ -138,23 +131,9 @@ def _perm_ifog(w: Array) -> Array:
     return np.concatenate((w[..., : 2 * n], w[..., 3 * n :], w[..., 2 * n : 3 * n]), axis=-1)
 
 
-def _as_array(value) -> Array:
-    return value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-
-
-def as_param_arrays(params: Mapping[str, "Tensor | Array"]) -> dict[str, Array]:
-    """Unwrap a parameter mapping (tensors or arrays) to plain arrays."""
-    return {name: _as_array(value) for name, value in params.items()}
-
-
-def _lstm_weights(params, prefix: str) -> tuple[Array, Array, Array]:
-    """An LSTM layer's ``(w_ih, w_hh, bias)``, unwrapped and gate-permuted."""
-    return (
-        _perm_ifog(_as_array(params[prefix + "w_ih"])),
-        _perm_ifog(_as_array(params[prefix + "w_hh"])),
-        _perm_ifog(_as_array(params[prefix + "bias"])),
-    )
-
+def _lstm_weights(params: Mapping[str, Array], prefix: str) -> tuple[Array, Array, Array]:
+    """An LSTM cell's ``(w_ih, w_hh, bias)``, gate-permuted."""
+    return tuple(_perm_ifog(params[prefix + name]) for name in ("w_ih", "w_hh", "bias"))
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +142,7 @@ def _lstm_weights(params, prefix: str) -> tuple[Array, Array, Array]:
 class _LSTMKernel:
     """One LSTM unroll: scratch stacks, forward steps, factored reverse.
 
-    Derivation (module gate order ``[i, f, g, o]``, ``c' = f c + i g``,
+    Derivation (parameter gate order ``[i, f, g, o]``, ``c' = f c + i g``,
     ``h' = o tanh(c')``): with ``T = tanh(c')``,
 
         do = dh' T            dc_tot = dc' + dh' o (1 - T^2)
@@ -295,81 +274,14 @@ class _LSTMKernel:
         out[prefix + "bias"] = _perm_ifog(DG.sum(axis=(-3, -2)))
         return out
 
-    def dx(self) -> Array:
-        """Time-major input gradients for the whole sequence (one matmul)."""
-        return _proj(self.G, _mT(self.w_ih))
-
-
-# ----------------------------------------------------------------------
-# full-sequence layer kernels (the LSTM module)
-# ----------------------------------------------------------------------
-def lstm_forward(
-    x: Array,
-    params: Mapping[str, Array],
-    prefix: str = "cell.",
-    state: tuple[Array, Array] | None = None,
-) -> tuple[Array, tuple[Array, Array], _LSTMKernel]:
-    """Fused :class:`repro.nn.lstm.LSTM` forward over ``(..., B, T, F)``.
-
-    Returns ``(outputs, (h_T, c_T), cache)`` with ``outputs`` shaped
-    ``(..., B, T, H)``; pass ``cache`` to :func:`lstm_backward`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    steps = x.shape[-2]
-    kern = _LSTMKernel(_lstm_weights(params, prefix), x.shape[:-2], steps, state=state)
-    xt = _tmaj(x)
-    kern.x = xt
-    xp = kern.input_proj(xt)
-    h, c = kern.h0, kern.c0
-    for t in range(steps):
-        h, c = kern.step(t, xp[..., t, :, :], h, c)
-    return _tmaj(kern.OUT), (h, c), kern
-
-
-def lstm_backward(
-    cache: _LSTMKernel,
-    params: Mapping[str, Array],
-    d_outputs: Array | None = None,
-    d_state: tuple[Array, Array] | None = None,
-    prefix: str = "cell.",
-) -> tuple[Array, tuple[Array, Array], dict[str, Array]]:
-    """Reverse sweep matching :func:`lstm_forward`.
-
-    ``d_outputs`` is the upstream gradient of the stacked outputs
-    (``None`` for none) and ``d_state`` the gradient of the final
-    ``(h_T, c_T)``.  Returns ``(dx, (dh_0, dc_0), grads)``.
-    """
-    kern = cache
-    if d_state is not None:
-        dh = np.asarray(d_state[0], dtype=np.float64)
-        dc: Array | None = np.asarray(d_state[1], dtype=np.float64)
-    else:
-        dh = np.zeros(kern.h0.shape)
-        dc = None
-    if d_outputs is not None:
-        d_outputs = _tmaj(np.asarray(d_outputs, dtype=np.float64))
-    kern.prepare_backward()
-    for t in range(kern.OUT.shape[-3] - 1, -1, -1):
-        if d_outputs is not None:
-            dh = dh + d_outputs[..., t, :, :]
-        dgates, dc = kern.back_step(t, dh, dc)
-        dh = dgates @ _mT(kern.w_hh)
-    grads = kern.grads({}, prefix)
-    return _tmaj(kern.dx()), (dh, dc), grads
-
 
 # ----------------------------------------------------------------------
 # seq2seq encoder-decoder kernels
 # ----------------------------------------------------------------------
-def supports(model) -> bool:
-    """Whether the fused seq2seq kernels cover this model type."""
-    return isinstance(model, LSTMEncoderDecoder)
-
-
 class Seq2SeqWeights:
     """A seq2seq model's parameters in kernel layout.
 
-    Unwraps a parameter mapping and gate-permutes the LSTM weights (see
+    Gate-permutes the LSTM weights of a parameter mapping (see
     :func:`_perm_ifog`).  :func:`seq2seq_forward` builds one per call
     from the mapping it is given, or takes one built earlier: a caller
     making many passes on fixed weights (an autoregressive rollout)
@@ -378,44 +290,41 @@ class Seq2SeqWeights:
 
     __slots__ = ("encoder", "decoder", "w_head", "b_head")
 
-    def __init__(self, model, params: Mapping[str, "Tensor | Array"]):
-        if not supports(model):
-            raise TypeError(f"fused kernels do not support {type(model).__name__}")
-        p = as_param_arrays(params)
-        self.encoder = _lstm_weights(p, "encoder.")
-        self.decoder = _lstm_weights(p, "decoder.")
-        self.w_head = p["head.weight"]
-        self.b_head = p.get("head.bias")
+    def __init__(self, params: Mapping[str, Array]):
+        self.encoder = _lstm_weights(params, "encoder.")
+        self.decoder = _lstm_weights(params, "decoder.")
+        self.w_head = params["head.weight"]
+        self.b_head = params["head.bias"]
 
 
 class Seq2SeqCache:
     """Forward-pass state the seq2seq reverse sweep consumes."""
 
-    __slots__ = ("enc", "dec", "teacher_forcing", "seq_out", "w_head", "has_bias")
+    __slots__ = ("enc", "dec", "teacher_forcing", "seq_out", "w_head")
 
-    def __init__(self, enc, dec, teacher_forcing, seq_out, w_head, has_bias):
+    def __init__(self, enc, dec, teacher_forcing, seq_out, w_head):
         self.enc = enc
         self.dec = dec
         self.teacher_forcing = teacher_forcing
         self.seq_out = seq_out
         self.w_head = w_head
-        self.has_bias = has_bias
 
 
 def seq2seq_forward(
     model,
-    params: "Mapping[str, Tensor | Array] | Seq2SeqWeights",
+    params: "Mapping[str, Array] | Seq2SeqWeights",
     x: Array,
     targets: Array | None = None,
 ) -> tuple[Array, Seq2SeqCache]:
-    """Fused encoder-decoder forward; replays ``seq2seq.forward`` exactly.
+    """Fused encoder-decoder forward; replays the tape reference exactly.
 
     ``x`` is ``(..., B, seq_in, F)``; parameters may carry matching
     leading stack dimensions, and may come prepared as
-    :class:`Seq2SeqWeights`.  ``targets`` enables teacher forcing.
-    Returns ``(pred, cache)`` with ``pred`` shaped ``(..., B, seq_out, F)``.
+    :class:`Seq2SeqWeights`.  ``model`` gives ``seq_out``; ``targets``
+    enables teacher forcing.  Returns ``(pred, cache)`` with ``pred``
+    shaped ``(..., B, seq_out, F)``.
     """
-    weights = params if isinstance(params, Seq2SeqWeights) else Seq2SeqWeights(model, params)
+    weights = params if isinstance(params, Seq2SeqWeights) else Seq2SeqWeights(params)
     x = np.asarray(x, dtype=np.float64)
     if targets is not None:
         targets = np.asarray(targets, dtype=np.float64)
@@ -446,30 +355,24 @@ def seq2seq_forward(
         u_steps[..., t, :, :] = u
         h, c = dec.step(t, u @ dec.w_ih, h, c)
         delta = h @ w_head
-        if b_head is not None:
-            delta += b_head[..., None, :]
+        delta += b_head[..., None, :]
         point = pred[..., t, :]
         np.add(u, delta, out=point)
         if targets is not None and t < seq_out - 1:
             u = targets[..., t, :]
         else:
             u = point
-    return pred, Seq2SeqCache(enc, dec, targets is not None, seq_out, w_head, b_head is not None)
+    return pred, Seq2SeqCache(enc, dec, targets is not None, seq_out, w_head)
 
 
-def seq2seq_backward(
-    model,
-    params: Mapping[str, "Tensor | Array"],
-    cache: Seq2SeqCache,
-    dpred: Array,
-) -> dict[str, Array]:
+def seq2seq_backward(cache: Seq2SeqCache, dpred: Array) -> dict[str, Array]:
     """Reverse sweep through decoder, residual head, and encoder.
 
     ``dpred`` is ``dL/dpred``; in autoregressive mode the gradient of a
     point also flows into the next decoder input (and its residual), so
     the carry ``du`` is folded into the next-earlier step's ``dpred``
-    during the sweep.  Returns parameter gradients keyed like
-    ``model.named_parameters()``.
+    during the sweep.  Returns parameter gradients keyed like the
+    model's ``params``.
     """
     enc, dec = cache.enc, cache.dec
     w_head_t = _mT(cache.w_head)
@@ -499,8 +402,7 @@ def seq2seq_backward(
     grads: dict[str, Array] = {}
     dph_flat = _flatten_tb(_tmaj(dph))
     grads["head.weight"] = _mT(_flatten_tb(dec.OUT)) @ dph_flat
-    if cache.has_bias:
-        grads["head.bias"] = dph.sum(axis=(-3, -2))
+    grads["head.bias"] = dph.sum(axis=(-3, -2))
     dec.grads(grads, "decoder.")
 
     # The decoder's initial state is the encoder's final state; encoder
@@ -515,11 +417,11 @@ def seq2seq_backward(
 
 def seq2seq_predict(
     model,
-    params: "Mapping[str, Tensor | Array] | Seq2SeqWeights",
+    params: "Mapping[str, Array] | Seq2SeqWeights",
     x: Array,
     targets: Array | None = None,
 ) -> Array:
-    """Forward-only fused pass (inference; no tape, caches discarded)."""
+    """Forward-only fused pass (inference; caches discarded)."""
     pred, _ = seq2seq_forward(model, params, x, targets=targets)
     return pred
 
@@ -530,51 +432,20 @@ def seq2seq_predict(
 def loss_grad_wrt_pred(
     loss_fn: LossFn, pred: Array, target: Array, weights: Array | None = None
 ) -> tuple[float, Array]:
-    """Evaluate any tape loss and its gradient w.r.t. the prediction.
+    """The loss value and its gradient w.r.t. the prediction.
 
-    Runs the loss through a miniature tape whose only leaf is the
-    prediction — a handful of nodes regardless of model size — so the
-    fast path supports every loss the reference path does with
-    bit-identical loss values.
-
-    The inner-loop losses skip even the mini-tape with closed forms
-    that replay the tape's arithmetic (``mean`` is ``sum * (1/N)``):
-    plain MSE/MAE, where scaling by the power-of-two 2 commutes with
-    rounding, and the task-oriented weighted MSE of Eqs. 6-7, whose
-    tape gradient is ``g + g`` with ``g = ((1/N) * W) * diff``.  ``weights``
-    are that loss's ``W`` for this ``target``
-    (:func:`repro.nn.losses.loss_weights`), computed here when not
-    given.
+    ``weights`` are the task-oriented loss's per-point weights for this
+    ``target`` (:func:`repro.nn.losses.loss_weights`), for loops that
+    step on one fixed target; without them the loss computes its own.
     """
-    if loss_fn is mse_loss:
-        diff = np.asarray(pred, dtype=np.float64) - target
-        inv = 1.0 / diff.size
-        return float((diff * diff).sum() * inv), diff * (2.0 * inv)
-    if loss_fn is mae_loss:
-        diff = np.asarray(pred, dtype=np.float64) - target
-        inv = 1.0 / diff.size
-        return float(np.abs(diff).sum() * inv), np.sign(diff) * inv
     if weights is None:
-        weights = loss_weights(loss_fn, target)
-    if weights is not None:
-        diff = np.asarray(pred, dtype=np.float64) - target
-        inv = 1.0 / diff.size
-        sq = diff * diff
-        sq *= weights
-        g = (inv * weights) * diff
-        return float(sq.sum() * inv), g + g
-    pred_t = Tensor(pred, requires_grad=True)
-    loss = loss_fn(pred_t, Tensor(np.asarray(target, dtype=np.float64)))
-    if loss.size != 1:
-        raise ValueError("fused training requires a scalar loss")
-    loss.backward()
-    grad = pred_t.grad if pred_t.grad is not None else np.zeros_like(pred_t.data)
-    return float(loss.data), grad
+        return loss_fn(pred, target)
+    return weighted_mse_loss(pred, target, weights)
 
 
 def loss_and_grads(
     model,
-    params: Mapping[str, "Tensor | Array"],
+    params: Mapping[str, Array],
     x: Array,
     y: Array,
     loss_fn: LossFn,
@@ -583,18 +454,15 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, Array]]:
     """One fused training step: loss value plus named parameter gradients.
 
-    Drop-in replacement for ``functional_call`` + ``grad_of`` on a
-    supported seq2seq model: same loss, same gradients (to float
-    round-off), no tape.  ``weights`` passes the loss's per-point
+    The same loss and gradients (to float round-off) as the tape
+    reference's backward pass.  ``weights`` passes the loss's per-point
     weights for ``y`` through to :func:`loss_grad_wrt_pred`, for loops
     that step on one fixed target.
     """
-    arrs = as_param_arrays(params)
     y_arr = np.asarray(y, dtype=np.float64)
-    pred, cache = seq2seq_forward(model, arrs, x, targets=y_arr if teacher_forcing else None)
+    pred, cache = seq2seq_forward(model, params, x, targets=y_arr if teacher_forcing else None)
     loss_val, dpred = loss_grad_wrt_pred(loss_fn, pred, y_arr, weights)
-    grads = seq2seq_backward(model, arrs, cache, dpred)
-    return loss_val, grads
+    return loss_val, seq2seq_backward(cache, dpred)
 
 
 # ----------------------------------------------------------------------
@@ -660,5 +528,4 @@ def batched_loss_and_grads(
             loss_val, grad = loss_grad_wrt_pred(loss_fn, pred[w, :n], y)
             losses.append(loss_val)
             dpred[w, :n] = grad
-    grads = seq2seq_backward(model, stacked_params, cache, dpred)
-    return losses, grads
+    return losses, seq2seq_backward(cache, dpred)

@@ -14,38 +14,54 @@ where ``rho_t`` is the expected task count per unit disc of radius
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+#: A loss maps ``(pred, target)`` to ``(value, dL/dpred)``.
+LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
-    diff = pred - Tensor.ensure(target)
-    return (diff * diff).mean()
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error over all elements, and its gradient.
+
+    Every loss here replays the rounding order of its autograd
+    reference (``tests/tape.py``), so values and gradients equal it bit
+    for bit: ``mean`` is ``sum * (1/N)``, and scaling by the
+    power-of-two 2 commutes with rounding.
+    """
+    diff = np.asarray(pred, dtype=np.float64) - target
+    inv = 1.0 / diff.size
+    return float((diff * diff).sum() * inv), diff * (2.0 * inv)
 
 
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all elements."""
-    diff = pred - Tensor.ensure(target)
-    return diff.abs().mean()
+def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean absolute error over all elements, and its gradient."""
+    diff = np.asarray(pred, dtype=np.float64) - target
+    inv = 1.0 / diff.size
+    return float(np.abs(diff).sum() * inv), np.sign(diff) * inv
 
 
-def weighted_mse_loss(pred: Tensor, target: Tensor, weights: np.ndarray) -> Tensor:
-    """Per-point weighted MSE (the paper's Eq. 6).
+def weighted_mse_loss(
+    pred: np.ndarray, target: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Per-point weighted MSE (the paper's Eq. 6), and its gradient.
 
     ``weights`` has one entry per trajectory point, i.e. shape
     broadcastable to ``pred.shape[:-1]``; the ``(x, y)`` components of a
-    point share its weight.
+    point share its weight.  The gradient is ``g + g`` with
+    ``g = ((1/N) * W) * diff``, the reference's rounding order.
     """
-    target = Tensor.ensure(target)
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    expanded = np.broadcast_to(w[..., None], pred.shape)
-    diff = pred - target
-    return (diff * diff * Tensor(expanded.copy())).mean()
+    w = w[..., None]
+    diff = np.asarray(pred, dtype=np.float64) - target
+    inv = 1.0 / diff.size
+    sq = diff * diff
+    sq *= w
+    g = (inv * w) * diff
+    return float(sq.sum() * inv), g + g
 
 
 class TaskDensityWeighter:
@@ -133,30 +149,26 @@ class TaskDensityWeighter:
             w = w / mean
         return w
 
-    def loss(self, pred: Tensor, target: Tensor) -> Tensor:
-        """The full task assignment-oriented loss on normalised targets.
-
-        This tape evaluation is the reference; the fused training path
-        replays it in closed form (:func:`repro.nn.fused.loss_grad_wrt_pred`).
-        """
-        target = Tensor.ensure(target)
-        return weighted_mse_loss(pred, target, self.point_weights(target.numpy()))
+    def loss(self, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+        """The full task assignment-oriented loss on normalised targets."""
+        return weighted_mse_loss(pred, target, self.point_weights(target))
 
 
 def loss_weights(loss_fn, target: np.ndarray) -> np.ndarray | None:
-    """The per-coordinate weights ``loss_fn`` applies against ``target``.
+    """The per-point weights ``loss_fn`` applies against ``target``.
 
     For the task-oriented loss (:meth:`TaskDensityWeighter.loss`) this
-    is ``f_w`` per target point broadcast over x/y, shaped ``(..., 1)``;
-    for an unweighted loss it is ``None``.  ``f_w`` depends only on the
-    target, so a loop stepping on one fixed target computes it once.
+    is ``f_w`` per target point, the ``weights`` of
+    :func:`weighted_mse_loss`; for an unweighted loss it is ``None``.
+    ``f_w`` depends only on the target, so a loop stepping on one fixed
+    target computes it once.
     """
     if getattr(loss_fn, "__func__", None) is TaskDensityWeighter.loss:
-        return loss_fn.__self__.point_weights(target)[..., None]
+        return loss_fn.__self__.point_weights(target)
     return None
 
 
-def make_loss(name: str, weighter: TaskDensityWeighter | None = None):
+def make_loss(name: str, weighter: TaskDensityWeighter | None = None) -> LossFn:
     """Factory mapping config names to loss callables.
 
     ``"mse"`` is the conventional baseline (the *-loss* variants in the

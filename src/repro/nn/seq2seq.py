@@ -4,22 +4,26 @@ Given the last ``seq_in`` trajectory points (normalised grid
 coordinates) the model autoregressively emits the next ``seq_out``
 points.  This is the concrete instantiation of Definition 3, built
 from LSTM units as in the paper; the demand forecaster of
-:mod:`repro.forecast.models` reuses it over cell counts.  The fused
-BPTT kernels of :mod:`repro.nn.fused` train it; :meth:`forward` is the
-autograd-tape reference those kernels are tested against.
+:mod:`repro.forecast.models` reuses it over cell counts.  The model is
+its named float64 parameter arrays; the fused BPTT kernels of
+:mod:`repro.nn.fused` run and train it.
+
+The encoder and the decoder are LSTM cells with the fused gate order
+``[input, forget, cell-candidate, output]`` and the forget gate biased
+open at initialisation; a residual linear head maps each decoder state
+to the displacement from the previous point.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
-from repro.nn.layers import Linear, _sub_context
-from repro.nn.lstm import LSTMCell
-from repro.nn.module import Module, ParamContext
-from repro.nn.tensor import Tensor, concat
+from repro.nn import fused, init
 
 
-class LSTMEncoderDecoder(Module):
+class LSTMEncoderDecoder:
     """Seq2seq trajectory regressor.
 
     Parameters
@@ -32,6 +36,11 @@ class LSTMEncoderDecoder(Module):
         Number of future points to emit.
     rng:
         Source of initialisation randomness.
+
+    ``params`` maps each qualified name (``encoder.w_ih``,
+    ``encoder.w_hh``, ``encoder.bias``, ``decoder.*``, ``head.weight``,
+    ``head.bias``) to its array, in the order the initial values are
+    drawn; optimisers step those arrays in place.
     """
 
     def __init__(
@@ -41,76 +50,49 @@ class LSTMEncoderDecoder(Module):
         seq_out: int = 1,
         rng: np.random.Generator | None = None,
     ) -> None:
-        super().__init__()
         if seq_out <= 0:
             raise ValueError("seq_out must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.seq_out = seq_out
-        self.encoder = LSTMCell(input_size, hidden_size, rng)
-        self.decoder = LSTMCell(input_size, hidden_size, rng)
-        self.head = Linear(hidden_size, input_size, rng, name="head")
+        self.params: dict[str, np.ndarray] = {}
+        for part in ("encoder", "decoder"):
+            self.params[f"{part}.w_ih"] = init.xavier_uniform(rng, input_size, 4 * hidden_size)
+            self.params[f"{part}.w_hh"] = init.xavier_uniform(rng, hidden_size, 4 * hidden_size)
+            self.params[f"{part}.bias"] = init.lstm_bias(hidden_size)
+        self.params["head.weight"] = init.xavier_uniform(rng, hidden_size, input_size)
+        self.params["head.bias"] = init.zeros((input_size,))
 
-    def forward(
-        self,
-        x: Tensor,
-        ctx: ParamContext | None = None,
-        targets: Tensor | None = None,
-    ) -> Tensor:
-        """Predict ``(batch, seq_out, input_size)`` from ``(batch, seq_in, input_size)``.
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copies of all parameter arrays keyed by qualified name."""
+        return {name: p.copy() for name, p in self.params.items()}
 
-        When ``targets`` is given, the decoder is teacher-forced with the
-        ground-truth prefix; otherwise it feeds back its own outputs.
-        """
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features), got shape {x.shape}")
-        batch, seq_in, _ = x.shape
-        if seq_in < 1:
-            raise ValueError("need at least one input step")
-        enc_ctx = _sub_context(ctx, "encoder.")
-        dec_ctx = _sub_context(ctx, "decoder.")
-        head_ctx = _sub_context(ctx, "head.")
-
-        h, c = self.encoder.zero_state(batch)
-        for t in range(seq_in):
-            h, c = self.encoder.forward(x[:, t, :], (h, c), ctx=enc_ctx)
-
-        # The decoder starts from the last observed point.
-        step_input = x[:, seq_in - 1, :]
-        outputs: list[Tensor] = []
-        for t in range(self.seq_out):
-            h, c = self.decoder.forward(step_input, (h, c), ctx=dec_ctx)
-            # Residual head: predict the displacement from the previous point,
-            # which keeps early-training outputs near the trajectory.
-            delta = self.head.forward(h, ctx=head_ctx)
-            point = step_input + delta
-            outputs.append(point.reshape(batch, 1, self.input_size))
-            if targets is not None and t < self.seq_out - 1:
-                step_input = targets[:, t, :]
-            else:
-                step_input = point
-        return concat(outputs, axis=1)
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Load copies of the parameter arrays; keys and shapes must match exactly."""
+        missing = set(self.params) - set(state)
+        unexpected = set(state) - set(self.params)
+        if missing or unexpected:
+            raise KeyError(f"state mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}")
+        for name, own in self.params.items():
+            arr = np.asarray(state[name], dtype=np.float64)
+            if arr.shape != own.shape:
+                raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {own.shape}")
+            self.params[name] = arr.copy()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference convenience: numpy in, numpy out, no teacher forcing.
-
-        Runs the fused tape-free forward (:mod:`repro.nn.fused`); the
-        operation order matches :meth:`forward` exactly.
-        """
+        """Numpy in, numpy out, no teacher forcing (the fused forward)."""
         return self.predictor()(x)
 
     def predictor(self):
         """:meth:`predict` on the current weights, prepared once.
 
         For many calls on fixed weights (an autoregressive rollout):
-        the weights are unwrapped and gate-permuted once, so the
-        returned function does not see later weight updates.  It maps a
-        window ``(seq_in, F)`` or a batch of them to the predicted points.
+        the weights are gate-permuted once, so the returned function is
+        valid while the parameters are unchanged.  It maps a window
+        ``(seq_in, F)`` or a batch of them to the predicted points.
         """
-        from repro.nn import fused  # deferred: fused imports this module
-
-        weights = fused.Seq2SeqWeights(self, dict(self.named_parameters()))
+        weights = fused.Seq2SeqWeights(self.params)
 
         def predict(x: np.ndarray) -> np.ndarray:
             arr = np.asarray(x, dtype=float)
@@ -131,5 +113,3 @@ def make_mobility_model(
 ) -> LSTMEncoderDecoder:
     """The mobility model every training entry builds and trains."""
     return LSTMEncoderDecoder(input_size, hidden_size, seq_out, rng)
-
-

@@ -26,10 +26,10 @@ def rollout(model, recent_norm: np.ndarray, horizon_points: int, seq_out: int) -
 
     ``recent_norm`` is the ``(seq_in, 2)`` normalised input window;
     each model call emits ``seq_out`` points which are appended to the
-    window for the next call.  Calls run the model's tape-free fused
-    forward on weights prepared once per rollout (``model.predictor()``),
-    which replays the tape's operation order and so gives bit-identical
-    points.
+    window for the next call.  Calls run the model's fused forward on
+    weights prepared once per rollout (``model.predictor()``), which
+    gives the points of one ``model.predict`` call per block bit for
+    bit.
     """
     predict = model.predictor()
     window = np.asarray(recent_norm, dtype=float).copy()

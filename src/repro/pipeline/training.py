@@ -19,13 +19,12 @@ from repro.meta.ctml import CTMLConfig, ctml_train
 from repro.meta.features import build_factor_embeddings, build_similarity_matrices
 from repro.meta.gtmc import gtmc_cluster, kmeans_multilevel_cluster
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import adapt, learning_path, meta_train, require_fused
+from repro.meta.maml import adapt, learning_path, meta_train
 from repro.meta.taml import TAMLConfig, taml_train
 from repro.nn import fused
 from repro.nn.losses import TaskDensityWeighter, loss_weights, make_loss
-from repro.nn.module import Module
 from repro.nn.optim import Adam
-from repro.nn.seq2seq import make_mobility_model
+from repro.nn.seq2seq import LSTMEncoderDecoder, make_mobility_model
 from repro.assignment.matching_rate import matching_rate
 from repro.pipeline.config import PredictionConfig
 
@@ -53,7 +52,7 @@ class TrainedPredictor:
 
     worker_params: dict[int, dict[str, np.ndarray]]
     matching_rates: dict[int, float]
-    model_factory: Callable[[], Module]
+    model_factory: Callable[[], LSTMEncoderDecoder]
     config: PredictionConfig
     city: City
     training_seconds: float = 0.0
@@ -62,7 +61,7 @@ class TrainedPredictor:
     loss_name: str = "mse"
     meta_history: list[float] = field(default_factory=list)
 
-    def model_for(self, worker_id: int) -> Module:
+    def model_for(self, worker_id: int) -> LSTMEncoderDecoder:
         """A fresh model carrying the worker's adapted parameters."""
         model = self.model_factory()
         if worker_id in self.worker_params:
@@ -72,7 +71,7 @@ class TrainedPredictor:
 
 def probe_learning_paths(
     tasks: Sequence[LearningTask],
-    model_factory: Callable[[], Module],
+    model_factory: Callable[[], LSTMEncoderDecoder],
     loss_fn,
     steps: int,
     lr: float,
@@ -84,10 +83,9 @@ def probe_learning_paths(
     (fixed seed) so paths are comparable — the premise of Eq. 2.
     """
     probe = model_factory()
-    init = {name: p.clone(requires_grad=True) for name, p in probe.named_parameters()}
     paths: dict[int, np.ndarray] = {}
     for task in tasks:
-        paths[task.worker_id] = learning_path(probe, task, loss_fn, inner_lr=lr, steps=steps, init=init)
+        paths[task.worker_id] = learning_path(probe, task, loss_fn, inner_lr=lr, steps=steps)
     return paths
 
 
@@ -107,7 +105,7 @@ class MobilityModelFactory:
     seq_out: int = 1
     seed: int = 0
 
-    def __call__(self) -> Module:
+    def __call__(self) -> LSTMEncoderDecoder:
         rng = np.random.default_rng(self.seed)
         return make_mobility_model(
             input_size=self.input_size,
@@ -252,7 +250,7 @@ def train_predictor(
 
 
 def fine_tune(
-    model: Module,
+    model: LSTMEncoderDecoder,
     task: LearningTask,
     loss_fn,
     config: PredictionConfig,
@@ -266,9 +264,8 @@ def fine_tune(
     Both run on the fused BPTT kernels.  Returns the adapted state dict;
     the model is left loaded with it.
     """
-    require_fused(model, "fine_tune")
     if config.fine_tune_optimizer == "sgd":
-        adapted = adapt(
+        params = adapt(
             model,
             task,
             loss_fn,
@@ -276,22 +273,17 @@ def fine_tune(
             inner_steps=config.fine_tune_steps,
             rng=rng,
         )
-        params = {name: t.data.copy() for name, t in adapted.items()}
         model.load_state_dict(params)
         return params
 
-    optimizer = Adam(model.parameters(), lr=config.fine_tune_lr)
-    own = dict(model.named_parameters())
+    optimizer = Adam(model.params, lr=config.fine_tune_lr)
     # Every step fits the same support target, so its loss weights are computed once.
     weights = loss_weights(loss_fn, task.support_y)
     for _ in range(config.fine_tune_steps):
-        optimizer.zero_grad()
         _, grads = fused.loss_and_grads(
-            model, own, task.support_x, task.support_y, loss_fn, weights=weights
+            model, model.params, task.support_x, task.support_y, loss_fn, weights=weights
         )
-        for name, param in own.items():
-            param.grad = grads[name]
-        optimizer.step()
+        optimizer.step(grads)
     return model.state_dict()
 
 
@@ -311,7 +303,7 @@ def _with_factors(gtmc_cfg, factors: tuple[str, ...]):
 
 
 def _held_out_matching_rate(
-    model: Module,
+    model: LSTMEncoderDecoder,
     params: dict[str, np.ndarray],
     task: LearningTask,
     city: City,

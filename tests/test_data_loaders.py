@@ -111,6 +111,15 @@ class TestPortoLoader:
         with pytest.raises(ValueError):
             load_porto_csv(bad)
 
+    def test_non_finite_coordinate_names_file_line_and_field(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        write_porto_fixture(bad)
+        rows = bad.read_text().splitlines()
+        rows[3] = '3,20001,1382346000,"[[-8.61, 41.15], [-8.609, NaN]]"'
+        bad.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: POLYLINE point 1 latitude must be finite"):
+            load_porto_csv(bad)
+
 
 class TestGowallaLoader:
     def write_fixture(self, path, n_users=2, n_days=2, checkins_per_day=4):
@@ -147,6 +156,16 @@ class TestGowallaLoader:
         with pytest.raises(ValueError):
             load_gowalla_checkins(empty)
 
+    def test_non_finite_coordinate_names_file_line_and_field(self, tmp_path):
+        """One nan latitude used to shift the projection's anchor, and
+        every trajectory then failed at its sample 0."""
+        fixture = tmp_path / "gowalla.txt"
+        self.write_fixture(fixture, n_users=1, n_days=1, checkins_per_day=4)
+        with fixture.open("a") as handle:
+            handle.write("0\t2010-10-19T20:00:00Z\tnan\t-97.7\t1005\n")
+        with pytest.raises(ValueError, match=r"gowalla\.txt:5: latitude must be finite, got 'nan'"):
+            load_gowalla_checkins(fixture)
+
 
 class TestDidiLoader:
     def test_loads_tasks_on_worker_grid(self, tmp_path):
@@ -167,6 +186,17 @@ class TestDidiLoader:
         for t in tasks:
             assert grid.contains(t.location)
             assert 30.0 <= t.valid_minutes <= 40.0
+
+    def test_non_finite_time_names_file_line_and_field(self, tmp_path):
+        orders = tmp_path / "orders.csv"
+        orders.write_text(
+            "order_id,start_epoch,pickup_lon,pickup_lat\n"
+            f"0,1382259600,{PORTO_LON},{PORTO_LAT}\n"
+            f"1,inf,{PORTO_LON},{PORTO_LAT}\n"
+        )
+        grid, proj = fit_grid(np.array([[0.0, 0.0], [1.0, 1.0]]))[0], Projection(PORTO_LAT, PORTO_LON)
+        with pytest.raises(ValueError, match=r"orders\.csv:3: start_epoch must be finite, got 'inf'"):
+            load_didi_orders(orders, grid, proj)
 
     def test_validates_interval(self, tmp_path):
         orders = tmp_path / "orders.csv"

@@ -550,7 +550,7 @@ class TestNonFiniteLocations:
     def test_idle_worker_names_the_worker(self, bad):
         runtime = self.runtime()
         with pytest.raises(
-            ValueError, match="trajectory sample 0: time and coordinates must be finite"
+            ValueError, match="trajectory sample 0: location must be finite"
         ):
             workers = [standing_worker(0, 1.0, 1.0), standing_worker(5, bad, 2.0)]
             runtime.plan_moves(1.0, workers, {})

@@ -12,8 +12,8 @@ import pytest
 from repro.forecast import DemandSeries, ForecastConfig, Seq2SeqForecaster
 from repro.forecast.demand import demand_windows
 from repro.geo.grid import Grid
-from repro.nn import Adam, Tensor, mse_loss
-from repro.nn.seq2seq import make_mobility_model
+from repro.nn import Adam, make_mobility_model, mse_loss
+from tests.tape import Tensor, tape_loss_and_grads
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -28,7 +28,7 @@ def random_series(seed: int, n_cells: int, n_bins: int = 20) -> DemandSeries:
 
 
 def tape_fit(forecaster: Seq2SeqForecaster, series: DemandSeries) -> Seq2SeqForecaster:
-    """Reference: ``fit`` with Adam stepped on the tape's ``loss.backward()``."""
+    """Reference: ``fit`` with Adam stepped on the tape's gradients."""
     active = series.active_cells(top_k=forecaster.top_cells)
     sub = series.counts[:, active]
     scale = float(max(sub.max(), 1.0))
@@ -39,13 +39,10 @@ def tape_fit(forecaster: Seq2SeqForecaster, series: DemandSeries) -> Seq2SeqFore
         seq_out=forecaster.seq_out,
         rng=np.random.default_rng(forecaster.seed),
     )
-    optimizer = Adam(model.parameters(), lr=forecaster.lr)
-    tx, ty = Tensor(x), Tensor(y)
+    optimizer = Adam(model.params, lr=forecaster.lr)
     for _ in range(forecaster.epochs):
-        optimizer.zero_grad()
-        loss = mse_loss(model.forward(tx, targets=ty), ty)
-        loss.backward()
-        optimizer.step()
+        _, grads = tape_loss_and_grads(model, model.params, x, y, mse_loss, teacher_forcing=True)
+        optimizer.step(grads)
     forecaster._model, forecaster._active, forecaster._scale = model, active, scale
     return forecaster
 

@@ -20,17 +20,19 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "bad",
         [
-            TrajectoryPoint(Point(1.0, 0.0), float("nan")),
-            TrajectoryPoint(Point(float("inf"), 0.0), 1.0),
-            TrajectoryPoint(Point(1.0, float("nan")), 1.0),
-            TrajectoryPoint(Point(1.0, 0.0), float("inf")),
+            (TrajectoryPoint(Point(1.0, 0.0), float("nan")), r"time must be finite, got nan"),
+            (TrajectoryPoint(Point(float("inf"), 0.0), 1.0), r"location must be finite, got \(inf, 0\.0\)"),
+            (TrajectoryPoint(Point(1.0, float("nan")), 1.0), r"location must be finite, got \(1\.0, nan\)"),
+            (TrajectoryPoint(Point(1.0, 0.0), float("inf")), r"time must be finite, got inf"),
         ],
     )
     def test_rejects_non_finite_samples(self, bad):
         # A NaN time passes the strictly-increasing check, and
-        # ``position_at`` would then answer ``Point(nan, nan)``.
-        with pytest.raises(ValueError, match="sample 1"):
-            Trajectory([TrajectoryPoint(Point(0, 0), 0.0), bad, TrajectoryPoint(Point(2, 0), 2.0)])
+        # ``position_at`` would then answer ``Point(nan, nan)``.  The
+        # error names the sample, the field and the value.
+        point, message = bad
+        with pytest.raises(ValueError, match=rf"sample 1: {message}"):
+            Trajectory([TrajectoryPoint(Point(0, 0), 0.0), point, TrajectoryPoint(Point(2, 0), 2.0)])
 
     def test_from_arrays(self):
         traj = Trajectory.from_arrays(np.array([[0, 0], [1, 1]]), [0.0, 5.0])

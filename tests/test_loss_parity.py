@@ -2,9 +2,9 @@
 
 ``fused.loss_grad_wrt_pred`` evaluates the weighted MSE of Eqs. 6-7 in
 closed form, training loops on one fixed target compute its weights
-once, and a rollout prepares the model's weights once.
-``TaskDensityWeighter.loss`` on the autograd tape and the per-point
-``model.predict`` loop are the references: loss values, ``dL/dpred``,
+once, and a rollout prepares the model's weights once.  The loss on the
+autograd tape (``tests/tape.py``) and the per-point ``model.predict``
+loop are the references: loss values, ``dL/dpred``,
 trained parameters and predicted points must be equal with ``==``,
 because a last-bit difference in one gradient changes every parameter
 trained after it.
@@ -21,7 +21,6 @@ from repro.meta.maml import MAMLConfig
 from repro.nn import fused
 from repro.nn.losses import TaskDensityWeighter, loss_weights, mse_loss
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor
 from repro.pipeline.config import PredictionConfig
 from repro.pipeline.prediction import rollout
 from repro.pipeline.training import (
@@ -31,6 +30,7 @@ from repro.pipeline.training import (
     probe_learning_paths,
     train_predictor,
 )
+from tests.tape import Tensor, tape_loss
 
 
 def tape_loss_grad(loss_fn, pred, target, weights=None):
@@ -40,7 +40,7 @@ def tape_loss_grad(loss_fn, pred, target, weights=None):
     target on every call.
     """
     pred_t = Tensor(np.array(pred, dtype=np.float64), requires_grad=True)
-    loss = loss_fn(pred_t, Tensor(np.asarray(target, dtype=np.float64)))
+    loss = tape_loss(loss_fn)(pred_t, Tensor(np.asarray(target, dtype=np.float64)))
     loss.backward()
     return float(loss.data), pred_t.grad
 
@@ -118,7 +118,7 @@ class TestClosedForm:
         weighter = TaskDensityWeighter(np.zeros((0, 2)), d_q=0.1, kappa=0.5, delta=0.3)
         target = np.random.default_rng(1).uniform(size=(5, 2, 2))
         weights = loss_weights(weighter.loss, target)
-        assert weights.shape == (5, 2, 1) and np.ptp(weights) == 0.0
+        assert weights.shape == (5, 2) and np.ptp(weights) == 0.0
         assert_parity(weighter, target * 0.9, target)
 
     def test_unweighted_losses_have_no_weights(self):

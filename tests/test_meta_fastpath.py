@@ -1,10 +1,9 @@
 """The fused training engine against an autograd-tape reference.
 
 The meta-training stack runs only on the fused BPTT kernels.  This file
-keeps the tape as the reference: a small re-implementation of the
-inner loop, the meta-iteration and fine-tuning built from
-``functional_call`` + ``grad_of`` (and ``.backward()`` for Adam), fed
-the same RNG draws.  ``adapt``, ``meta_train`` (both outer updates,
+keeps the tape (``tests/tape.py``) as the reference: a small
+re-implementation of the inner loop, the meta-iteration and
+fine-tuning on the tape's gradients, fed the same RNG draws.  ``adapt``, ``meta_train`` (both outer updates,
 stacked and sequential meta-batches), ``taml_train`` (against a
 per-leaf recursion over the tape ``meta_train``) and ``fine_tune``
 must agree with it.  The two engines share no backward code, so
@@ -14,19 +13,16 @@ agreement here is a strong check on both.
 import numpy as np
 import pytest
 
-from repro.meta.ctml import CTMLConfig, ctml_train
 from repro.meta.learning_task import LearningTask
-from repro.meta.maml import MAMLConfig, adapt, evaluate_adapted, learning_path, meta_train
+from repro.meta.maml import MAMLConfig, adapt, meta_train
 from repro.meta.taml import TAMLConfig, taml_train
 from repro.meta.task_tree import LearningTaskTree
-from repro.nn.layers import MLP
 from repro.nn.losses import TaskDensityWeighter, mse_loss
-from repro.nn.module import apply_gradient_step, clone_parameters
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, apply_gradient_step
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor, grad_of
 from repro.pipeline.config import PredictionConfig
 from repro.pipeline.training import fine_tune
+from tests.tape import tape_loss_and_grads
 
 RTOL = 1e-6
 ATOL = 1e-8
@@ -53,22 +49,12 @@ def assert_state_dicts_close(a, b):
         np.testing.assert_allclose(a[name], b[name], rtol=RTOL, atol=ATOL, err_msg=name)
 
 
-def data_of(params):
-    return {k: v.data for k, v in params.items()}
-
-
 # ----------------------------------------------------------------------
 # The tape reference: Algorithm 3 and fine-tuning on the autograd tape.
 
 
-def tape_loss_and_grads(model, params, x, y, loss_fn):
-    loss = loss_fn(model.functional_call(params, Tensor(x)), Tensor(y))
-    names = list(params)
-    return float(loss.item()), dict(zip(names, grad_of(loss, [params[n] for n in names])))
-
-
 def tape_adapt(model, task, loss_fn, inner_lr, inner_steps, support_batch=None, rng=None):
-    params = clone_parameters(model)
+    params = model.state_dict()
     rng = rng if rng is not None else np.random.default_rng(0)
     for _ in range(inner_steps):
         if support_batch is not None:
@@ -83,12 +69,12 @@ def tape_adapt(model, task, loss_fn, inner_lr, inner_steps, support_batch=None, 
 def tape_meta_train(model, tasks, config, loss_fn, rng=None):
     """Task-by-task Algorithm 3: the same draws, in the same order."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    own = dict(model.named_parameters())
+    own = model.params
     history = []
     for _ in range(config.iterations):
         size = min(config.meta_batch, len(tasks))
         chosen = rng.choice(len(tasks), size=size, replace=False)
-        accum = {name: np.zeros_like(p.data) for name, p in own.items()}
+        accum = {name: np.zeros_like(p) for name, p in own.items()}
         losses = []
         for idx in chosen:
             task = tasks[int(idx)]
@@ -102,9 +88,9 @@ def tape_meta_train(model, tasks, config, loss_fn, rng=None):
                 if config.outer == "fomaml":
                     accum[name] += grads[name]
                 else:
-                    accum[name] += own[name].data - adapted[name].data
+                    accum[name] += own[name] - adapted[name]
         for name, p in own.items():
-            p.data -= config.meta_lr * accum[name] / size
+            p -= config.meta_lr * accum[name] / size
         history.append(float(np.mean(losses)))
     return history
 
@@ -129,14 +115,11 @@ def tape_taml(node, cfg, loss_fn, rng):
 
 def tape_fine_tune(model, task, loss_fn, config, rng):
     if config.fine_tune_optimizer == "sgd":
-        adapted = tape_adapt(model, task, loss_fn, config.fine_tune_lr, config.fine_tune_steps, rng=rng)
-        return {k: v.data.copy() for k, v in adapted.items()}
-    optimizer = Adam(model.parameters(), lr=config.fine_tune_lr)
-    x, y = Tensor(task.support_x), Tensor(task.support_y)
+        return tape_adapt(model, task, loss_fn, config.fine_tune_lr, config.fine_tune_steps, rng=rng)
+    optimizer = Adam(model.params, lr=config.fine_tune_lr)
     for _ in range(config.fine_tune_steps):
-        optimizer.zero_grad()
-        loss_fn(model(x), y).backward()
-        optimizer.step()
+        _, grads = tape_loss_and_grads(model, model.params, task.support_x, task.support_y, loss_fn)
+        optimizer.step(grads)
     return model.state_dict()
 
 
@@ -154,7 +137,7 @@ class TestAdaptEquivalence:
         model = fresh_model()
         fast = adapt(model, task, loss_fn, inner_lr=0.05, inner_steps=4, rng=np.random.default_rng(1))
         tape = tape_adapt(model, task, loss_fn, inner_lr=0.05, inner_steps=4, rng=np.random.default_rng(1))
-        assert_state_dicts_close(data_of(fast), data_of(tape))
+        assert_state_dicts_close(fast, tape)
 
     def test_adapt_with_support_subsampling_matches(self):
         """support_batch < n draws from the rng; both engines must
@@ -164,7 +147,7 @@ class TestAdaptEquivalence:
         kwargs = dict(inner_lr=0.05, inner_steps=3, support_batch=8)
         fast = adapt(model, task, mse_loss, rng=np.random.default_rng(2), **kwargs)
         tape = tape_adapt(model, task, mse_loss, rng=np.random.default_rng(2), **kwargs)
-        assert_state_dicts_close(data_of(fast), data_of(tape))
+        assert_state_dicts_close(fast, tape)
 
 
 class TestMetaTrainEquivalence:
@@ -230,39 +213,3 @@ class TestFineTuneEquivalence:
         fast = fine_tune(fresh_model(), task, mse_loss, config, np.random.default_rng(9))
         tape = tape_fine_tune(fresh_model(), task, mse_loss, config, np.random.default_rng(9))
         assert_state_dicts_close(fast, tape)
-
-
-class TestOneEngine:
-    """Every training entry takes a mobility model and names any other."""
-
-    @staticmethod
-    def _mlp():
-        return MLP([2, 4, 2], np.random.default_rng(0))
-
-    @pytest.mark.parametrize(
-        "entry",
-        ["adapt", "evaluate_adapted", "learning_path", "meta_train", "fine_tune",
-         "taml_train", "ctml_train"],
-    )
-    def test_entry_rejects_a_model_without_fused_kernels(self, entry):
-        task = traj_task(0, seed=1)
-        tasks = [task, traj_task(1, seed=2)]
-        tree = LearningTaskTree(cluster=tasks)
-        calls = {
-            "adapt": lambda: adapt(self._mlp(), task, mse_loss, inner_lr=0.1, inner_steps=1),
-            "evaluate_adapted": lambda: evaluate_adapted(
-                self._mlp(), clone_parameters(self._mlp()), task.query_x, task.query_y, mse_loss
-            ),
-            "learning_path": lambda: learning_path(self._mlp(), task, mse_loss, 0.1, 2),
-            "meta_train": lambda: meta_train(self._mlp(), tasks, MAMLConfig(iterations=1), mse_loss),
-            "fine_tune": lambda: fine_tune(
-                self._mlp(), task, mse_loss, PredictionConfig(), np.random.default_rng(0)
-            ),
-            "taml_train": lambda: taml_train(tree, self._mlp, mse_loss),
-            "ctml_train": lambda: ctml_train(
-                tasks, {t.worker_id: np.ones((2, 3)) for t in tasks}, self._mlp, mse_loss,
-                CTMLConfig(n_clusters=2),
-            ),
-        }
-        with pytest.raises(ValueError, match="got MLP$"):
-            calls[entry]()

@@ -7,7 +7,6 @@ from repro.meta.learning_task import LearningTask
 from repro.meta.maml import MAMLConfig, adapt, evaluate_adapted, learning_path, meta_train
 from repro.nn.losses import mse_loss
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor
 
 
 def tiny_model(seed=42):
@@ -54,7 +53,7 @@ class TestAdapt:
     def test_reduces_support_loss(self, model_factory, walk_tasks):
         model = model_factory()
         task = walk_tasks[0]
-        before = evaluate_adapted(model, dict(model.named_parameters()), task.support_x, task.support_y, mse_loss)
+        before = evaluate_adapted(model, model.params, task.support_x, task.support_y, mse_loss)
         adapted = adapt(model, task, mse_loss, inner_lr=0.05, inner_steps=10)
         after = evaluate_adapted(model, adapted, task.support_x, task.support_y, mse_loss)
         assert after < before
@@ -68,15 +67,15 @@ class TestAdapt:
 
     def test_custom_init_respected(self, model_factory, walk_tasks):
         model = model_factory()
-        zero_init = {n: Tensor(np.zeros_like(p.data), requires_grad=True) for n, p in model.named_parameters()}
+        zero_init = {n: np.zeros_like(p) for n, p in model.params.items()}
         adapted = adapt(model, walk_tasks[0], mse_loss, inner_lr=0.0001, inner_steps=1, init=zero_init)
         # One tiny step from all-zeros stays near zero.
-        for t in adapted.values():
-            assert np.abs(t.data).max() < 0.1
+        for arr in adapted.values():
+            assert np.abs(arr).max() < 0.1
 
     def test_evaluate_adapted_empty_inputs(self, model_factory):
         model = model_factory()
-        val = evaluate_adapted(model, dict(model.named_parameters()), np.zeros((0, 3, 2)), np.zeros((0, 1, 2)), mse_loss)
+        val = evaluate_adapted(model, model.params, np.zeros((0, 3, 2)), np.zeros((0, 1, 2)), mse_loss)
         assert val == 0.0
 
 
@@ -124,7 +123,7 @@ class TestLearningPath:
     def test_shape(self, model_factory, walk_tasks):
         model = model_factory()
         path = learning_path(model, walk_tasks[0], mse_loss, inner_lr=0.05, steps=4)
-        assert path.shape == (4, model.n_parameters())
+        assert path.shape == (4, sum(p.size for p in model.params.values()))
 
     def test_similar_tasks_have_similar_paths(self, model_factory):
         """Tasks from the same heading should produce aligned gradients."""

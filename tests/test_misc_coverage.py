@@ -63,13 +63,6 @@ class TestReprs:
         assert "n=11" in text
         assert "km" in text
 
-    def test_tensor_repr(self):
-        from repro.nn.tensor import Tensor
-
-        t = Tensor(np.zeros((2, 3)), requires_grad=True, name="w")
-        assert "w" in repr(t)
-        assert "grad" in repr(t)
-
 
 class TestPublicImports:
     def test_top_level_api(self):

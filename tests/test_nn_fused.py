@@ -1,7 +1,7 @@
 """Gradient checks for the fused BPTT kernels against the autograd tape.
 
 Every fused kernel in :mod:`repro.nn.fused` is compared against the
-reference tape path at ``rtol=1e-6`` (forward values are bit-exact by
+tape reference (``tests/tape.py``) at ``rtol=1e-6`` (forward values are bit-exact by
 construction; gradients differ only in summation order), plus a
 central-difference check that catches errors the two analytic paths
 could share.
@@ -11,25 +11,12 @@ import numpy as np
 import pytest
 
 from repro.nn import fused
-from repro.nn.lstm import LSTM
 from repro.nn.losses import TaskDensityWeighter, mae_loss, mse_loss
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor, grad_of
+from tests.tape import Tensor, leaves, tape_forward, tape_loss_and_grads
 
 RTOL = 1e-6
 ATOL = 1e-9
-
-
-def tape_loss_and_grads(model, x, y, loss_fn, teacher_forcing=False):
-    """Reference: functional_call through the tape, named grads."""
-    params = {k: v.clone(requires_grad=True) for k, v in model.named_parameters()}
-    y_t = Tensor(np.asarray(y, dtype=float))
-    kwargs = {"targets": y_t} if teacher_forcing else {}
-    pred = model.functional_call(params, Tensor(np.asarray(x, dtype=float)), **kwargs)
-    loss = loss_fn(pred, y_t)
-    names = list(params)
-    grads = dict(zip(names, grad_of(loss, (params[n] for n in names))))
-    return float(loss.item()), grads
 
 
 def assert_grads_close(fused_grads, tape_grads, rtol=RTOL, atol=ATOL):
@@ -38,32 +25,6 @@ def assert_grads_close(fused_grads, tape_grads, rtol=RTOL, atol=ATOL):
         np.testing.assert_allclose(
             fused_grads[name], tape_grads[name], rtol=rtol, atol=atol, err_msg=name
         )
-
-
-class TestLayerKernels:
-    """lstm_forward/backward vs the module."""
-
-    @pytest.mark.parametrize("batch,steps,features,hidden", [(3, 4, 2, 5), (1, 1, 3, 2)])
-    def test_lstm_layer_matches_tape(self, batch, steps, features, hidden):
-        rng = np.random.default_rng(11)
-        layer = LSTM(features, hidden, rng)
-        x = rng.normal(size=(batch, steps, features))
-        w_out = rng.normal(size=(batch, steps, hidden))
-        w_h = rng.normal(size=(batch, hidden))
-        w_c = rng.normal(size=(batch, hidden))
-
-        x_t = Tensor(x, requires_grad=True)
-        out, (h, c) = layer.forward(x_t)
-        loss = (out * Tensor(w_out)).sum() + (h * Tensor(w_h)).sum() + (c * Tensor(w_c)).sum()
-        loss.backward()
-
-        params = fused.as_param_arrays(dict(layer.named_parameters()))
-        f_out, (f_h, f_c), caches = fused.lstm_forward(x, params)
-        np.testing.assert_allclose(f_out, out.data, rtol=0, atol=0)
-        np.testing.assert_allclose(f_h, h.data, rtol=0, atol=0)
-        dx, _, grads = fused.lstm_backward(caches, params, d_outputs=w_out, d_state=(w_h, w_c))
-        np.testing.assert_allclose(dx, x_t.grad, rtol=RTOL, atol=ATOL)
-        assert_grads_close(grads, {n: p.grad for n, p in layer.named_parameters()})
 
 
 class TestSeq2SeqKernels:
@@ -77,9 +38,9 @@ class TestSeq2SeqKernels:
         x = rng.normal(size=(5, 4, 2))
         y = rng.normal(size=(5, seq_out, 2))
 
-        ref_loss, ref_grads = tape_loss_and_grads(model, x, y, mse_loss, teacher_forcing)
+        ref_loss, ref_grads = tape_loss_and_grads(model, model.params, x, y, mse_loss, teacher_forcing)
         loss, grads = fused.loss_and_grads(
-            model, dict(model.named_parameters()), x, y, mse_loss, teacher_forcing=teacher_forcing
+            model, model.params, x, y, mse_loss, teacher_forcing=teacher_forcing
         )
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert_grads_close(grads, ref_grads)
@@ -94,8 +55,8 @@ class TestSeq2SeqKernels:
         model = make_mobility_model(hidden_size=6, seq_out=2, rng=rng)
         x = rng.uniform(size=(4, 3, 2))
         y = rng.uniform(size=(4, 2, 2))
-        ref_loss, ref_grads = tape_loss_and_grads(model, x, y, loss_fn)
-        loss, grads = fused.loss_and_grads(model, dict(model.named_parameters()), x, y, loss_fn)
+        ref_loss, ref_grads = tape_loss_and_grads(model, model.params, x, y, loss_fn)
+        loss, grads = fused.loss_and_grads(model, model.params, x, y, loss_fn)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert_grads_close(grads, ref_grads)
 
@@ -106,7 +67,7 @@ class TestSeq2SeqKernels:
         model = make_mobility_model(hidden_size=4, seq_out=2, rng=rng)
         x = rng.normal(size=(3, 3, 2))
         y = rng.normal(size=(3, 2, 2))
-        params = fused.as_param_arrays(dict(model.named_parameters()))
+        params = model.state_dict()
         _, grads = fused.loss_and_grads(model, params, x, y, mse_loss)
 
         def loss_at(p):
@@ -130,18 +91,9 @@ class TestSeq2SeqKernels:
         rng = np.random.default_rng(29)
         model = make_mobility_model(hidden_size=5, seq_out=3, rng=rng)
         x = rng.normal(size=(4, 5, 2))
-        tape_pred = model.forward(Tensor(x)).data
-        fused_pred = fused.seq2seq_predict(model, dict(model.named_parameters()), x)
+        tape_pred = tape_forward(leaves(model.params), Tensor(x), model.seq_out).data
+        fused_pred = fused.seq2seq_predict(model, model.params, x)
         np.testing.assert_allclose(fused_pred, tape_pred, rtol=0, atol=0)
-
-    def test_supports(self):
-        from repro.nn.layers import MLP
-
-        rng = np.random.default_rng(1)
-        assert fused.supports(make_mobility_model(rng=rng))
-        assert not fused.supports(MLP([2, 4, 2], rng))
-        with pytest.raises(TypeError, match="MLP"):
-            fused.Seq2SeqWeights(MLP([2, 4, 2], rng), {})
 
 
 class TestBatchedKernels:
@@ -157,7 +109,7 @@ class TestBatchedKernels:
         # Distinct parameters per worker so cross-worker leakage would show.
         per_worker = []
         for w in range(len(counts)):
-            base = fused.as_param_arrays(dict(model.named_parameters()))
+            base = model.params
             per_worker.append({k: v + 0.01 * w for k, v in base.items()})
         stacked = {name: np.stack([p[name] for p in per_worker]) for name in per_worker[0]}
 
@@ -181,7 +133,7 @@ class TestBatchedKernels:
         the pass with one worker or with three."""
         rng = np.random.default_rng(37)
         model = make_mobility_model(hidden_size=3, seq_out=1, rng=rng)
-        base = fused.as_param_arrays(dict(model.named_parameters()))
+        base = model.params
         xs = [rng.normal(size=(6, 4, 2)) for _ in range(4)]
         ys = [rng.normal(size=(6, 1, 2)) for _ in range(4)]
         wide = {name: np.repeat(p[None, ...], 4, axis=0) for name, p in base.items()}

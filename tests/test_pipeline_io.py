@@ -6,7 +6,6 @@ import pytest
 from repro.data import PortoConfig, build_learning_tasks, generate_porto_workers
 from repro.data.didi import historical_task_locations
 from repro.meta.maml import MAMLConfig
-from repro.nn.tensor import Tensor
 from repro.pipeline.config import PredictionConfig
 from repro.pipeline.io import load_predictor, save_predictor
 from repro.pipeline.training import train_predictor
@@ -37,8 +36,8 @@ class TestRoundTrip:
         loaded = load_predictor(tmp_path / "snapshot", city=city)
         x = np.random.default_rng(0).uniform(0, 1, size=(3, 5, 2))
         for wid in predictor.worker_params:
-            before = predictor.model_for(wid)(Tensor(x)).numpy()
-            after = loaded.model_for(wid)(Tensor(x)).numpy()
+            before = predictor.model_for(wid).predict(x)
+            after = loaded.model_for(wid).predict(x)
             assert np.allclose(before, after)
 
     def test_matching_rates_preserved(self, trained, tmp_path):

@@ -5,13 +5,13 @@ import pytest
 
 from repro.geo.trajectory import Trajectory
 from repro.nn.seq2seq import LSTMEncoderDecoder
-from repro.nn.tensor import Tensor
 from repro.pipeline.adaptive import AdaptiveMRSnapshotProvider
 from repro.pipeline.config import AssignmentConfig, PredictionConfig
 from repro.pipeline.prediction import PredictiveSnapshotProvider, _recent_shared_track, rollout
 from repro.pipeline.training import TrainedPredictor, make_model_factory
 from repro.sc.entities import Worker
 from tests.conftest import straight_trajectory
+from tests.tape import Tensor, leaves, tape_forward
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def tape_rollout(model, recent_norm, horizon_points):
     window = np.asarray(recent_norm, dtype=float).copy()
     out = []
     while sum(len(o) for o in out) < horizon_points:
-        pred = model(Tensor(window[None, :, :])).numpy()[0]
+        pred = tape_forward(leaves(model.params), Tensor(window[None, :, :]), model.seq_out).data[0]
         out.append(pred)
         window = np.concatenate([window, pred])[-len(recent_norm) :]
     return np.concatenate(out)[:horizon_points]
