@@ -50,7 +50,7 @@ OUTPUT = Path(__file__).parent.parent / "BENCH_monitor_overhead.json"
 SHAPE = {"n_workers": 400, "n_tasks": 800, "t_end": 60.0, "width_km": 25.0, "seed": 5}
 CADENCE = 2.0
 #: Acceptance bar for the *enabled* monitor on the end-to-end run.
-MAX_OVERHEAD_PCT = 15.0
+MAX_OVERHEAD_PCT = 10.0
 
 
 def _scenario():

@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--monitor-cadence", type=float, default=2.0,
                        help="sampling period in simulated minutes (with --monitor)")
     serve.add_argument("--openmetrics", metavar="PATH", default=None,
-                       help="refresh an OpenMetrics exposition file on every sample")
+                       help="keep an OpenMetrics exposition file current "
+                            "(refreshed about once per wall second and at the end)")
     serve.add_argument("--monitor-port", type=int, default=None,
                        help="serve the exposition at http://localhost:PORT/metrics (0 = ephemeral)")
     serve.add_argument("--no-calibration", action="store_true",

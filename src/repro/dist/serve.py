@@ -47,7 +47,7 @@ from repro.obs.dist import (
 )
 from repro.obs.metrics import labelled
 from repro.assignment.plan import AssignmentPlan
-from repro.dist.server import BuildRequest, ShardServerBackend, scatter
+from repro.dist.server import BuildRequest, ShardServerBackend, scatter_receive, scatter_send
 from repro.dist.shard import (
     ComponentMatcher,
     ShardLayout,
@@ -332,11 +332,25 @@ class ShardedEngine(ServeEngine):
                     layout, batch_tasks, snapshots, t, self.config.max_candidates
                 )
 
+            handles = [self.backend.handles[s] for s in requests]
+            calls = [("build", request) for request in requests.values()]
+            n_builds = len(calls)
+            # Flush the server spools only when a spool directory is set
+            # *and* a trace is active: servers install telemetry lazily
+            # off the propagated context, so flushing an untraced run
+            # would be wasted work.
+            flush = self.dist.spool_dir is not None and current_context() is not None
+            if flush:
+                # Each server's flush queues behind its build on the
+                # same pipe: one send pass and one receive pass serve
+                # both, and every server is flushed, active or not.
+                handles += self.backend.handles
+                calls += [("obs_flush", None)] * len(self.backend.handles)
             with obs.span(SOLVE_SPAN, shards=len(layout)):
                 solve_started = time.perf_counter()
-                graphs = scatter(
-                    [self.backend.handles[s] for s in requests],
-                    [("build", request) for request in requests.values()],
+                tokens = scatter_send(handles, calls)
+                graphs = scatter_receive(
+                    handles[:n_builds], tokens[:n_builds], calls[:n_builds]
                 )
                 solve_seconds = time.perf_counter() - solve_started
 
@@ -352,26 +366,22 @@ class ShardedEngine(ServeEngine):
             for s, graph in zip(requests, graphs):
                 pairs[s] = sum(len(v) for v in graph.values())
             fill_shard_stats(stats, tasks_per_shard, members, pairs, merge_seconds)
-            self._flush_telemetry(solve_seconds)
+            if flush:
+                self._attribute_stragglers(
+                    scatter_receive(
+                        handles[n_builds:], tokens[n_builds:], calls[n_builds:]
+                    ),
+                    solve_seconds,
+                )
         return merged
 
-    def _flush_telemetry(self, solve_seconds: float) -> None:
-        """Round boundary: flush server spools, attribute the stragglers.
+    def _attribute_stragglers(self, replies: list, solve_seconds: float) -> None:
+        """Round boundary: attribute the stragglers from the flush replies.
 
-        Only runs when a spool directory is configured *and* a trace is
-        active (servers install telemetry lazily off the propagated
-        context, so flushing an untraced run would be a wasted
-        round-trip).  Flush replies carry each server's busy seconds
-        for the round; the gap to the solve window is that shard's IPC
-        wait, and the busiest shard is the round's straggler.
+        Flush replies carry each server's busy seconds for the round;
+        the gap to the solve window is that shard's IPC wait, and the
+        busiest shard is the round's straggler.
         """
-        if self.dist.spool_dir is None or current_context() is None:
-            return
-        # Flush every server (not just this round's active stripes) so
-        # spools stay durable even for shards the layout left idle.
-        replies = self.backend.scatter_commands(
-            [("obs_flush", None)] * len(self.backend.handles)
-        )
         busy: dict[int, float] = {}
         for shard_id, reply in enumerate(replies):
             if not isinstance(reply, dict):

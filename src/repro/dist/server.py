@@ -171,6 +171,8 @@ class ShardServerHandle:
         #: bumped on every respawn; in-flight requests from an older
         #: epoch never reached the new process and must be re-issued.
         self._epoch = 0
+        #: replies that arrived while a later request's was awaited.
+        self._early: dict[int, tuple[str, Any]] = {}
         self.restarts = 0
 
     # -- lifecycle -----------------------------------------------------
@@ -197,6 +199,7 @@ class ShardServerHandle:
         """Crash path: count it, then a fresh process on a fresh pipe."""
         self.restarts += 1
         self._epoch += 1
+        self._early.clear()
         if self._conn is not None:
             self._conn.close()
         if self._proc is not None:
@@ -213,11 +216,24 @@ class ShardServerHandle:
             self._conn.send((seq, command, payload, ctx))
 
     def _receive(self, seq: int) -> Any:
-        reply_seq, status, result = self._conn.recv()
-        if reply_seq != seq:
-            raise ShardServerError(
-                f"shard {self.shard_id}: reply {reply_seq} for request {seq}"
-            )
+        """The reply to request ``seq``.
+
+        A pipe answers in order, but a request re-sent after a respawn
+        can queue behind one sent to the new process earlier; replies
+        to such earlier requests are kept for their own receive.
+        """
+        reply = self._early.pop(seq, None)
+        while reply is None:
+            reply_seq, status, result = self._conn.recv()
+            if reply_seq == seq:
+                reply = (status, result)
+            elif reply_seq < seq:
+                self._early[reply_seq] = (status, result)
+            else:
+                raise ShardServerError(
+                    f"shard {self.shard_id}: reply {reply_seq} for request {seq}"
+                )
+        status, result = reply
         if status != "ok":
             raise ShardServerError(f"shard {self.shard_id}: {result}")
         return result
@@ -278,6 +294,33 @@ class ShardServerHandle:
             self._proc = None
 
 
+def scatter_send(
+    handles: Sequence[ShardServerHandle],
+    requests: Sequence[tuple[str, Any]],
+) -> list[tuple[int, int]]:
+    """The send half of :func:`scatter`: one token per request.
+
+    A handle may appear more than once; its requests queue on its pipe
+    in list order and are answered in that order.
+    """
+    return [
+        handle.send_async(command, payload)
+        for handle, (command, payload) in zip(handles, requests)
+    ]
+
+
+def scatter_receive(
+    handles: Sequence[ShardServerHandle],
+    tokens: Sequence[tuple[int, int]],
+    requests: Sequence[tuple[str, Any]],
+) -> list[Any]:
+    """The receive half of :func:`scatter`: replies in request order."""
+    return [
+        handle.recv_async(token, command, payload)
+        for handle, token, (command, payload) in zip(handles, tokens, requests)
+    ]
+
+
 def scatter(
     handles: Sequence[ShardServerHandle],
     requests: Sequence[tuple[str, Any]],
@@ -287,14 +330,7 @@ def scatter(
     All servers work concurrently — the coordinator blocks only on the
     slowest stripe instead of the sum of stripes.
     """
-    tokens = [
-        handle.send_async(command, payload)
-        for handle, (command, payload) in zip(handles, requests)
-    ]
-    return [
-        handle.recv_async(token, command, payload)
-        for handle, token, (command, payload) in zip(handles, tokens, requests)
-    ]
+    return scatter_receive(handles, scatter_send(handles, requests), requests)
 
 
 class ShardServerBackend:
@@ -322,10 +358,6 @@ class ShardServerBackend:
             ShardServerHandle(shard_id=s, start_method=start_method, spool_dir=spool_dir)
             for s in range(shards)
         ]
-
-    def scatter_commands(self, requests: Sequence[tuple[str, Any]]) -> list[Any]:
-        """One ``(command, payload)`` per server, replies in shard order."""
-        return scatter(self.handles, requests)
 
     @property
     def total_restarts(self) -> int:

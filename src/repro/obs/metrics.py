@@ -204,14 +204,24 @@ class MetricsRegistry:
                     metric = self.histograms[name] = Histogram()
         return metric
 
-    def snapshot(self) -> dict:
-        """A JSON-ready view of every metric's current state."""
+    def scalars(self) -> dict:
+        """Counter and gauge values, name-sorted.
+
+        :meth:`snapshot` without the histogram summaries, which sort
+        each histogram's whole history.
+        """
         with self._lock:
             counters = sorted(self.counters.items())
             gauges = sorted(self.gauges.items())
-            histograms = sorted(self.histograms.items())
         return {
             "counters": {name: c.value for name, c in counters},
             "gauges": {name: g.value for name, g in gauges},
-            "histograms": {name: h.summary() for name, h in histograms},
         }
+
+    def snapshot(self) -> dict:
+        """A JSON-ready view of every metric's current state."""
+        with self._lock:
+            view = self.scalars()
+            histograms = sorted(self.histograms.items())
+        view["histograms"] = {name: h.summary() for name, h in histograms}
+        return view

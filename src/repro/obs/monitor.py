@@ -17,9 +17,17 @@ an append-only JSONL **time series**.  Each sample carries:
 * **rolling histogram summaries** over the observations that arrived
   in the window (cursors into the histogram, no copying/resetting).
 
-Each sample optionally refreshes an OpenMetrics exposition target
-(file and/or stdlib HTTP endpoint, :mod:`repro.obs.openmetrics`) so
-external scrapers can watch the run live.  A calibration monitor, when
+An OpenMetrics exposition target (file and/or stdlib HTTP endpoint,
+:mod:`repro.obs.openmetrics`) lets external scrapers watch the run
+live.  Scrapers read on the wall clock, so the exposition follows the
+wall clock too, not the sample cadence: it is refreshed on the first
+sample, on any later sample at least :data:`EXPOSE_INTERVAL_S` (1 s of
+``time.monotonic()``) after the previous refresh, and always at
+:meth:`MetricsMonitor.finish`.  An event-clock run that takes hundreds
+of samples a second rewrites the file about once a second; a
+``clock="wall"`` monitor with a cadence of 1 s or more refreshes on
+every sample.  Only a refresh summarises whole histograms; a sample
+summarises its own window.  A calibration monitor, when
 configured, streams its drift events into the same series file and
 appends a final ``calibration`` record at close.
 
@@ -40,6 +48,10 @@ from repro.obs.calibration import CalibrationConfig, CalibrationMonitor
 from repro.obs.metrics import MetricsRegistry, labelled
 from repro.obs.openmetrics import ExpositionServer, render_openmetrics, write_openmetrics
 from repro.obs.sinks import JsonlSink
+
+#: Wall seconds between OpenMetrics refreshes (file and HTTP text); see
+#: :meth:`MetricsMonitor._expose`.
+EXPOSE_INTERVAL_S = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -267,12 +279,15 @@ class MonitorConfig:
         JSONL time-series target (``None`` keeps samples in memory
         only — tests and in-process dashboards).
     openmetrics_path:
-        When set, every sample atomically rewrites this OpenMetrics
-        exposition file.
+        When set, the monitor atomically rewrites this OpenMetrics
+        exposition file on the first sample, then at most once per
+        :data:`EXPOSE_INTERVAL_S` of wall time (scrapers read on the
+        wall clock), and always at :meth:`MetricsMonitor.finish`.
     http_port:
         When set (0 = ephemeral), an :class:`ExpositionServer` serves
         the latest exposition at ``/metrics`` for the monitor's
-        lifetime.
+        lifetime; its text is refreshed together with the file, on the
+        same wall-time rule.
     prefix:
         OpenMetrics namespace prefix.
     calibration:
@@ -332,6 +347,8 @@ class MetricsMonitor:
         self._next_sample = 0.0
         self._last_counters: dict[str, float] = {}
         self._hist_cursors: dict[str, int] = {}
+        #: ``time.monotonic()`` of the last exposition refresh.
+        self._last_expose: float | None = None
         self._finished = False
 
     # -- lifecycle -----------------------------------------------------
@@ -400,8 +417,11 @@ class MetricsMonitor:
         return t
 
     def _sample(self, at: float, final: bool = False) -> None:
-        snapshot = self.registry.snapshot()
-        counters = snapshot["counters"]
+        # Counters and gauges plus each histogram's own window: a sample
+        # never summarises a histogram's whole history (only a refresh
+        # of the exposition does, in :meth:`_expose`).
+        scalars = self.registry.scalars()
+        counters = scalars["counters"]
         deltas = {
             name: value - self._last_counters.get(name, 0.0)
             for name, value in counters.items()
@@ -425,7 +445,7 @@ class MetricsMonitor:
             "window": at - last_t,
             "counters": counters,
             "counter_deltas": deltas,
-            "gauges": snapshot["gauges"],
+            "gauges": scalars["gauges"],
             "histograms": windows,
         }
         if final:
@@ -443,7 +463,7 @@ class MetricsMonitor:
             record["slos"] = status
             # Mirror burn rates / alert firings into the registry so
             # OpenMetrics scrapers see them; gauges set here land in
-            # the *next* sample's snapshot (this one is already taken).
+            # the *next* sample's record (this one is already read).
             for name, st in status.items():
                 if st["burn_long"] is not None:
                     self.registry.gauge(
@@ -460,6 +480,28 @@ class MetricsMonitor:
         self._write(record)
         for event in alerts:
             self._write(dict(event, wall_unix=time.time()))
+        self._expose(final)
+
+    def _expose(self, final: bool) -> None:
+        """Refresh the OpenMetrics file and HTTP text, paced by wall time.
+
+        A scraper reads on its own wall-clock schedule, so refreshing
+        more than once per :data:`EXPOSE_INTERVAL_S` only rewrites what
+        nobody reads.  Refreshes happen on the first sample, on any
+        sample at least that long (``time.monotonic()``) after the last
+        refresh, and always at the final sample.
+        """
+        if self.config.openmetrics_path is None and self.server is None:
+            return
+        now = time.monotonic()
+        if not (
+            final
+            or self._last_expose is None
+            or now - self._last_expose >= EXPOSE_INTERVAL_S
+        ):
+            return
+        self._last_expose = now
+        snapshot = self.registry.snapshot()
         if self.config.openmetrics_path is not None:
             write_openmetrics(self.config.openmetrics_path, snapshot, prefix=self.config.prefix)
         if self.server is not None:

@@ -124,6 +124,24 @@ class TestShardServerHandle:
         finally:
             handle.close()
 
+    def test_pipelined_replies_reach_their_own_receive(self):
+        """Two requests queued on one pipe: awaiting the later one first
+        keeps the earlier reply for its own receive."""
+        request = whole_batch_request([sample_task(0)], [sample_snapshot(0)])
+        handle = ShardServerHandle(0)
+        try:
+            expected = handle.request("build", request)
+            ping = handle.send_async("ping")
+            build = handle.send_async("build", request)
+            assert handle.recv_async(build, "build", request) == expected
+            assert handle.recv_async(ping, "ping") == "pong"
+            assert scatter([handle, handle], [("build", request), ("ping", None)]) == [
+                expected, "pong"
+            ]
+            assert handle.restarts == 0
+        finally:
+            handle.close()
+
     def test_spawn_started_server_builds_from_arrays(self):
         tasks = [sample_task(0), sample_task(1, 2.2, 1.4)]
         snaps = [sample_snapshot(0), sample_snapshot(4, 2.0, 2.0)]

@@ -213,6 +213,41 @@ class TestMergedTimeline:
         assert labelled("dist.shard.busy_s", shard=0) in gauges
         assert "dist.shard.straggler" in gauges
 
+    def test_flush_queues_behind_the_builds(self, tmp_path, monkeypatch):
+        """One send pass per round carries the builds, then one
+        ``obs_flush`` per server; every round attributes a straggler."""
+        import repro.dist.serve as dist_serve
+
+        sent: list[list[str]] = []
+        real = dist_serve.scatter_send
+
+        def spy(handles, calls):
+            sent.append([command for command, _ in calls])
+            return real(handles, calls)
+
+        monkeypatch.setattr(dist_serve, "scatter_send", spy)
+        stream = StreamConfig(n_workers=40, n_tasks=80, t_end=30.0,
+                              width_km=20.0, height_km=20.0, seed=1)
+        tasks, workers = make_task_stream(stream), make_worker_fleet(stream)
+        result, _, records = run_sharded(
+            tasks, workers, 1, shards=2, spool_dir=tmp_path, record=True, t_end=30.0
+        )
+        assert sent
+        for commands in sent:
+            n_builds = len(commands) - 2
+            assert 1 <= n_builds <= 2
+            assert commands == ["build"] * n_builds + ["obs_flush"] * 2
+        metrics = next(r for r in records if r.get("type") == "metrics")
+        rounds = sum(
+            value for name, value in metrics["counters"].items()
+            if split_labels(name)[0] == "dist.shard.straggler_rounds"
+        )
+        assert rounds == len(sent)
+        # Untraced, the same engine sends builds only.
+        sent.clear()
+        run_sharded(tasks, workers, 1, shards=2, spool_dir=tmp_path, t_end=30.0)
+        assert sent and all(set(commands) == {"build"} for commands in sent)
+
     def test_rerun_into_same_spool_dir_merges_only_its_own_spools(self, tmp_path):
         """A second traced run into the same spool directory leaves the
         first run's spools in place; merging the second run's trace

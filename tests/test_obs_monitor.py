@@ -6,13 +6,15 @@ Covers the streaming half of ``repro.obs``:
   monitor's windowed sampling relies on;
 * :class:`MetricsMonitor` — one sample per crossed cadence boundary,
   windowed counter deltas, rolling histogram windows, the JSONL series
-  file, and the OpenMetrics targets (file and HTTP endpoint);
+  file, and the OpenMetrics targets (file and HTTP endpoint), refreshed
+  on the wall clock rather than on every sample;
 * tolerant JSONL/manifest readers — a run killed mid-write leaves a
   truncated final line, which must not take the whole artifact with it.
 """
 
 import json
 import math
+import random
 import urllib.request
 
 import pytest
@@ -31,6 +33,7 @@ from repro.obs import (
     render_openmetrics,
     write_openmetrics,
 )
+from repro.obs import monitor as monitor_module
 from repro.obs.openmetrics import ExpositionServer, metric_name
 
 
@@ -200,6 +203,194 @@ class TestMetricsMonitor:
         mon.finish(1.0)
         mon.finish(2.0)
         assert len([r for r in read_jsonl(series) if r["type"] == "sample"]) == 1
+
+
+class FakeClock:
+    """Stands in for ``time.monotonic``; the test sets :attr:`now`."""
+
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(monitor_module.time, "monotonic", fake)
+    return fake
+
+
+@pytest.fixture
+def refreshes(monkeypatch, clock):
+    """Wall times (fake clock) at which the exposition file was rewritten."""
+    seen: list[float] = []
+    real = monitor_module.write_openmetrics
+
+    def spy(path, snapshot, prefix="repro"):
+        seen.append(clock.now)
+        return real(path, snapshot, prefix=prefix)
+
+    monkeypatch.setattr(monitor_module, "write_openmetrics", spy)
+    return seen
+
+
+def exposed_events(text: str) -> float:
+    """The ``events`` counter as an exposition document shows it."""
+    line = next(l for l in text.splitlines() if l.startswith("repro_events_total "))
+    return float(line.split()[-1])
+
+
+class TestExpositionPacing:
+    """The exposition is refreshed on the wall clock, not per sample."""
+
+    def test_event_clock_refreshes_once_per_wall_second(self, tmp_path, clock, refreshes):
+        target = tmp_path / "metrics.prom"
+        reg = MetricsRegistry()
+        mon = MetricsMonitor(
+            MonitorConfig(cadence=1.0, openmetrics_path=str(target), calibration=None), reg
+        )
+        mon.start(0.0)
+        shown = []
+        for k in range(30):  # one sample per step, 0.1 s of wall time apart
+            clock.now = k / 10
+            reg.counter("events").add(1.0)
+            mon.advance(float(k + 1))
+            shown.append(exposed_events(target.read_text()))
+        assert len(mon.samples) == 30
+        assert refreshes == [0.0, 1.0, 2.0]
+        # Between refreshes the file keeps the last refreshed state.
+        assert shown == [1.0] * 10 + [11.0] * 10 + [21.0] * 10
+        clock.now = 2.95
+        reg.counter("events").add(1.0)
+        mon.finish(30.5)
+        assert refreshes == [0.0, 1.0, 2.0, 2.95]
+        assert target.read_text() == render_openmetrics(reg.snapshot())
+
+    def test_final_file_matches_registry_with_slos(self, tmp_path, clock, refreshes):
+        target = tmp_path / "metrics.prom"
+        reg = MetricsRegistry()
+        mon = MetricsMonitor(
+            MonitorConfig(
+                cadence=1.0, openmetrics_path=str(target), calibration=None,
+                slos=("ok=good/all>=0.9",),
+            ),
+            reg,
+        )
+        mon.start(0.0)
+        for k in range(5):
+            reg.counter("all").add(10.0)
+            reg.counter("good").add(5.0)
+            reg.histogram("lat").observe(float(k))
+            mon.advance(float(k + 1))
+        mon.finish(5.5)
+        assert refreshes == [0.0, 0.0]  # first sample and finish; the clock never moved
+        # The final refresh follows the final sample's SLO updates too.
+        assert target.read_text() == render_openmetrics(reg.snapshot())
+        assert 'repro_serve_slo_alerts_total{slo="ok"}' in target.read_text()
+
+    @pytest.mark.parametrize("cadence", [1.0, 2.5])
+    def test_wall_clock_cadence_of_a_second_refreshes_every_sample(
+        self, tmp_path, clock, refreshes, cadence
+    ):
+        reg = MetricsRegistry()
+        mon = MetricsMonitor(
+            MonitorConfig(
+                clock="wall", cadence=cadence,
+                openmetrics_path=str(tmp_path / "m.prom"), calibration=None,
+            ),
+            reg,
+        )
+        mon.start()
+        for k in range(1, 6):
+            clock.now = k * cadence
+            mon.advance()
+        assert len(mon.samples) == 5
+        assert refreshes == [k * cadence for k in range(1, 6)]
+
+    def test_http_text_follows_the_file(self, tmp_path, clock):
+        target = tmp_path / "metrics.prom"
+        reg = MetricsRegistry()
+        mon = MetricsMonitor(
+            MonitorConfig(
+                cadence=1.0, openmetrics_path=str(target), http_port=0, calibration=None
+            ),
+            reg,
+        )
+        mon.start(0.0)
+        served = []
+        try:
+            for k in range(25):
+                clock.now = k / 10
+                reg.counter("events").add(1.0)
+                mon.advance(float(k + 1))
+                text = mon.server.latest()
+                assert text == target.read_text()
+                served.append(exposed_events(text))
+            assert served == [1.0] * 10 + [11.0] * 10 + [21.0] * 5
+            server = mon.server
+            clock.now = 2.45
+            mon.finish(25.0)
+            assert server.latest() == target.read_text() == render_openmetrics(reg.snapshot())
+        finally:
+            if mon.server is not None:
+                mon.server.close()
+
+    def test_no_target_no_refresh(self, clock, refreshes):
+        mon = MetricsMonitor(MonitorConfig(cadence=1.0, calibration=None), MetricsRegistry())
+        mon.start(0.0)
+        mon.advance(3.0)
+        mon.finish(3.0)
+        assert refreshes == []
+
+    def test_sample_records_match_full_snapshots(self, clock):
+        """A sample reads what a full registry snapshot would have shown."""
+        rng = random.Random(7)
+        reg = MetricsRegistry()
+        mon = MetricsMonitor(
+            MonitorConfig(
+                cadence=1.0, calibration=None,
+                slos=("ok=good/all>=0.9", "fast=p99(lat)<=0.5"),
+            ),
+            reg,
+        )
+        mon.start(0.0)
+        reference = []
+        last_counters: dict[str, float] = {}
+        last_counts: dict[str, int] = {}
+        for k in range(40):
+            for _ in range(rng.randrange(4)):
+                reg.counter(rng.choice(["all", "good", "other"])).add(rng.random())
+                reg.gauge(rng.choice(["q", "depth"])).set(rng.random())
+                reg.histogram(rng.choice(["lat", "size"])).observe(rng.random())
+            # The full snapshot a sample used to take before reading its windows.
+            snapshot = reg.snapshot()
+            counts = {name: reg.histograms[name].count for name in snapshot["histograms"]}
+            reference.append({
+                "counters": snapshot["counters"],
+                "counter_deltas": {
+                    name: value - last_counters.get(name, 0.0)
+                    for name, value in snapshot["counters"].items()
+                },
+                "gauges": snapshot["gauges"],
+                "histograms": {
+                    name: Histogram(
+                        values=reg.histograms[name].values[last_counts.get(name, 0):]
+                    ).summary()
+                    for name in snapshot["histograms"]
+                },
+            })
+            last_counters, last_counts = snapshot["counters"], counts
+            mon.advance(float(k + 1))
+        got = [
+            {key: sample[key] for key in ("counters", "counter_deltas", "gauges", "histograms")}
+            for sample in mon.samples
+        ]
+        assert got == reference
+        assert [list(s["counters"]) for s in mon.samples] == [
+            list(r["counters"]) for r in reference
+        ]
 
 
 class TestOpenMetrics:

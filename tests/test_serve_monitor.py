@@ -5,7 +5,8 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 * ``ServeConfig.monitor=None`` leaves the engine's observable outcome
   **bit-identical** to a run that never heard of monitoring;
 * with a monitor, a seeded run streams a JSONL time series and an
-  OpenMetrics exposition while still producing the identical plan;
+  OpenMetrics exposition while still producing the identical plan; the
+  exposition is refreshed on wall time, not on every sample;
 * a provider whose confidence outlives its accuracy — calibrated early,
   overconfident late — trips the drift detector deterministically.
 """
@@ -19,7 +20,8 @@ from repro import obs
 from repro.assignment.ppi import ppi_assign
 from repro.cli import main as cli_main
 from repro.geo.point import Point
-from repro.obs import MemorySink, MonitorConfig, read_jsonl
+from repro.obs import MemorySink, MonitorConfig, read_jsonl, render_openmetrics
+from repro.obs import monitor as monitor_module
 from repro.sc.acceptance import oracle_future_route
 from repro.sc.entities import SpatialTask, Worker, WorkerSnapshot
 from repro.serve import (
@@ -169,6 +171,37 @@ class TestMonitoredRunOutputs:
             ]
 
         assert series_of("a.jsonl") == series_of("b.jsonl")
+
+
+class TestExpositionPacing:
+    def test_run_refreshes_exposition_on_wall_time_only(self, tmp_path, monkeypatch):
+        """A run inside one wall second writes the file at its first
+        sample and at finish; the series still gets every sample."""
+        monkeypatch.setattr(monitor_module.time, "monotonic", lambda: 50.0)
+        writes = []
+        real = monitor_module.write_openmetrics
+
+        def spy(path, snapshot, prefix="repro"):
+            writes.append(path)
+            return real(path, snapshot, prefix=prefix)
+
+        monkeypatch.setattr(monitor_module, "write_openmetrics", spy)
+        tasks, workers = seeded_scenario()
+        exposition = tmp_path / "run.om"
+        series = tmp_path / "run.series.jsonl"
+        with obs.recording(MemorySink()) as rec:
+            result = run_engine(
+                tasks, workers,
+                monitor=MonitorConfig(
+                    cadence=1.0, series_path=str(series), openmetrics_path=str(exposition)
+                ),
+            )
+        assert result.n_monitor_samples > 2
+        assert len([r for r in read_jsonl(series) if r["type"] == "sample"]) == (
+            result.n_monitor_samples
+        )
+        assert len(writes) == 2
+        assert exposition.read_text() == render_openmetrics(rec.metrics.snapshot())
 
 
 # ---------------------------------------------------------------------
